@@ -4,22 +4,21 @@ Each experiment draws seeded replications, compares empirical moments against
 their analytic targets (per hidden component first, then on the mixture) and
 returns a JSON-serializable report with targets, estimates, tolerances and a
 pass flag.  All randomness is derived per replication from
-(master_seed, stream tag, component, replication index), so reports are
-bitwise identical for any worker count.
+(master_seed, stream tag, component, replication index), so reruns give
+bitwise identical reports.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import anderson
+from scipy.stats import norm
 
 from .errors import ConstructionError, SingularFisherError
-from .estimate import _golden_refine, loglik, maximize_scalar
+from .estimate import loglik, loglik_rows, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -27,7 +26,7 @@ from .model import (
     fisher_information,
     kl_matrix,
 )
-from .simulate import CountVector, Trajectory, substream
+from .simulate import CountVector, Trajectory, _draw_outcomes, substream
 
 __all__ = [
     "ExperimentPlan",
@@ -48,7 +47,9 @@ SINGULAR_EIG_TOL = 1e-10
 # Report-level tolerances (finite-n surrogates; the paper gives no finite-n bounds).
 LAMN_MEAN_SIGMAS = 3.0
 LAMN_VAR_RTOL = 0.10
-AD_LEVEL_PCT = 1.0
+# Stephens' 1% critical value of the Anderson-Darling normality statistic
+# (mean and variance estimated), as tabulated by SciPy.
+AD_CRIT_1PCT = 1.035
 CRAMER_RATIO_BAND = (0.85, 1.15)
 CRAMER_MIXTURE_RTOL = 0.10
 COLLAPSE_SQRT_N_BOUND = 1e-6
@@ -63,24 +64,26 @@ PURIFY_TV_BOUND = 0.05
 class ExperimentPlan:
     """Shared experiment configuration.
 
-    h is the local parameter shift: replications under the shifted law use
-    theta* + h/sqrt(n).  theta* must be interior to the box and every shifted
-    parameter must stay inside it.
+    h is the local parameter shift (zero by default): replications under the
+    shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
+    and every shifted parameter must stay inside it.
     """
 
     family: ParametricFamily
     q: MixtureWeights
     theta_star: np.ndarray
-    h: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    h: Optional[np.ndarray] = None
     n_grid: tuple = (1_000, 5_000, 10_000)
     n_reps: int = 2_000
     master_seed: int = 0
     estimation_box: Optional[ParameterBox] = None
-    n_workers: int = 1
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_star, dtype=float))
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
+        if self.h is None:
+            h = np.zeros_like(theta)
+        else:
+            h = np.atleast_1d(np.asarray(self.h, dtype=float))
         if h.shape != theta.shape:
             raise ConstructionError("h must have the same dimension as theta_star")
         box = self.family.box
@@ -132,31 +135,15 @@ def _component_fishers(plan: ExperimentPlan) -> np.ndarray:
 
 
 def _counts_batch(
-    fam: ParametricFamily, theta, gamma: int, n: int, seeds: Sequence[tuple]
+    fam: ParametricFamily, theta, gammas, n: int, seeds: Sequence[tuple]
 ) -> np.ndarray:
-    """Multinomial count vectors, one per replication seed tuple; shape (R, l)."""
-    p = fam.prob_table(theta)[gamma]
-    p = p / p.sum()
+    """Multinomial count vectors, row i from component gammas[i] (or one shared
+    component) on the stream substream(*seeds[i]); shape (R, l)."""
+    probs = [p / p.sum() for p in fam.prob_table(theta)]
     out = np.empty((len(seeds), fam.n_outcomes), dtype=np.int64)
-    for i, key in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
-        out[i] = rng.multinomial(n, p)
+    for i, (key, g) in enumerate(zip(seeds, np.broadcast_to(gammas, len(seeds)))):
+        out[i] = substream(*key).multinomial(n, probs[g])
     return out
-
-
-def _map_chunks(fn, n_items: int, n_workers: int):
-    """Apply fn to index chunks, concatenating results in chunk order.
-
-    Replication RNG streams are keyed by absolute index, so the result is
-    independent of the chunking.
-    """
-    if n_workers <= 1:
-        return fn(np.arange(n_items))
-    chunks = np.array_split(np.arange(n_items), n_workers)
-    chunks = [c for c in chunks if c.size]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        parts = list(pool.map(fn, chunks))
-    return np.concatenate(parts)
 
 
 def _mix_unnorm_logliks(
@@ -176,41 +163,28 @@ def _draw_mixture_gammas(plan: ExperimentPlan, tag: int, n_reps: int) -> np.ndar
     return gammas
 
 
-def _scalar_mle_batch(
-    plan: ExperimentPlan, counts_matrix: np.ndarray, n: int, coarse: int = 64
-) -> np.ndarray:
-    """Mixture MLE for each count row (D = 1), over the plan's search box.
+def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], np.ndarray]:
+    """The mixture MLE over the plan's search box, as a function of a matrix of
+    count rows (one estimate per row).  Refuses D != 1."""
+    if plan.family.dim != 1:
+        raise NotImplementedError(
+            f"this experiment covers D = 1 only; the model has D = {plan.family.dim}"
+        )
+    lo, hi = float(plan.search_box().lower[0]), float(plan.search_box().upper[0])
+    return lambda counts_matrix: maximize_scalar(
+        loglik_rows(plan.family, plan.q.log(), counts_matrix), lo, hi
+    ).x
 
-    Same scan-plus-golden-section scheme as estimate.mle, with the coarse scan
-    shared across replications (the scan grid does not depend on the data).
-    """
-    fam, q = plan.family, plan.q
-    box = plan.search_box()
-    lo, hi = float(box.lower[0]), float(box.upper[0])
-    logq = q.log()
-    xs = np.linspace(lo, hi, coarse)
-    logp_scan = np.stack([fam.log_prob_table(np.array([x])) for x in xs])  # (G, d, l)
-    scan_vals = logsumexp(
-        np.einsum("gdl,rl->rgd", logp_scan, counts_matrix) + logq[None, None, :], axis=2
-    )  # (R, G)
-    best = np.argmax(scan_vals, axis=1)
 
-    def estimate_rows(rows: np.ndarray) -> np.ndarray:
-        out = np.empty(rows.size)
-        for i, r in enumerate(rows):
-            c = counts_matrix[r]
-
-            def f(x: float) -> float:
-                terms = fam.log_prob_table(np.array([x])) @ c + logq
-                return float(logsumexp(terms))
-
-            j = int(best[r])
-            a = xs[max(j - 1, 0)]
-            b = xs[min(j + 1, coarse - 1)]
-            out[i], _ = _golden_refine(f, a, b, 1e-8)
-        return out
-
-    return _map_chunks(estimate_rows, counts_matrix.shape[0], plan.n_workers)
+def _anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
+    """Anderson-Darling A^2 of x against the normal law with estimated mean and
+    variance, and its 1% critical value with Stephens' small-sample factor."""
+    n = x.size
+    w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+    i = np.arange(1, n + 1)
+    a2 = -n - np.sum((2 * i - 1.0) / n * (norm.logcdf(w) + norm.logsf(w)[::-1]))
+    crit = np.round(AD_CRIT_1PCT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
+    return float(a2), float(crit)
 
 
 def _jsonable(x):
@@ -257,12 +231,8 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         per_n = {}
         for n in plan.n_grid:
             theta_n = plan.theta_star + h / np.sqrt(n)
-
-            def draw(rows, n=n, g=g):
-                seeds = [(plan.master_seed, TAG_LAMN, g, n, int(r)) for r in rows]
-                return _counts_batch(plan.family, plan.theta_star, g, n, seeds)
-
-            cm = _map_chunks(draw, plan.n_reps, plan.n_workers)
+            seeds = [(plan.master_seed, TAG_LAMN, g, n, r) for r in range(plan.n_reps)]
+            cm = _counts_batch(plan.family, plan.theta_star, g, n, seeds)
             lr = _mix_unnorm_logliks(plan.family, plan.q, cm, theta_n) - _mix_unnorm_logliks(
                 plan.family, plan.q, cm, plan.theta_star
             )
@@ -280,13 +250,10 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
             }
             if hih > 0 and var > 0:
                 std = (lr - lr.mean()) / lr.std(ddof=1)
-                ad = anderson(std, dist="norm")
-                crit = float(
-                    ad.critical_values[list(ad.significance_level).index(AD_LEVEL_PCT)]
-                )
-                entry["ad_statistic"] = float(ad.statistic)
+                stat, crit = _anderson_darling_normal(std)
+                entry["ad_statistic"] = stat
                 entry["ad_critical_1pct"] = crit
-                entry["ad_ok"] = bool(ad.statistic < crit)
+                entry["ad_ok"] = bool(stat < crit)
             per_n[n] = entry
             if n == n_max:
                 samples_at_nmax[g] = lr
@@ -363,24 +330,13 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 
     for g in range(d):
         p = fam.prob_table(plan.theta_star)[g]
-
-        def draw(rows, g=g):
-            # One trajectory per seed; counts accumulated along the n grid.
-            out = np.empty((rows.size, len(n_grid), fam.n_outcomes), dtype=np.int64)
-            for i, r in enumerate(rows):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        entropy=plan.master_seed, spawn_key=(TAG_COLLAPSE, g, int(r))
-                    )
-                )
-                cdf = np.cumsum(p / p.sum())
-                cdf[-1] = 1.0
-                outcomes = np.searchsorted(cdf, rng.random(n_max), side="right")
-                for k, n in enumerate(n_grid):
-                    out[i, k] = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
-            return out
-
-        cm = _map_chunks(draw, plan.n_reps, plan.n_workers)
+        p = p / p.sum()
+        # One trajectory per replication; counts accumulated along the n grid.
+        cm = np.empty((plan.n_reps, len(n_grid), fam.n_outcomes), dtype=np.int64)
+        for r in range(plan.n_reps):
+            outcomes = _draw_outcomes(p, n_max, substream(plan.master_seed, TAG_COLLAPSE, g, r))
+            for k, n in enumerate(n_grid):
+                cm[r, k] = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
         log_r = np.empty((plan.n_reps, len(n_grid)))
         log_r_shift = np.empty_like(log_r)
         for k, n in enumerate(n_grid):
@@ -438,23 +394,14 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 
 def consistency_experiment(plan: ExperimentPlan) -> dict:
     """Error quantiles of the mixture MLE along the n grid; medians must fall."""
+    estimate = _scalar_mle(plan)
     n_grid = sorted(plan.n_grid)
     by_n = {}
     medians = []
     for n in n_grid:
         gammas = _draw_mixture_gammas(plan, TAG_CONSIST + n, plan.n_reps)
-
-        def draw(rows, n=n):
-            cm = np.empty((rows.size, plan.family.n_outcomes), dtype=np.int64)
-            for i, r in enumerate(rows):
-                seeds = [(plan.master_seed, TAG_CONSIST, n, int(r))]
-                cm[i] = _counts_batch(
-                    plan.family, plan.theta_star, int(gammas[r]), n, seeds
-                )[0]
-            return cm
-
-        cm = _map_chunks(draw, plan.n_reps, plan.n_workers)
-        theta_hats = _scalar_mle_batch(plan, cm, n)
+        seeds = [(plan.master_seed, TAG_CONSIST, n, r) for r in range(plan.n_reps)]
+        theta_hats = estimate(_counts_batch(plan.family, plan.theta_star, gammas, n, seeds))
         errors = np.abs(theta_hats - plan.theta_star[0])
         med = float(np.median(errors))
         medians.append(med)
@@ -483,12 +430,10 @@ def mle_path(
     n_points: Sequence[int],
 ) -> list[tuple[int, float]]:
     """Mixture MLE along growing prefixes of one trajectory (D = 1)."""
-    path = []
-    for n in sorted(int(n) for n in n_points):
-        c = np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes)
-        theta_hat = _scalar_mle_batch(plan, c[None, :], n)[0]
-        path.append((n, float(theta_hat)))
-    return path
+    estimate = _scalar_mle(plan)
+    ns = sorted(int(n) for n in n_points)
+    cm = np.stack([np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes) for n in ns])
+    return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm))]
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +448,7 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     theta* - h/sqrt(n)) must match 1/I(gamma) within the efficiency band; the
     mixture second moment must match sum_a q(a)/I(a) within 10%.
     """
-    if plan.family.dim != 1:
-        raise NotImplementedError("cramer_rao_experiment currently covers D = 1")
+    estimate = _scalar_mle(plan)
     fishers = _component_fishers(plan)[:, 0, 0]
     n = max(plan.n_grid)
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
@@ -513,12 +457,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     all_pass = True
 
     for g in range(d):
-        def draw(rows, g=g):
-            seeds = [(plan.master_seed, TAG_CRAMER, g, int(r)) for r in rows]
-            return _counts_batch(plan.family, theta_n, g, n, seeds)
-
-        cm = _map_chunks(draw, plan.n_reps, plan.n_workers)
-        theta_hats = _scalar_mle_batch(plan, cm, n)
+        seeds = [(plan.master_seed, TAG_CRAMER, g, r) for r in range(plan.n_reps)]
+        theta_hats = estimate(_counts_batch(plan.family, theta_n, g, n, seeds))
         root = np.sqrt(n) * (theta_hats - theta_n[0])
         var = float(root.var(ddof=1))
         target = 1.0 / fishers[g]
@@ -535,16 +475,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
         all_pass = all_pass and ok
 
     gammas = _draw_mixture_gammas(plan, TAG_CRAMER, plan.n_reps)
-
-    def draw_mix(rows):
-        cm = np.empty((rows.size, plan.family.n_outcomes), dtype=np.int64)
-        for i, r in enumerate(rows):
-            seeds = [(plan.master_seed, TAG_CRAMER, d, int(r))]
-            cm[i] = _counts_batch(plan.family, theta_n, int(gammas[r]), n, seeds)[0]
-        return cm
-
-    cm = _map_chunks(draw_mix, plan.n_reps, plan.n_workers)
-    theta_hats = _scalar_mle_batch(plan, cm, n)
+    seeds = [(plan.master_seed, TAG_CRAMER, d, r) for r in range(plan.n_reps)]
+    theta_hats = estimate(_counts_batch(plan.family, theta_n, gammas, n, seeds))
     root = np.sqrt(n) * (theta_hats - theta_n[0])
     second = float(np.mean(root**2))
     target_second = float(plan.q.q @ (1.0 / fishers))
@@ -589,29 +521,19 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     n_max = n_grid[-1]
     logp = fam.log_prob_table(plan.theta_star)
     gammas = _draw_mixture_gammas(plan, TAG_PURIFY, plan.n_reps)
-    prob_rows = fam.prob_table(plan.theta_star)
+    probs = [p / p.sum() for p in fam.prob_table(plan.theta_star)]
 
-    def run(rows):
-        res = np.empty((rows.size, len(n_grid) + 1))  # per-n hit flags + final argmax
-        for i, r in enumerate(rows):
-            g = int(gammas[r])
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(TAG_PURIFY, int(r)))
-            )
-            p = prob_rows[g]
-            cdf = np.cumsum(p / p.sum())
-            cdf[-1] = 1.0
-            outcomes = np.searchsorted(cdf, rng.random(n_max), side="right")
-            for k, n in enumerate(n_grid):
-                c = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
-                terms = q.log() + logp @ c
-                post = np.exp(terms - logsumexp(terms))
-                res[i, k] = post[g] > PURIFY_LEVEL
-                if n == n_max:
-                    res[i, -1] = int(np.argmax(post))
-        return res
-
-    res = _map_chunks(run, plan.n_reps, plan.n_workers)
+    res = np.empty((plan.n_reps, len(n_grid) + 1))  # per-n hit flags + final argmax
+    for r in range(plan.n_reps):
+        g = int(gammas[r])
+        outcomes = _draw_outcomes(probs[g], n_max, substream(plan.master_seed, TAG_PURIFY, r))
+        for k, n in enumerate(n_grid):
+            c = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
+            terms = q.log() + logp @ c
+            post = np.exp(terms - logsumexp(terms))
+            res[r, k] = post[g] > PURIFY_LEVEL
+            if n == n_max:
+                res[r, -1] = int(np.argmax(post))
     fractions = {n: float(res[:, k].mean()) for k, n in enumerate(n_grid)}
     argmax_counts = np.bincount(res[:, -1].astype(int), minlength=fam.n_components)
     empirical = argmax_counts / plan.n_reps

@@ -2,7 +2,9 @@
 plot data.
 
 Exit codes: 0 success, 1 experiment check failed, 2 config error,
-3 numerical refusal (e.g. singular Fisher information).
+3 refusal (singular Fisher information, or an experiment that covers D = 1
+only run on a multi-parameter model), 4 any other package error, 5 an
+unexpected exception.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +43,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REFUSAL = 3
+EXIT_ERROR = 4
+EXIT_INTERNAL = 5
 
 FIG1_SEEDS = 10
 FIG1_N_MAX = 10_000
@@ -53,12 +58,11 @@ class RunConfig:
     experiment: str
     theta_star: Optional[list] = None
     q: Optional[object] = None
-    h: list = field(default_factory=lambda: [0.0])
+    h: Optional[list] = None
     n_grid: Optional[list] = None
     n_reps: int = 2000
     seed: int = 0
     output_dir: str = "qndmix_out"
-    workers: int = 1
 
     def validate(self) -> None:
         if self.model not in PRESETS:
@@ -72,8 +76,6 @@ class RunConfig:
             )
         if self.n_reps < 1:
             raise ConfigError("field 'n_reps': must be a positive integer")
-        if self.workers < 1:
-            raise ConfigError("field 'workers': must be a positive integer")
         if self.n_grid is not None and (
             not self.n_grid or any(int(n) < 1 for n in self.n_grid)
         ):
@@ -134,12 +136,11 @@ def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
             family=preset.family,
             q=q,
             theta_star=theta_star,
-            h=np.asarray(config.h, dtype=float),
+            h=None if config.h is None else np.asarray(config.h, dtype=float),
             n_grid=n_grid,
             n_reps=config.n_reps,
             master_seed=config.seed,
             estimation_box=preset.estimation_box,
-            n_workers=config.workers,
         )
     except QndmixError as exc:
         raise ConfigError(str(exc)) from exc
@@ -236,7 +237,7 @@ def run(config: RunConfig) -> int:
             report = _run_fig1(plan, config, out)
         else:
             report = runners[config.experiment](plan)
-    except SingularFisherError as exc:
+    except (SingularFisherError, NotImplementedError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     report["model"] = config.model
@@ -264,7 +265,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n))")
         p.add_argument("--theta-star", help="comma-separated true parameter")
         p.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
-        p.add_argument("--workers", type=int, help="worker threads (results identical)")
     return parser
 
 
@@ -295,8 +295,6 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--theta-star: cannot parse {args.theta_star!r}") from None
     if args.q:
         data["q"] = args.q
-    if args.workers is not None:
-        data["workers"] = args.workers
     return RunConfig(**data)
 
 
@@ -309,6 +307,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except QndmixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

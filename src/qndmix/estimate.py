@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +38,8 @@ __all__ = [
     "loglik_component",
     "limit_loglik",
     "log_sum_paths",
+    "ScalarMaxima",
+    "loglik_rows",
     "maximize_scalar",
     "mle",
 ]
@@ -179,55 +181,121 @@ def log_sum_paths(ell_a: np.ndarray, ell_b: np.ndarray, n: int) -> np.ndarray:
 # Optimizers
 # ---------------------------------------------------------------------------
 
-def _golden_refine(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi] down to |hi-lo| <= tol."""
-    a, b = lo, hi
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    x = c if fc > fd else d
-    return x, max(fc, fd)
+@dataclass(frozen=True)
+class ScalarMaxima:
+    """Output of maximize_scalar: x, value, tie and boundary hold one entry per
+    row; the scan and the refined candidates make up each row's trace."""
+
+    x: np.ndarray
+    value: np.ndarray
+    tie: np.ndarray
+    boundary: np.ndarray
+    scan_x: np.ndarray
+    scan_values: np.ndarray
+    cand_rows: np.ndarray
+    cand_x: np.ndarray
+    cand_values: np.ndarray
+
+    def trace(self, row: int) -> list:
+        """(x, f(x)) of every scan point and every refined candidate of one row."""
+        mine = self.cand_rows == row
+        points = list(zip(self.scan_x.tolist(), self.scan_values[row].tolist()))
+        return points + list(zip(self.cand_x[mine].tolist(), self.cand_values[mine].tolist()))
 
 
 def maximize_scalar(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
     coarse: int = COARSE_POINTS,
     tol: float = GOLDEN_TOL,
-) -> tuple[float, float, list, bool, bool]:
-    """Coarse scan plus golden-section refinement of every near-best bracket.
+) -> ScalarMaxima:
+    """Maximize R scalar objectives ("rows") on [lo, hi] at once.
 
-    Returns (x, f(x), trace, tie, boundary).  Candidate brackets whose scan
-    value ties the best within TIE_TOL are all refined; exact final ties
-    resolve to the smaller x and set the tie flag.
+    ``f(x)`` evaluates every row at every point of the 1-D array x and returns
+    an (R, len(x)) array (or a length-len(x) vector when R = 1);
+    ``f(x, rows)`` evaluates row rows[i] at x[i] and returns a vector.
+
+    A shared coarse scan is followed by golden-section refinement, down to a
+    bracket of width tol, of the bracket around the scan argmax and around
+    every strict local maximum of the scan; all brackets of all rows advance
+    together.  Per row, the best refined value wins; a runner-up from another
+    bracket within TIE_TOL sets the tie flag, and ties resolve to the smaller x.
     """
     xs = np.linspace(lo, hi, coarse)
-    fs = np.array([f(x) for x in xs])
-    trace = list(zip(xs.tolist(), fs.tolist()))
-    best = float(fs.max())
-    cand = np.nonzero(fs >= best - TIE_TOL)[0]
-    results = []
-    for i in cand:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, coarse - 1)]
-        x, fx = _golden_refine(f, a, b, tol)
-        results.append((x, fx))
-        trace.append((float(x), float(fx)))
-    results.sort(key=lambda r: (-r[1], r[0]))
-    x_hat, f_hat = results[0]
-    tie = len(results) > 1 and abs(results[1][1] - f_hat) <= TIE_TOL
-    boundary = x_hat - lo <= tol or hi - x_hat <= tol
-    return float(x_hat), float(f_hat), trace, tie, boundary
+    scan = np.atleast_2d(f(xs))
+    padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
+    peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
+    peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
+    rows, idx = np.nonzero(peak)
+
+    a = xs[np.maximum(idx - 1, 0)]
+    b = xs[np.minimum(idx + 1, coarse - 1)]
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc = np.array(f(c, rows), dtype=float)
+    fd = np.array(f(d, rows), dtype=float)
+    while True:
+        act = np.nonzero(b - a > tol)[0]
+        if act.size == 0:
+            break
+        left = fc[act] > fd[act]
+        # Keep [a, d] and probe a new c, or keep [c, b] and probe a new d.
+        li, ri = act[left], act[~left]
+        b[li], d[li], fd[li] = d[li], c[li], fc[li]
+        c[li] = b[li] - INV_PHI * (b[li] - a[li])
+        a[ri], c[ri], fc[ri] = c[ri], d[ri], fd[ri]
+        d[ri] = a[ri] + INV_PHI * (b[ri] - a[ri])
+        f_new = f(np.where(left, c[act], d[act]), rows[act])
+        fc[li], fd[ri] = f_new[left], f_new[~left]
+    cand_x = np.where(fc > fd, c, d)
+    cand_f = np.maximum(fc, fd)
+
+    # Candidates ordered by row, then best value, then smaller x; the runner-up
+    # is the next candidate when it belongs to the same row.
+    order = np.lexsort((cand_x, -cand_f, rows))
+    _, first = np.unique(rows[order], return_index=True)
+    best, runner = order[first], order[np.minimum(first + 1, order.size - 1)]
+    x_hat = cand_x[best]
+    return ScalarMaxima(
+        x=x_hat,
+        value=cand_f[best],
+        tie=(runner != best)
+        & (rows[runner] == rows[best])
+        & (cand_f[best] - cand_f[runner] <= TIE_TOL),
+        boundary=(x_hat - lo <= tol) | (hi - x_hat <= tol),
+        scan_x=xs,
+        scan_values=scan,
+        cand_rows=rows,
+        cand_x=cand_x,
+        cand_values=cand_f,
+    )
+
+
+def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> Callable:
+    """maximize_scalar objective (D = 1): row r's normalized log-likelihood
+
+        (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)).
+
+    logq is (R, d) and counts (R, l); either may have a single row shared by
+    all.  Log-weights 0 on one component and -inf elsewhere give that
+    component's likelihood.
+    """
+    logq, counts = np.atleast_2d(logq), np.atleast_2d(counts).astype(float)
+    n_rows = max(len(logq), len(counts))
+    logq = np.broadcast_to(logq, (n_rows, logq.shape[1]))
+    counts = np.broadcast_to(counts, (n_rows, counts.shape[1]))
+    n = counts.sum(axis=1)
+
+    def f(x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        logp = np.stack([fam.log_prob_table(np.array([v])) for v in x])  # (m, d, l)
+        if rows is None:
+            terms = np.einsum("mdl,rl->rmd", logp, counts) + logq[:, None, :]
+            return logsumexp(terms, axis=-1) / n[:, None]
+        terms = np.einsum("mdl,ml->md", logp, counts[rows]) + logq[rows]
+        return logsumexp(terms, axis=-1) / n[rows]
+
+    return f
 
 
 def _maximize_box(
@@ -306,7 +374,8 @@ def mle(
 ) -> EstimationReport:
     """Maximum-likelihood estimation of theta over the box.
 
-    D=1 uses a coarse scan plus golden-section refinement; D>1 multi-start
+    D=1 uses maximize_scalar, with the mixture likelihood and the d
+    single-component likelihoods as the rows of one call; D>1 multi-start
     projected gradient ascent.  The report carries the per-component MLEs (the
     same optimizer applied to each single-component likelihood), the posterior
     component weights at the argmax and each component's Fisher matrix there.
@@ -324,25 +393,14 @@ def mle(
     dim = fam.dim
 
     if dim == 1:
-        def f_mix(x: float) -> float:
-            return loglik(fam, q, counts, np.array([x])).value
-
-        x_hat, f_hat, trace, tie, boundary = maximize_scalar(
-            f_mix, float(lower[0]), float(upper[0]), coarse=coarse, tol=tol
-        )
-        theta_hat = np.array([x_hat])
-        trace = [(np.array([x]), v) for x, v in trace]
-        converged = True
-        per_comp_hats = np.empty((fam.n_components, 1))
-        for g in range(fam.n_components):
-            xg, _, _, _, _ = maximize_scalar(
-                lambda x, g=g: loglik_component(fam, counts, np.array([x]), g),
-                float(lower[0]),
-                float(upper[0]),
-                coarse=coarse,
-                tol=tol,
-            )
-            per_comp_hats[g, 0] = xg
+        d = fam.n_components
+        logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
+        f = loglik_rows(fam, logq, counts.counts)
+        res = maximize_scalar(f, float(lower[0]), float(upper[0]), coarse=coarse, tol=tol)
+        theta_hat, f_hat = res.x[:1], float(res.value[0])
+        tie, boundary, converged = bool(res.tie[0]), bool(res.boundary[0]), True
+        trace = [(np.array([x]), v) for x, v in res.trace(0)]
+        per_comp_hats = res.x[1:, None]
     else:
         f_vec = lambda x: loglik(fam, q, counts, x).value
         theta_hat, f_hat, trace, tie, boundary, converged = _maximize_box(

@@ -7,8 +7,9 @@ from scipy.special import logsumexp
 
 from qndmix.asymptotics import (
     ExperimentPlan,
+    _anderson_darling_normal,
     _log_collapse_ratio,
-    _scalar_mle_batch,
+    _scalar_mle,
     consistency_experiment,
     cramer_rao_experiment,
     lamn_experiment,
@@ -121,7 +122,7 @@ def test_scalar_mle_batch_matches_single(qubit):
         sample_counts(qubit.family, qubit.theta_star, r % 2, 800, r).counts
         for r in range(6)
     ])
-    batch = _scalar_mle_batch(plan, cm, 800)
+    batch = _scalar_mle(plan)(cm)
     from qndmix.estimate import mle
 
     for r in range(6):
@@ -195,6 +196,18 @@ def test_cramer_rao_needs_scalar_parameter():
     )
     with pytest.raises(NotImplementedError):
         cramer_rao_experiment(plan)
+    with pytest.raises(NotImplementedError):
+        consistency_experiment(plan)
+    traj = sample_trajectory(pre.family, pre.theta_star, 0, 100, seed=0)
+    with pytest.raises(NotImplementedError):
+        mle_path(plan, traj, [50, 100])
+
+
+def test_anderson_darling_pinned():
+    """Statistic and 1% critical value pinned to SciPy 1.17's anderson(dist="norm")."""
+    stat, crit = _anderson_darling_normal(np.sin(np.arange(1.0, 51.0)))
+    assert stat == pytest.approx(1.546910023368497, rel=1e-12)
+    assert crit == 1.019
 
 
 def test_purification_counts_equal_filter_path(qubit):
@@ -236,10 +249,8 @@ def test_mle_path_monotone_grid(qubit):
     (purification_experiment, {}),
 ])
 def test_worker_count_invariance(qubit, runner, kw):
-    """Byte-identical reports for 1 and 3 workers and across reruns."""
-    base = small_plan(qubit, n_reps=30, **kw)
-    r1 = runner(base)
-    r3 = runner(small_plan(qubit, n_reps=30, n_workers=3, **kw))
+    """Byte-identical reports across reruns (the name predates the removal of
+    worker threads; the rerun identity is what it checks now)."""
+    r1 = runner(small_plan(qubit, n_reps=30, **kw))
     r1b = runner(small_plan(qubit, n_reps=30, **kw))
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r1b, sort_keys=True)

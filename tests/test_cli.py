@@ -2,17 +2,23 @@ import json
 
 import pytest
 
+import numpy as np
+
+from qndmix import cli
 from qndmix.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_ERROR,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSAL,
     RunConfig,
+    build_plan,
     load_config,
     main,
     parse_weights,
 )
-from qndmix.errors import ConfigError
+from qndmix.errors import ConfigError, DomainError
 
 
 def run_cli(*argv):
@@ -56,6 +62,9 @@ def test_config_file_unknown_field(tmp_path):
     cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nbogus: 1\n")
     with pytest.raises(ConfigError, match="unknown fields"):
         load_config(cfg)
+    # Worker threads are gone; a config that still sets them is rejected.
+    cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nworkers: 4\n")
+    assert run_cli("purify", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
 
 
 def test_config_file_drives_run_and_flags_override(tmp_path):
@@ -100,8 +109,6 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(model="qubit_rotation", experiment="purify", n_reps=0).validate()
     with pytest.raises(ConfigError):
-        RunConfig(model="qubit_rotation", experiment="purify", workers=0).validate()
-    with pytest.raises(ConfigError):
         RunConfig(model="qubit_rotation", experiment="purify", n_grid=[]).validate()
 
 
@@ -129,18 +136,45 @@ def test_purify_exit_code_and_determinism(tmp_path):
     codes = {
         run_cli(*args, "--out", str(tmp_path / "r1")),
         run_cli(*args, "--out", str(tmp_path / "r2")),
-        run_cli(*args, "--workers", "4", "--out", str(tmp_path / "r3")),
     }
     assert codes <= {EXIT_OK, EXIT_CHECK_FAILED} and len(codes) == 1
     b1 = (tmp_path / "r1" / "report.json").read_bytes()
     assert b1 == (tmp_path / "r2" / "report.json").read_bytes()
-    assert b1 == (tmp_path / "r3" / "report.json").read_bytes()
 
 
 def test_lamn_singular_fisher_is_refusal(tmp_path):
     code = run_cli("lamn", "--preset", "toy_haroche_guerlin", "--n-reps", "4",
                    "--n-grid", "50", "--out", str(tmp_path))
     assert code == EXIT_REFUSAL
+
+
+def test_default_shift_has_theta_dimension():
+    plan, _ = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate"))
+    np.testing.assert_array_equal(plan.h, np.zeros(6))
+
+
+@pytest.mark.parametrize("experiment", ["consistency", "cramer-rao", "fig1"])
+def test_scalar_experiments_refuse_multiparameter_model(experiment, tmp_path, capsys):
+    code = run_cli(experiment, "--preset", "toy_haroche_full", "--n-reps", "2",
+                   "--n-grid", "50", "--out", str(tmp_path))
+    assert code == EXIT_REFUSAL
+    assert capsys.readouterr().err.startswith("refused:")
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (DomainError("theta outside the box"), EXIT_ERROR, "error:"),
+    (ZeroDivisionError("boom"), EXIT_INTERNAL, None),
+])
+def test_errors_are_not_check_failures(exc, code, prefix, tmp_path, monkeypatch, capsys):
+    def broken(plan):
+        raise exc
+
+    monkeypatch.setattr(cli, "purification_experiment", broken)
+    assert run_cli("purify", "--preset", "qubit_rotation", "--out", str(tmp_path)) == code
+    err = capsys.readouterr().err
+    if prefix:
+        assert err.startswith(prefix)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_failed_check_exit_code(tmp_path):

@@ -21,7 +21,14 @@ from qndmix.model import (
     ParametricFamily,
     shannon_entropy,
 )
-from qndmix.simulate import CountVector, counts, sample_counts, sample_trajectory
+from qndmix.presets import toy_haroche_guerlin
+from qndmix.simulate import (
+    CountVector,
+    counts,
+    sample_counts,
+    sample_mixture_trajectory,
+    sample_trajectory,
+)
 
 
 def brute_force_prob(fam, q, theta, seq):
@@ -145,7 +152,8 @@ def test_log_sum_paths_validation():
 # ---------------------------------------------------------------------------
 
 def test_maximize_scalar_quadratic():
-    x, fx, trace, tie, boundary = maximize_scalar(lambda x: -(x - 0.37) ** 2, 0.0, 1.0)
+    res = maximize_scalar(lambda x, rows=None: -(x - 0.37) ** 2, 0.0, 1.0)
+    x, fx, trace, tie, boundary = res.x[0], res.value[0], res.trace(0), res.tie[0], res.boundary[0]
     assert x == pytest.approx(0.37, abs=1e-7)
     assert fx == pytest.approx(0.0, abs=1e-12)
     assert not tie and not boundary
@@ -153,14 +161,16 @@ def test_maximize_scalar_quadratic():
 
 
 def test_maximize_scalar_boundary_flag():
-    x, _, _, _, boundary = maximize_scalar(lambda x: x, 0.0, 1.0)
+    res = maximize_scalar(lambda x, rows=None: x, 0.0, 1.0)
+    x, boundary = res.x[0], res.boundary[0]
     assert x == pytest.approx(1.0, abs=1e-7)
     assert boundary
 
 
 def test_maximize_scalar_tie_flag():
     # Symmetric double bump: equal maxima at +/- 1; ties resolve to smaller x.
-    x, _, _, tie, _ = maximize_scalar(lambda x: -(x * x - 1.0) ** 2, -2.0, 2.0)
+    res = maximize_scalar(lambda x, rows=None: -(x * x - 1.0) ** 2, -2.0, 2.0)
+    x, tie = res.x[0], res.tie[0]
     assert tie
     assert abs(x) == pytest.approx(1.0, abs=1e-6)
 
@@ -246,6 +256,20 @@ def test_mle_multidimensional():
     assert report.converged
     np.testing.assert_allclose(report.theta_hat, truth, atol=0.02)
     assert report.theta_hat_per_component.shape == (2, 2)
+
+
+def test_mle_finds_narrow_collision_peak():
+    """On this guerlin record the global maximum is a narrow peak that the
+    coarse scan only shows as a lower local maximum; the box edge is a decoy."""
+    pre = toy_haroche_guerlin()
+    fam, box = pre.family, pre.search_box()
+    traj = sample_mixture_trajectory(fam, pre.theta_star, pre.q, 10_000, 36)
+    c = counts(traj, n_outcomes=fam.n_outcomes)
+    report = mle(fam, pre.q, c, box=box)
+    grid = np.linspace(box.lower[0], box.upper[0], 8001)
+    grid_max = max(loglik(fam, pre.q, c, [x]).value for x in grid)
+    assert loglik(fam, pre.q, c, report.theta_hat).value >= grid_max - 1e-9
+    assert not report.boundary
 
 
 def test_mle_matches_fine_grid(bernoulli_pair, uniform2):
