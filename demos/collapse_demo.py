@@ -32,10 +32,8 @@ def main():
     print("gamma  min KL   fitted rate   ln r_n at n = " + ", ".join(map(str, ns)))
     for g in range(8):
         traj = sample_trajectory(pre.family, pre.theta_star, g, max(ns), seed=args.seed + g)
-        log_r = []
-        for n in ns:
-            cm = counts(traj, n_prefix=n, n_outcomes=8).counts[None, :]
-            log_r.append(_log_collapse_ratio(pre.family, pre.q, cm, pre.theta_star, g)[0])
+        cm = np.stack([counts(traj, n_prefix=n, n_outcomes=8).counts for n in ns])
+        log_r = _log_collapse_ratio(pre.family, pre.q, cm, pre.theta_star, g)
         rate = -np.polyfit(ns, log_r, 1)[0]
         min_kl = float(np.min(np.delete(kl[g], g)))
         vals = "  ".join(f"{x:9.1f}" for x in log_r)

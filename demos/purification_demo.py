@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from qndmix.estimate import per_component_log_terms
+from qndmix.estimate import log_terms
 from qndmix.presets import qubit_rotation, toy_haroche
 from qndmix.quantum import FilterState, filter_trajectory
 from qndmix.simulate import counts, sample_mixture_trajectory, sample_trajectory
@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 
 def posterior_from_counts(pre, traj, n):
     c = counts(traj, n_prefix=n, n_outcomes=pre.family.n_outcomes)
-    terms = per_component_log_terms(pre.family, pre.q, c, pre.theta_star)
+    terms = log_terms(pre.family, pre.q, c.counts, pre.theta_star)
     return np.exp(terms - logsumexp(terms))
 
 

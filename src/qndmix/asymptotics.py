@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from .errors import ConstructionError, SingularFisherError
-from .estimate import loglik, loglik_rows, maximize_scalar
+from .estimate import log_terms, loglik, loglik_rows, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -26,7 +26,7 @@ from .model import (
     fisher_information,
     kl_matrix,
 )
-from .simulate import CountVector, Trajectory, _draw_outcomes, substream
+from .simulate import CountVector, Trajectory, sample_count_paths, substream
 
 __all__ = [
     "ExperimentPlan",
@@ -134,33 +134,14 @@ def _component_fishers(plan: ExperimentPlan) -> np.ndarray:
     return np.stack(mats)
 
 
-def _counts_batch(
-    fam: ParametricFamily, theta, gammas, n: int, seeds: Sequence[tuple]
-) -> np.ndarray:
-    """Multinomial count vectors, row i from component gammas[i] (or one shared
-    component) on the stream substream(*seeds[i]); shape (R, l)."""
-    probs = [p / p.sum() for p in fam.prob_table(theta)]
-    out = np.empty((len(seeds), fam.n_outcomes), dtype=np.int64)
-    for i, (key, g) in enumerate(zip(seeds, np.broadcast_to(gammas, len(seeds)))):
-        out[i] = substream(*key).multinomial(n, probs[g])
-    return out
+def _streams(plan: ExperimentPlan, *tags: int) -> list:
+    """One generator per replication r, keyed (master_seed, *tags, r)."""
+    return [substream(plan.master_seed, *tags, r) for r in range(plan.n_reps)]
 
 
-def _mix_unnorm_logliks(
-    fam: ParametricFamily, q: MixtureWeights, counts_matrix: np.ndarray, theta
-) -> np.ndarray:
-    """ln P_theta of each record, vectorized over the count rows."""
-    logp = fam.log_prob_table(theta)                       # (d, l)
-    terms = counts_matrix @ logp.T + q.log()[None, :]      # (R, d)
-    return logsumexp(terms, axis=1)
-
-
-def _draw_mixture_gammas(plan: ExperimentPlan, tag: int, n_reps: int) -> np.ndarray:
-    gammas = np.empty(n_reps, dtype=np.int64)
-    for r in range(n_reps):
-        rng = substream(plan.master_seed, TAG_MIXGAMMA, tag, r)
-        gammas[r] = rng.choice(plan.q.size, p=plan.q.q)
-    return gammas
+def _draw_mixture_gammas(plan: ExperimentPlan, tag: int) -> np.ndarray:
+    rngs = _streams(plan, TAG_MIXGAMMA, tag)
+    return np.array([rng.choice(plan.q.size, p=plan.q.q) for rng in rngs])
 
 
 def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], np.ndarray]:
@@ -221,6 +202,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     h = plan.h
     d = plan.family.n_components
     n_max = max(plan.n_grid)
+    p_star = plan.family.prob_table(plan.theta_star)
     per_component: dict = {}
     all_pass = True
     samples_at_nmax = {}
@@ -231,10 +213,9 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         per_n = {}
         for n in plan.n_grid:
             theta_n = plan.theta_star + h / np.sqrt(n)
-            seeds = [(plan.master_seed, TAG_LAMN, g, n, r) for r in range(plan.n_reps)]
-            cm = _counts_batch(plan.family, plan.theta_star, g, n, seeds)
-            lr = _mix_unnorm_logliks(plan.family, plan.q, cm, theta_n) - _mix_unnorm_logliks(
-                plan.family, plan.q, cm, plan.theta_star
+            cm = sample_count_paths(p_star[g], (n,), _streams(plan, TAG_LAMN, g, n))[:, 0]
+            lr = logsumexp(log_terms(plan.family, plan.q, cm, theta_n), axis=1) - logsumexp(
+                log_terms(plan.family, plan.q, cm, plan.theta_star), axis=1
             )
             mean, var = float(lr.mean()), float(lr.var(ddof=1))
             se = np.sqrt(var / plan.n_reps)
@@ -264,7 +245,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
 
     # Mixture limit via Lemma-style aggregation: reweight the per-component
     # samples by drawn gammas.
-    gammas = _draw_mixture_gammas(plan, TAG_LAMN, plan.n_reps)
+    gammas = _draw_mixture_gammas(plan, TAG_LAMN)
     mixture_samples = np.array(
         [samples_at_nmax[int(g)][i] for i, g in enumerate(gammas)]
     )
@@ -298,18 +279,18 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
 def _log_collapse_ratio(
     fam: ParametricFamily, q: MixtureWeights, counts_matrix: np.ndarray, theta, gamma: int
 ) -> np.ndarray:
-    """ln r_n with r_n = P_theta / (q(gamma) P_{theta|gamma}) - 1, exactly.
+    """ln r_n with r_n = P_theta / (q(gamma) P_{theta|gamma}) - 1, exactly, for
+    count rows of any leading shape.
 
-    r_n = (1/q(gamma)) sum_{a != gamma} q(a) exp(C . (ln p_a - ln p_gamma)),
-    evaluated in the log domain so exponentially small values keep full
+    ln r_n is the log-sum of the other components' log terms minus the own
+    term, evaluated in the log domain so exponentially small values keep full
     relative precision.
     """
-    logp = fam.log_prob_table(theta)
-    delta = counts_matrix @ (logp - logp[gamma]).T + q.log()[None, :]  # (R, d)
-    others = np.delete(delta, gamma, axis=1)
-    if others.shape[1] == 0:
-        return np.full(counts_matrix.shape[0], -np.inf)
-    return logsumexp(others, axis=1) - q.log()[gamma]
+    terms = log_terms(fam, q, counts_matrix, theta)
+    others = np.delete(terms, gamma, axis=-1)
+    if others.shape[-1] == 0:
+        return np.full(terms.shape[:-1], -np.inf)
+    return logsumexp(others, axis=-1) - terms[..., gamma]
 
 
 def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
@@ -324,28 +305,20 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     d = fam.n_components
     n_grid = sorted(plan.n_grid)
     n_max = n_grid[-1]
+    theta_n = plan.theta_star + plan.h / np.sqrt(n_max)
     kl = kl_matrix(fam, plan.theta_star)
+    p_star = fam.prob_table(plan.theta_star)
     per_component = {}
     all_pass = True
 
     for g in range(d):
-        p = fam.prob_table(plan.theta_star)[g]
-        p = p / p.sum()
-        # One trajectory per replication; counts accumulated along the n grid.
-        cm = np.empty((plan.n_reps, len(n_grid), fam.n_outcomes), dtype=np.int64)
-        for r in range(plan.n_reps):
-            outcomes = _draw_outcomes(p, n_max, substream(plan.master_seed, TAG_COLLAPSE, g, r))
-            for k, n in enumerate(n_grid):
-                cm[r, k] = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
-        log_r = np.empty((plan.n_reps, len(n_grid)))
-        log_r_shift = np.empty_like(log_r)
-        for k, n in enumerate(n_grid):
-            theta_n = plan.theta_star + plan.h / np.sqrt(n)
-            log_r[:, k] = _log_collapse_ratio(fam, q, cm[:, k], plan.theta_star, g)
-            log_r_shift[:, k] = _log_collapse_ratio(fam, q, cm[:, k], theta_n, g)
+        # One record per replication, counted at every n of the grid.
+        cm = sample_count_paths(p_star[g], n_grid, _streams(plan, TAG_COLLAPSE, g))
+        log_r = _log_collapse_ratio(fam, q, cm, plan.theta_star, g)      # (R, K)
+        log_r_shift = _log_collapse_ratio(fam, q, cm[:, -1], theta_n, g)
 
         sqrt_n_r = np.sqrt(n_max) * np.exp(log_r[:, -1])
-        sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift[:, -1])
+        sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
         frac_ok = float(np.mean(sqrt_n_r < COLLAPSE_SQRT_N_BOUND))
         frac_ok_shift = float(np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND))
         min_kl = float(np.min(np.delete(kl[g], g))) if d > 1 else np.inf
@@ -396,12 +369,13 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     """Error quantiles of the mixture MLE along the n grid; medians must fall."""
     estimate = _scalar_mle(plan)
     n_grid = sorted(plan.n_grid)
+    p_star = plan.family.prob_table(plan.theta_star)
     by_n = {}
     medians = []
     for n in n_grid:
-        gammas = _draw_mixture_gammas(plan, TAG_CONSIST + n, plan.n_reps)
-        seeds = [(plan.master_seed, TAG_CONSIST, n, r) for r in range(plan.n_reps)]
-        theta_hats = estimate(_counts_batch(plan.family, plan.theta_star, gammas, n, seeds))
+        gammas = _draw_mixture_gammas(plan, TAG_CONSIST + n)
+        cm = sample_count_paths(p_star[gammas], (n,), _streams(plan, TAG_CONSIST, n))
+        theta_hats = estimate(cm[:, 0])
         errors = np.abs(theta_hats - plan.theta_star[0])
         med = float(np.median(errors))
         medians.append(med)
@@ -452,13 +426,14 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     fishers = _component_fishers(plan)[:, 0, 0]
     n = max(plan.n_grid)
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
+    p_n = plan.family.prob_table(theta_n)
     d = plan.family.n_components
     per_component = {}
     all_pass = True
 
     for g in range(d):
-        seeds = [(plan.master_seed, TAG_CRAMER, g, r) for r in range(plan.n_reps)]
-        theta_hats = estimate(_counts_batch(plan.family, theta_n, g, n, seeds))
+        cm = sample_count_paths(p_n[g], (n,), _streams(plan, TAG_CRAMER, g))
+        theta_hats = estimate(cm[:, 0])
         root = np.sqrt(n) * (theta_hats - theta_n[0])
         var = float(root.var(ddof=1))
         target = 1.0 / fishers[g]
@@ -474,9 +449,9 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
         }
         all_pass = all_pass and ok
 
-    gammas = _draw_mixture_gammas(plan, TAG_CRAMER, plan.n_reps)
-    seeds = [(plan.master_seed, TAG_CRAMER, d, r) for r in range(plan.n_reps)]
-    theta_hats = estimate(_counts_batch(plan.family, theta_n, gammas, n, seeds))
+    gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
+    cm = sample_count_paths(p_n[gammas], (n,), _streams(plan, TAG_CRAMER, d))
+    theta_hats = estimate(cm[:, 0])
     root = np.sqrt(n) * (theta_hats - theta_n[0])
     second = float(np.mean(root**2))
     target_second = float(plan.q.q @ (1.0 / fishers))
@@ -519,23 +494,14 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     fam, q = plan.family, plan.q
     n_grid = sorted(plan.n_grid)
     n_max = n_grid[-1]
-    logp = fam.log_prob_table(plan.theta_star)
-    gammas = _draw_mixture_gammas(plan, TAG_PURIFY, plan.n_reps)
-    probs = [p / p.sum() for p in fam.prob_table(plan.theta_star)]
-
-    res = np.empty((plan.n_reps, len(n_grid) + 1))  # per-n hit flags + final argmax
-    for r in range(plan.n_reps):
-        g = int(gammas[r])
-        outcomes = _draw_outcomes(probs[g], n_max, substream(plan.master_seed, TAG_PURIFY, r))
-        for k, n in enumerate(n_grid):
-            c = np.bincount(outcomes[:n], minlength=fam.n_outcomes)
-            terms = q.log() + logp @ c
-            post = np.exp(terms - logsumexp(terms))
-            res[r, k] = post[g] > PURIFY_LEVEL
-            if n == n_max:
-                res[r, -1] = int(np.argmax(post))
-    fractions = {n: float(res[:, k].mean()) for k, n in enumerate(n_grid)}
-    argmax_counts = np.bincount(res[:, -1].astype(int), minlength=fam.n_components)
+    gammas = _draw_mixture_gammas(plan, TAG_PURIFY)
+    p_star = fam.prob_table(plan.theta_star)
+    cm = sample_count_paths(p_star[gammas], n_grid, _streams(plan, TAG_PURIFY))
+    terms = log_terms(fam, q, cm, plan.theta_star)                         # (R, K, d)
+    post = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+    purified = post[np.arange(plan.n_reps), :, gammas] > PURIFY_LEVEL      # (R, K)
+    fractions = {n: float(purified[:, k].mean()) for k, n in enumerate(n_grid)}
+    argmax_counts = np.bincount(post[:, -1].argmax(axis=-1), minlength=fam.n_components)
     empirical = argmax_counts / plan.n_reps
     tv = 0.5 * float(np.abs(empirical - q.q).sum())
     frac_ok = fractions[n_max] >= PURIFY_FRACTION

@@ -36,6 +36,7 @@ __all__ = [
     "EstimationReport",
     "loglik",
     "loglik_component",
+    "log_terms",
     "limit_loglik",
     "log_sum_paths",
     "ScalarMaxima",
@@ -113,11 +114,10 @@ class EstimationReport:
 # Likelihood evaluation
 # ---------------------------------------------------------------------------
 
-def per_component_log_terms(
-    fam: ParametricFamily, q: MixtureWeights, counts: CountVector, theta
-) -> np.ndarray:
-    logp = fam.log_prob_table(theta)          # (d, l)
-    return q.log() + logp @ counts.counts
+def log_terms(fam: ParametricFamily, q: MixtureWeights, counts: np.ndarray, theta) -> np.ndarray:
+    """Per-component log terms ln q(alpha) + sum_j N(j) ln p_theta(j|alpha) of
+    every count row: counts of shape (..., l) give terms of shape (..., d)."""
+    return q.log() + counts @ fam.log_prob_table(theta).T
 
 
 def loglik(
@@ -126,7 +126,7 @@ def loglik(
     """Normalized mixture log-likelihood at theta, from counts alone."""
     if counts.n < 1:
         raise DomainError("log-likelihood needs at least one observation")
-    terms = per_component_log_terms(fam, q, counts, theta)
+    terms = log_terms(fam, q, counts.counts, theta)
     value = float(logsumexp(terms)) / counts.n
     return LogLikelihood(
         value=value,
@@ -355,7 +355,7 @@ def _mixture_grad(
     fam: ParametricFamily, q: MixtureWeights, counts: CountVector
 ) -> Callable[[np.ndarray], np.ndarray]:
     def grad(theta: np.ndarray) -> np.ndarray:
-        terms = per_component_log_terms(fam, q, counts, theta)
+        terms = log_terms(fam, q, counts.counts, theta)
         w = np.exp(terms - logsumexp(terms))          # posterior weights (d,)
         score = fam.score_table(theta)                # (D, d, l)
         per_comp = score @ counts.counts              # (D, d)
@@ -417,7 +417,7 @@ def mle(
             xg, _, _, _, _, _ = _maximize_box(fg, gradg, lower, upper, n_starts=n_starts)
             per_comp_hats[g] = xg
 
-    terms = per_component_log_terms(fam, q, counts, theta_hat)
+    terms = log_terms(fam, q, counts.counts, theta_hat)
     posterior = np.exp(terms - logsumexp(terms))
     fishers = [fisher_information(fam, theta_hat, g) for g in range(fam.n_components)]
     return EstimationReport(

@@ -171,10 +171,6 @@ class ParametricFamily:
     def dim(self) -> int:
         return self.box.dimension
 
-    @property
-    def has_analytic_grad(self) -> bool:
-        return self._dprobs is not None
-
     # -- evaluation ---------------------------------------------------------
     def prob_table(self, theta) -> np.ndarray:
         """All outcome distributions at theta, shape (d, l)."""

@@ -82,11 +82,6 @@ def poisson_like_weights(rate: float = 3.46, d: int = PHOTON_COMPONENTS) -> Mixt
     return MixtureWeights.normalized(w)
 
 
-def _toy_labels() -> tuple[str, ...]:
-    # Outcome bijection j = 4*x + a.
-    return tuple(f"x{x}a{a}" for x in (0, 1) for a in range(4))
-
-
 def _toy_phases(alpha: np.ndarray, theta: float) -> np.ndarray:
     """Phases alpha*theta + (2-a)*pi/4 as an (n_alpha, 4) array."""
     a = np.arange(4)
@@ -117,6 +112,43 @@ def _toy_fisher(theta: float, alpha: float) -> float:
     return float(np.sum(alpha**2 * (VISIBILITY**2 / 4) * num / den))
 
 
+def _toy_family(alpha_values: np.ndarray, box: ParameterBox, probs, dprobs) -> ParametricFamily:
+    """The 8-outcome toy alphabet, with outcome bijection j = 4*x + a, and one
+    component per photon number in alpha_values."""
+    return ParametricFamily(
+        alphabet=Alphabet(size=8, labels=tuple(f"x{x}a{a}" for x in (0, 1) for a in range(4))),
+        components=ComponentSet(
+            size=alpha_values.size,
+            labels=tuple(f"n{int(a)}" for a in alpha_values),
+        ),
+        box=box,
+        probs=probs,
+        dprobs=dprobs,
+        regularity="C3",
+    )
+
+
+def _toy_preset(
+    name: str, alpha_values: np.ndarray, estimation_box: Optional[ParameterBox] = None
+) -> Preset:
+    """Single-parameter toy model on the box [pi/8, 3pi/8] with theta* = pi/4."""
+    family = _toy_family(
+        alpha_values,
+        ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
+        probs=lambda t: _toy_prob_table(alpha_values, t),
+        dprobs=lambda t: _toy_dprob_table(alpha_values, t),
+    )
+    return Preset(
+        name=name,
+        family=family,
+        q=poisson_like_weights(),
+        theta_star=np.array([math.pi / 4]),
+        component_values=tuple(int(a) for a in alpha_values),
+        fisher_closed_form=lambda theta, c: _toy_fisher(theta, alpha_values[c]),
+        estimation_box=estimation_box,
+    )
+
+
 def toy_haroche() -> Preset:
     """Photon-number toy model with alpha in {1..8} and theta* = pi/4.
 
@@ -125,26 +157,10 @@ def toy_haroche() -> Preset:
     full box, distinct components collide wherever alpha*theta matches, and
     the mixture MLE then latches onto the collision with the largest weight).
     """
-    alpha_values = np.arange(1, PHOTON_COMPONENTS + 1, dtype=float)
-    family = ParametricFamily(
-        alphabet=Alphabet(size=8, labels=_toy_labels()),
-        components=ComponentSet(
-            size=PHOTON_COMPONENTS,
-            labels=tuple(f"n{int(a)}" for a in alpha_values),
-        ),
-        box=ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
-        probs=lambda t: _toy_prob_table(alpha_values, t),
-        dprobs=lambda t: _toy_dprob_table(alpha_values, t),
-        regularity="C3",
-    )
     center = math.pi / 4
-    return Preset(
-        name="toy_haroche",
-        family=family,
-        q=poisson_like_weights(),
-        theta_star=np.array([center]),
-        component_values=tuple(int(a) for a in alpha_values),
-        fisher_closed_form=lambda theta, c: _toy_fisher(theta, alpha_values[c]),
+    return _toy_preset(
+        "toy_haroche",
+        np.arange(1, PHOTON_COMPONENTS + 1, dtype=float),
         estimation_box=ParameterBox(
             np.array([center - TOY_ESTIMATION_RADIUS]),
             np.array([center + TOY_ESTIMATION_RADIUS]),
@@ -155,26 +171,7 @@ def toy_haroche() -> Preset:
 def toy_haroche_guerlin() -> Preset:
     """Variant with alpha in {0..7}: alpha = 0 is constant in theta, so the
     identifiability scan flags it.  Kept as a diagnostic preset."""
-    alpha_values = np.arange(0, PHOTON_COMPONENTS, dtype=float)
-    family = ParametricFamily(
-        alphabet=Alphabet(size=8, labels=_toy_labels()),
-        components=ComponentSet(
-            size=PHOTON_COMPONENTS,
-            labels=tuple(f"n{int(a)}" for a in alpha_values),
-        ),
-        box=ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
-        probs=lambda t: _toy_prob_table(alpha_values, t),
-        dprobs=lambda t: _toy_dprob_table(alpha_values, t),
-        regularity="C3",
-    )
-    return Preset(
-        name="toy_haroche_guerlin",
-        family=family,
-        q=poisson_like_weights(d=PHOTON_COMPONENTS),
-        theta_star=np.array([math.pi / 4]),
-        component_values=tuple(int(a) for a in alpha_values),
-        fisher_closed_form=lambda theta, c: _toy_fisher(theta, alpha_values[c]),
-    )
+    return _toy_preset("toy_haroche_guerlin", np.arange(0, PHOTON_COMPONENTS, dtype=float))
 
 
 def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
@@ -212,17 +209,7 @@ def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
         jac[5] = np.concatenate([cos / 8, -cos / 8], axis=1)
         return jac
 
-    family = ParametricFamily(
-        alphabet=Alphabet(size=8, labels=_toy_labels()),
-        components=ComponentSet(
-            size=PHOTON_COMPONENTS,
-            labels=tuple(f"n{int(a)}" for a in alpha_values),
-        ),
-        box=ParameterBox(lower, upper),
-        probs=probs,
-        dprobs=dprobs,
-        regularity="C3",
-    )
+    family = _toy_family(alpha_values, ParameterBox(lower, upper), probs, dprobs)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [vis_center]))
     return Preset(
         name="toy_haroche_full",

@@ -32,6 +32,8 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+# Points per parameter axis of as_family's positivity scan.
+POSITIVITY_SCAN_POINTS = 9
 
 # Posterior entries below this are flushed to zero before renormalization;
 # underflow of a collapsing component is expected, not an error.
@@ -142,7 +144,6 @@ def as_family(
     box: ParameterBox,
     alphabet_labels: Sequence[str] = (),
     component_labels: Sequence[str] = (),
-    validation_points: int = 9,
 ) -> ParametricFamily:
     """Wrap the induced outcome distributions as a ParametricFamily.
 
@@ -172,7 +173,7 @@ def as_family(
     # Axis-wise positivity scan with named diagnostics before handing off to
     # the generic construction checks.
     for k in range(box.dimension):
-        for x in np.linspace(box.lower[k], box.upper[k], validation_points):
+        for x in np.linspace(box.lower[k], box.upper[k], POSITIVITY_SCAN_POINTS):
             t = 0.5 * (box.lower + box.upper)
             t[k] = x
             for a in range(d):

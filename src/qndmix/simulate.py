@@ -27,6 +27,7 @@ __all__ = [
     "sample_component",
     "sample_trajectory",
     "sample_mixture_trajectory",
+    "sample_count_paths",
     "sample_counts",
     "counts",
     "trajectory_to_csv",
@@ -87,13 +88,6 @@ def sample_component(q: MixtureWeights, seed: int) -> int:
     return int(rng.choice(q.size, p=q.q))
 
 
-def _draw_outcomes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Inverse-CDF over the alphabet; the cumulative sums are computed once.
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
-
-
 def sample_trajectory(
     fam: ParametricFamily,
     theta,
@@ -107,8 +101,10 @@ def sample_trajectory(
     if not 0 <= gamma < fam.n_components:
         raise DomainError(f"component index {gamma} outside 0..{fam.n_components - 1}")
     t = fam.box.require(theta)
-    p = fam.prob_table(t)[gamma]
-    outcomes = _draw_outcomes(p, n, substream(seed, 1))
+    # Inverse CDF over the alphabet.
+    cdf = np.cumsum(fam.prob_table(t)[gamma])
+    cdf[-1] = 1.0
+    outcomes = np.searchsorted(cdf, substream(seed, 1).random(n), side="right")
     return Trajectory(outcomes=outcomes, gamma=gamma, seed=seed, theta_true=t)
 
 
@@ -124,6 +120,29 @@ def sample_mixture_trajectory(
     return sample_trajectory(fam, theta, gamma, n, seed)
 
 
+def sample_count_paths(
+    p, n_grid: Sequence[int], rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Cumulative outcome counts of R i.i.d. records after each n of an
+    ascending grid, shape (R, K, l).
+
+    Record r has outcome law p[r] (p of shape (R, l); a single law of shape
+    (l,) is shared by all records), normalized here, and is drawn on its own
+    generator rngs[r] as one multinomial per grid gap.  This is the same in
+    distribution as counting the prefixes of one sampled record.
+    """
+    p = np.asarray(p, dtype=float)
+    p = np.broadcast_to(p / p.sum(axis=-1, keepdims=True), (len(rngs), p.shape[-1]))
+    gaps = np.diff(np.asarray(n_grid, dtype=np.int64), prepend=0)
+    if np.any(gaps < 0):
+        raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
+    out = np.empty((len(rngs), gaps.size, p.shape[-1]), dtype=np.int64)
+    for rng, row, p_r in zip(rngs, out, p):
+        for k, gap in enumerate(gaps.tolist()):
+            row[k] = rng.multinomial(gap, p_r)
+    return np.cumsum(out, axis=1, out=out)
+
+
 def sample_counts(
     fam: ParametricFamily,
     theta,
@@ -131,16 +150,11 @@ def sample_counts(
     n: int,
     rng_or_seed: Union[int, np.random.Generator],
 ) -> CountVector:
-    """Outcome counts of an n-step per-component record, drawn directly.
-
-    Since the record is i.i.d., the counts are multinomial(n, p_theta(.|gamma));
-    sampling them in one shot is distributionally identical to counting a
-    sampled trajectory and is what the Monte-Carlo experiments use.
-    """
+    """Outcome counts of an n-step per-component record, drawn directly by
+    sample_count_paths; the generator form continues the given stream."""
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed, 1)
-    p = fam.prob_table(theta)[gamma]
-    c = rng.multinomial(n, p / p.sum())
-    return CountVector(n=n, counts=c)
+    c = sample_count_paths(fam.prob_table(theta)[gamma], (n,), [rng])
+    return CountVector(n=n, counts=c[0, 0])
 
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, n_outcomes: Optional[int] = None) -> CountVector:

@@ -6,6 +6,7 @@ from qndmix.simulate import (
     CountVector,
     counts,
     sample_component,
+    sample_count_paths,
     sample_counts,
     sample_mixture_trajectory,
     sample_trajectory,
@@ -99,6 +100,53 @@ def test_sample_counts_deterministic(bernoulli_pair):
     c3 = sample_counts(bernoulli_pair, [0.4], 0, 500, rng)
     c4 = sample_counts(bernoulli_pair, [0.4], 0, 500, rng)
     assert not np.array_equal(c3.counts, c4.counts)
+
+
+def test_count_paths_one_point_is_one_multinomial(toy):
+    """With one grid point, row r is exactly substream(*key_r).multinomial(n, p)."""
+    p = toy.family.prob_table(toy.theta_star)[2]
+    keys = [(5, 3, r) for r in range(20)]
+    paths = sample_count_paths(p, (700,), [substream(*key) for key in keys])
+    assert paths.shape == (20, 1, 8)
+    for row, key in zip(paths[:, 0], keys):
+        np.testing.assert_array_equal(row, substream(*key).multinomial(700, p / p.sum()))
+
+
+def test_count_paths_are_cumulative(toy):
+    table = toy.family.prob_table(toy.theta_star)
+    gammas = np.arange(30) % 8
+    grid = (0, 1, 40, 40, 1_000)
+    paths = sample_count_paths(table[gammas], grid, [substream(1, r) for r in range(30)])
+    assert paths.shape == (30, len(grid), 8)
+    assert np.all(np.diff(paths, axis=1) >= 0)
+    np.testing.assert_array_equal(paths.sum(axis=2), np.broadcast_to(grid, (30, len(grid))))
+    with pytest.raises(DomainError):
+        sample_count_paths(table[0], (50, 10), [substream(1, 0)])
+
+
+def test_count_paths_equal_counted_records_in_distribution(toy):
+    """The path of a record counted at n_1 < ... < n_K has mean n_a p and
+    covariance min(n_a, n_b) (diag p - p p^T) between grid points a and b;
+    4000 keyed records must match both within 5 standard errors."""
+    p = toy.family.prob_table(toy.theta_star)[2]
+    grid = np.array([30, 200, 1_000])
+    n_rec = 4_000
+    paths = sample_count_paths(p, grid, [substream(7, r) for r in range(n_rec)])
+    x = paths.reshape(n_rec, -1).astype(float)                    # (R, K*l)
+    n_col = np.repeat(grid, p.size)
+    p_col = np.tile(p, grid.size)
+
+    mean = x.mean(axis=0)
+    mean_se = x.std(axis=0, ddof=1) / np.sqrt(n_rec)
+    assert np.all(np.abs(mean - n_col * p_col) <= 5 * mean_se)
+
+    dev = x - mean
+    prod = dev[:, :, None] * dev[:, None, :]                       # (R, K*l, K*l)
+    cov = prod.sum(axis=0) / (n_rec - 1)
+    cov_se = prod.std(axis=0, ddof=1) / np.sqrt(n_rec)
+    block = np.diag(p) - np.outer(p, p)
+    target = np.minimum.outer(n_col, n_col) * np.tile(block, (grid.size, grid.size))
+    assert np.all(np.abs(cov - target) <= 5 * cov_se)
 
 
 def test_trajectory_json_roundtrip(bernoulli_pair, tmp_path):
