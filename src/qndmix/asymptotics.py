@@ -3,9 +3,21 @@
 Each experiment draws seeded replications, compares empirical moments against
 their analytic targets (per hidden component first, then on the mixture) and
 returns a JSON-serializable report with targets, estimates, tolerances and a
-pass flag.  All randomness is derived per replication from
-(master_seed, stream tag, component, replication index), so reruns give
-bitwise identical reports.
+pass flag.
+
+Each experiment stream owns one generator, substream(master_seed, *key), on
+which all of its replications are drawn (sample_count_paths):
+
+    lamn          (TAG_LAMN, g, n) per component g and grid point n
+    collapse      (TAG_COLLAPSE, g)
+    consistency   (TAG_CONSIST, n)
+    cramer_rao    (TAG_CRAMER, g), and (TAG_CRAMER, d) for the mixture
+    purification  (TAG_PURIFY,)
+
+The hidden components of a mixture stream are drawn on (TAG_MIXGAMMA, *tags):
+(TAG_MIXGAMMA, TAG_LAMN), (TAG_MIXGAMMA, TAG_CONSIST, n),
+(TAG_MIXGAMMA, TAG_CRAMER) and (TAG_MIXGAMMA, TAG_PURIFY).  Reruns with the
+same master seed give bitwise identical reports.
 """
 
 from __future__ import annotations
@@ -134,14 +146,10 @@ def _component_fishers(plan: ExperimentPlan) -> np.ndarray:
     return np.stack(mats)
 
 
-def _streams(plan: ExperimentPlan, *tags: int) -> list:
-    """One generator per replication r, keyed (master_seed, *tags, r)."""
-    return [substream(plan.master_seed, *tags, r) for r in range(plan.n_reps)]
-
-
-def _draw_mixture_gammas(plan: ExperimentPlan, tag: int) -> np.ndarray:
-    rngs = _streams(plan, TAG_MIXGAMMA, tag)
-    return np.array([rng.choice(plan.q.size, p=plan.q.q) for rng in rngs])
+def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
+    """Hidden component of each replication, drawn from q on (TAG_MIXGAMMA, *tags)."""
+    rng = substream(plan.master_seed, TAG_MIXGAMMA, *tags)
+    return rng.choice(plan.q.size, size=plan.n_reps, p=plan.q.q)
 
 
 def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], np.ndarray]:
@@ -205,7 +213,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     p_star = plan.family.prob_table(plan.theta_star)
     per_component: dict = {}
     all_pass = True
-    samples_at_nmax = {}
+    samples_at_nmax = np.empty((d, plan.n_reps))
 
     for g in range(d):
         hih = float(h @ fishers[g] @ h)
@@ -213,7 +221,8 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         per_n = {}
         for n in plan.n_grid:
             theta_n = plan.theta_star + h / np.sqrt(n)
-            cm = sample_count_paths(p_star[g], (n,), _streams(plan, TAG_LAMN, g, n))[:, 0]
+            rng = substream(plan.master_seed, TAG_LAMN, g, n)
+            cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], (n,), rng)[:, 0]
             lr = logsumexp(log_terms(plan.family, plan.q, cm, theta_n), axis=1) - logsumexp(
                 log_terms(plan.family, plan.q, cm, plan.theta_star), axis=1
             )
@@ -246,9 +255,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     # Mixture limit via Lemma-style aggregation: reweight the per-component
     # samples by drawn gammas.
     gammas = _draw_mixture_gammas(plan, TAG_LAMN)
-    mixture_samples = np.array(
-        [samples_at_nmax[int(g)][i] for i, g in enumerate(gammas)]
-    )
+    mixture_samples = samples_at_nmax[gammas, np.arange(plan.n_reps)]
     hih_all = np.einsum("i,gij,j->g", h, fishers, h)
     mix_mean_target = float(plan.q.q @ (-0.5 * hih_all))
     mix_second = plan.q.q @ (hih_all + 0.25 * hih_all**2)
@@ -313,7 +320,8 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 
     for g in range(d):
         # One record per replication, counted at every n of the grid.
-        cm = sample_count_paths(p_star[g], n_grid, _streams(plan, TAG_COLLAPSE, g))
+        rng = substream(plan.master_seed, TAG_COLLAPSE, g)
+        cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], n_grid, rng)
         log_r = _log_collapse_ratio(fam, q, cm, plan.theta_star, g)      # (R, K)
         log_r_shift = _log_collapse_ratio(fam, q, cm[:, -1], theta_n, g)
 
@@ -373,8 +381,8 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     by_n = {}
     medians = []
     for n in n_grid:
-        gammas = _draw_mixture_gammas(plan, TAG_CONSIST + n)
-        cm = sample_count_paths(p_star[gammas], (n,), _streams(plan, TAG_CONSIST, n))
+        gammas = _draw_mixture_gammas(plan, TAG_CONSIST, n)
+        cm = sample_count_paths(p_star[gammas], (n,), substream(plan.master_seed, TAG_CONSIST, n))
         theta_hats = estimate(cm[:, 0])
         errors = np.abs(theta_hats - plan.theta_star[0])
         med = float(np.median(errors))
@@ -432,7 +440,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     all_pass = True
 
     for g in range(d):
-        cm = sample_count_paths(p_n[g], (n,), _streams(plan, TAG_CRAMER, g))
+        rng = substream(plan.master_seed, TAG_CRAMER, g)
+        cm = sample_count_paths(p_n[np.full(plan.n_reps, g)], (n,), rng)
         theta_hats = estimate(cm[:, 0])
         root = np.sqrt(n) * (theta_hats - theta_n[0])
         var = float(root.var(ddof=1))
@@ -450,7 +459,7 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
         all_pass = all_pass and ok
 
     gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
-    cm = sample_count_paths(p_n[gammas], (n,), _streams(plan, TAG_CRAMER, d))
+    cm = sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))
     theta_hats = estimate(cm[:, 0])
     root = np.sqrt(n) * (theta_hats - theta_n[0])
     second = float(np.mean(root**2))
@@ -496,7 +505,7 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     n_max = n_grid[-1]
     gammas = _draw_mixture_gammas(plan, TAG_PURIFY)
     p_star = fam.prob_table(plan.theta_star)
-    cm = sample_count_paths(p_star[gammas], n_grid, _streams(plan, TAG_PURIFY))
+    cm = sample_count_paths(p_star[gammas], n_grid, substream(plan.master_seed, TAG_PURIFY))
     terms = log_terms(fam, q, cm, plan.theta_star)                         # (R, K, d)
     post = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
     purified = post[np.arange(plan.n_reps), :, gammas] > PURIFY_LEVEL      # (R, K)

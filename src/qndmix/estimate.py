@@ -48,6 +48,10 @@ __all__ = [
 GOLDEN_TOL = 1e-8
 COARSE_POINTS = 64
 TIE_TOL = 1e-12
+# Multi-start projected gradient ascent (D > 1).
+N_STARTS = 8
+GRAD_TOL = 1e-7
+MAX_ITER = 500
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -203,26 +207,21 @@ class ScalarMaxima:
         return points + list(zip(self.cand_x[mine].tolist(), self.cand_values[mine].tolist()))
 
 
-def maximize_scalar(
-    f: Callable,
-    lo: float,
-    hi: float,
-    coarse: int = COARSE_POINTS,
-    tol: float = GOLDEN_TOL,
-) -> ScalarMaxima:
+def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
     """Maximize R scalar objectives ("rows") on [lo, hi] at once.
 
     ``f(x)`` evaluates every row at every point of the 1-D array x and returns
     an (R, len(x)) array (or a length-len(x) vector when R = 1);
     ``f(x, rows)`` evaluates row rows[i] at x[i] and returns a vector.
 
-    A shared coarse scan is followed by golden-section refinement, down to a
-    bracket of width tol, of the bracket around the scan argmax and around
-    every strict local maximum of the scan; all brackets of all rows advance
-    together.  Per row, the best refined value wins; a runner-up from another
-    bracket within TIE_TOL sets the tie flag, and ties resolve to the smaller x.
+    A shared scan of COARSE_POINTS points is followed by golden-section
+    refinement, down to a bracket of width GOLDEN_TOL, of the bracket around
+    the scan argmax and around every strict local maximum of the scan; all
+    brackets of all rows advance together.  Per row, the best refined value
+    wins; a runner-up from another bracket within TIE_TOL sets the tie flag,
+    and ties resolve to the smaller x.
     """
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, COARSE_POINTS)
     scan = np.atleast_2d(f(xs))
     padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
     peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
@@ -230,13 +229,13 @@ def maximize_scalar(
     rows, idx = np.nonzero(peak)
 
     a = xs[np.maximum(idx - 1, 0)]
-    b = xs[np.minimum(idx + 1, coarse - 1)]
+    b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc = np.array(f(c, rows), dtype=float)
     fd = np.array(f(d, rows), dtype=float)
     while True:
-        act = np.nonzero(b - a > tol)[0]
+        act = np.nonzero(b - a > GOLDEN_TOL)[0]
         if act.size == 0:
             break
         left = fc[act] > fd[act]
@@ -263,7 +262,7 @@ def maximize_scalar(
         tie=(runner != best)
         & (rows[runner] == rows[best])
         & (cand_f[best] - cand_f[runner] <= TIE_TOL),
-        boundary=(x_hat - lo <= tol) | (hi - x_hat <= tol),
+        boundary=(x_hat - lo <= GOLDEN_TOL) | (hi - x_hat <= GOLDEN_TOL),
         scan_x=xs,
         scan_values=scan,
         cand_rows=rows,
@@ -303,18 +302,15 @@ def _maximize_box(
     grad: Callable[[np.ndarray], np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
-    n_starts: int = 8,
-    grad_tol: float = 1e-7,
-    max_iter: int = 500,
 ) -> tuple[np.ndarray, float, list, bool, bool, bool]:
     """Multi-start projected gradient ascent with backtracking (D > 1).
 
-    Starts come from a Halton sequence over the box; the start order is fixed
-    so the reduction is deterministic.
+    N_STARTS starts come from a Halton sequence over the box; the start order
+    is fixed so the reduction is deterministic.
     """
     dim = lower.size
     halton = qmc.Halton(d=dim, scramble=False)
-    starts = lower + halton.random(n_starts) * (upper - lower)
+    starts = lower + halton.random(N_STARTS) * (upper - lower)
     trace = []
     results = []
     converged_any = False
@@ -322,10 +318,10 @@ def _maximize_box(
         x = np.clip(x0, lower, upper)
         fx = f(x)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             g = grad(x)
             proj = np.clip(x + g, lower, upper) - x
-            if np.linalg.norm(proj) <= grad_tol:
+            if np.linalg.norm(proj) <= GRAD_TOL:
                 ok = True
                 break
             step = 1.0
@@ -336,7 +332,7 @@ def _maximize_box(
                     break
                 step *= 0.5
             if step <= 1e-14:
-                ok = np.linalg.norm(proj) <= 10 * grad_tol
+                ok = np.linalg.norm(proj) <= 10 * GRAD_TOL
                 break
             x, fx = x_new, f_new
         converged_any = converged_any or ok
@@ -364,13 +360,7 @@ def _mixture_grad(
 
 
 def mle(
-    fam: ParametricFamily,
-    q: MixtureWeights,
-    counts: CountVector,
-    coarse: int = COARSE_POINTS,
-    tol: float = GOLDEN_TOL,
-    n_starts: int = 8,
-    box=None,
+    fam: ParametricFamily, q: MixtureWeights, counts: CountVector, box=None
 ) -> EstimationReport:
     """Maximum-likelihood estimation of theta over the box.
 
@@ -396,7 +386,7 @@ def mle(
         d = fam.n_components
         logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
         f = loglik_rows(fam, logq, counts.counts)
-        res = maximize_scalar(f, float(lower[0]), float(upper[0]), coarse=coarse, tol=tol)
+        res = maximize_scalar(f, float(lower[0]), float(upper[0]))
         theta_hat, f_hat = res.x[:1], float(res.value[0])
         tie, boundary, converged = bool(res.tie[0]), bool(res.boundary[0]), True
         trace = [(np.array([x]), v) for x, v in res.trace(0)]
@@ -404,7 +394,7 @@ def mle(
     else:
         f_vec = lambda x: loglik(fam, q, counts, x).value
         theta_hat, f_hat, trace, tie, boundary, converged = _maximize_box(
-            f_vec, _mixture_grad(fam, q, counts), lower, upper, n_starts=n_starts
+            f_vec, _mixture_grad(fam, q, counts), lower, upper
         )
         per_comp_hats = np.empty((fam.n_components, dim))
         for g in range(fam.n_components):
@@ -414,7 +404,7 @@ def mle(
             def gradg(x, g=g):
                 return (fam.score_table(x)[:, g, :] @ counts.counts) / counts.n
 
-            xg, _, _, _, _, _ = _maximize_box(fg, gradg, lower, upper, n_starts=n_starts)
+            xg, _, _, _, _, _ = _maximize_box(fg, gradg, lower, upper)
             per_comp_hats[g] = xg
 
     terms = log_terms(fam, q, counts.counts, theta_hat)

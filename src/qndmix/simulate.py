@@ -1,10 +1,12 @@
 """Seeded generation of measurement records under the per-component and
 mixture laws, plus outcome counting and trajectory export.
 
-All randomness flows through numpy's PCG64 generator.  Sub-streams are derived
-from (master_seed, stream_index...) via numpy's SeedSequence, so distinct
-trajectories own statistically independent streams and results are identical
-regardless of scheduling.
+All randomness flows through numpy's PCG64 generator.  substream keys one
+generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
+trajectory draws on substream(seed, 0) (its component) and substream(seed, 1)
+(its outcomes), and sample_count_paths draws every record of a batch on the one
+generator it is given.  A rerun with the same seed repeats every draw bit for
+bit.
 """
 
 from __future__ import annotations
@@ -120,26 +122,25 @@ def sample_mixture_trajectory(
     return sample_trajectory(fam, theta, gamma, n, seed)
 
 
-def sample_count_paths(
-    p, n_grid: Sequence[int], rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
+def sample_count_paths(p, n_grid: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Cumulative outcome counts of R i.i.d. records after each n of an
     ascending grid, shape (R, K, l).
 
-    Record r has outcome law p[r] (p of shape (R, l); a single law of shape
-    (l,) is shared by all records), normalized here, and is drawn on its own
-    generator rngs[r] as one multinomial per grid gap.  This is the same in
-    distribution as counting the prefixes of one sampled record.
+    Record r has outcome law p[r] (p of shape (R, l)), normalized here.  All
+    records are drawn on the one generator rng, gap-major: for each grid gap in
+    order, one multinomial over all R rows.  This is the same in distribution
+    as counting the prefixes of one sampled record.
     """
     p = np.asarray(p, dtype=float)
-    p = np.broadcast_to(p / p.sum(axis=-1, keepdims=True), (len(rngs), p.shape[-1]))
+    if p.ndim != 2:
+        raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
     gaps = np.diff(np.asarray(n_grid, dtype=np.int64), prepend=0)
     if np.any(gaps < 0):
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
-    out = np.empty((len(rngs), gaps.size, p.shape[-1]), dtype=np.int64)
-    for rng, row, p_r in zip(rngs, out, p):
-        for k, gap in enumerate(gaps.tolist()):
-            row[k] = rng.multinomial(gap, p_r)
+    p = p / p.sum(axis=1, keepdims=True)
+    out = np.empty((len(p), gaps.size, p.shape[1]), dtype=np.int64)
+    for k, gap in enumerate(gaps.tolist()):
+        out[:, k] = rng.multinomial(gap, p)
     return np.cumsum(out, axis=1, out=out)
 
 
@@ -153,7 +154,7 @@ def sample_counts(
     """Outcome counts of an n-step per-component record, drawn directly by
     sample_count_paths; the generator form continues the given stream."""
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed, 1)
-    c = sample_count_paths(fam.prob_table(theta)[gamma], (n,), [rng])
+    c = sample_count_paths(fam.prob_table(theta)[[gamma]], (n,), rng)
     return CountVector(n=n, counts=c[0, 0])
 
 
@@ -197,11 +198,11 @@ def trajectory_to_json(traj: Trajectory, path=None) -> str:
 
 
 def trajectory_from_json(source) -> Trajectory:
-    """Inverse of trajectory_to_json; accepts a JSON string or a file path."""
-    text = source
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text()
-    record = json.loads(text)
+    """Inverse of trajectory_to_json; accepts the JSON text (a string starting
+    with '{') or a file path (str or Path)."""
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
+        source = Path(source).read_text()
+    record = json.loads(source)
     return Trajectory(
         outcomes=np.asarray(record["outcomes"], dtype=np.int64),
         gamma=int(record["gamma"]),

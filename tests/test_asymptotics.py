@@ -23,7 +23,7 @@ from qndmix.estimate import loglik
 from qndmix.model import MixtureWeights
 from qndmix.presets import toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
-from qndmix.simulate import CountVector, counts, sample_counts, sample_trajectory
+from qndmix.simulate import CountVector, counts, sample_counts, sample_trajectory, substream
 
 
 def small_plan(preset, **kw):
@@ -241,16 +241,58 @@ def test_mle_path_monotone_grid(qubit):
     assert abs(path[-1][1] - qubit.theta_star[0]) < 0.1
 
 
-@pytest.mark.parametrize("runner,kw", [
+EXPERIMENTS = [
     (lamn_experiment, {}),
     (mixture_collapse_experiment, {}),
     (consistency_experiment, {"h": np.array([0.0])}),
     (cramer_rao_experiment, {"h": np.array([0.0]), "n_grid": (500,)}),
     (purification_experiment, {}),
-])
+]
+
+
+@pytest.mark.parametrize("runner,kw", EXPERIMENTS)
 def test_worker_count_invariance(qubit, runner, kw):
     """Byte-identical reports across reruns (the name predates the removal of
     worker threads; the rerun identity is what it checks now)."""
     r1 = runner(small_plan(qubit, n_reps=30, **kw))
     r1b = runner(small_plan(qubit, n_reps=30, **kw))
     assert json.dumps(r1, sort_keys=True) == json.dumps(r1b, sort_keys=True)
+
+
+def record_stream_keys(monkeypatch) -> list:
+    """Route asymptotics' substream through a wrapper that logs each key."""
+    from qndmix import asymptotics
+
+    keys = []
+
+    def logged(seed, *tags):
+        keys.append(tags)
+        return substream(seed, *tags)
+
+    monkeypatch.setattr(asymptotics, "substream", logged)
+    return keys
+
+
+@pytest.mark.parametrize("runner,kw", EXPERIMENTS)
+def test_one_generator_per_stream(qubit, runner, kw, monkeypatch):
+    """The number of generators an experiment keys does not grow with n_reps."""
+    keys = record_stream_keys(monkeypatch)
+    calls = []
+    for n_reps in (30, 60):
+        keys.clear()
+        runner(small_plan(qubit, n_reps=n_reps, **kw))
+        calls.append(len(keys))
+    assert calls[0] == calls[1] > 0
+    assert len(set(keys)) == len(keys)
+
+
+def test_experiment_streams_are_disjoint(qubit, monkeypatch):
+    """Under one master seed no two experiments share a stream key, also for
+    consistency grid points n = 1 and 2 (whose component draw once reused the
+    Cramer-Rao and purification keys)."""
+    keys = record_stream_keys(monkeypatch)
+    for runner, kw in EXPERIMENTS:
+        if runner is consistency_experiment:
+            kw = dict(kw, n_grid=(1, 2, 200))
+        runner(small_plan(qubit, n_reps=30, **kw))
+    assert len(set(keys)) == len(keys)

@@ -103,35 +103,41 @@ def test_sample_counts_deterministic(bernoulli_pair):
 
 
 def test_count_paths_one_point_is_one_multinomial(toy):
-    """With one grid point, row r is exactly substream(*key_r).multinomial(n, p)."""
-    p = toy.family.prob_table(toy.theta_star)[2]
-    keys = [(5, 3, r) for r in range(20)]
-    paths = sample_count_paths(p, (700,), [substream(*key) for key in keys])
+    """With one grid point, row r is exactly the r-th of R sequential
+    multinomial(n, p_r) draws of the one generator."""
+    table = toy.family.prob_table(toy.theta_star)
+    gammas = np.arange(20) % 8
+    paths = sample_count_paths(table[gammas], (700,), substream(5, 3))
     assert paths.shape == (20, 1, 8)
-    for row, key in zip(paths[:, 0], keys):
-        np.testing.assert_array_equal(row, substream(*key).multinomial(700, p / p.sum()))
+    rng = substream(5, 3)
+    for row, g in zip(paths[:, 0], gammas):
+        p = table[g]
+        np.testing.assert_array_equal(row, rng.multinomial(700, p / p.sum()))
 
 
 def test_count_paths_are_cumulative(toy):
     table = toy.family.prob_table(toy.theta_star)
     gammas = np.arange(30) % 8
     grid = (0, 1, 40, 40, 1_000)
-    paths = sample_count_paths(table[gammas], grid, [substream(1, r) for r in range(30)])
+    paths = sample_count_paths(table[gammas], grid, substream(1))
     assert paths.shape == (30, len(grid), 8)
     assert np.all(np.diff(paths, axis=1) >= 0)
     np.testing.assert_array_equal(paths.sum(axis=2), np.broadcast_to(grid, (30, len(grid))))
     with pytest.raises(DomainError):
-        sample_count_paths(table[0], (50, 10), [substream(1, 0)])
+        sample_count_paths(table[:1], (50, 10), substream(1))
+    with pytest.raises(DomainError):
+        sample_count_paths(table[0], (50,), substream(1))
 
 
 def test_count_paths_equal_counted_records_in_distribution(toy):
     """The path of a record counted at n_1 < ... < n_K has mean n_a p and
     covariance min(n_a, n_b) (diag p - p p^T) between grid points a and b;
-    4000 keyed records must match both within 5 standard errors."""
+    4000 records drawn on one generator must match both within 5 standard
+    errors."""
     p = toy.family.prob_table(toy.theta_star)[2]
     grid = np.array([30, 200, 1_000])
     n_rec = 4_000
-    paths = sample_count_paths(p, grid, [substream(7, r) for r in range(n_rec)])
+    paths = sample_count_paths(np.tile(p, (n_rec, 1)), grid, substream(7))
     x = paths.reshape(n_rec, -1).astype(float)                    # (R, K*l)
     n_col = np.repeat(grid, p.size)
     p_col = np.tile(p, grid.size)
@@ -161,6 +167,20 @@ def test_trajectory_json_roundtrip(bernoulli_pair, tmp_path):
     # Round trip through the bare string as well.
     again = trajectory_from_json(trajectory_to_json(traj))
     np.testing.assert_array_equal(again.outcomes, traj.outcomes)
+
+
+def test_trajectory_json_string_roundtrip_long_record(toy, tmp_path):
+    """JSON text longer than a file name is parsed, never looked up as a path;
+    str and Path file names still load the file."""
+    traj = sample_trajectory(toy.family, toy.theta_star, 0, 200, seed=1)
+    text = trajectory_to_json(traj)
+    assert len(text) > 255
+    back = trajectory_from_json(text)
+    np.testing.assert_array_equal(back.outcomes, traj.outcomes)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    for source in (path, str(path)):
+        np.testing.assert_array_equal(trajectory_from_json(source).outcomes, traj.outcomes)
 
 
 def test_trajectory_csv(bernoulli_pair, tmp_path):
