@@ -30,7 +30,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from .errors import ConstructionError, SingularFisherError
-from .estimate import log_terms, loglik, loglik_rows, maximize_scalar
+from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -152,9 +152,9 @@ def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     return rng.choice(plan.q.size, size=plan.n_reps, p=plan.q.q)
 
 
-def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], np.ndarray]:
+def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], ScalarMaxima]:
     """The mixture MLE over the plan's search box, as a function of a matrix of
-    count rows (one estimate per row).  Refuses D != 1."""
+    count rows (one estimate and one boundary flag per row).  Refuses D != 1."""
     if plan.family.dim != 1:
         raise NotImplementedError(
             f"this experiment covers D = 1 only; the model has D = {plan.family.dim}"
@@ -162,7 +162,7 @@ def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], np.ndarray]:
     lo, hi = float(plan.search_box().lower[0]), float(plan.search_box().upper[0])
     return lambda counts_matrix: maximize_scalar(
         loglik_rows(plan.family, plan.q.log(), counts_matrix), lo, hi
-    ).x
+    )
 
 
 def _anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
@@ -374,7 +374,11 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 # ---------------------------------------------------------------------------
 
 def consistency_experiment(plan: ExperimentPlan) -> dict:
-    """Error quantiles of the mixture MLE along the n grid; medians must fall."""
+    """Error quantiles of the mixture MLE along the n grid; medians must fall.
+
+    Each n also reports boundary_hits, the number of estimates on the edge of
+    the search box, where the box truncates the error distribution.
+    """
     estimate = _scalar_mle(plan)
     n_grid = sorted(plan.n_grid)
     p_star = plan.family.prob_table(plan.theta_star)
@@ -383,14 +387,15 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     for n in n_grid:
         gammas = _draw_mixture_gammas(plan, TAG_CONSIST, n)
         cm = sample_count_paths(p_star[gammas], (n,), substream(plan.master_seed, TAG_CONSIST, n))
-        theta_hats = estimate(cm[:, 0])
-        errors = np.abs(theta_hats - plan.theta_star[0])
+        res = estimate(cm[:, 0])
+        errors = np.abs(res.x - plan.theta_star[0])
         med = float(np.median(errors))
         medians.append(med)
         by_n[n] = {
             "median_abs_error": med,
             "q90_abs_error": float(np.quantile(errors, 0.9)),
             "max_abs_error": float(errors.max()),
+            "boundary_hits": int(res.boundary.sum()),
         }
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     report = {
@@ -415,7 +420,7 @@ def mle_path(
     estimate = _scalar_mle(plan)
     ns = sorted(int(n) for n in n_points)
     cm = np.stack([np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes) for n in ns])
-    return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm))]
+    return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm).x)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +433,10 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     Replications are generated under the shifted law theta* + h/sqrt(n) at the
     largest n.  Per realized component, the variance of sqrt(n)(theta_hat -
     theta* - h/sqrt(n)) must match 1/I(gamma) within the efficiency band; the
-    mixture second moment must match sum_a q(a)/I(a) within 10%.
+    mixture second moment must match sum_a q(a)/I(a) within 10%.  Each
+    component and the mixture report boundary_hits, the number of estimates on
+    the edge of the search box, which truncate the variance; the verdict does
+    not use them.
     """
     estimate = _scalar_mle(plan)
     fishers = _component_fishers(plan)[:, 0, 0]
@@ -442,8 +450,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     for g in range(d):
         rng = substream(plan.master_seed, TAG_CRAMER, g)
         cm = sample_count_paths(p_n[np.full(plan.n_reps, g)], (n,), rng)
-        theta_hats = estimate(cm[:, 0])
-        root = np.sqrt(n) * (theta_hats - theta_n[0])
+        res = estimate(cm[:, 0])
+        root = np.sqrt(n) * (res.x - theta_n[0])
         var = float(root.var(ddof=1))
         target = 1.0 / fishers[g]
         ratio = var / target
@@ -454,14 +462,15 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "mean": float(root.mean()),
             "target_var": target,
             "efficiency_ratio": float(ratio),
+            "boundary_hits": int(res.boundary.sum()),
             "passed": bool(ok),
         }
         all_pass = all_pass and ok
 
     gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
     cm = sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))
-    theta_hats = estimate(cm[:, 0])
-    root = np.sqrt(n) * (theta_hats - theta_n[0])
+    res = estimate(cm[:, 0])
+    root = np.sqrt(n) * (res.x - theta_n[0])
     second = float(np.mean(root**2))
     target_second = float(plan.q.q @ (1.0 / fishers))
     mix_ok = abs(second / target_second - 1.0) <= CRAMER_MIXTURE_RTOL
@@ -479,6 +488,7 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "second_moment": second,
             "target": target_second,
             "ratio": second / target_second,
+            "boundary_hits": int(res.boundary.sum()),
             "passed": bool(mix_ok),
         },
         "efficiency_band": CRAMER_RATIO_BAND,

@@ -287,14 +287,25 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     n = counts.sum(axis=1)
 
     def f(x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        logp = np.stack([fam.log_prob_table(np.array([v])) for v in x])  # (m, d, l)
+        logp = fam.log_prob_table(x[:, None])                            # (m, d, l)
         if rows is None:
             terms = np.einsum("mdl,rl->rmd", logp, counts) + logq[:, None, :]
-            return logsumexp(terms, axis=-1) / n[:, None]
+            return _logsumexp(terms) / n[:, None]
         terms = np.einsum("mdl,ml->md", logp, counts[rows]) + logq[rows]
-        return logsumexp(terms, axis=-1) / n[rows]
+        return _logsumexp(terms) / n[rows]
 
     return f
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum exp(a) over the last axis, for rows holding at least one finite
+    entry.  As scipy.special.logsumexp does, the row maxima are left out of
+    the shifted sum and added back through log1p, so the two agree bit for bit."""
+    a_max = a.max(axis=-1, keepdims=True)
+    top = a == a_max
+    ties = top.sum(axis=-1, keepdims=True).astype(float)
+    s = np.where(top, 0.0, np.exp(a - a_max)).sum(axis=-1, keepdims=True)
+    return (np.log1p(s / ties) + np.log(ties) + a_max)[..., 0]
 
 
 def _maximize_box(

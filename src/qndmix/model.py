@@ -108,10 +108,19 @@ class ParameterBox:
         return bool(np.all(t > self.lower + margin) and np.all(t < self.upper - margin))
 
     def require(self, theta) -> np.ndarray:
-        """Return theta as a 1-D array, raising DomainError if outside the box."""
+        """Return theta as an array of shape (..., D): one point, or a stack of
+        points whose rows are checked one by one.  DomainError names the first
+        row outside the box."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        if t.shape != self.lower.shape or not self.contains(t, atol=1e-12):
+        if t.shape[-1:] != self.lower.shape:
             raise DomainError(f"theta {t} outside parameter box [{self.lower}, {self.upper}]")
+        inside = np.all((t >= self.lower - 1e-12) & (t <= self.upper + 1e-12), axis=-1)
+        if not np.all(inside):
+            row = tuple(np.argwhere(~inside)[0].tolist())
+            where = f" at stack index {row}" if row else ""
+            raise DomainError(
+                f"theta {t[row]}{where} outside parameter box [{self.lower}, {self.upper}]"
+            )
         return t
 
     def clip(self, theta) -> np.ndarray:
@@ -127,12 +136,15 @@ class ParametricFamily:
     """Map (theta, alpha) -> distribution over the alphabet.
 
     The evaluation rule is supplied as a table function ``probs(theta)``
-    returning an array of shape (d, l): row alpha holds the outcome
-    distribution p_theta(.|alpha).  An optional ``dprobs(theta)`` returns the
-    parameter Jacobian with shape (D, d, l).
+    taking theta of shape (..., D) and returning an array of shape (..., d, l):
+    row alpha of each table holds the outcome distribution p_theta(.|alpha).
+    A single point, shape (D,), gives one (d, l) table; a stack of m points,
+    shape (m, D), gives m tables in one call.  An optional ``dprobs(theta)``
+    returns the parameter Jacobian at a single point with shape (D, d, l).
 
     Construction validates, on a sample of box points, that every row is a
-    probability vector with entries strictly inside (0, 1) and that the
+    probability vector with entries strictly inside (0, 1), that the tables of
+    the stacked sample match those of its points one at a time, and that the
     analytic Jacobian (when given) is consistent with central finite
     differences.  Violations raise ConstructionError; nothing is clamped.
     """
@@ -173,14 +185,13 @@ class ParametricFamily:
 
     # -- evaluation ---------------------------------------------------------
     def prob_table(self, theta) -> np.ndarray:
-        """All outcome distributions at theta, shape (d, l)."""
+        """All outcome distributions at theta: shape (d, l) for one point,
+        (..., d, l) for a stack of points of shape (..., D)."""
         t = self.box.require(theta)
         table = np.asarray(self._probs(t), dtype=float)
-        if table.shape != (self.n_components, self.n_outcomes):
-            raise ConstructionError(
-                f"probs returned shape {table.shape}, expected "
-                f"({self.n_components}, {self.n_outcomes})"
-            )
+        expected = t.shape[:-1] + (self.n_components, self.n_outcomes)
+        if table.shape != expected:
+            raise ConstructionError(f"probs returned shape {table.shape}, expected {expected}")
         return table
 
     def log_prob_table(self, theta) -> np.ndarray:
@@ -197,6 +208,8 @@ class ParametricFamily:
         refuses with CapabilityError.
         """
         t = self.box.require(theta)
+        if t.ndim != 1:
+            raise DomainError(f"dprob_table takes one point, got theta of shape {t.shape}")
         if self._dprobs is not None:
             jac = np.asarray(self._dprobs(t), dtype=float)
             expected = (self.dim, self.n_components, self.n_outcomes)
@@ -257,7 +270,9 @@ class ParametricFamily:
         return np.unique(np.array(pts), axis=0)
 
     def _validate(self):
-        for t in self._validation_points():
+        points = self._validation_points()
+        tables = []
+        for t in points:
             table = np.asarray(self._probs(t), dtype=float)
             if table.shape != (self.n_components, self.n_outcomes):
                 raise ConstructionError(
@@ -287,6 +302,19 @@ class ParametricFamily:
                     raise ConstructionError(
                         f"analytic gradient inconsistent with finite differences at theta={t}"
                     )
+            tables.append(table)
+        stacked = np.asarray(self._probs(points), dtype=float)
+        if stacked.shape != (len(points), self.n_components, self.n_outcomes):
+            raise ConstructionError(
+                f"probs returned shape {stacked.shape} for a stack of {len(points)} points; "
+                f"a stack of shape (..., D) must give tables of shape (..., d, l)"
+            )
+        err = np.max(np.abs(stacked - np.array(tables)), axis=(1, 2))
+        if np.any(err > 1e-12):
+            raise ConstructionError(
+                f"probs on a stack of points differs by {err.max()} from probs at "
+                f"theta={points[int(np.argmax(err))]} alone"
+            )
 
 
 @dataclass(frozen=True)
@@ -430,11 +458,11 @@ def check_identifiability(
     max_j |p_theta(j|alpha) - p_theta2(j|beta)|; pairs with margin < tol are
     flagged.
     """
-    grid = [fam.box.require(t) for t in theta_grid]
-    if not grid:
+    if len(theta_grid) == 0:
         raise DomainError("theta_grid must be non-empty")
+    grid = np.asarray(theta_grid, dtype=float).reshape(len(theta_grid), -1)
     d = fam.n_components
-    tables = np.stack([fam.prob_table(t) for t in grid])  # (G, d, l)
+    tables = fam.prob_table(grid)  # (G, d, l)
     flat = tables.reshape(len(grid) * d, fam.n_outcomes)
     idx = [(a, g) for g in range(len(grid)) for a in range(d)]
     n = flat.shape[0]

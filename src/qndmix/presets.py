@@ -82,23 +82,24 @@ def poisson_like_weights(rate: float = 3.46, d: int = PHOTON_COMPONENTS) -> Mixt
     return MixtureWeights.normalized(w)
 
 
-def _toy_phases(alpha: np.ndarray, theta: float) -> np.ndarray:
-    """Phases alpha*theta + (2-a)*pi/4 as an (n_alpha, 4) array."""
+def _toy_phases(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Phases alpha*theta + (2-a)*pi/4 as an (..., n_alpha, 4) array for theta
+    of shape (...)."""
     a = np.arange(4)
-    return np.outer(alpha, [theta]).repeat(4, axis=1) + (2 - a)[None, :] * math.pi / 4
+    return theta[..., None, None] * alpha[:, None] + (2 - a) * math.pi / 4
 
 
 def _toy_prob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    phases = _toy_phases(alpha_values, float(theta[0]))         # (d, 4)
+    phases = _toy_phases(alpha_values, theta[..., 0])           # (..., d, 4)
     cos = np.cos(phases)
     # x = 0 keeps the cosine sign, x = 1 flips it; columns follow j = 4x + a.
     return np.concatenate(
-        [(1 + VISIBILITY * cos) / 8, (1 - VISIBILITY * cos) / 8], axis=1
+        [(1 + VISIBILITY * cos) / 8, (1 - VISIBILITY * cos) / 8], axis=-1
     )
 
 
 def _toy_dprob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    phases = _toy_phases(alpha_values, float(theta[0]))
+    phases = _toy_phases(alpha_values, theta[..., 0])
     sin = np.sin(phases) * alpha_values[:, None]
     return np.concatenate(
         [-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=1
@@ -190,10 +191,9 @@ def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
     upper = np.concatenate(([TOY_BOX[1]], phase_center + 0.3, [min(vis_center + 0.15, 0.99)]))
 
     def probs(t: np.ndarray) -> np.ndarray:
-        theta4, phases, vis = t[0], t[1:5], t[5]
-        arg = np.outer(alpha_values, np.ones(4)) * theta4 + phases[None, :]
-        cos = np.cos(arg)
-        return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=1)
+        theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
+        cos = np.cos(alpha_values[:, None] * theta4 + phases)   # (..., d, 4)
+        return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
 
     def dprobs(t: np.ndarray) -> np.ndarray:
         theta4, phases, vis = t[0], t[1:5], t[5]

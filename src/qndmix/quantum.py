@@ -40,19 +40,29 @@ POSITIVITY_SCAN_POINTS = 9
 POSTERIOR_FLOOR = 1e-300
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _require_hermitian(h: np.ndarray, what: str = "generator") -> np.ndarray:
+    """h as a complex array of shape (..., l, l): one matrix or a stack of them.
+    A stack that fails names the index of its first offending matrix."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ConstructionError(f"{what} must be a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-        raise ConstructionError(f"{what} has non-finite entries")
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
-        raise ConstructionError(f"{what} is not Hermitian within {HERMITIAN_TOL}")
+    finite = np.all(np.isfinite(h.real) & np.isfinite(h.imag), axis=(-2, -1))
+    hermitian = np.max(np.abs(h - _adjoint(h)), axis=(-2, -1)) <= HERMITIAN_TOL
+    for ok, problem in ((finite, "has non-finite entries"),
+                        (hermitian, f"is not Hermitian within {HERMITIAN_TOL}")):
+        if not np.all(ok):
+            at = tuple(np.argwhere(~ok)[0].tolist())
+            raise ConstructionError(f"{what}{f' at stack index {at}' if at else ''} {problem}")
     return h
 
 
 def hermitian_expm(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
-    """exp(scale * H) for Hermitian H via eigendecomposition.
+    """exp(scale * H) for Hermitian H via eigendecomposition, for one matrix
+    or a stack of shape (..., l, l) (one batched eigh).
 
     With scale = -i this produces a unitary matrix up to rounding; the
     Hermitian structure makes the eigendecomposition route exact in the
@@ -60,7 +70,7 @@ def hermitian_expm(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
     """
     h = _require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ _adjoint(v)
 
 
 @dataclass(frozen=True)
@@ -110,16 +120,23 @@ def unitary(sys: QndSystem, theta, alpha: int) -> np.ndarray:
     return hermitian_expm(h)
 
 
-def _amplitudes(sys: QndSystem, theta, alpha: int) -> np.ndarray:
-    """Probe amplitudes <psi_j, U_alpha psi> for all j."""
-    u = unitary(sys, theta, alpha)
-    return sys.probe_basis.conj().T @ (u @ sys.probe)
+def _amplitudes(sys: QndSystem, theta) -> np.ndarray:
+    """Probe amplitudes <psi_j, U_alpha psi> of every component alpha and
+    outcome j, shape (..., d, l) for theta of shape (..., D): the generators
+    of all points and components are exponentiated in one stacked call."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    h = np.array([
+        [sys.hamiltonians(p, a) for a in range(sys.system_dim)]
+        for p in t.reshape(-1, t.shape[-1])
+    ], dtype=complex)
+    u = hermitian_expm(h)                              # (m, d, l, l)
+    amps = (u @ sys.probe) @ sys.probe_basis.conj()
+    return amps.reshape(t.shape[:-1] + amps.shape[1:])
 
 
 def outcome_probs(sys: QndSystem, theta, alpha: int) -> np.ndarray:
     """Outcome distribution p(j|alpha) = |<psi_j, U_alpha(theta) psi>|^2."""
-    amp = _amplitudes(sys, theta, alpha)
-    return np.abs(amp) ** 2
+    return np.abs(_amplitudes(sys, theta)[..., alpha, :]) ** 2
 
 
 def _score_row(sys: QndSystem, theta, alpha: int, k: int) -> np.ndarray:
@@ -158,7 +175,7 @@ def as_family(
     components = ComponentSet(size=d, labels=tuple(component_labels))
 
     def probs(theta: np.ndarray) -> np.ndarray:
-        return np.stack([outcome_probs(sys, theta, a) for a in range(d)])
+        return np.abs(_amplitudes(sys, theta)) ** 2
 
     dprobs = None
     if sys.hamiltonian_grads is not None:
@@ -171,20 +188,18 @@ def as_family(
             return jac
 
     # Axis-wise positivity scan with named diagnostics before handing off to
-    # the generic construction checks.
+    # the generic construction checks: scan[k, i] moves axis k to its i-th point.
+    scan = np.tile(0.5 * (box.lower + box.upper), (box.dimension, POSITIVITY_SCAN_POINTS, 1))
     for k in range(box.dimension):
-        for x in np.linspace(box.lower[k], box.upper[k], POSITIVITY_SCAN_POINTS):
-            t = 0.5 * (box.lower + box.upper)
-            t[k] = x
-            for a in range(d):
-                p = outcome_probs(sys, t, a)
-                bad = np.nonzero((p <= 1e-12) | (p >= 1.0 - 1e-12))[0]
-                if bad.size:
-                    j = int(bad[0])
-                    raise ConstructionError(
-                        f"outcome probability p(j={j}|alpha={a}) = {p[j]} at "
-                        f"theta={t} is not strictly inside (0, 1)"
-                    )
+        scan[k, :, k] = np.linspace(box.lower[k], box.upper[k], POSITIVITY_SCAN_POINTS)
+    p = probs(scan)                                                     # (D, points, d, l)
+    bad = np.argwhere((p <= 1e-12) | (p >= 1.0 - 1e-12))
+    if bad.size:
+        k, i, a, j = bad[0]
+        raise ConstructionError(
+            f"outcome probability p(j={j}|alpha={a}) = {p[k, i, a, j]} at "
+            f"theta={scan[k, i]} is not strictly inside (0, 1)"
+        )
 
     return ParametricFamily(
         alphabet=alphabet,
@@ -261,7 +276,7 @@ ModelLike = Union[QndSystem, ParametricFamily]
 def _outcome_matrix(model: ModelLike, theta) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Probabilities p(j|alpha) as (d, l) plus probe amplitudes when quantum."""
     if isinstance(model, QndSystem):
-        amps = np.stack([_amplitudes(model, theta, a) for a in range(model.system_dim)])
+        amps = _amplitudes(model, theta)
         return np.abs(amps) ** 2, amps
     return model.prob_table(theta), None
 

@@ -21,8 +21,8 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
     """
 
     def probs(t):
-        x = float(t[0])
-        return np.array([[x, 1.0 - x], [x / 2.0, 1.0 - x / 2.0]])
+        x = t[..., 0, None, None] * np.array([[1.0], [0.5]])   # (..., 2, 1)
+        return np.concatenate([x, 1.0 - x], axis=-1)
 
     def dprobs(t):
         return np.array([[[1.0, -1.0], [0.5, -0.5]]])
@@ -51,13 +51,13 @@ def make_random_family(rng):
     e = rng.uniform(0.0, 2.0 * math.pi, size=(d, l))
 
     def table(x):
-        g = a + b * np.sin(c * x + e)
-        g = g - g.max(axis=1, keepdims=True)
+        g = a + b * np.sin(c * np.asarray(x)[..., None, None] + e)
+        g = g - g.max(axis=-1, keepdims=True)
         p = np.exp(g)
-        return p / p.sum(axis=1, keepdims=True)
+        return p / p.sum(axis=-1, keepdims=True)
 
     def probs(t):
-        return table(float(t[0]))
+        return table(t[..., 0])
 
     def dprobs(t):
         x = float(t[0])

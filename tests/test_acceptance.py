@@ -162,7 +162,7 @@ def test_criterion_3_seeded_runs():
             pre.family, pre.theta_star, pre.q, 10_000, FIG1_MASTER_SEED * 10 + k
         )
         cm = counts(traj, n_outcomes=8).counts[None, :]
-        theta_hat = estimate(cm)[0]
+        theta_hat = estimate(cm).x[0]
         errors.append(abs(theta_hat - math.pi / 4))
     elapsed = time.perf_counter() - t0
     ok = all(e < 0.02 for e in errors) and elapsed < 120.0

@@ -19,6 +19,7 @@ from qndmix.asymptotics import (
     purification_experiment,
 )
 from qndmix.errors import ConstructionError, SingularFisherError
+from qndmix import estimate
 from qndmix.estimate import loglik
 from qndmix.model import MixtureWeights
 from qndmix.presets import toy_haroche_full, toy_haroche_guerlin
@@ -98,7 +99,7 @@ def test_collapse_ratio_single_component(bernoulli_pair):
     fam = ParametricFamily(
         Alphabet(size=2), ComponentSet(size=1),
         ParameterBox(np.array([0.2]), np.array([0.8])),
-        probs=lambda t: np.array([[t[0], 1 - t[0]]]), regularity="C1",
+        probs=lambda t: np.stack([t, 1 - t], axis=-1), regularity="C1",
     )
     out = _log_collapse_ratio(fam, q1, np.array([[2, 3]]), [0.5], 0)
     assert out[0] == -np.inf  # nothing to collapse
@@ -122,7 +123,7 @@ def test_scalar_mle_batch_matches_single(qubit):
         sample_counts(qubit.family, qubit.theta_star, r % 2, 800, r).counts
         for r in range(6)
     ])
-    batch = _scalar_mle(plan)(cm)
+    batch = _scalar_mle(plan)(cm).x
     from qndmix.estimate import mle
 
     for r in range(6):
@@ -186,6 +187,28 @@ def test_cramer_rao_small_run(qubit):
         # Loose sanity band for a 150-rep run; the tight band is acceptance.
         assert 0.6 <= report["per_component"][g]["efficiency_ratio"] <= 1.6
     assert report["mixture"]["target"] == pytest.approx(0.5 * (1.0 + 0.25), abs=1e-9)
+
+
+def test_boundary_hits_count_estimates_on_the_box_edge(toy, monkeypatch):
+    """The reported boundary_hits equal the boundary flags of the maximize_scalar
+    calls behind each entry; n = 1000 puts many alpha = 1 estimates on the edge."""
+    flags = []
+
+    def recording(*args):
+        res = estimate.maximize_scalar(*args)
+        flags.append(int(res.boundary.sum()))
+        return res
+
+    monkeypatch.setattr("qndmix.asymptotics.maximize_scalar", recording)
+    plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
+    cr = cramer_rao_experiment(plan)
+    entries = [cr["per_component"][str(g)] for g in range(8)] + [cr["mixture"]]
+    assert [e["boundary_hits"] for e in entries] == flags
+    assert flags[0] > 0
+    flags.clear()
+    cons = consistency_experiment(plan)
+    assert [cons["by_n"][n]["boundary_hits"] for n in ("1000", "4000")] == flags
+    assert flags[0] > 0
 
 
 def test_cramer_rao_needs_scalar_parameter():

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from qndmix.errors import DomainError
 from qndmix.estimate import (
+    _logsumexp,
     limit_loglik,
     log_sum_paths,
     loglik,
@@ -21,7 +23,7 @@ from qndmix.model import (
     ParametricFamily,
     shannon_entropy,
 )
-from qndmix.presets import toy_haroche_guerlin
+from qndmix.presets import get_preset, toy_haroche_guerlin
 from qndmix.simulate import (
     CountVector,
     counts,
@@ -226,11 +228,11 @@ def _two_param_family():
     """d=2, l=3 family with a 2-D parameter; gradients by hand."""
 
     def probs(t):
-        a, b = float(t[0]), float(t[1])
-        return np.array([
-            [a, b, 1.0 - a - b],
-            [b, a, 1.0 - a - b],
-        ])
+        a, b = t[..., 0], t[..., 1]
+        return np.stack([
+            np.stack([a, b, 1.0 - a - b], axis=-1),
+            np.stack([b, a, 1.0 - a - b], axis=-1),
+        ], axis=-2)
 
     def dprobs(t):
         da = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
@@ -279,3 +281,32 @@ def test_mle_matches_fine_grid(bernoulli_pair, uniform2):
     grid = np.linspace(0.2, 0.8, 20_001)
     vals = [loglik(bernoulli_pair, uniform2, c, [x]).value for x in grid]
     assert report.theta_hat[0] == pytest.approx(grid[int(np.argmax(vals))], abs=5e-5)
+
+
+def test_logsumexp_matches_scipy():
+    """The estimator's log-sum-exp agrees with scipy's on component rows (one
+    finite entry, -inf elsewhere), on mixture rows spread over ~1e4, and on
+    tied maxima."""
+    rng = np.random.default_rng(3)
+    spread = rng.normal(scale=1e4, size=(6, 40, 9))
+    component = np.where(np.eye(9, dtype=bool), 0.0, -np.inf) + spread[0, :9]
+    tied = spread[1].copy()
+    tied[:, 4] = tied[:, 7] = tied.max(axis=1) + 1.0
+    partial = spread[2].copy()
+    partial[::2, 3:] = -np.inf
+    for a in (spread, component, tied, partial):
+        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("name, theta_hat", [
+    ("toy_haroche", 0.7895963663687594),
+    ("toy_haroche_guerlin", 1.0376386147023493),
+    ("qubit_rotation", 0.7183978419938696),
+])
+def test_mle_pinned_on_seeded_record(name, theta_hat):
+    """theta_hat of `qndmix estimate --seed 7` at n = 1e4, to the last digit."""
+    pre = get_preset(name)
+    traj = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, 7)
+    report = mle(pre.family, pre.q, counts(traj, n_outcomes=pre.family.n_outcomes),
+                 box=pre.search_box())
+    assert float(report.theta_hat[0]) == theta_hat

@@ -63,6 +63,18 @@ def test_box_membership_and_clip():
     assert grid[0, 0] == 0.0 and grid[-1, 0] == 1.0
 
 
+def test_box_require_checks_every_row_of_a_stack():
+    box = ParameterBox(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    stack = np.full((2, 3, 2), 0.5)
+    assert box.require(stack).shape == (2, 3, 2)
+    stack[1, 0, 1] = 1.5
+    stack[1, 2, 0] = -1.0
+    with pytest.raises(DomainError, match=r"theta \[0.5 1.5\] at stack index \(1, 0\)"):
+        box.require(stack)
+    with pytest.raises(DomainError):
+        box.require(np.full((3, 1), 0.5))   # rows must end in the box dimension
+
+
 def test_weights_validation():
     with pytest.raises(ConstructionError):
         MixtureWeights(np.array([0.5, 0.5, 0.1]))
@@ -131,7 +143,7 @@ def test_continuous_family_refuses_derivatives():
     alphabet, components, box = _simple_parts()
     fam = ParametricFamily(
         alphabet, components, box,
-        probs=lambda t: np.array([[t[0], 1.0 - t[0]]]),
+        probs=lambda t: np.stack([t, 1.0 - t], axis=-1),
         regularity="continuous",
     )
     with pytest.raises(CapabilityError):
@@ -144,8 +156,8 @@ def _fd_bernoulli_pair():
     return ParametricFamily(
         Alphabet(size=2), ComponentSet(size=2),
         ParameterBox(np.array([0.2]), np.array([0.8])),
-        probs=lambda t: np.array(
-            [[t[0], 1.0 - t[0]], [t[0] / 2.0, 1.0 - t[0] / 2.0]]
+        probs=lambda t: np.concatenate(
+            [t[..., None] * [[1.0], [0.5]], 1.0 - t[..., None] * [[1.0], [0.5]]], axis=-1
         ),
         regularity="C1",
     )
@@ -271,8 +283,8 @@ def test_identifiability_flags_twin_collision(bernoulli_pair):
 
 def test_identifiability_flags_duplicate_components():
     def probs(t):
-        x = float(t[0])
-        return np.array([[x, 1.0 - x], [x, 1.0 - x]])  # identical components
+        x = np.stack([t, 1.0 - t], axis=-1)
+        return np.concatenate([x, x], axis=-2)  # identical components
 
     fam = ParametricFamily(
         Alphabet(size=2), ComponentSet(size=2),

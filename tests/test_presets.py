@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qndmix.errors import ConfigError
-from qndmix.model import check_identifiability, fisher_information, kl_matrix
+from qndmix.errors import ConfigError, ConstructionError, DomainError
+from qndmix.model import ParametricFamily, check_identifiability, fisher_information, kl_matrix
 from qndmix.presets import (
     PRESETS,
     get_preset,
@@ -148,3 +148,42 @@ def test_full_variant_ideal_visibility_stays_valid():
     assert pre.family.box.upper[-1] <= 0.99
     table = pre.family.prob_table(pre.theta_star)
     assert np.all(table > 0) and np.all(table < 1)
+
+
+# ---------------------------------------------------------------------------
+# Stacked-theta tables: probs maps (..., D) to (..., d, l)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_stacked_tables_equal_single_point_tables(name):
+    fam = get_preset(name).family
+    for stack in (fam._validation_points(), fam.box.grid(64)):
+        tables = fam.prob_table(stack)
+        assert tables.shape == (len(stack), fam.n_components, fam.n_outcomes)
+        for t, table in zip(stack, tables):
+            assert table.tobytes() == fam.prob_table(t).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_stacked_tables_refuse_a_row_outside_the_box(name):
+    fam = get_preset(name).family
+    stack = fam.box.grid(5)
+    stack[3] = fam.box.upper + 0.01
+    with pytest.raises(DomainError, match=r"at stack index \(3,\)"):
+        fam.prob_table(stack)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_probs_ignoring_the_stack_is_refused(name):
+    """A probs that returns one table for a whole stack has the wrong shape;
+    one whose stacked rows differ from its single-point tables is refused too."""
+    fam = get_preset(name).family
+    parts = (fam.alphabet, fam.components, fam.box)
+    first_only = lambda t: fam.prob_table(t.reshape(-1, fam.dim)[0])
+    with pytest.raises(ConstructionError, match="shape"):
+        ParametricFamily(*parts, probs=first_only)
+    with pytest.raises(ConstructionError, match="shape"):
+        ParametricFamily(*parts, probs=first_only, validate=False).prob_table(fam.box.grid(3))
+    reversed_rows = lambda t: fam.prob_table(t) if t.ndim == 1 else fam.prob_table(t)[::-1]
+    with pytest.raises(ConstructionError, match="differs"):
+        ParametricFamily(*parts, probs=reversed_rows)

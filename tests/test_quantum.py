@@ -55,6 +55,20 @@ def test_hermitian_expm_rejects_non_hermitian():
         hermitian_expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
+def test_hermitian_expm_on_a_stack():
+    """A stack is exponentiated matrix by matrix; a bad matrix is located."""
+    rng = np.random.default_rng(4)
+    stack = np.stack([[random_hermitian(rng, 3) for _ in range(2)] for _ in range(4)])
+    out = hermitian_expm(stack)
+    assert out.shape == (4, 2, 3, 3)
+    for i in range(4):
+        for a in range(2):
+            np.testing.assert_allclose(out[i, a], hermitian_expm(stack[i, a]), atol=1e-14)
+    stack[2, 1, 0, 1] += 1.0
+    with pytest.raises(ConstructionError, match=r"at stack index \(2, 1\)"):
+        hermitian_expm(stack)
+
+
 def test_qubit_probabilities_are_cos_squared():
     pre = qubit_rotation()
     theta = 0.8
@@ -236,3 +250,29 @@ def test_identical_components_learn_nothing(uniform2):
     for j in (0, 1, 0, 0, 1):
         state = filter_step(sys, state, [0.8], j)
         np.testing.assert_allclose(state.q, [0.5, 0.5], atol=1e-12)
+
+
+def test_quantum_filter_path_matches_per_component_unitaries(qubit):
+    """100 steps of the phi-tracking filter, whose amplitudes come from one
+    stacked exponential per step, equal a filter built from one unitary per
+    component; the last state is pinned to its recorded value."""
+    sys = qubit.system
+    traj = sample_trajectory(qubit.family, qubit.theta_star, 0, 100, seed=11)
+    phi0 = np.sqrt(qubit.q.q).astype(complex)
+    path = filter_trajectory(sys, FilterState.from_phi(phi0), qubit.theta_star, traj.outcomes)
+    amps = np.stack([
+        sys.probe_basis.conj().T @ (unitary(sys, qubit.theta_star, a) @ sys.probe)
+        for a in range(sys.system_dim)
+    ])
+    phi = phi0
+    for state, j in zip(path[1:], traj.outcomes):
+        phi = canonical_phase(phi * amps[:, j] / np.linalg.norm(phi * amps[:, j]))
+        np.testing.assert_allclose(state.phi, phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.q, np.abs(phi) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(path[-1].q, [0.9999999998200845, 1.799155645065299e-10],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        path[-1].phi, [0.9999999999100423 - 3.0814879110195774e-33j,
+                       1.3413260770839028e-05 + 7.657896860601099e-21j],
+        rtol=0, atol=1e-12,
+    )
