@@ -327,6 +327,8 @@ class MixtureWeights:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         if q.ndim != 1 or q.size < 1:
             raise ConstructionError("weights must form a non-empty vector")
+        if not np.all(np.isfinite(q)):
+            raise ConstructionError(f"weights {q} have non-finite entries")
         if np.any(q <= 0.0):
             raise ConstructionError("all mixture weights must be strictly positive")
         if abs(q.sum() - 1.0) > 1e-12:

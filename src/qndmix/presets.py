@@ -234,10 +234,7 @@ def qubit_rotation(d: int = 2, box: tuple[float, float] = (0.5, 0.95)) -> Preset
     box).
     """
     sys = QndSystem(
-        system_dim=d,
-        probe_dim=2,
-        hamiltonians=lambda t, c: float(t[0]) * ((c + 1) / 2.0) * _SIGMA_X,
-        hamiltonian_grads=lambda t, c, k: ((c + 1) / 2.0) * _SIGMA_X,
+        generators=((np.arange(d) + 1) / 2.0)[:, None, None, None] * _SIGMA_X,
         probe=np.array([1.0, 0.0], dtype=complex),
     )
     pbox = ParameterBox(np.array([box[0]]), np.array([box[1]]))

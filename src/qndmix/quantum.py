@@ -2,9 +2,10 @@
 
 A QndSystem couples a d-level system to an l-level probe through a
 block-diagonal unitary sum_alpha |e_alpha><e_alpha| (x) U_alpha(theta), with
-U_alpha(theta) = exp(-i H_alpha(theta)).  Measuring the probe in a fixed
-orthonormal basis yields outcome distributions p_theta(j|alpha) that define a
-ParametricFamily, and Bayes' rule drives the conditional-state filter.
+U_alpha(theta) = exp(-i sum_k theta_k G_{alpha,k}) for fixed Hermitian
+generators G.  Measuring the probe in a fixed orthonormal basis yields outcome
+distributions p_theta(j|alpha) that define a ParametricFamily, and Bayes' rule
+drives the conditional-state filter.
 
 Inner products are linear in the second argument throughout: <a, b> = a^dag b.
 """
@@ -12,7 +13,7 @@ Inner products are linear in the second argument throughout: <a, b> = a^dag b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,22 +78,24 @@ def hermitian_expm(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
 class QndSystem:
     """Quantum data inducing a mixture-of-multinomials model.
 
-    hamiltonians(theta, alpha) must return the Hermitian l x l generator
-    H_alpha(theta); hamiltonian_grads(theta, alpha, k), when given, its
-    partial derivative in theta_k.  probe_basis stores the measurement basis
-    as columns; the default is the canonical basis.
+    generators has shape (d, D, l, l): generators[alpha, k] is the Hermitian
+    matrix G_{alpha,k}, and H_alpha(theta) = sum_k theta_k G_{alpha,k}.
+    probe_basis stores the measurement basis as columns; the default is the
+    canonical basis.
     """
 
-    system_dim: int
-    probe_dim: int
-    hamiltonians: Callable[[np.ndarray, int], np.ndarray]
+    generators: np.ndarray
     probe: np.ndarray
-    hamiltonian_grads: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None
     probe_basis: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.system_dim < 1 or self.probe_dim < 2:
-            raise ConstructionError("need system_dim >= 1 and probe_dim >= 2")
+        g = np.array(self.generators, dtype=complex)
+        if g.ndim != 4 or min(g.shape[:2]) < 1 or g.shape[2] < 2:
+            raise ConstructionError(f"generators must have shape (d, D, l, l) with d, D >= 1 "
+                                    f"and l >= 2, got {g.shape}")
+        _require_hermitian(g)
+        g.setflags(write=False)
+        object.__setattr__(self, "generators", g)
         psi = np.asarray(self.probe, dtype=complex).reshape(-1)
         if psi.size != self.probe_dim:
             raise ConstructionError("probe vector has wrong dimension")
@@ -112,48 +115,51 @@ class QndSystem:
         basis.setflags(write=False)
         object.__setattr__(self, "probe_basis", basis)
 
+    @property
+    def system_dim(self) -> int:
+        return self.generators.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.generators.shape[1]
+
+    @property
+    def probe_dim(self) -> int:
+        return self.generators.shape[2]
+
+
+def _unitaries(sys: QndSystem, theta) -> np.ndarray:
+    """U_alpha(theta) of every component, shape (..., d, l, l) for theta of
+    shape (..., D): the Hamiltonians of all points and components are built
+    by one einsum and exponentiated in one stacked call."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if t.shape[-1] != sys.dim:
+        raise DomainError(f"theta of shape {t.shape} does not end in D = {sys.dim}")
+    return hermitian_expm(np.einsum("...k,akij->...aij", t, sys.generators))
+
+
+def _component(sys: QndSystem, alpha: int) -> int:
+    if not 0 <= alpha < sys.system_dim:
+        raise DomainError(f"component index {alpha} outside 0..{sys.system_dim - 1}")
+    return alpha
+
 
 def unitary(sys: QndSystem, theta, alpha: int) -> np.ndarray:
     """Interaction unitary U_alpha(theta) = exp(-i H_alpha(theta))."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    h = _require_hermitian(sys.hamiltonians(t, alpha), what=f"H_{alpha}(theta)")
-    return hermitian_expm(h)
+    alpha = _component(sys, alpha)
+    return _unitaries(sys, theta)[..., alpha, :, :]
 
 
 def _amplitudes(sys: QndSystem, theta) -> np.ndarray:
     """Probe amplitudes <psi_j, U_alpha psi> of every component alpha and
-    outcome j, shape (..., d, l) for theta of shape (..., D): the generators
-    of all points and components are exponentiated in one stacked call."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    h = np.array([
-        [sys.hamiltonians(p, a) for a in range(sys.system_dim)]
-        for p in t.reshape(-1, t.shape[-1])
-    ], dtype=complex)
-    u = hermitian_expm(h)                              # (m, d, l, l)
-    amps = (u @ sys.probe) @ sys.probe_basis.conj()
-    return amps.reshape(t.shape[:-1] + amps.shape[1:])
+    outcome j, shape (..., d, l) for theta of shape (..., D)."""
+    return (_unitaries(sys, theta) @ sys.probe) @ sys.probe_basis.conj()
 
 
 def outcome_probs(sys: QndSystem, theta, alpha: int) -> np.ndarray:
     """Outcome distribution p(j|alpha) = |<psi_j, U_alpha(theta) psi>|^2."""
+    alpha = _component(sys, alpha)
     return np.abs(_amplitudes(sys, theta)[..., alpha, :]) ** 2
-
-
-def _score_row(sys: QndSystem, theta, alpha: int, k: int) -> np.ndarray:
-    """Analytic score d ln p(j|alpha) / d theta_k = 2 Im(<psi_j, dH U psi> / <psi_j, U psi>).
-
-    Valid when H_alpha(theta) commutes with its theta_k-derivative (e.g. any
-    linear parameterization H_alpha(theta) = theta_k-weighted fixed generators),
-    so that dU = -i dH U.  The family's finite-difference consistency check
-    rejects generators that break this.
-    """
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    u = unitary(sys, t, alpha)
-    dh = _require_hermitian(sys.hamiltonian_grads(t, alpha, k), what="dH")
-    upsi = u @ sys.probe
-    num = sys.probe_basis.conj().T @ (dh @ upsi)   # <psi_j, dH U psi>
-    den = sys.probe_basis.conj().T @ upsi          # <psi_j, U psi>
-    return 2.0 * np.imag(num / den)
 
 
 def as_family(
@@ -167,25 +173,27 @@ def as_family(
     The positivity gate is enforced by the family constructor on its sampled
     grid plus an extra axis-wise scan here; an outcome with probability 0 or 1
     anywhere on the scan names the offending (theta, alpha, j) in the error.
-    When hamiltonian_grads is present the analytic score formula supplies the
-    gradient; otherwise the family falls back to finite differences.
+    The Jacobian is dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> /
+    <psi_j, U psi>), which holds when each H_alpha(theta) commutes with its
+    generators, so that dU = -i G U; the family's finite-difference
+    consistency check refuses generators that break this.
     """
-    d, l = sys.system_dim, sys.probe_dim
-    alphabet = Alphabet(size=l, labels=tuple(alphabet_labels))
-    components = ComponentSet(size=d, labels=tuple(component_labels))
+    if box.dimension != sys.dim:
+        raise ConstructionError(
+            f"box has dimension {box.dimension}, but the generators take D = {sys.dim}"
+        )
+    alphabet = Alphabet(size=sys.probe_dim, labels=tuple(alphabet_labels))
+    components = ComponentSet(size=sys.system_dim, labels=tuple(component_labels))
 
     def probs(theta: np.ndarray) -> np.ndarray:
         return np.abs(_amplitudes(sys, theta)) ** 2
 
-    dprobs = None
-    if sys.hamiltonian_grads is not None:
-        def dprobs(theta: np.ndarray) -> np.ndarray:
-            table = probs(theta)
-            jac = np.empty((box.dimension, d, l))
-            for k in range(box.dimension):
-                for a in range(d):
-                    jac[k, a] = table[a] * _score_row(sys, theta, a, k)
-            return jac
+    def dprobs(theta: np.ndarray) -> np.ndarray:
+        upsi = _unitaries(sys, theta) @ sys.probe                               # (d, l)
+        den = upsi @ sys.probe_basis.conj()                                     # <psi_j, U psi>
+        num = np.einsum("akij,aj->aki", sys.generators, upsi) @ sys.probe_basis.conj()
+        jac = (np.abs(den) ** 2)[:, None, :] * (2.0 * np.imag(num / den[:, None, :]))
+        return np.swapaxes(jac, 0, 1)                                           # (D, d, l)
 
     # Axis-wise positivity scan with named diagnostics before handing off to
     # the generic construction checks: scan[k, i] moves axis k to its i-th point.
@@ -207,7 +215,7 @@ def as_family(
         box=box,
         probs=probs,
         dprobs=dprobs,
-        regularity="C2" if sys.hamiltonian_grads is not None else "C1",
+        regularity="C2",
     )
 
 
@@ -229,7 +237,8 @@ class FilterState:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-10:
+        if (q.ndim != 1 or not np.all(np.isfinite(q)) or np.any(q < 0.0)
+                or abs(q.sum() - 1.0) > 1e-10):
             raise ConstructionError(f"posterior {q} is not on the simplex")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -237,6 +246,8 @@ class FilterState:
             phi = np.asarray(self.phi, dtype=complex).reshape(-1)
             if phi.size != q.size:
                 raise ConstructionError("phi and q must have the same dimension")
+            if not np.all(np.isfinite(phi)):
+                raise ConstructionError(f"phi {phi} has non-finite entries")
             if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
                 raise ConstructionError(f"phi has norm {np.linalg.norm(phi)}, not 1")
             if np.max(np.abs(np.abs(phi) ** 2 - q)) > 1e-10:
@@ -248,7 +259,10 @@ class FilterState:
     @classmethod
     def from_phi(cls, phi: Sequence[complex]) -> "FilterState":
         phi = np.asarray(phi, dtype=complex).reshape(-1)
-        phi = phi / np.linalg.norm(phi)
+        norm = np.linalg.norm(phi)
+        if not 0.0 < norm < np.inf:
+            raise ConstructionError(f"phi has norm {norm}; cannot normalize")
+        phi = phi / norm
         return cls(q=np.abs(phi) ** 2, step=0, phi=phi)
 
     @classmethod

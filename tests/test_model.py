@@ -85,6 +85,11 @@ def test_weights_validation():
     assert q.log() == pytest.approx(np.log([0.25, 0.75]))
 
 
+def test_weights_refuse_nan():
+    with pytest.raises(ConstructionError, match="non-finite"):
+        MixtureWeights(np.array([np.nan, np.nan]))
+
+
 def test_weights_are_immutable():
     q = MixtureWeights.normalized([1.0, 1.0])
     with pytest.raises(ValueError):

@@ -79,12 +79,7 @@ def test_qubit_probabilities_are_cos_squared():
 
 
 def test_unitary_of_sigma_z_is_diagonal_phase():
-    sys = QndSystem(
-        system_dim=1,
-        probe_dim=2,
-        hamiltonians=lambda t, c: float(t[0]) * SIGMA_Z,
-        probe=np.array([1.0, 0.0]),
-    )
+    sys = QndSystem(generators=SIGMA_Z[None, None], probe=np.array([1.0, 0.0]))
     u = unitary(sys, [0.4], 0)
     np.testing.assert_allclose(u, np.diag([np.exp(-0.4j), np.exp(0.4j)]), atol=1e-12)
 
@@ -95,21 +90,77 @@ def test_unitary_of_sigma_z_is_diagonal_phase():
 
 def test_system_rejects_unnormalized_probe():
     with pytest.raises(ConstructionError):
-        QndSystem(
-            system_dim=1, probe_dim=2,
-            hamiltonians=lambda t, c: SIGMA_X,
-            probe=np.array([1.0, 1.0]),
-        )
+        QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 1.0]))
 
 
 def test_system_rejects_non_orthonormal_basis():
     with pytest.raises(ConstructionError):
         QndSystem(
-            system_dim=1, probe_dim=2,
-            hamiltonians=lambda t, c: SIGMA_X,
+            generators=SIGMA_X[None, None],
             probe=np.array([1.0, 0.0]),
             probe_basis=np.array([[1.0, 1.0], [0.0, 1.0]]),
         )
+
+
+def test_system_dimensions_come_from_generators():
+    gens = np.stack([np.stack([SIGMA_X, SIGMA_Z])] * 3)            # (d, D, l, l) = (3, 2, 2, 2)
+    sys = QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
+    assert (sys.system_dim, sys.dim, sys.probe_dim) == (3, 2, 2)
+    assert not sys.generators.flags.writeable
+    gens[1, 0, 0, 1] += 1.0
+    with pytest.raises(ConstructionError, match=r"at stack index \(1, 0\)"):
+        QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
+    with pytest.raises(ConstructionError, match=r"shape \(d, D, l, l\)"):
+        QndSystem(generators=SIGMA_X[None], probe=np.array([1.0, 0.0]))
+
+
+def test_component_index_outside_range_is_refused(qubit):
+    with pytest.raises(DomainError, match="component index 7"):
+        unitary(qubit.system, [0.8], 7)
+    for alpha in (-1, 2):
+        with pytest.raises(DomainError, match="component index"):
+            outcome_probs(qubit.system, [0.8], alpha)
+
+
+def test_as_family_refuses_box_of_wrong_dimension(qubit):
+    box = ParameterBox(np.array([0.5, 0.5]), np.array([0.95, 0.95]))
+    with pytest.raises(ConstructionError, match="box has dimension 2"):
+        as_family(qubit.system, box)
+
+
+def _two_generator_family(second):
+    """d = 2, D = 2: G_{alpha,0} = (alpha/2) sigma_x and G_{alpha,1} = alpha * second."""
+    gens = np.stack([a * np.stack([0.5 * SIGMA_X, second]) for a in (1.0, 2.0)])
+    sys = QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
+    return as_family(sys, ParameterBox(np.array([0.3, 0.2]), np.array([0.6, 0.6])))
+
+
+def test_commuting_two_parameter_family():
+    """With commuting generators the stacked tables equal the pointwise ones
+    and the analytic Jacobian agrees with central differences."""
+    fam = _two_generator_family(0.25 * SIGMA_X)
+    assert fam.dim == 2 and not fam.derivatives_are_numeric()
+    rng = np.random.default_rng(3)
+    points = rng.uniform([0.32, 0.22], [0.58, 0.58], size=(16, 2))
+    stacked = fam.prob_table(points)
+    for t, table in zip(points, stacked):
+        np.testing.assert_array_equal(table, fam.prob_table(t))
+        # p(0|alpha) = cos^2(alpha (theta_0/2 + theta_1/4)).
+        np.testing.assert_allclose(
+            table[:, 0], np.cos(np.array([1.0, 2.0]) * (t[0] / 2 + t[1] / 4)) ** 2, atol=1e-14
+        )
+        step = 1e-6
+        for k in range(2):
+            e = np.eye(2)[k] * step
+            fd = (fam.prob_table(t + e) - fam.prob_table(t - e)) / (2 * step)
+            np.testing.assert_allclose(fam.dprob_table(t)[k], fd, atol=1e-8)
+
+
+def test_non_commuting_generators_are_refused():
+    """sigma_x and sigma_z do not commute, so dU != -i G U; the family's
+    finite-difference check catches the wrong analytic Jacobian."""
+    with pytest.raises(ConstructionError, match="inconsistent with finite differences"):
+        _two_generator_family(SIGMA_Z)
 
 
 def test_as_family_analytic_score_matches_fd():
@@ -138,8 +189,7 @@ def test_qubit_d3_valid_on_smaller_box():
 def test_custom_probe_basis_changes_statistics():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     sys = QndSystem(
-        system_dim=1, probe_dim=2,
-        hamiltonians=lambda t, c: float(t[0]) * 0.5 * SIGMA_X,
+        generators=0.5 * SIGMA_X[None, None],
         probe=np.array([1.0, 0.0]),
         probe_basis=hadamard.astype(complex),
     )
@@ -162,6 +212,22 @@ def test_filter_state_validation():
         FilterState(q=np.array([0.5, 0.5]), step=0, phi=np.array([1.0, 0.0]))
     state = FilterState.from_weights([2.0, 2.0])
     np.testing.assert_allclose(state.q, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FilterState(q=np.array([np.nan, np.nan]), step=0),
+    lambda: FilterState(q=np.array([0.5, 0.5]), step=0, phi=np.array([np.nan, np.nan])),
+    lambda: FilterState.from_phi([0.0, 0.0]),
+], ids=["nan_q", "nan_phi", "zero_phi"])
+def test_filter_state_refuses_non_finite_input(make):
+    with pytest.raises(ConstructionError):
+        make()
+
+
+def test_filter_step_refuses_theta_of_wrong_length(qubit):
+    state = FilterState.from_weights(qubit.q.q)
+    with pytest.raises(DomainError, match="does not end in D = 1"):
+        filter_step(qubit.system, state, [0.8, 123.0], 0)
 
 
 def test_filter_step_bayes_oracle(bernoulli_pair, uniform2):
@@ -241,11 +307,7 @@ def test_canonical_phase():
 
 def test_identical_components_learn_nothing(uniform2):
     """If every component shares one Hamiltonian, the posterior never moves."""
-    sys = QndSystem(
-        system_dim=2, probe_dim=2,
-        hamiltonians=lambda t, c: float(t[0]) * 0.5 * SIGMA_X,
-        probe=np.array([1.0, 0.0]),
-    )
+    sys = QndSystem(generators=np.stack([0.5 * SIGMA_X[None]] * 2), probe=np.array([1.0, 0.0]))
     state = FilterState.from_weights(uniform2.q)
     for j in (0, 1, 0, 0, 1):
         state = filter_step(sys, state, [0.8], j)
