@@ -377,7 +377,9 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     """Error quantiles of the mixture MLE along the n grid; medians must fall.
 
     Each n also reports boundary_hits, the number of estimates on the edge of
-    the search box, where the box truncates the error distribution.
+    the search box, where the box truncates the error distribution, and
+    max_evaluations, the most objective evaluations one record's refinement
+    took.
     """
     estimate = _scalar_mle(plan)
     n_grid = sorted(plan.n_grid)
@@ -396,6 +398,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
             "q90_abs_error": float(np.quantile(errors, 0.9)),
             "max_abs_error": float(errors.max()),
             "boundary_hits": int(res.boundary.sum()),
+            "max_evaluations": int(res.evaluations.max()),
         }
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     report = {
@@ -435,8 +438,9 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     theta* - h/sqrt(n)) must match 1/I(gamma) within the efficiency band; the
     mixture second moment must match sum_a q(a)/I(a) within 10%.  Each
     component and the mixture report boundary_hits, the number of estimates on
-    the edge of the search box, which truncate the variance; the verdict does
-    not use them.
+    the edge of the search box, which truncate the variance, and
+    max_evaluations, the most objective evaluations one replication's
+    refinement took; the verdict uses neither.
     """
     estimate = _scalar_mle(plan)
     fishers = _component_fishers(plan)[:, 0, 0]
@@ -463,6 +467,7 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "target_var": target,
             "efficiency_ratio": float(ratio),
             "boundary_hits": int(res.boundary.sum()),
+            "max_evaluations": int(res.evaluations.max()),
             "passed": bool(ok),
         }
         all_pass = all_pass and ok
@@ -489,6 +494,7 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "target": target_second,
             "ratio": second / target_second,
             "boundary_hits": int(res.boundary.sum()),
+            "max_evaluations": int(res.evaluations.max()),
             "passed": bool(mix_ok),
         },
         "efficiency_band": CRAMER_RATIO_BAND,

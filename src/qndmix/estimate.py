@@ -7,6 +7,9 @@ record only through its outcome counts:
 
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
+
+For D = 1, maximize_scalar fits many records at once: a coarse scan, then
+bracketed root-finding on the analytic mixture score.
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ __all__ = [
     "mle",
 ]
 
-GOLDEN_TOL = 1e-8
 COARSE_POINTS = 64
 TIE_TOL = 1e-12
+# Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
+EXP_FLOOR = -700.0
+# Score-root refinement (D = 1): a candidate stops once its last step or its
+# bracket is below STEP_TOL, and is left unconverged after MAX_STEPS steps.
+STEP_TOL = 1e-8
+MAX_STEPS = 60
 # Multi-start projected gradient ascent (D > 1).
 N_STARTS = 8
 GRAD_TOL = 1e-7
 MAX_ITER = 500
-INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -187,13 +194,16 @@ def log_sum_paths(ell_a: np.ndarray, ell_b: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarMaxima:
-    """Output of maximize_scalar: x, value, tie and boundary hold one entry per
-    row; the scan and the refined candidates make up each row's trace."""
+    """Output of maximize_scalar: x, value, tie, boundary, evaluations and
+    converged hold one entry per row; the scan and the refined candidates make
+    up each row's trace."""
 
     x: np.ndarray
     value: np.ndarray
     tie: np.ndarray
     boundary: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
     scan_x: np.ndarray
     scan_values: np.ndarray
     cand_rows: np.ndarray
@@ -208,18 +218,27 @@ class ScalarMaxima:
 
 
 def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
-    """Maximize R scalar objectives ("rows") on [lo, hi] at once.
+    """Maximize R smooth scalar objectives ("rows") on [lo, hi] at once.
 
     ``f(x)`` evaluates every row at every point of the 1-D array x and returns
     an (R, len(x)) array (or a length-len(x) vector when R = 1);
-    ``f(x, rows)`` evaluates row rows[i] at x[i] and returns a vector.
+    ``f(x, rows)`` evaluates row rows[i] at x[i] and returns three vectors:
+    the values, the slopes and a negative curvature (an expected Hessian will
+    do), which is used for the first step only.
 
-    A shared scan of COARSE_POINTS points is followed by golden-section
-    refinement, down to a bracket of width GOLDEN_TOL, of the bracket around
-    the scan argmax and around every strict local maximum of the scan; all
-    brackets of all rows advance together.  Per row, the best refined value
-    wins; a runner-up from another bracket within TIE_TOL sets the tie flag,
-    and ties resolve to the smaller x.
+    A shared scan of COARSE_POINTS points picks each row's candidates: the
+    scan argmax and every strict local maximum.  Each candidate starts at its
+    scan point, bracketed by the two scan neighbours, and steps towards a
+    root of its slope: one Newton step with the supplied curvature, then
+    secant steps.  The sign of the slope moves the bracket ends, and a step
+    that would leave the bracket bisects it instead.  A candidate stops once
+    its last step or its bracket is below STEP_TOL, so one whose slope points
+    out of the box at a box edge stops on that edge.  All candidates of all
+    rows advance together.  Per row, the best refined value wins; a runner-up
+    from another candidate within TIE_TOL sets the tie flag, and ties resolve
+    to the smaller x.  evaluations counts a row's refinement evaluations over
+    all its candidates; a row is converged when every candidate stopped within
+    MAX_STEPS steps.
     """
     xs = np.linspace(lo, hi, COARSE_POINTS)
     scan = np.atleast_2d(f(xs))
@@ -228,53 +247,64 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
     peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
     rows, idx = np.nonzero(peak)
 
+    x = xs[idx]
     a = xs[np.maximum(idx - 1, 0)]
     b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc = np.array(f(c, rows), dtype=float)
-    fd = np.array(f(d, rows), dtype=float)
-    while True:
-        act = np.nonzero(b - a > GOLDEN_TOL)[0]
-        if act.size == 0:
+    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows))
+    evaluations = np.ones(rows.size, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -slope / curvature
+    moved = np.full(rows.size, np.inf)
+    act = np.arange(rows.size)
+    for n_steps in range(MAX_STEPS + 1):
+        # A positive slope moves the lower end up to x, a negative one the
+        # upper end down; a zero slope closes the bracket.
+        a[act] = np.where(slope[act] >= 0, x[act], a[act])
+        b[act] = np.where(slope[act] <= 0, x[act], b[act])
+        act = act[(b[act] - a[act] > STEP_TOL) & (moved[act] > STEP_TOL)]
+        if act.size == 0 or n_steps == MAX_STEPS:
             break
-        left = fc[act] > fd[act]
-        # Keep [a, d] and probe a new c, or keep [c, b] and probe a new d.
-        li, ri = act[left], act[~left]
-        b[li], d[li], fd[li] = d[li], c[li], fc[li]
-        c[li] = b[li] - INV_PHI * (b[li] - a[li])
-        a[ri], c[ri], fc[ri] = c[ri], d[ri], fd[ri]
-        d[ri] = a[ri] + INV_PHI * (b[ri] - a[ri])
-        f_new = f(np.where(left, c[act], d[act]), rows[act])
-        fc[li], fd[ri] = f_new[left], f_new[~left]
-    cand_x = np.where(fc > fd, c, d)
-    cand_f = np.maximum(fc, fd)
+        x_act, lo_act, hi_act = x[act], a[act], b[act]
+        new = x_act + step[act]
+        new = np.where((new > lo_act) & (new < hi_act), new, 0.5 * (lo_act + hi_act))
+        v, s, _ = f(new, rows[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step[act] = s * (new - x_act) / (slope[act] - s)
+        moved[act] = np.abs(new - x_act)
+        x[act], value[act], slope[act] = new, v, s
+        evaluations[act] += 1
 
     # Candidates ordered by row, then best value, then smaller x; the runner-up
     # is the next candidate when it belongs to the same row.
-    order = np.lexsort((cand_x, -cand_f, rows))
+    order = np.lexsort((x, -value, rows))
     _, first = np.unique(rows[order], return_index=True)
     best, runner = order[first], order[np.minimum(first + 1, order.size - 1)]
-    x_hat = cand_x[best]
+    x_hat = x[best]
     return ScalarMaxima(
         x=x_hat,
-        value=cand_f[best],
+        value=value[best],
         tie=(runner != best)
         & (rows[runner] == rows[best])
-        & (cand_f[best] - cand_f[runner] <= TIE_TOL),
-        boundary=(x_hat - lo <= GOLDEN_TOL) | (hi - x_hat <= GOLDEN_TOL),
+        & (value[best] - value[runner] <= TIE_TOL),
+        boundary=(x_hat - lo <= STEP_TOL) | (hi - x_hat <= STEP_TOL),
+        evaluations=np.bincount(rows, weights=evaluations, minlength=len(scan)).astype(int),
+        converged=np.bincount(rows[act], minlength=len(scan)) == 0,
         scan_x=xs,
         scan_values=scan,
         cand_rows=rows,
-        cand_x=cand_x,
-        cand_values=cand_f,
+        cand_x=x,
+        cand_values=value,
     )
 
 
 def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> Callable:
     """maximize_scalar objective (D = 1): row r's normalized log-likelihood
 
-        (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)).
+        (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)),
+
+    with, at trial points, its slope (the mixture score over n_r) and the
+    Fisher-scoring curvature -sum_alpha w_alpha I_alpha(x), where w are the
+    posterior component weights of the row at x.
 
     logq is (R, d) and counts (R, l); either may have a single row shared by
     all.  Log-weights 0 on one component and -inf elsewhere give that
@@ -286,26 +316,48 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     counts = np.broadcast_to(counts, (n_rows, counts.shape[1]))
     n = counts.sum(axis=1)
 
-    def f(x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        logp = fam.log_prob_table(x[:, None])                            # (m, d, l)
+    def f(x: np.ndarray, rows: Optional[np.ndarray] = None):
         if rows is None:
-            terms = np.einsum("mdl,rl->rmd", logp, counts) + logq[:, None, :]
-            return _logsumexp(terms) / n[:, None]
-        terms = np.einsum("mdl,ml->md", logp, counts[rows]) + logq[rows]
-        return _logsumexp(terms) / n[rows]
+            # Component-major terms (d, m, R): the sum over components runs
+            # elementwise over d contiguous (m, R) slabs.
+            logp = np.swapaxes(fam.log_prob_table(x[:, None]), 0, 1)     # (d, m, l)
+            d, m, l = logp.shape
+            terms = (logp.reshape(d * m, l) @ counts.T).reshape(d, m, n_rows)
+            terms += logq.T[:, None, :]
+            return (_logsumexp(terms, axis=0) / n).T
+        p = fam.prob_table(x[:, None])                                   # (k, d, l)
+        dp = fam.dprob_table(x[:, None])[:, 0]                           # (k, d, l)
+        c = counts[rows]
+        terms = np.einsum("kdl,kl->kd", np.log(p), c) + logq[rows]
+        total = _logsumexp(terms)
+        w = np.exp(terms - total[:, None])
+        score = dp / p
+        slope = np.sum(w * np.einsum("kdl,kl->kd", score, c), axis=1) / n[rows]
+        curvature = -np.sum(w * np.einsum("kdl,kdl->kd", dp, score), axis=1)
+        return total / n[rows], slope, curvature
 
     return f
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """ln sum exp(a) over the last axis, for rows holding at least one finite
-    entry.  As scipy.special.logsumexp does, the row maxima are left out of
-    the shifted sum and added back through log1p, so the two agree bit for bit."""
-    a_max = a.max(axis=-1, keepdims=True)
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """ln sum exp(a) over one axis (the last by default), for slices holding at
+    least one finite entry.  As scipy.special.logsumexp does, the maxima are
+    left out of the shifted sum and added back through log1p, so the two agree
+    bit for bit unless the result lies within about 1e-280 of zero.
+
+    Shifted entries at or below EXP_FLOOR count as 0, and exp is evaluated at
+    the floor instead: each such entry would add less than 1e-304 to the sum,
+    and exp's underflowing path is many times slower than its normal one."""
+    a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
-    ties = top.sum(axis=-1, keepdims=True).astype(float)
-    s = np.where(top, 0.0, np.exp(a - a_max)).sum(axis=-1, keepdims=True)
-    return (np.log1p(s / ties) + np.log(ties) + a_max)[..., 0]
+    ties = top.sum(axis=axis, keepdims=True).astype(float)
+    e = np.subtract(a, a_max)
+    live = (e > EXP_FLOOR) & ~top
+    np.maximum(e, EXP_FLOOR, out=e)
+    np.exp(e, out=e)
+    e *= live
+    s = e.sum(axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
 
 
 def _maximize_box(
@@ -376,8 +428,8 @@ def mle(
     """Maximum-likelihood estimation of theta over the box.
 
     D=1 uses maximize_scalar, with the mixture likelihood and the d
-    single-component likelihoods as the rows of one call; D>1 multi-start
-    projected gradient ascent.  The report carries the per-component MLEs (the
+    single-component likelihoods as the rows of one call, and converged is
+    the mixture row's flag; D>1 multi-start projected gradient ascent.  The report carries the per-component MLEs (the
     same optimizer applied to each single-component likelihood), the posterior
     component weights at the argmax and each component's Fisher matrix there.
     Boundary maxima are legal but flagged.
@@ -399,7 +451,7 @@ def mle(
         f = loglik_rows(fam, logq, counts.counts)
         res = maximize_scalar(f, float(lower[0]), float(upper[0]))
         theta_hat, f_hat = res.x[:1], float(res.value[0])
-        tie, boundary, converged = bool(res.tie[0]), bool(res.boundary[0]), True
+        tie, boundary, converged = bool(res.tie[0]), bool(res.boundary[0]), bool(res.converged[0])
         trace = [(np.array([x]), v) for x, v in res.trace(0)]
         per_comp_hats = res.x[1:, None]
     else:

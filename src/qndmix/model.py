@@ -140,13 +140,14 @@ class ParametricFamily:
     row alpha of each table holds the outcome distribution p_theta(.|alpha).
     A single point, shape (D,), gives one (d, l) table; a stack of m points,
     shape (m, D), gives m tables in one call.  An optional ``dprobs(theta)``
-    returns the parameter Jacobian at a single point with shape (D, d, l).
+    returns the parameter Jacobian in the same way: shape (..., D, d, l) for
+    theta of shape (..., D).
 
     Construction validates, on a sample of box points, that every row is a
-    probability vector with entries strictly inside (0, 1), that the tables of
-    the stacked sample match those of its points one at a time, and that the
-    analytic Jacobian (when given) is consistent with central finite
-    differences.  Violations raise ConstructionError; nothing is clamped.
+    probability vector with entries strictly inside (0, 1), that the analytic
+    Jacobian (when given) is consistent with finite differences, and that the
+    tables and Jacobians of the stacked sample match those of its points one
+    at a time.  Violations raise ConstructionError; nothing is clamped.
     """
 
     def __init__(
@@ -201,58 +202,61 @@ class ParametricFamily:
         return float(self.prob_table(theta)[alpha, j])
 
     def dprob_table(self, theta) -> np.ndarray:
-        """Jacobian d p_theta(j|alpha) / d theta_k, shape (D, d, l).
+        """Jacobian d p_theta(j|alpha) / d theta_k: shape (D, d, l) for one
+        point, (..., D, d, l) for a stack of points of shape (..., D).
 
-        Falls back to central finite differences (relative step 1e-5) when no
-        analytic rule was supplied; a family declared merely ``continuous``
-        refuses with CapabilityError.
+        Falls back to finite differences (relative step 1e-5) when no analytic
+        rule was supplied; a family declared merely ``continuous`` refuses
+        with CapabilityError.
         """
         t = self.box.require(theta)
-        if t.ndim != 1:
-            raise DomainError(f"dprob_table takes one point, got theta of shape {t.shape}")
-        if self._dprobs is not None:
-            jac = np.asarray(self._dprobs(t), dtype=float)
-            expected = (self.dim, self.n_components, self.n_outcomes)
-            if jac.shape != expected:
-                raise ConstructionError(f"dprobs returned shape {jac.shape}, expected {expected}")
-            return jac
-        if self.regularity == "continuous":
-            raise CapabilityError("family declares no differentiability; derivatives unavailable")
-        return self._fd_dprob_table(t)
+        if self._dprobs is None:
+            if self.regularity == "continuous":
+                raise CapabilityError("family declares no differentiability; derivatives unavailable")
+            return self._fd_dprob_table(t)
+        jac = np.asarray(self._dprobs(t), dtype=float)
+        expected = t.shape[:-1] + (self.dim, self.n_components, self.n_outcomes)
+        if jac.shape != expected:
+            raise ConstructionError(f"dprobs returned shape {jac.shape}, expected {expected}")
+        return jac
 
     def _fd_dprob_table(self, t: np.ndarray) -> np.ndarray:
-        jac = np.empty((self.dim, self.n_components, self.n_outcomes))
-
-        def at(point, k, offset):
-            p = point.copy()
-            p[k] += offset
-            return np.asarray(self._probs(p), dtype=float)
-
+        """Finite-difference Jacobian of probs, shape (..., D, d, l) for t of
+        shape (..., D).  Each row takes a central difference where one step
+        fits on both sides, a second-order one-sided stencil where only one
+        side has room for two steps, and otherwise a central difference shrunk
+        to the room it has."""
+        jac = np.empty(t.shape + (self.n_components, self.n_outcomes))
         for k in range(self.dim):
-            step = FD_REL_STEP * (1.0 + abs(t[k]))
-            room_lo = t[k] - self.box.lower[k]
-            room_hi = self.box.upper[k] - t[k]
-            if room_lo >= step and room_hi >= step:
-                jac[k] = (at(t, k, step) - at(t, k, -step)) / (2.0 * step)
-            elif room_hi >= 2.0 * step:
-                # Second-order forward stencil when the lower edge is too close.
-                jac[k] = (
-                    -3.0 * at(t, k, 0.0) + 4.0 * at(t, k, step) - at(t, k, 2.0 * step)
-                ) / (2.0 * step)
-            elif room_lo >= 2.0 * step:
-                jac[k] = (
-                    3.0 * at(t, k, 0.0) - 4.0 * at(t, k, -step) + at(t, k, -2.0 * step)
-                ) / (2.0 * step)
-            else:
-                # Box thinner than two steps; fall back to a shrunken central
-                # difference over whatever room exists.
-                small = max(min(room_lo, room_hi), 1e-12)
-                jac[k] = (at(t, k, small) - at(t, k, -small)) / (2.0 * small)
+            x = t[..., k]
+            step = FD_REL_STEP * (1.0 + np.abs(x))
+            room_lo, room_hi = x - self.box.lower[k], self.box.upper[k] - x
+            central = (room_lo >= step) & (room_hi >= step)
+            forward = ~central & (room_hi >= 2.0 * step)
+            backward = ~central & ~forward & (room_lo >= 2.0 * step)
+            one_sided = forward | backward
+            h = np.where(
+                central | one_sided, step, np.maximum(np.minimum(room_lo, room_hi), 1e-12)
+            )
+            sign = np.where(backward, -1.0, 1.0)
+
+            def at(offset):
+                p = t.copy()
+                p[..., k] += offset
+                return np.asarray(self._probs(p), dtype=float)
+
+            near = at(sign * h)
+            far = at(np.where(one_sided, 2.0 * sign * h, -h))
+            diff = near - far
+            if np.any(one_sided):
+                side = sign[..., None, None] * (-3.0 * at(0.0) + 4.0 * near - far)
+                diff = np.where(one_sided[..., None, None], side, diff)
+            jac[..., k, :, :] = diff / (2.0 * h)[..., None, None]
         return jac
 
     def score_table(self, theta) -> np.ndarray:
-        """Score d ln p / d theta_k, shape (D, d, l)."""
-        return self.dprob_table(theta) / self.prob_table(theta)[None, :, :]
+        """Score d ln p / d theta_k, shape (..., D, d, l) like dprob_table."""
+        return self.dprob_table(theta) / self.prob_table(theta)[..., None, :, :]
 
     def derivatives_are_numeric(self) -> bool:
         return self._dprobs is None
@@ -271,7 +275,7 @@ class ParametricFamily:
 
     def _validate(self):
         points = self._validation_points()
-        tables = []
+        tables, jacobians = [], []
         for t in points:
             table = np.asarray(self._probs(t), dtype=float)
             if table.shape != (self.n_components, self.n_outcomes):
@@ -294,6 +298,7 @@ class ParametricFamily:
                 raise ConstructionError(
                     f"distribution for alpha={a} sums to {table[a].sum()} at theta={t}"
                 )
+            tables.append(table)
             if self._dprobs is not None:
                 analytic = np.asarray(self._dprobs(t), dtype=float)
                 fd = self._fd_dprob_table(t)
@@ -302,17 +307,26 @@ class ParametricFamily:
                     raise ConstructionError(
                         f"analytic gradient inconsistent with finite differences at theta={t}"
                     )
-            tables.append(table)
-        stacked = np.asarray(self._probs(points), dtype=float)
-        if stacked.shape != (len(points), self.n_components, self.n_outcomes):
+                jacobians.append(analytic)
+        self._check_stack("probs", "(..., d, l)", self._probs, points, tables)
+        if self._dprobs is not None:
+            self._check_stack("dprobs", "(..., D, d, l)", self._dprobs, points, jacobians)
+
+    @staticmethod
+    def _check_stack(name: str, shape: str, fn: Callable, points: np.ndarray, singles: list):
+        """fn on the stacked points must give, row by row, its single-point
+        results within 1e-12."""
+        singles = np.array(singles)
+        stacked = np.asarray(fn(points), dtype=float)
+        if stacked.shape != singles.shape:
             raise ConstructionError(
-                f"probs returned shape {stacked.shape} for a stack of {len(points)} points; "
-                f"a stack of shape (..., D) must give tables of shape (..., d, l)"
+                f"{name} returned shape {stacked.shape} for a stack of {len(points)} points; "
+                f"a stack of shape (..., D) must give shape {shape}"
             )
-        err = np.max(np.abs(stacked - np.array(tables)), axis=(1, 2))
+        err = np.max(np.abs(stacked - singles).reshape(len(points), -1), axis=1)
         if np.any(err > 1e-12):
             raise ConstructionError(
-                f"probs on a stack of points differs by {err.max()} from probs at "
+                f"{name} on a stack of points differs by {err.max()} from {name} at "
                 f"theta={points[int(np.argmax(err))]} alone"
             )
 

@@ -102,8 +102,8 @@ def _toy_dprob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
     phases = _toy_phases(alpha_values, theta[..., 0])
     sin = np.sin(phases) * alpha_values[:, None]
     return np.concatenate(
-        [-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=1
-    )[None, :, :]
+        [-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1
+    )[..., None, :, :]
 
 
 def _toy_fisher(theta: float, alpha: float) -> float:
@@ -196,18 +196,17 @@ def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
         return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
 
     def dprobs(t: np.ndarray) -> np.ndarray:
-        theta4, phases, vis = t[0], t[1:5], t[5]
-        arg = np.outer(alpha_values, np.ones(4)) * theta4 + phases[None, :]
-        sin, cos = np.sin(arg), np.cos(arg)
-        jac = np.zeros((6, PHOTON_COMPONENTS, 8))
-        d_theta4 = -vis * sin * alpha_values[:, None] / 8
-        jac[0] = np.concatenate([d_theta4, -d_theta4], axis=1)
-        for a in range(4):
-            d_phase = np.zeros_like(sin)
-            d_phase[:, a] = -vis * sin[:, a] / 8
-            jac[1 + a] = np.concatenate([d_phase, -d_phase], axis=1)
-        jac[5] = np.concatenate([cos / 8, -cos / 8], axis=1)
-        return jac
+        theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
+        arg = alpha_values[:, None] * theta4 + phases           # (..., d, 4)
+        d_phase = -vis * np.sin(arg) / 8                        # d p(x=0) / d phase_a
+        # Rows theta4, phase_0..phase_3 and visibility; x = 1 flips the sign.
+        half = np.stack(
+            [d_phase * alpha_values[:, None]]
+            + [d_phase * (np.arange(4) == a) for a in range(4)]
+            + [np.cos(arg) / 8],
+            axis=-3,
+        )                                                       # (..., 6, d, 4)
+        return np.concatenate([half, -half], axis=-1)
 
     family = _toy_family(alpha_values, ParameterBox(lower, upper), probs, dprobs)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [vis_center]))

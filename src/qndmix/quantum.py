@@ -189,11 +189,10 @@ def as_family(
         return np.abs(_amplitudes(sys, theta)) ** 2
 
     def dprobs(theta: np.ndarray) -> np.ndarray:
-        upsi = _unitaries(sys, theta) @ sys.probe                               # (d, l)
-        den = upsi @ sys.probe_basis.conj()                                     # <psi_j, U psi>
-        num = np.einsum("akij,aj->aki", sys.generators, upsi) @ sys.probe_basis.conj()
-        jac = (np.abs(den) ** 2)[:, None, :] * (2.0 * np.imag(num / den[:, None, :]))
-        return np.swapaxes(jac, 0, 1)                                           # (D, d, l)
+        upsi = _unitaries(sys, theta) @ sys.probe                               # (..., d, l)
+        den = (upsi @ sys.probe_basis.conj())[..., None, :, :]                  # <psi_j, U psi>
+        num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
+        return np.abs(den) ** 2 * (2.0 * np.imag(num / den))                    # (..., D, d, l)
 
     # Axis-wise positivity scan with named diagnostics before handing off to
     # the generic construction checks: scan[k, i] moves axis k to its i-th point.
@@ -288,7 +287,11 @@ ModelLike = Union[QndSystem, ParametricFamily]
 
 
 def _outcome_matrix(model: ModelLike, theta) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Probabilities p(j|alpha) as (d, l) plus probe amplitudes when quantum."""
+    """Probabilities p(j|alpha) as (d, l) plus probe amplitudes when quantum,
+    at one parameter point; a stack of points is refused."""
+    if np.ndim(theta) > 1:
+        raise DomainError(f"the filter takes one parameter point, got theta of shape "
+                          f"{np.shape(theta)}")
     if isinstance(model, QndSystem):
         amps = _amplitudes(model, theta)
         return np.abs(amps) ** 2, amps

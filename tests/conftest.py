@@ -25,7 +25,7 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
         return np.concatenate([x, 1.0 - x], axis=-1)
 
     def dprobs(t):
-        return np.array([[[1.0, -1.0], [0.5, -0.5]]])
+        return np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], t.shape[:-1] + (1, 2, 2))
 
     return ParametricFamily(
         alphabet=Alphabet(size=2),
@@ -60,10 +60,10 @@ def make_random_family(rng):
         return table(t[..., 0])
 
     def dprobs(t):
-        x = float(t[0])
-        p = table(x)
+        x = t[..., 0, None, None]
+        p = table(t[..., 0])
         gp = b * c * np.cos(c * x + e)
-        return (p * (gp - np.sum(p * gp, axis=1, keepdims=True)))[None, :, :]
+        return (p * (gp - np.sum(p * gp, axis=-1, keepdims=True)))[..., None, :, :]
 
     return ParametricFamily(
         alphabet=Alphabet(size=l),

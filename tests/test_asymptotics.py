@@ -211,6 +211,27 @@ def test_boundary_hits_count_estimates_on_the_box_edge(toy, monkeypatch):
     assert flags[0] > 0
 
 
+def test_max_evaluations_report_the_costliest_refinement(toy, monkeypatch):
+    """The reported max_evaluations equal the largest per-row evaluation count
+    of the maximize_scalar calls behind each entry."""
+    counts = []
+
+    def recording(*args):
+        res = estimate.maximize_scalar(*args)
+        assert res.converged.all() and np.all(res.evaluations >= 1)
+        counts.append(int(res.evaluations.max()))
+        return res
+
+    monkeypatch.setattr("qndmix.asymptotics.maximize_scalar", recording)
+    plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
+    cr = cramer_rao_experiment(plan)
+    entries = [cr["per_component"][str(g)] for g in range(8)] + [cr["mixture"]]
+    assert [e["max_evaluations"] for e in entries] == counts
+    counts.clear()
+    cons = consistency_experiment(plan)
+    assert [cons["by_n"][n]["max_evaluations"] for n in ("1000", "4000")] == counts
+
+
 def test_cramer_rao_needs_scalar_parameter():
     pre = toy_haroche_full()
     plan = ExperimentPlan(

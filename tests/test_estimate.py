@@ -10,8 +10,10 @@ from qndmix.estimate import (
     _logsumexp,
     limit_loglik,
     log_sum_paths,
+    log_terms,
     loglik,
     loglik_component,
+    loglik_rows,
     maximize_scalar,
     mle,
 )
@@ -153,8 +155,20 @@ def test_log_sum_paths_validation():
 # Optimizers
 # ---------------------------------------------------------------------------
 
+def _objective(f, slope, curvature):
+    """maximize_scalar objective: values alone on the scan, and values, slopes
+    and curvatures at trial points."""
+    def obj(x, rows=None):
+        return f(x) if rows is None else (f(x), slope(x), curvature(x))
+    return obj
+
+
 def test_maximize_scalar_quadratic():
-    res = maximize_scalar(lambda x, rows=None: -(x - 0.37) ** 2, 0.0, 1.0)
+    res = maximize_scalar(
+        _objective(lambda x: -(x - 0.37) ** 2, lambda x: -2.0 * (x - 0.37),
+                   lambda x: np.full_like(x, -2.0)),
+        0.0, 1.0,
+    )
     x, fx, trace, tie, boundary = res.x[0], res.value[0], res.trace(0), res.tie[0], res.boundary[0]
     assert x == pytest.approx(0.37, abs=1e-7)
     assert fx == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +177,9 @@ def test_maximize_scalar_quadratic():
 
 
 def test_maximize_scalar_boundary_flag():
-    res = maximize_scalar(lambda x, rows=None: x, 0.0, 1.0)
+    res = maximize_scalar(
+        _objective(lambda x: x, np.ones_like, np.zeros_like), 0.0, 1.0
+    )
     x, boundary = res.x[0], res.boundary[0]
     assert x == pytest.approx(1.0, abs=1e-7)
     assert boundary
@@ -171,7 +187,11 @@ def test_maximize_scalar_boundary_flag():
 
 def test_maximize_scalar_tie_flag():
     # Symmetric double bump: equal maxima at +/- 1; ties resolve to smaller x.
-    res = maximize_scalar(lambda x, rows=None: -(x * x - 1.0) ** 2, -2.0, 2.0)
+    res = maximize_scalar(
+        _objective(lambda x: -(x * x - 1.0) ** 2, lambda x: -4.0 * x * (x * x - 1.0),
+                   lambda x: 4.0 - 12.0 * x * x),
+        -2.0, 2.0,
+    )
     x, tie = res.x[0], res.tie[0]
     assert tie
     assert abs(x) == pytest.approx(1.0, abs=1e-6)
@@ -237,7 +257,7 @@ def _two_param_family():
     def dprobs(t):
         da = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
         db = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
-        return np.stack([da, db])
+        return np.broadcast_to(np.stack([da, db]), t.shape[:-1] + (2, 2, 3))
 
     return ParametricFamily(
         alphabet=Alphabet(size=3),
@@ -275,7 +295,7 @@ def test_mle_finds_narrow_collision_peak():
 
 
 def test_mle_matches_fine_grid(bernoulli_pair, uniform2):
-    """Golden-section refinement lands on the same maximum a dense scan finds."""
+    """Score-root refinement lands on the same maximum a dense scan finds."""
     c = sample_counts(bernoulli_pair, [0.4], 1, 5_000, 30)
     report = mle(bernoulli_pair, uniform2, c)
     grid = np.linspace(0.2, 0.8, 20_001)
@@ -298,15 +318,55 @@ def test_logsumexp_matches_scipy():
         np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("name, theta_hat", [
-    ("toy_haroche", 0.7895963663687594),
-    ("toy_haroche_guerlin", 1.0376386147023493),
-    ("qubit_rotation", 0.7183978419938696),
-])
-def test_mle_pinned_on_seeded_record(name, theta_hat):
-    """theta_hat of `qndmix estimate --seed 7` at n = 1e4, to the last digit."""
+# theta_hat of `qndmix estimate --seed 7` at n = 1e4 per preset, and the value
+# the golden-section search gave before score-root refinement replaced it.
+PINNED = [
+    ("toy_haroche", 0.7895963675670539, 0.7895963663687594),
+    ("toy_haroche_guerlin", 1.0376386049084727, 1.0376386147023493),
+    ("qubit_rotation", 0.718397831696952, 0.7183978419938696),
+]
+
+
+def _seeded_record(name):
     pre = get_preset(name)
     traj = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, 7)
-    report = mle(pre.family, pre.q, counts(traj, n_outcomes=pre.family.n_outcomes),
-                 box=pre.search_box())
+    return pre, counts(traj, n_outcomes=pre.family.n_outcomes)
+
+
+@pytest.mark.parametrize("name, theta_hat", [pin[:2] for pin in PINNED])
+def test_mle_pinned_on_seeded_record(name, theta_hat):
+    """theta_hat of `qndmix estimate --seed 7` at n = 1e4, to the last digit."""
+    pre, c = _seeded_record(name)
+    report = mle(pre.family, pre.q, c, box=pre.search_box())
     assert float(report.theta_hat[0]) == theta_hat
+
+
+@pytest.mark.parametrize("name, theta_hat, golden", PINNED)
+def test_pinned_mle_is_closer_to_the_score_root(name, theta_hat, golden):
+    """The mixture score d/dtheta ln L = sum_alpha w_alpha sum_j N(j) s(j|alpha)
+    is smaller at the pinned theta_hat than at the golden-section value."""
+    pre, c = _seeded_record(name)
+
+    def score(x):
+        t = np.array([x])
+        terms = log_terms(pre.family, pre.q, c.counts, t)
+        w = np.exp(terms - logsumexp(terms))
+        return float(w @ (pre.family.score_table(t)[0] @ c.counts))
+
+    assert abs(score(theta_hat)) < abs(score(golden))
+    assert abs(score(theta_hat)) < 1e-10
+
+
+def test_unconverged_rows_are_flagged(monkeypatch):
+    """A row whose candidates are still moving at the step cap is reported
+    unconverged by maximize_scalar and by mle."""
+    pre, c = _seeded_record("toy_haroche")
+    report = mle(pre.family, pre.q, c, box=pre.search_box())
+    assert report.converged
+    monkeypatch.setattr("qndmix.estimate.MAX_STEPS", 1)
+    logq = np.vstack([pre.q.log(), pre.q.log()])
+    lo, hi = pre.search_box().lower[0], pre.search_box().upper[0]
+    res = maximize_scalar(loglik_rows(pre.family, logq, c.counts), lo, hi)
+    assert not res.converged.any()
+    np.testing.assert_array_equal(res.evaluations, [2, 2])
+    assert not mle(pre.family, pre.q, c, box=pre.search_box()).converged

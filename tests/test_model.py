@@ -185,6 +185,41 @@ def test_fd_step_shrinks_at_boundary(bernoulli_pair):
     np.testing.assert_allclose(jac, bernoulli_pair.dprob_table([0.8]), atol=1e-6)
 
 
+def test_fd_fallback_on_a_stack_equals_the_single_point_fallback():
+    """Rows within one step of either box edge take the one-sided stencils."""
+    fam = _fd_bernoulli_pair()
+    step = 1e-5 * 1.8
+    stack = np.array([[0.2], [0.2 + 0.5 * step], [0.37], [0.8 - 0.5 * step], [0.8]])
+    jacs = fam.dprob_table(stack)
+    assert jacs.shape == (5, 1, 2, 2)
+    for t, jac in zip(stack, jacs):
+        np.testing.assert_array_equal(jac, fam.dprob_table(t))
+    np.testing.assert_allclose(jacs, np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], jacs.shape),
+                               atol=1e-9)
+
+
+def test_fd_fallback_on_a_two_parameter_stack():
+    """D = 2: each axis picks its own stencil per row, and the stacked fallback
+    equals the single-point one row by row."""
+    box = ParameterBox(np.array([0.1, 0.1]), np.array([0.4, 0.4]))
+
+    def probs(t):
+        a, b = t[..., 0], t[..., 1]
+        row = np.stack([a * b, a * (1.0 - b), 1.0 - a], axis=-1)
+        return np.stack([row, row[..., ::-1]], axis=-2)
+
+    fam = ParametricFamily(Alphabet(size=3), ComponentSet(size=2), box, probs=probs)
+    stack = np.array([[0.1, 0.4], [0.25, 0.1 + 1e-6], [0.4 - 1e-6, 0.3]])
+    jacs = fam.dprob_table(stack)
+    for t, jac in zip(stack, jacs):
+        np.testing.assert_array_equal(jac, fam.dprob_table(t))
+        a, b = t
+        da = np.array([b, 1.0 - b, -1.0])
+        db = np.array([a, -a, 0.0])
+        np.testing.assert_allclose(jac[0], [da, da[::-1]], atol=1e-9)
+        np.testing.assert_allclose(jac[1], [db, db[::-1]], atol=1e-9)
+
+
 def test_prob_accessors(bernoulli_pair):
     table = bernoulli_pair.prob_table([0.4])
     np.testing.assert_allclose(table, [[0.4, 0.6], [0.2, 0.8]])

@@ -187,3 +187,35 @@ def test_probs_ignoring_the_stack_is_refused(name):
     reversed_rows = lambda t: fam.prob_table(t) if t.ndim == 1 else fam.prob_table(t)[::-1]
     with pytest.raises(ConstructionError, match="differs"):
         ParametricFamily(*parts, probs=reversed_rows)
+
+
+# ---------------------------------------------------------------------------
+# Stacked-theta Jacobians: dprobs maps (..., D) to (..., D, d, l)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_stacked_jacobians_equal_single_point_jacobians(name):
+    fam = get_preset(name).family
+    for stack in (fam._validation_points(), fam.box.grid(64)):
+        jacs = fam.dprob_table(stack)
+        assert jacs.shape == (len(stack), fam.dim, fam.n_components, fam.n_outcomes)
+        for t, jac in zip(stack, jacs):
+            assert jac.tobytes() == fam.dprob_table(t).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_dprobs_ignoring_the_stack_is_refused(name):
+    """A dprobs that returns one Jacobian for a whole stack has the wrong shape;
+    one whose stacked rows differ from its single-point Jacobians is refused too."""
+    fam = get_preset(name).family
+    parts = (fam.alphabet, fam.components, fam.box)
+    first_only = lambda t: fam.dprob_table(t.reshape(-1, fam.dim)[0])
+    with pytest.raises(ConstructionError, match="dprobs returned shape"):
+        ParametricFamily(*parts, probs=fam.prob_table, dprobs=first_only)
+    with pytest.raises(ConstructionError, match="dprobs returned shape"):
+        ParametricFamily(
+            *parts, probs=fam.prob_table, dprobs=first_only, validate=False
+        ).dprob_table(fam.box.grid(3))
+    reversed_rows = lambda t: fam.dprob_table(t) if t.ndim == 1 else fam.dprob_table(t)[::-1]
+    with pytest.raises(ConstructionError, match="dprobs on a stack of points differs"):
+        ParametricFamily(*parts, probs=fam.prob_table, dprobs=reversed_rows)

@@ -230,6 +230,13 @@ def test_filter_step_refuses_theta_of_wrong_length(qubit):
         filter_step(qubit.system, state, [0.8, 123.0], 0)
 
 
+@pytest.mark.parametrize("form", ["system", "family"])
+def test_filter_step_refuses_a_stacked_theta(qubit, form):
+    state = FilterState.from_weights(qubit.q.q)
+    with pytest.raises(DomainError, match=r"one parameter point, got theta of shape \(2, 1\)"):
+        filter_step(getattr(qubit, form), state, [[0.8], [0.9]], 1)
+
+
 def test_filter_step_bayes_oracle(bernoulli_pair, uniform2):
     # [DERIVED] theta = 0.5: p(0|.) = (0.5, 0.25); uniform prior and outcome 0
     # give posterior (0.5*0.5, 0.5*0.25)/0.375 = (2/3, 1/3).
