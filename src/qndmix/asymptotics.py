@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import log_ndtr, logsumexp
 
 from .errors import ConstructionError, SingularFisherError
 from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, maximize_scalar
@@ -171,7 +170,7 @@ def _anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
     n = x.size
     w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
     i = np.arange(1, n + 1)
-    a2 = -n - np.sum((2 * i - 1.0) / n * (norm.logcdf(w) + norm.logsf(w)[::-1]))
+    a2 = -n - np.sum((2 * i - 1.0) / n * (log_ndtr(w) + log_ndtr(-w)[::-1]))
     crit = np.round(AD_CRIT_1PCT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
     return float(a2), float(crit)
 

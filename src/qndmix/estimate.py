@@ -8,8 +8,9 @@ record only through its outcome counts:
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
 
-For D = 1, maximize_scalar fits many records at once: a coarse scan, then
-bracketed root-finding on the analytic mixture score.
+loglik_rows evaluates it and its score for many rows at once.  For D = 1,
+maximize_scalar fits the rows by a coarse scan, then bracketed root-finding
+on the score; for D > 1, _maximize_box by multi-start projected gradient ascent.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .model import (
@@ -298,12 +298,14 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
 
 
 def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> Callable:
-    """maximize_scalar objective (D = 1): row r's normalized log-likelihood
+    """Objective of maximize_scalar and _maximize_box: row r's normalized
+    log-likelihood
 
         (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)),
 
-    with, at trial points, its slope (the mixture score over n_r) and the
-    Fisher-scoring curvature -sum_alpha w_alpha I_alpha(x), where w are the
+    with, at trial points x (k scalars or (k, D)), its slope (the mixture
+    score over n_r) and the diagonal of the Fisher-scoring curvature
+    -sum_alpha w_alpha I_alpha(x), both shaped like x, where w are the
     posterior component weights of the row at x.
 
     logq is (R, d) and counts (R, l); either may have a single row shared by
@@ -325,16 +327,17 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
             terms = (logp.reshape(d * m, l) @ counts.T).reshape(d, m, n_rows)
             terms += logq.T[:, None, :]
             return (_logsumexp(terms, axis=0) / n).T
-        p = fam.prob_table(x[:, None])                                   # (k, d, l)
-        dp = fam.dprob_table(x[:, None])[:, 0]                           # (k, d, l)
+        t = x.reshape(len(x), -1)
+        p = fam.prob_table(t)                                            # (k, d, l)
+        dp = fam.dprob_table(t)                                          # (k, D, d, l)
         c = counts[rows]
         terms = np.einsum("kdl,kl->kd", np.log(p), c) + logq[rows]
         total = _logsumexp(terms)
-        w = np.exp(terms - total[:, None])
-        score = dp / p
-        slope = np.sum(w * np.einsum("kdl,kl->kd", score, c), axis=1) / n[rows]
-        curvature = -np.sum(w * np.einsum("kdl,kdl->kd", dp, score), axis=1)
-        return total / n[rows], slope, curvature
+        w = np.exp(terms - total[:, None])[:, None, :]
+        score = dp / p[:, None]
+        slope = np.sum(w * np.einsum("kidl,kl->kid", score, c), axis=-1) / n[rows, None]
+        curvature = -np.sum(w * np.einsum("kidl,kidl->kid", dp, score), axis=-1)
+        return total / n[rows], slope.reshape(x.shape), curvature.reshape(x.shape)
 
     return f
 
@@ -360,82 +363,89 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
 
 
-def _maximize_box(
-    f: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple[np.ndarray, float, list, bool, bool, bool]:
-    """Multi-start projected gradient ascent with backtracking (D > 1).
+def _halton(n: int, dim: int) -> np.ndarray:
+    """First n points of the unscrambled Halton sequence in [0, 1)^dim: the
+    radical inverses of 0, ..., n - 1 in the first dim prime bases."""
+    primes, p = [], 2
+    while len(primes) < dim:
+        if all(p % k for k in primes):
+            primes.append(p)
+        p += 1
+    points = np.zeros((n, dim))
+    for k, base in enumerate(primes):
+        for i in range(n):
+            rest, scale = i, 1.0 / base
+            while rest:
+                points[i, k] += rest % base * scale
+                rest, scale = rest // base, scale / base
+    return points
 
-    N_STARTS starts come from a Halton sequence over the box; the start order
-    is fixed so the reduction is deterministic.
+
+def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """Multi-start projected gradient ascent with backtracking (D > 1) on the
+    rows of a loglik_rows objective, from N_STARTS Halton starts per row; all
+    (row, start) pairs step together, and only pairs still stepping are
+    evaluated.  Per row the end points are ordered by value, then by x.
+
+    Returns per row x, value, tie, boundary and whether any start converged,
+    then every pair's end points and values, shaped (n_rows, N_STARTS, ...).
     """
     dim = lower.size
-    halton = qmc.Halton(d=dim, scramble=False)
-    starts = lower + halton.random(N_STARTS) * (upper - lower)
-    trace = []
-    results = []
-    converged_any = False
-    for x0 in starts:
-        x = np.clip(x0, lower, upper)
-        fx = f(x)
-        ok = False
-        for _ in range(MAX_ITER):
-            g = grad(x)
-            proj = np.clip(x + g, lower, upper) - x
-            if np.linalg.norm(proj) <= GRAD_TOL:
-                ok = True
-                break
-            step = 1.0
-            while step > 1e-14:
-                x_new = np.clip(x + step * g, lower, upper)
-                f_new = f(x_new)
-                if f_new > fx + 1e-4 * step * float(g @ (x_new - x)) or f_new > fx:
-                    break
-                step *= 0.5
-            if step <= 1e-14:
-                ok = np.linalg.norm(proj) <= 10 * GRAD_TOL
-                break
-            x, fx = x_new, f_new
-        converged_any = converged_any or ok
-        results.append((x, fx, ok))
-        trace.append((x.copy(), float(fx)))
-    results.sort(key=lambda r: (-r[1], tuple(r[0])))
-    x_hat, f_hat, _ = results[0]
-    tie = len(results) > 1 and abs(results[1][1] - f_hat) <= TIE_TOL and not np.allclose(
-        results[1][0], x_hat, atol=1e-9
-    )
-    boundary = bool(np.any(x_hat - lower <= 1e-9) or np.any(upper - x_hat <= 1e-9))
-    return x_hat, float(f_hat), trace, tie, boundary, converged_any
+    starts = lower + _halton(N_STARTS, dim) * (upper - lower)
+    rows = np.repeat(np.arange(n_rows), N_STARTS)
+    x = np.clip(np.tile(starts, (n_rows, 1)), lower, upper)
+    fx, g, _ = f(x, rows)
 
+    def projected_norm(idx):
+        return np.linalg.norm(np.clip(x[idx] + g[idx], lower, upper) - x[idx], axis=1)
 
-def _mixture_grad(
-    fam: ParametricFamily, q: MixtureWeights, counts: CountVector
-) -> Callable[[np.ndarray], np.ndarray]:
-    def grad(theta: np.ndarray) -> np.ndarray:
-        terms = log_terms(fam, q, counts.counts, theta)
-        w = np.exp(terms - logsumexp(terms))          # posterior weights (d,)
-        score = fam.score_table(theta)                # (D, d, l)
-        per_comp = score @ counts.counts              # (D, d)
-        return (per_comp @ w) / counts.n
-    return grad
+    ok = projected_norm(slice(None)) <= GRAD_TOL
+    iters = np.zeros(rows.size, dtype=int)
+    step = np.ones(rows.size)
+    act = np.flatnonzero(~ok)
+    while act.size:
+        x_act, fx_act, g_act = x[act], fx[act], g[act]
+        x_new = np.clip(x_act + step[act, None] * g_act, lower, upper)
+        f_new, g_new, _ = f(x_new, rows[act])
+        gain = 1e-4 * step[act] * np.sum(g_act * (x_new - x_act), axis=1)
+        rise = (f_new > fx_act + gain) | (f_new > fx_act)
+        up = act[rise]
+        x[up], fx[up], g[up] = x_new[rise], f_new[rise], g_new[rise]
+        iters[up] += 1
+        step[act] = np.where(rise, 1.0, 0.5 * step[act])
+        # A pair stops at a small projected gradient (converged), after
+        # MAX_ITER steps, or once its step falls to 1e-14 (converged if the
+        # projected gradient is within 10 GRAD_TOL); its flag is the one set
+        # in the round it stops.
+        proj = projected_norm(act)
+        ok[act] = np.where(rise, (proj <= GRAD_TOL) & (iters[act] < MAX_ITER), proj <= 10 * GRAD_TOL)
+        done = np.where(rise, (proj <= GRAD_TOL) | (iters[act] == MAX_ITER), step[act] <= 1e-14)
+        act = act[~done]
+
+    # Ties resolve to the smaller x; a runner-up within TIE_TOL in value but
+    # not at the same x sets the tie flag.
+    order = np.lexsort((*x.T[::-1], -fx, rows)).reshape(n_rows, N_STARTS)
+    best, runner = order[:, 0], order[:, 1]
+    x_hat = x[best]
+    tie = (fx[best] - fx[runner] <= TIE_TOL) & ~np.isclose(x[runner], x_hat, atol=1e-9).all(axis=1)
+    boundary = np.any(x_hat - lower <= 1e-9, axis=1) | np.any(upper - x_hat <= 1e-9, axis=1)
+    converged = ok.reshape(n_rows, N_STARTS).any(axis=1)
+    ends = x.reshape(n_rows, N_STARTS, dim), fx.reshape(n_rows, N_STARTS)
+    return x_hat, fx[best], tie, boundary, converged, *ends
 
 
 def mle(
     fam: ParametricFamily, q: MixtureWeights, counts: CountVector, box=None
 ) -> EstimationReport:
-    """Maximum-likelihood estimation of theta over the box.
+    """Maximum-likelihood estimation of theta over the box (by default the
+    family box; a sub-box may restrict the search, e.g. to an
+    identifiability-valid neighborhood of the true parameter).
 
-    D=1 uses maximize_scalar, with the mixture likelihood and the d
-    single-component likelihoods as the rows of one call, and converged is
-    the mixture row's flag; D>1 multi-start projected gradient ascent.  The report carries the per-component MLEs (the
-    same optimizer applied to each single-component likelihood), the posterior
-    component weights at the argmax and each component's Fisher matrix there.
-    Boundary maxima are legal but flagged.
-
-    ``box`` restricts the search to a sub-box of the family box, e.g. to an
-    identifiability-valid neighborhood of the true parameter.
+    The mixture likelihood and the d single-component likelihoods are the
+    rows of one loglik_rows objective, maximized by maximize_scalar (D = 1) or
+    _maximize_box (D > 1).  The report carries both argmaxes, the mixture
+    row's tie, boundary and converged flags, the posterior component weights
+    at the mixture argmax and each component's Fisher matrix there.
     """
     if counts.n < 1:
         raise DomainError("MLE needs at least one observation")
@@ -443,45 +453,33 @@ def mle(
     if not (fam.box.contains(search.lower, atol=1e-12) and fam.box.contains(search.upper, atol=1e-12)):
         raise DomainError("search box must lie inside the family box")
     lower, upper = search.lower, search.upper
-    dim = fam.dim
+    d = fam.n_components
+    logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
+    f = loglik_rows(fam, logq, counts.counts)
 
-    if dim == 1:
-        d = fam.n_components
-        logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
-        f = loglik_rows(fam, logq, counts.counts)
+    if fam.dim == 1:
         res = maximize_scalar(f, float(lower[0]), float(upper[0]))
-        theta_hat, f_hat = res.x[:1], float(res.value[0])
-        tie, boundary, converged = bool(res.tie[0]), bool(res.boundary[0]), bool(res.converged[0])
-        trace = [(np.array([x]), v) for x, v in res.trace(0)]
-        per_comp_hats = res.x[1:, None]
-    else:
-        f_vec = lambda x: loglik(fam, q, counts, x).value
-        theta_hat, f_hat, trace, tie, boundary, converged = _maximize_box(
-            f_vec, _mixture_grad(fam, q, counts), lower, upper
+        x_hat, f_hat, tie, boundary, converged = (
+            res.x[:, None], res.value, res.tie, res.boundary, res.converged
         )
-        per_comp_hats = np.empty((fam.n_components, dim))
-        for g in range(fam.n_components):
-            def fg(x, g=g):
-                return loglik_component(fam, counts, x, g)
-
-            def gradg(x, g=g):
-                return (fam.score_table(x)[:, g, :] @ counts.counts) / counts.n
-
-            xg, _, _, _, _, _ = _maximize_box(fg, gradg, lower, upper)
-            per_comp_hats[g] = xg
+        trace = [(np.array([x]), v) for x, v in res.trace(0)]
+    else:
+        x_hat, f_hat, tie, boundary, converged, x_end, f_end = _maximize_box(f, d + 1, lower, upper)
+        trace = list(zip(x_end[0], f_end[0].tolist()))
+    theta_hat = x_hat[0]
 
     terms = log_terms(fam, q, counts.counts, theta_hat)
     posterior = np.exp(terms - logsumexp(terms))
     fishers = [fisher_information(fam, theta_hat, g) for g in range(fam.n_components)]
     return EstimationReport(
         theta_hat=theta_hat,
-        theta_hat_per_component=per_comp_hats,
-        loglik_at_max=float(f_hat),
+        theta_hat_per_component=x_hat[1:],
+        loglik_at_max=float(f_hat[0]),
         n=counts.n,
         optimizer_trace=trace,
         fisher_at_hat=fishers,
         posterior_at_hat=posterior,
-        converged=converged,
-        boundary=boundary,
-        tie=tie,
+        converged=bool(converged[0]),
+        boundary=bool(boundary[0]),
+        tie=bool(tie[0]),
     )

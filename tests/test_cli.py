@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,10 @@ from qndmix.cli import (
     parse_weights,
 )
 from qndmix.errors import ConfigError, DomainError
+from qndmix.estimate import loglik
+from qndmix.simulate import counts, sample_mixture_trajectory
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -129,6 +137,43 @@ def test_estimate_writes_report_and_trace(tmp_path):
     trace = (out / "estimate_trace.csv").read_text().splitlines()
     assert trace[0] == "theta_0,loglik"
     assert len(trace) > 10
+
+
+# theta_hat and loglik_at_max of `qndmix estimate --preset toy_haroche_full
+# --seed 1` (n = 1e4) as the serial multi-start search gave them.
+FULL_SEED1_THETA_HAT = [
+    1.0523843689183499, 1.5759339492881261, 0.7834806802509048,
+    -0.10800118582173368, -0.8458015598349641, 0.7037486698651626,
+]
+FULL_SEED1_LOGLIK = -1.949086702348302
+
+
+def test_estimate_runs_multiparameter_preset(tmp_path):
+    """The D = 6 estimate reaches at least the likelihood of theta*, reports
+    the likelihood at its theta_hat, and keeps the pinned mixture argmax."""
+    code = run_cli("estimate", "--preset", "toy_haroche_full", "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    plan, _ = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate", seed=1))
+    traj = sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, max(plan.n_grid), 1)
+    c = counts(traj, n_outcomes=plan.family.n_outcomes)
+    at_hat = loglik(plan.family, plan.q, c, report["theta_hat"]).value
+    assert report["loglik_at_max"] == pytest.approx(at_hat, abs=1e-9)
+    assert at_hat >= loglik(plan.family, plan.q, c, plan.theta_star).value
+    np.testing.assert_allclose(report["theta_hat"], FULL_SEED1_THETA_HAT, rtol=0, atol=1e-12)
+    assert report["loglik_at_max"] == pytest.approx(FULL_SEED1_LOGLIK, abs=1e-12)
+    assert report["tie"] and not report["boundary"] and report["converged"]
+
+
+def test_import_leaves_out_scipy_stats():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qndmix; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_purify_exit_code_and_determinism(tmp_path):
