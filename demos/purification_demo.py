@@ -12,11 +12,10 @@ import argparse
 
 import numpy as np
 
-from qndmix.estimate import log_terms
+from qndmix.estimate import log_terms, logsumexp
 from qndmix.presets import qubit_rotation, toy_haroche
 from qndmix.quantum import FilterState, filter_trajectory
 from qndmix.simulate import counts, sample_mixture_trajectory, sample_trajectory
-from scipy.special import logsumexp
 
 
 def posterior_from_counts(pre, traj, n):

@@ -22,14 +22,14 @@ same master seed give bitwise identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
 
 from .errors import ConstructionError, SingularFisherError
-from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, maximize_scalar
+from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, logsumexp, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -164,13 +164,26 @@ def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], ScalarMaxima]:
     )
 
 
+def _log_ndtr(w: np.ndarray) -> np.ndarray:
+    """ln Phi(w) elementwise from math.erfc: ln of the lower tail below 0, log1p of minus
+    the upper tail above it, and below -20, where erfc nears underflow, an asymptotic series."""
+    z = np.abs(np.maximum(w, -20.0)) / math.sqrt(2)
+    tail = np.array([math.erfc(x) for x in z.tolist()]) / 2          # Phi(-|w|)
+    near = np.log(tail, out=np.log1p(-tail), where=w < 0)
+    x, r = np.minimum(w, -20.0), 1.0
+    for k in range(23, 0, -2):  # r = 1 - 1/x^2 + 1*3/x^4 - ..., exact to rounding at x <= -20
+        r = 1 - k * r / (x * x)
+    far = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
+    return np.where(w < -20, far, near)
+
+
 def _anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
     """Anderson-Darling A^2 of x against the normal law with estimated mean and
     variance, and its 1% critical value with Stephens' small-sample factor."""
     n = x.size
     w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
     i = np.arange(1, n + 1)
-    a2 = -n - np.sum((2 * i - 1.0) / n * (log_ndtr(w) + log_ndtr(-w)[::-1]))
+    a2 = -n - np.sum((2 * i - 1.0) / n * (_log_ndtr(w) + _log_ndtr(-w)[::-1]))
     crit = np.round(AD_CRIT_1PCT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
     return float(a2), float(crit)
 
@@ -522,7 +535,7 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     p_star = fam.prob_table(plan.theta_star)
     cm = sample_count_paths(p_star[gammas], n_grid, substream(plan.master_seed, TAG_PURIFY))
     terms = log_terms(fam, q, cm, plan.theta_star)                         # (R, K, d)
-    post = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+    post = np.exp(terms - logsumexp(terms, axis=-1)[..., None])
     purified = post[np.arange(plan.n_reps), :, gammas] > PURIFY_LEVEL      # (R, K)
     fractions = {n: float(purified[:, k].mean()) for k, n in enumerate(n_grid)}
     argmax_counts = np.bincount(post[:, -1].argmax(axis=-1), minlength=fam.n_components)

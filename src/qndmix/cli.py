@@ -253,18 +253,16 @@ def make_parser() -> argparse.ArgumentParser:
         description="Simulation and asymptotic-theory experiments for repeated "
         "QND measurement records.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="YAML config file (flags override it)")
-        p.add_argument("--preset", help="model preset name")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--n-grid", help="comma-separated record lengths")
-        p.add_argument("--n-reps", type=int, help="Monte-Carlo replications")
-        p.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n))")
-        p.add_argument("--theta-star", help="comma-separated true parameter")
-        p.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
+    parser.add_argument("--config", help="YAML config file (flags override it)")
+    parser.add_argument("--preset", help="model preset name")
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--n-grid", help="comma-separated record lengths")
+    parser.add_argument("--n-reps", type=int, help="Monte-Carlo replications")
+    parser.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n))")
+    parser.add_argument("--theta-star", help="comma-separated true parameter")
+    parser.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
     return parser
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .model import (
@@ -40,6 +39,7 @@ __all__ = [
     "loglik",
     "loglik_component",
     "log_terms",
+    "logsumexp",
     "limit_loglik",
     "log_sum_paths",
     "ScalarMaxima",
@@ -326,13 +326,13 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
             d, m, l = logp.shape
             terms = (logp.reshape(d * m, l) @ counts.T).reshape(d, m, n_rows)
             terms += logq.T[:, None, :]
-            return (_logsumexp(terms, axis=0) / n).T
+            return (logsumexp(terms, axis=0) / n).T
         t = x.reshape(len(x), -1)
         p = fam.prob_table(t)                                            # (k, d, l)
         dp = fam.dprob_table(t)                                          # (k, D, d, l)
         c = counts[rows]
         terms = np.einsum("kdl,kl->kd", np.log(p), c) + logq[rows]
-        total = _logsumexp(terms)
+        total = logsumexp(terms, axis=-1)
         w = np.exp(terms - total[:, None])[:, None, :]
         score = dp / p[:, None]
         slope = np.sum(w * np.einsum("kidl,kl->kid", score, c), axis=-1) / n[rows, None]
@@ -342,9 +342,9 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     return f
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """ln sum exp(a) over one axis (the last by default), for slices holding at
-    least one finite entry.  As scipy.special.logsumexp does, the maxima are
+def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """ln sum exp(a) over one axis, or over all of them by default; a slice of
+    -inf entries gives -inf.  As scipy.special.logsumexp does, the maxima are
     left out of the shifted sum and added back through log1p, so the two agree
     bit for bit unless the result lies within about 1e-280 of zero.
 
@@ -354,7 +354,7 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     ties = top.sum(axis=axis, keepdims=True).astype(float)
-    e = np.subtract(a, a_max)
+    e = np.subtract(a, np.maximum(a_max, -np.finfo(float).max))
     live = (e > EXP_FLOOR) & ~top
     np.maximum(e, EXP_FLOOR, out=e)
     np.exp(e, out=e)

@@ -200,12 +200,11 @@ def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
         arg = alpha_values[:, None] * theta4 + phases           # (..., d, 4)
         d_phase = -vis * np.sin(arg) / 8                        # d p(x=0) / d phase_a
         # Rows theta4, phase_0..phase_3 and visibility; x = 1 flips the sign.
-        half = np.stack(
-            [d_phase * alpha_values[:, None]]
-            + [d_phase * (np.arange(4) == a) for a in range(4)]
-            + [np.cos(arg) / 8],
-            axis=-3,
-        )                                                       # (..., 6, d, 4)
+        half = np.concatenate([
+            (d_phase * alpha_values[:, None])[..., None, :, :],
+            d_phase[..., None, :, :] * np.eye(4)[:, None, :],
+            (np.cos(arg) / 8)[..., None, :, :],
+        ], axis=-3)                                             # (..., 6, d, 4)
         return np.concatenate([half, -half], axis=-1)
 
     family = _toy_family(alpha_values, ParameterBox(lower, upper), probs, dprobs)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from scipy.special import logsumexp
 from qndmix.errors import DomainError
 from qndmix.estimate import (
     _halton,
-    _logsumexp,
     limit_loglik,
     log_sum_paths,
     log_terms,
+    logsumexp as own_logsumexp,
     loglik,
     loglik_component,
     loglik_rows,
@@ -328,7 +329,8 @@ def test_mle_matches_fine_grid(bernoulli_pair, uniform2):
 def test_logsumexp_matches_scipy():
     """The estimator's log-sum-exp agrees with scipy's on component rows (one
     finite entry, -inf elsewhere), on mixture rows spread over ~1e4, and on
-    tied maxima."""
+    tied maxima, over the last axis, the first and all of them (the default
+    of both)."""
     rng = np.random.default_rng(3)
     spread = rng.normal(scale=1e4, size=(6, 40, 9))
     component = np.where(np.eye(9, dtype=bool), 0.0, -np.inf) + spread[0, :9]
@@ -337,7 +339,24 @@ def test_logsumexp_matches_scipy():
     partial = spread[2].copy()
     partial[::2, 3:] = -np.inf
     for a in (spread, component, tied, partial):
-        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-15, atol=0)
+        for axis in (-1, 0, None):
+            np.testing.assert_allclose(
+                own_logsumexp(a, axis=axis), logsumexp(a, axis=axis), rtol=1e-15, atol=0
+            )
+
+
+def test_logsumexp_of_empty_slices_is_minus_inf():
+    """A slice of -inf entries gives -inf, with no NaN and no warning."""
+    a = np.full((3, 5), -np.inf)
+    a[1, 2] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = own_logsumexp(a, axis=-1)
+        cols = own_logsumexp(a, axis=0)
+        everything = own_logsumexp(np.full(4, -np.inf))
+    np.testing.assert_array_equal(rows, [-np.inf, 0.5, -np.inf])
+    np.testing.assert_array_equal(cols, [-np.inf, -np.inf, 0.5, -np.inf, -np.inf])
+    assert everything == -np.inf
 
 
 # theta_hat of `qndmix estimate --seed 7` at n = 1e4 per preset, and the value
