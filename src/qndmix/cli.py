@@ -131,12 +131,15 @@ def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
     )
     q = parse_weights(config.q, preset.family.n_components) if config.q is not None else preset.q
     n_grid = tuple(int(n) for n in config.n_grid) if config.n_grid else _default_n_grid(config)
+    h = config.h
+    if h is None and config.experiment == "lamn":
+        h = [1.0] * preset.family.dim   # at h = 0 the LAMN law has nothing to test
     try:
         plan = ExperimentPlan(
             family=preset.family,
             q=q,
             theta_star=theta_star,
-            h=None if config.h is None else np.asarray(config.h, dtype=float),
+            h=h,
             n_grid=n_grid,
             n_reps=config.n_reps,
             master_seed=config.seed,
@@ -260,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--n-grid", help="comma-separated record lengths")
     parser.add_argument("--n-reps", type=int, help="Monte-Carlo replications")
-    parser.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n))")
+    parser.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n)); lamn: 1")
     parser.add_argument("--theta-star", help="comma-separated true parameter")
     parser.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
     return parser

@@ -37,6 +37,9 @@ PROB_EPS = 1e-12
 # Relative step for central finite differences when no analytic gradient is given.
 FD_REL_STEP = 1e-5
 
+# Evenly spaced points, edge to edge, per box axis of the construction checks.
+VALIDATION_POINTS_PER_AXIS = 9
+
 
 def _default_labels(prefix: str, size: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(size))
@@ -103,9 +106,9 @@ class ParameterBox:
             return False
         return bool(np.all(t >= self.lower - atol) & np.all(t <= self.upper + atol))
 
-    def is_interior(self, theta, margin: float = 0.0) -> bool:
+    def is_interior(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        return bool(np.all(t > self.lower + margin) and np.all(t < self.upper - margin))
+        return bool(np.all(t > self.lower) and np.all(t < self.upper))
 
     def require(self, theta) -> np.ndarray:
         """Return theta as an array of shape (..., D): one point, or a stack of
@@ -143,7 +146,8 @@ class ParametricFamily:
     returns the parameter Jacobian in the same way: shape (..., D, d, l) for
     theta of shape (..., D).
 
-    Construction validates, on a sample of box points, that every row is a
+    Construction validates, at the box center and at 9 evenly spaced points
+    from edge to edge along each axis through it, that every row is a
     probability vector with entries strictly inside (0, 1), that the analytic
     Jacobian (when given) is consistent with finite differences, and that the
     tables and Jacobians of the stacked sample match those of its points one
@@ -263,15 +267,14 @@ class ParametricFamily:
 
     # -- construction validation -------------------------------------------
     def _validation_points(self) -> np.ndarray:
+        """The box center and, along each axis through it, the axis-wise
+        linspace from lower to upper edge: 1 + 9 D points before duplicates go."""
         lo, hi = self.box.lower, self.box.upper
         center = 0.5 * (lo + hi)
-        pts = [center]
+        scan = np.tile(center, (self.dim, VALIDATION_POINTS_PER_AXIS, 1))
         for k in range(self.dim):
-            for frac in (0.05, 0.3, 0.7, 0.95):
-                p = center.copy()
-                p[k] = lo[k] + frac * (hi[k] - lo[k])
-                pts.append(p)
-        return np.unique(np.array(pts), axis=0)
+            scan[k, :, k] = np.linspace(lo[k], hi[k], VALIDATION_POINTS_PER_AXIS)
+        return np.unique(np.vstack([center, scan.reshape(-1, self.dim)]), axis=0)
 
     def _validate(self):
         points = self._validation_points()

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConstructionError
 from .model import Alphabet, ComponentSet, MixtureWeights, ParameterBox, ParametricFamily
 from .quantum import QndSystem, as_family
 
@@ -175,20 +175,17 @@ def toy_haroche_guerlin() -> Preset:
     return _toy_preset("toy_haroche_guerlin", np.arange(0, PHOTON_COMPONENTS, dtype=float))
 
 
-def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
+def toy_haroche_full() -> Preset:
     """Multi-parameter variant: theta = (theta4, phase_0..phase_3, visibility).
 
     Normalization over the alphabet forces the additive offset to 1 (the
     cosines cancel in pairs), so only 6 of the nominal 7 parameters are free.
-    Defaults center the box at the measured visibility 0.674; with
-    ideal_visibility=True the center moves to the ideal value, capped below 1
-    to keep every probability strictly positive.
+    The box is centered at the measured visibility 0.674.
     """
     alpha_values = np.arange(1, PHOTON_COMPONENTS + 1, dtype=float)
-    vis_center = 0.95 if ideal_visibility else VISIBILITY
     phase_center = (2 - np.arange(4)) * math.pi / 4
-    lower = np.concatenate(([TOY_BOX[0]], phase_center - 0.3, [vis_center - 0.15]))
-    upper = np.concatenate(([TOY_BOX[1]], phase_center + 0.3, [min(vis_center + 0.15, 0.99)]))
+    lower = np.concatenate(([TOY_BOX[0]], phase_center - 0.3, [VISIBILITY - 0.15]))
+    upper = np.concatenate(([TOY_BOX[1]], phase_center + 0.3, [VISIBILITY + 0.15]))
 
     def probs(t: np.ndarray) -> np.ndarray:
         theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
@@ -208,7 +205,7 @@ def toy_haroche_full(ideal_visibility: bool = False) -> Preset:
         return np.concatenate([half, -half], axis=-1)
 
     family = _toy_family(alpha_values, ParameterBox(lower, upper), probs, dprobs)
-    theta_star = np.concatenate(([math.pi / 4], phase_center, [vis_center]))
+    theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))
     return Preset(
         name="toy_haroche_full",
         family=family,
@@ -227,10 +224,18 @@ def qubit_rotation(d: int = 2, box: tuple[float, float] = (0.5, 0.95)) -> Preset
     The outcome law depends on (theta, alpha) only through alpha*theta, so the
     same collision argument as for the toy model applies: the default box
     keeps upper/lower below 2, which rules out cross-component twins for
-    d = 2.  The box must also avoid the zeros of cos^2(theta*alpha/2); the
-    positivity gate rejects invalid combinations (e.g. d = 4 with the default
-    box).
+    d = 2.  The closed box must also avoid theta = k pi/alpha, where
+    p(0|alpha) = cos^2(theta*alpha/2) or p(1|alpha) = sin^2(theta*alpha/2)
+    is zero; such a combination (e.g. d = 4 with the default box, which holds
+    pi/4) raises ConstructionError.
     """
+    for alpha in range(1, d + 1):
+        k = math.ceil(box[0] * alpha / math.pi)
+        if k * math.pi / alpha <= box[1]:
+            raise ConstructionError(
+                f"outcome probability p(j={1 - k % 2}|alpha={alpha - 1}) of component "
+                f"a{alpha} is 0 at theta = {k}*pi/{alpha}, inside the box {box}"
+            )
     sys = QndSystem(
         generators=((np.arange(d) + 1) / 2.0)[:, None, None, None] * _SIGMA_X,
         probe=np.array([1.0, 0.0], dtype=complex),

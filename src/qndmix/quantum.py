@@ -33,8 +33,6 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-# Points per parameter axis of as_family's positivity scan.
-POSITIVITY_SCAN_POINTS = 9
 
 # Posterior entries below this are flushed to zero before renormalization;
 # underflow of a collapsing component is expected, not an error.
@@ -45,33 +43,37 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def _require_hermitian(h: np.ndarray, what: str = "generator") -> np.ndarray:
+def _require_hermitian(h: np.ndarray) -> np.ndarray:
     """h as a complex array of shape (..., l, l): one matrix or a stack of them.
     A stack that fails names the index of its first offending matrix."""
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ConstructionError(f"{what} must be a square matrix, got shape {h.shape}")
+        raise ConstructionError(f"generator must be a square matrix, got shape {h.shape}")
     finite = np.all(np.isfinite(h.real) & np.isfinite(h.imag), axis=(-2, -1))
     hermitian = np.max(np.abs(h - _adjoint(h)), axis=(-2, -1)) <= HERMITIAN_TOL
     for ok, problem in ((finite, "has non-finite entries"),
                         (hermitian, f"is not Hermitian within {HERMITIAN_TOL}")):
         if not np.all(ok):
             at = tuple(np.argwhere(~ok)[0].tolist())
-            raise ConstructionError(f"{what}{f' at stack index {at}' if at else ''} {problem}")
+            raise ConstructionError(f"generator{f' at stack index {at}' if at else ''} {problem}")
     return h
 
 
-def hermitian_expm(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
-    """exp(scale * H) for Hermitian H via eigendecomposition, for one matrix
-    or a stack of shape (..., l, l) (one batched eigh).
-
-    With scale = -i this produces a unitary matrix up to rounding; the
-    Hermitian structure makes the eigendecomposition route exact in the
-    eigenbasis, which Pade scaling-and-squaring does not guarantee.
-    """
-    h = _require_hermitian(h)
+def _expm_minus_i(h: np.ndarray) -> np.ndarray:
+    """exp(-i H) of an unchecked Hermitian H or stack (..., l, l), by one eigh."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)[..., None, :]) @ _adjoint(v)
+    return (v * np.exp(-1j * w)[..., None, :]) @ _adjoint(v)
+
+
+def hermitian_expm(h: np.ndarray) -> np.ndarray:
+    """exp(-i H) for Hermitian H via eigendecomposition, for one matrix or a
+    stack of shape (..., l, l), once H is checked to be finite and Hermitian.
+
+    This produces a unitary matrix up to rounding; the Hermitian structure
+    makes the eigendecomposition route exact in the eigenbasis, which Pade
+    scaling-and-squaring does not guarantee.
+    """
+    return _expm_minus_i(_require_hermitian(h))
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,10 @@ class QndSystem:
     """Quantum data inducing a mixture-of-multinomials model.
 
     generators has shape (d, D, l, l): generators[alpha, k] is the Hermitian
-    matrix G_{alpha,k}, and H_alpha(theta) = sum_k theta_k G_{alpha,k}.
-    probe_basis stores the measurement basis as columns; the default is the
-    canonical basis.
+    matrix G_{alpha,k}, and H_alpha(theta) = sum_k theta_k G_{alpha,k}.  They
+    are checked here and stored as (G + G^dag)/2, so every H_alpha(theta) is
+    exactly Hermitian and no evaluation checks it again.  probe_basis stores
+    the measurement basis as columns; the default is the canonical basis.
     """
 
     generators: np.ndarray
@@ -94,6 +97,7 @@ class QndSystem:
             raise ConstructionError(f"generators must have shape (d, D, l, l) with d, D >= 1 "
                                     f"and l >= 2, got {g.shape}")
         _require_hermitian(g)
+        g = 0.5 * (g + _adjoint(g))
         g.setflags(write=False)
         object.__setattr__(self, "generators", g)
         psi = np.asarray(self.probe, dtype=complex).reshape(-1)
@@ -135,7 +139,7 @@ def _unitaries(sys: QndSystem, theta) -> np.ndarray:
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     if t.shape[-1] != sys.dim:
         raise DomainError(f"theta of shape {t.shape} does not end in D = {sys.dim}")
-    return hermitian_expm(np.einsum("...k,akij->...aij", t, sys.generators))
+    return _expm_minus_i(np.einsum("...k,akij->...aij", t, sys.generators))
 
 
 def _component(sys: QndSystem, alpha: int) -> int:
@@ -170,13 +174,13 @@ def as_family(
 ) -> ParametricFamily:
     """Wrap the induced outcome distributions as a ParametricFamily.
 
-    The positivity gate is enforced by the family constructor on its sampled
-    grid plus an extra axis-wise scan here; an outcome with probability 0 or 1
-    anywhere on the scan names the offending (theta, alpha, j) in the error.
-    The Jacobian is dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> /
-    <psi_j, U psi>), which holds when each H_alpha(theta) commutes with its
-    generators, so that dU = -i G U; the family's finite-difference
-    consistency check refuses generators that break this.
+    The family constructor's checks are the positivity gate: an outcome with
+    probability 0 or 1 at one of its sample points names the offending
+    (theta, alpha, j) in the error.  The Jacobian is
+    dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> / <psi_j, U psi>),
+    which holds when each H_alpha(theta) commutes with its generators, so
+    that dU = -i G U; the family's finite-difference consistency check
+    refuses generators that break this.
     """
     if box.dimension != sys.dim:
         raise ConstructionError(
@@ -193,20 +197,6 @@ def as_family(
         den = (upsi @ sys.probe_basis.conj())[..., None, :, :]                  # <psi_j, U psi>
         num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
         return np.abs(den) ** 2 * (2.0 * np.imag(num / den))                    # (..., D, d, l)
-
-    # Axis-wise positivity scan with named diagnostics before handing off to
-    # the generic construction checks: scan[k, i] moves axis k to its i-th point.
-    scan = np.tile(0.5 * (box.lower + box.upper), (box.dimension, POSITIVITY_SCAN_POINTS, 1))
-    for k in range(box.dimension):
-        scan[k, :, k] = np.linspace(box.lower[k], box.upper[k], POSITIVITY_SCAN_POINTS)
-    p = probs(scan)                                                     # (D, points, d, l)
-    bad = np.argwhere((p <= 1e-12) | (p >= 1.0 - 1e-12))
-    if bad.size:
-        k, i, a, j = bad[0]
-        raise ConstructionError(
-            f"outcome probability p(j={j}|alpha={a}) = {p[k, i, a, j]} at "
-            f"theta={scan[k, i]} is not strictly inside (0, 1)"
-        )
 
     return ParametricFamily(
         alphabet=alphabet,
@@ -286,45 +276,10 @@ def canonical_phase(phi: np.ndarray) -> np.ndarray:
 ModelLike = Union[QndSystem, ParametricFamily]
 
 
-def _outcome_matrix(model: ModelLike, theta) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Probabilities p(j|alpha) as (d, l) plus probe amplitudes when quantum,
-    at one parameter point; a stack of points is refused."""
-    if np.ndim(theta) > 1:
-        raise DomainError(f"the filter takes one parameter point, got theta of shape "
-                          f"{np.shape(theta)}")
-    if isinstance(model, QndSystem):
-        amps = _amplitudes(model, theta)
-        return np.abs(amps) ** 2, amps
-    return model.prob_table(theta), None
-
-
 def filter_step(model: ModelLike, state: FilterState, theta, outcome: int) -> FilterState:
-    """One Bayes update of the posterior (and of phi in quantum mode).
-
-    q'(alpha) = q(alpha) p_theta(outcome|alpha) / pi(outcome) with
-    pi(outcome) = sum_alpha q(alpha) p_theta(outcome|alpha).  A zero-probability
-    outcome is an impossible observation under the model and raises
-    InferenceError.
-    """
-    p, amps = _outcome_matrix(model, theta)
-    if not 0 <= outcome < p.shape[1]:
-        raise DomainError(f"outcome index {outcome} outside alphabet of size {p.shape[1]}")
-    pj = p[:, outcome]
-    pi = float(np.dot(state.q, pj))
-    if pi <= 0.0:
-        raise InferenceError(
-            f"outcome {outcome} has probability 0 under the current posterior"
-        )
-    q = state.q * pj / pi
-    q = np.where(q < POSTERIOR_FLOOR, 0.0, q)
-    q = q / q.sum()
-    phi = None
-    if state.phi is not None:
-        if amps is None:
-            raise DomainError("phi tracking requires a QndSystem, not a bare family")
-        phi = state.phi * amps[:, outcome]
-        phi = phi / np.linalg.norm(phi)
-    return FilterState(q=q, step=state.step + 1, phi=phi)
+    """One Bayes update of the posterior (and of phi in quantum mode): the
+    last state of filter_trajectory over the single outcome."""
+    return filter_trajectory(model, state, theta, [outcome])[-1]
 
 
 def filter_trajectory(
@@ -333,10 +288,43 @@ def filter_trajectory(
     theta,
     outcomes: Sequence[int],
 ) -> list[FilterState]:
-    """Fold filter_step over an outcome sequence; returns the full state path."""
+    """Bayes updates along an outcome sequence; returns the full state path.
+
+    q'(alpha) = q(alpha) p_theta(outcome|alpha) / pi(outcome) with
+    pi(outcome) = sum_alpha q(alpha) p_theta(outcome|alpha), from one table
+    p_theta (and, when quantum, one set of probe amplitudes) at one parameter
+    point.  A zero-probability outcome is an impossible observation under the
+    model and raises InferenceError.
+    """
+    if np.ndim(theta) > 1:
+        raise DomainError(f"the filter takes one parameter point, got theta of shape "
+                          f"{np.shape(theta)}")
+    if isinstance(model, QndSystem):
+        amps = _amplitudes(model, theta)
+        p = np.abs(amps) ** 2
+    elif initial.phi is not None:
+        raise DomainError("phi tracking requires a QndSystem, not a bare family")
+    else:
+        p = model.prob_table(theta)
     path = [initial]
     state = initial
-    for j in outcomes:
-        state = filter_step(model, state, theta, int(j))
+    for outcome in outcomes:
+        outcome = int(outcome)
+        if not 0 <= outcome < p.shape[1]:
+            raise DomainError(f"outcome index {outcome} outside alphabet of size {p.shape[1]}")
+        pj = p[:, outcome]
+        pi = float(np.dot(state.q, pj))
+        if pi <= 0.0:
+            raise InferenceError(
+                f"outcome {outcome} has probability 0 under the current posterior"
+            )
+        q = state.q * pj / pi
+        q = np.where(q < POSTERIOR_FLOOR, 0.0, q)
+        q = q / q.sum()
+        phi = None
+        if state.phi is not None:
+            phi = state.phi * amps[:, outcome]
+            phi = phi / np.linalg.norm(phi)
+        state = FilterState(q=q, step=state.step + 1, phi=phi)
         path.append(state)
     return path

@@ -236,6 +236,22 @@ def test_lamn_singular_fisher_is_refusal(tmp_path):
     assert code == EXIT_REFUSAL
 
 
+def test_lamn_defaults_to_a_unit_shift(tmp_path):
+    """Without --h, lamn shifts by h = 1, so the Anderson-Darling gate runs
+    at every n; --h 0 still gives the untested h = 0 report."""
+    args = ("lamn", "--preset", "qubit_rotation", "--n-reps", "40", "--n-grid", "200,400")
+    assert run_cli(*args, "--out", str(tmp_path / "x")) in (EXIT_OK, EXIT_CHECK_FAILED)
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["h"] == [1.0]
+    for entry in report["per_component"].values():
+        assert all("ad_statistic" in by_n for by_n in entry["by_n"].values())
+    assert run_cli(*args, "--h", "0", "--out", str(tmp_path / "y")) == EXIT_OK
+    report = json.loads((tmp_path / "y" / "report.json").read_text())
+    assert report["h"] == [0.0]
+    assert not any("ad_statistic" in by_n for entry in report["per_component"].values()
+                   for by_n in entry["by_n"].values())
+
+
 def test_default_shift_has_theta_dimension():
     plan, _ = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate"))
     np.testing.assert_array_equal(plan.h, np.zeros(6))

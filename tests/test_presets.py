@@ -143,13 +143,6 @@ def test_full_variant_consistent_with_toy(toy):
     np.testing.assert_allclose(table_full, table_toy, atol=1e-14)
 
 
-def test_full_variant_ideal_visibility_stays_valid():
-    pre = toy_haroche_full(ideal_visibility=True)
-    assert pre.family.box.upper[-1] <= 0.99
-    table = pre.family.prob_table(pre.theta_star)
-    assert np.all(table > 0) and np.all(table < 1)
-
-
 # ---------------------------------------------------------------------------
 # Stacked-theta tables: probs maps (..., D) to (..., d, l)
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from qndmix.errors import ConstructionError, DomainError, InferenceError
-from qndmix.model import ParameterBox
+from qndmix import quantum
+from qndmix.model import ParameterBox, ParametricFamily
 from qndmix.quantum import (
+    HERMITIAN_TOL,
     FilterState,
     QndSystem,
     as_family,
@@ -181,9 +183,40 @@ def test_as_family_positivity_gate_names_offender():
         qubit_rotation(d=2, box=(np.pi / 2 - 0.2, np.pi / 2 + 0.2))
 
 
+def test_qubit_rotation_refuses_a_box_holding_a_zero_of_the_law():
+    """At theta = k pi/alpha an outcome of component alpha has probability 0:
+    d = 4 on the default box holds pi/4, where cos^2(2 theta) vanishes; d = 2
+    on it holds no such point (nor does d = 3 on (0.3, 1.0), tested below)."""
+    with pytest.raises(ConstructionError,
+                       match=r"p\(j=0\|alpha=3\) of component a4 is 0 at theta = 1\*pi/4"):
+        qubit_rotation(d=4)
+    assert qubit_rotation(d=2).family.n_components == 2
+
+
 def test_qubit_d3_valid_on_smaller_box():
     pre = qubit_rotation(d=3, box=(0.3, 1.0))
     assert pre.family.n_components == 3
+
+
+def test_nearly_hermitian_generators_are_checked_once():
+    """Generators Hermitian only within HERMITIAN_TOL are accepted and stored
+    symmetrized, so a large theta, which scales their asymmetry, is not
+    refused later by a per-call check."""
+    skew = 0.8 * HERMITIAN_TOL * np.array([[0.0, 1.0], [0.0, 0.0]])
+    gens = np.stack([a * 0.5 * SIGMA_X + skew for a in (1.0, 2.0)])[:, None]
+    sys = QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
+    assert np.array_equal(sys.generators, np.swapaxes(sys.generators.conj(), -1, -2))
+    u = unitary(sys, [3.0], 1)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    p = outcome_probs(sys, [3.0], 0)
+    np.testing.assert_allclose(p, [np.cos(1.5) ** 2, np.sin(1.5) ** 2], atol=1e-10)
+    state = filter_step(sys, FilterState.from_phi([1.0, 1.0]), [3.0], 0)
+    assert state.step == 1 and np.all(np.isfinite(state.phi))
+
+
+def test_exactly_hermitian_generators_are_stored_unchanged():
+    gens = ((np.arange(3) + 1) / 2.0)[:, None, None, None] * SIGMA_X
+    assert qubit_rotation(d=3, box=(0.3, 1.0)).system.generators.tobytes() == gens.tobytes()
 
 
 def test_custom_probe_basis_changes_statistics():
@@ -300,6 +333,21 @@ def test_phi_requires_quantum_model(qubit):
     state = FilterState.from_phi(np.sqrt(qubit.q.q))
     with pytest.raises(DomainError):
         filter_step(qubit.family, state, qubit.theta_star, 0)
+
+
+@pytest.mark.parametrize("form", ["system", "family"])
+def test_filter_trajectory_evaluates_the_outcome_table_once(qubit, form, monkeypatch):
+    """A 100-step path reads one outcome table at theta, not one per step."""
+    traj = sample_trajectory(qubit.family, qubit.theta_star, 1, 100, seed=5)
+    calls = []
+    counted = {"system": (quantum, "_amplitudes"), "family": (ParametricFamily, "prob_table")}
+    owner, name = counted[form]
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or original(*a))
+    path = filter_trajectory(
+        getattr(qubit, form), FilterState.from_weights(qubit.q.q), qubit.theta_star, traj.outcomes
+    )
+    assert len(path) == 101 and len(calls) == 1
 
 
 def test_canonical_phase():
