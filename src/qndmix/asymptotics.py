@@ -391,9 +391,10 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     Each n also reports boundary_hits, the number of estimates on the edge of
     the search box, where the box truncates the error distribution, and
     max_evaluations, the most objective evaluations one record's refinement
-    took.
+    took.  A component Fisher information singular at theta* is refused.
     """
     estimate = _scalar_mle(plan)
+    _component_fishers(plan)
     n_grid = sorted(plan.n_grid)
     p_star = plan.family.prob_table(plan.theta_star)
     by_n = {}
@@ -431,8 +432,9 @@ def mle_path(
     traj: Trajectory,
     n_points: Sequence[int],
 ) -> list[tuple[int, float]]:
-    """Mixture MLE along growing prefixes of one trajectory (D = 1)."""
+    """Mixture MLE along growing prefixes of one trajectory (D = 1, Fisher non-singular)."""
     estimate = _scalar_mle(plan)
+    _component_fishers(plan)
     ns = sorted(int(n) for n in n_points)
     cm = np.stack([np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes) for n in ns])
     return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm).x)]
@@ -522,9 +524,9 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
 def purification_experiment(plan: ExperimentPlan) -> dict:
     """Posterior concentration on the realized component.
 
-    Posteriors are computed from cumulative outcome counts, which equals
-    folding the Bayes filter step by step (exchangeability; the equality of
-    the two paths is a tested invariant).  Reports the fraction of runs with
+    Posteriors come from cumulative outcome counts, as in filter_trajectory;
+    by exchangeability they equal the step-by-step Bayes filter, the loop the
+    tests keep as their reference.  Reports the fraction of runs with
     q_n(gamma) > 0.99 at each n and the total-variation distance between the
     law of argmax q_n at the largest n and the mixture weights q.
     """

@@ -16,7 +16,6 @@ on the score; for D > 1, _maximize_box by multi-start projected gradient ascent.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,9 +106,6 @@ class EstimationReport:
             "boundary": bool(self.boundary),
             "tie": bool(self.tie),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def trace_to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

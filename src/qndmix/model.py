@@ -126,10 +126,6 @@ class ParameterBox:
             )
         return t
 
-    def clip(self, theta) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
-        return np.clip(t, self.lower, self.upper)
-
     def grid(self, num: int) -> np.ndarray:
         """Axis-wise linspace grid; shape (num, D).  Intended for D=1 scans."""
         return np.linspace(self.lower, self.upper, num)
@@ -202,9 +198,6 @@ class ParametricFamily:
     def log_prob_table(self, theta) -> np.ndarray:
         return np.log(self.prob_table(theta))
 
-    def prob(self, theta, alpha: int, j: int) -> float:
-        return float(self.prob_table(theta)[alpha, j])
-
     def dprob_table(self, theta) -> np.ndarray:
         """Jacobian d p_theta(j|alpha) / d theta_k: shape (D, d, l) for one
         point, (..., D, d, l) for a stack of points of shape (..., D).
@@ -261,9 +254,6 @@ class ParametricFamily:
     def score_table(self, theta) -> np.ndarray:
         """Score d ln p / d theta_k, shape (..., D, d, l) like dprob_table."""
         return self.dprob_table(theta) / self.prob_table(theta)[..., None, :, :]
-
-    def derivatives_are_numeric(self) -> bool:
-        return self._dprobs is None
 
     # -- construction validation -------------------------------------------
     def _validation_points(self) -> np.ndarray:

@@ -4,25 +4,28 @@ A QndSystem couples a d-level system to an l-level probe through a
 block-diagonal unitary sum_alpha |e_alpha><e_alpha| (x) U_alpha(theta), with
 U_alpha(theta) = exp(-i sum_k theta_k G_{alpha,k}) for fixed Hermitian
 generators G.  Measuring the probe in a fixed orthonormal basis yields outcome
-distributions p_theta(j|alpha) that define a ParametricFamily, and Bayes' rule
-drives the conditional-state filter.
+distributions p_theta(j|alpha) that define a ParametricFamily; the filter is
+its log_terms kernel on cumulative outcome counts, plus summed probe phases.
 
 Inner products are linear in the second argument throughout: <a, b> = a^dag b.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, InferenceError
+from .estimate import logsumexp
 from .model import Alphabet, ComponentSet, ParameterBox, ParametricFamily
 
 __all__ = [
     "QndSystem",
     "FilterState",
+    "FilterPath",
     "hermitian_expm",
     "unitary",
     "outcome_probs",
@@ -32,11 +35,6 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
-
-# Posterior entries below this are flushed to zero before renormalization;
-# underflow of a collapsing component is expected, not an error.
-POSTERIOR_FLOOR = 1e-300
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -261,41 +259,54 @@ class FilterState:
 
 
 def canonical_phase(phi: np.ndarray) -> np.ndarray:
-    """Fix the global phase so the first nonzero amplitude is real positive.
-
-    States differing by a phase are physically identical; the canonical
-    representative makes state equality testable.
-    """
-    idx = np.nonzero(np.abs(phi) > 1e-14)[0]
-    if idx.size == 0:
-        return phi
-    lead = phi[idx[0]]
+    """Fix the global phase of each state phi[..., :] so that its first
+    amplitude above 1e-14 in modulus is real positive (a state with none is
+    left as it is).  States differing by a phase are physically identical;
+    the canonical representative makes state equality testable."""
+    nonzero = np.abs(phi) > 1e-14
+    lead = np.take_along_axis(phi, nonzero.argmax(axis=-1)[..., None], axis=-1)
+    lead = np.where(nonzero.any(axis=-1, keepdims=True), lead, 1.0)
     return phi * (np.conj(lead) / np.abs(lead))
 
 
-ModelLike = Union[QndSystem, ParametricFamily]
+@dataclass(frozen=True)
+class FilterPath(Sequence):
+    """The n + 1 states of a filter over n outcomes, as arrays of shape
+    (n + 1, d): q, and phi or None.  Entry k, the state after k outcomes, is
+    built as the FilterState at step first_step + k; a slice gives a list."""
+
+    q: np.ndarray
+    phi: Optional[np.ndarray]
+    first_step: int
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return FilterState(q=self.q[k], step=self.first_step + k % len(self),
+                           phi=None if self.phi is None else self.phi[k])
 
 
-def filter_step(model: ModelLike, state: FilterState, theta, outcome: int) -> FilterState:
+def filter_step(model: QndSystem | ParametricFamily, state: FilterState, theta,
+                outcome: int) -> FilterState:
     """One Bayes update of the posterior (and of phi in quantum mode): the
     last state of filter_trajectory over the single outcome."""
     return filter_trajectory(model, state, theta, [outcome])[-1]
 
 
-def filter_trajectory(
-    model: ModelLike,
-    initial: FilterState,
-    theta,
-    outcomes: Sequence[int],
-) -> list[FilterState]:
-    """Bayes updates along an outcome sequence; returns the full state path.
-
-    q'(alpha) = q(alpha) p_theta(outcome|alpha) / pi(outcome) with
-    pi(outcome) = sum_alpha q(alpha) p_theta(outcome|alpha), from one table
-    p_theta (and, when quantum, one set of probe amplitudes) at one parameter
-    point.  A zero-probability outcome is an impossible observation under the
-    model and raises InferenceError.
-    """
+def filter_trajectory(model: QndSystem | ParametricFamily, initial: FilterState, theta,
+                      outcomes: Sequence[int]) -> FilterPath:
+    """Bayes filter along outcomes o_1..o_n at one parameter point: all n + 1
+    states.  By exchangeability the posterior after k outcomes is the softmax
+    of ln q_0(alpha) + sum_{i<=k} ln p(o_i|alpha), the log_terms kernel on
+    cumulative counts, here one cumsum of log-likelihood ratios to the
+    component most probable at the end: small sums, so a loop's precision.
+    A tracked phi (QndSystem only) has modulus sqrt(q) and the phase of phi_0
+    times the running product of the unit phasors of <psi_{o_i}, U_alpha psi>.
+    An outcome outside the alphabet (DomainError) or impossible under the
+    current posterior (InferenceError) is refused with its step."""
     if np.ndim(theta) > 1:
         raise DomainError(f"the filter takes one parameter point, got theta of shape "
                           f"{np.shape(theta)}")
@@ -306,25 +317,24 @@ def filter_trajectory(
         raise DomainError("phi tracking requires a QndSystem, not a bare family")
     else:
         p = model.prob_table(theta)
-    path = [initial]
-    state = initial
-    for outcome in outcomes:
-        outcome = int(outcome)
-        if not 0 <= outcome < p.shape[1]:
-            raise DomainError(f"outcome index {outcome} outside alphabet of size {p.shape[1]}")
-        pj = p[:, outcome]
-        pi = float(np.dot(state.q, pj))
-        if pi <= 0.0:
-            raise InferenceError(
-                f"outcome {outcome} has probability 0 under the current posterior"
-            )
-        q = state.q * pj / pi
-        q = np.where(q < POSTERIOR_FLOOR, 0.0, q)
-        q = q / q.sum()
-        phi = None
-        if state.phi is not None:
-            phi = state.phi * amps[:, outcome]
-            phi = phi / np.linalg.norm(phi)
-        state = FilterState(q=q, step=state.step + 1, phi=phi)
-        path.append(state)
-    return path
+    o = np.asarray(outcomes, dtype=int).reshape(-1)
+    outside = np.flatnonzero((o < 0) | (o >= p.shape[1]))
+    if outside.size:
+        raise DomainError(f"outcome index {o[outside[0]]} at step {initial.step + 1 + outside[0]} "
+                          f"outside alphabet of size {p.shape[1]}")
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.vstack([initial.q, p[:, o].T]))                # (n + 1, d)
+    ref = logp.sum(axis=0).argmax()
+    if np.isneginf(logp[:, ref]).any():                 # every component ruled out
+        k = int(np.isneginf(np.cumsum(logp, axis=0).max(axis=1)).argmax())
+        raise InferenceError(f"outcome {o[k - 1]} at step {initial.step + k} has "
+                             f"probability 0 under the current posterior")
+    terms = np.cumsum(logp - logp[:, [ref]], axis=0)
+    q = np.exp(terms - logsumexp(terms, axis=1)[:, None])
+    q.setflags(write=False)
+    phi = None
+    if initial.phi is not None:
+        turns = np.exp(1j * np.angle(np.vstack([initial.phi, amps[:, o].T])))
+        phi = canonical_phase(np.sqrt(q) * np.cumprod(turns, axis=0))
+        phi.setflags(write=False)
+    return FilterPath(q=q, phi=phi, first_step=initial.step)

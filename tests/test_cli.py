@@ -236,6 +236,19 @@ def test_lamn_singular_fisher_is_refusal(tmp_path):
     assert code == EXIT_REFUSAL
 
 
+def test_singular_fisher_preset_is_refused_by_consistency_and_fig1(tmp_path, capsys):
+    """Consistency of the MLE assumes each component's Fisher information is
+    non-singular at theta*; toy_haroche_guerlin breaks that, as lamn and
+    cramer-rao already refuse."""
+    for experiment in ("consistency", "fig1"):
+        code = run_cli(experiment, "--preset", "toy_haroche_guerlin", "--n-reps", "4",
+                       "--n-grid", "50", "--out", str(tmp_path / experiment))
+        assert code == EXIT_REFUSAL
+        assert capsys.readouterr().err.startswith(
+            "refused: Fisher information of component 0 is singular")
+        assert not (tmp_path / experiment / "report.json").exists()
+
+
 def test_lamn_defaults_to_a_unit_shift(tmp_path):
     """Without --h, lamn shifts by h = 1, so the Anderson-Darling gate runs
     at every n; --h 0 still gives the untested h = 0 report."""

@@ -7,6 +7,7 @@ from qndmix import quantum
 from qndmix.model import ParameterBox, ParametricFamily
 from qndmix.quantum import (
     HERMITIAN_TOL,
+    FilterPath,
     FilterState,
     QndSystem,
     as_family,
@@ -141,7 +142,7 @@ def test_commuting_two_parameter_family():
     """With commuting generators the stacked tables equal the pointwise ones
     and the analytic Jacobian agrees with central differences."""
     fam = _two_generator_family(0.25 * SIGMA_X)
-    assert fam.dim == 2 and not fam.derivatives_are_numeric()
+    assert fam.dim == 2
     rng = np.random.default_rng(3)
     points = rng.uniform([0.32, 0.22], [0.58, 0.58], size=(16, 2))
     stacked = fam.prob_table(points)
@@ -298,6 +299,143 @@ def test_filter_step_zero_probability_outcome():
     state = FilterState.from_weights([1.0])
     with pytest.raises(InferenceError):
         filter_step(fam, state, [0.5], 1)
+
+
+def reference_filter(model, initial, theta, outcomes):
+    """The step-by-step Bayes filter, one outcome at a time:
+    q' = q p(o|.) / sum_alpha q(alpha) p(o|alpha), and in quantum mode
+    phi' = phi <psi_o, U_alpha psi> / norm.  Returns the q and phi paths."""
+    if isinstance(model, QndSystem):
+        amps = quantum._amplitudes(model, theta)
+        p = np.abs(amps) ** 2
+    else:
+        p = model.prob_table(theta)
+    q, phi = initial.q, initial.phi
+    qs, phis = [q], [phi]
+    for o in outcomes:
+        q = q * p[:, o] / np.dot(q, p[:, o])
+        q = q / q.sum()
+        if phi is not None:
+            phi = phi * amps[:, o]
+            phi = canonical_phase(phi / np.linalg.norm(phi))
+        qs.append(q)
+        phis.append(phi)
+    return np.array(qs), None if phi is None else np.array(phis)
+
+
+def _weak_generic_system():
+    """d = 3, l = 3, generators 0.01 (A + A^dag) for a random complex A and a
+    random probe: outcome amplitudes of distinct phases, and a posterior still
+    mixed after 3000 steps, so the whole path tests phi's phases and q's
+    precision."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 1, 3, 3)) + 1j * rng.normal(size=(3, 1, 3, 3))
+    probe = rng.normal(size=3) + 1j * rng.normal(size=3)
+    sys = QndSystem(generators=0.01 * (a + np.swapaxes(a.conj(), -1, -2)),
+                    probe=probe / np.linalg.norm(probe))
+    p = outcome_probs(sys, [0.7], 0)
+    return sys, FilterState.from_phi([1.0, 1j, -1.0]), [0.7], rng.choice(3, size=3000, p=p)
+
+
+@pytest.mark.parametrize("case", ["toy_family", "qubit_system", "generic_system"])
+def test_filter_path_equals_the_step_by_step_filter(case, request):
+    """3000 steps from one cumulative sum equal the per-step Bayes loop at
+    every step, q and (for a QndSystem) phi alike."""
+    if case == "generic_system":
+        model, initial, theta, outcomes = _weak_generic_system()
+    else:
+        pre = request.getfixturevalue(case.split("_")[0])
+        theta = pre.theta_star
+        outcomes = sample_trajectory(pre.family, theta, 1, 3000, seed=21).outcomes
+        if case == "qubit_system":
+            model, initial = pre.system, FilterState.from_phi(np.sqrt(pre.q.q).astype(complex))
+        else:
+            model, initial = pre.family, FilterState.from_weights(pre.q.q)
+    path = filter_trajectory(model, initial, theta, outcomes)
+    q, phi = reference_filter(model, initial, theta, outcomes)
+    assert path.q.shape == q.shape == (3001, len(initial.q))
+    np.testing.assert_allclose(path.q, q, rtol=0, atol=1e-12)
+    if phi is None:
+        assert path.phi is None
+    else:
+        np.testing.assert_allclose(path.phi, phi, rtol=0, atol=1e-12)
+
+
+def test_filter_refuses_an_impossible_outcome_at_its_step():
+    """Outcome 1 rules out component 1, so outcome 2, possible only under
+    component 1, is impossible at step 3, the first step it occurs."""
+    from qndmix.model import Alphabet, ComponentSet
+
+    fam = ParametricFamily(
+        Alphabet(size=3), ComponentSet(size=2),
+        ParameterBox(np.array([0.0]), np.array([1.0])),
+        probs=lambda t: np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
+        validate=False,  # deliberately degenerate
+    )
+    initial = FilterState.from_weights([0.5, 0.5])
+    path = filter_trajectory(fam, initial, [0.5], [0, 1, 1])
+    np.testing.assert_array_equal(path.q[-1], [1.0, 0.0])
+    with pytest.raises(InferenceError, match="outcome 2 at step 3 has probability 0"):
+        filter_trajectory(fam, initial, [0.5], [0, 1, 2, 0])
+
+
+def test_filter_refuses_an_outcome_outside_the_alphabet_at_its_step(bernoulli_pair, uniform2):
+    initial = FilterState.from_weights(uniform2.q)
+    for bad in (2, -1):
+        with pytest.raises(DomainError, match=f"outcome index {bad} at step 4 outside"):
+            filter_trajectory(bernoulli_pair, initial, [0.5], [0, 1, 0, bad, 1])
+
+
+def test_filter_path_indexes_as_states(bernoulli_pair):
+    """Entry k of a path from a state at step 5 is the state at step 5 + k;
+    negative indices count from the end, a slice gives a list of states, and
+    the arrays are read-only."""
+    initial = FilterState(q=np.array([0.25, 0.75]), step=5)
+    path = filter_trajectory(bernoulli_pair, initial, [0.5], [0, 1, 1])
+    assert isinstance(path, FilterPath) and len(path) == 4 and path.first_step == 5
+    assert [s.step for s in path] == [5, 6, 7, 8]
+    assert path[-1].step == 8 and path[-4].step == 5
+    np.testing.assert_array_equal(path[-1].q, path.q[3])
+    np.testing.assert_array_equal(path[0].q, initial.q)
+    assert [s.step for s in path[1:]] == [6, 7, 8]
+    assert [s.step for s in path[::-2]] == [8, 6]
+    for k in (4, -5):
+        with pytest.raises(IndexError):
+            path[k]
+    assert path.phi is None and path[2].phi is None
+    assert not path.q.flags.writeable
+    assert filter_step(bernoulli_pair, initial, [0.5], 0).step == 6
+
+
+@pytest.mark.parametrize("form", ["system", "family"])
+def test_filter_trajectory_builds_no_state_per_step(qubit, form, monkeypatch):
+    """The path is computed as arrays; FilterStates are built only when it is
+    indexed."""
+    traj = sample_trajectory(qubit.family, qubit.theta_star, 1, 3000, seed=5)
+    if form == "system":
+        initial = FilterState.from_phi(np.sqrt(qubit.q.q).astype(complex))
+    else:
+        initial = FilterState.from_weights(qubit.q.q)
+    built = []
+    original = FilterState.__post_init__
+    monkeypatch.setattr(FilterState, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    path = filter_trajectory(getattr(qubit, form), initial, qubit.theta_star, traj.outcomes)
+    assert len(path) == 3001 and built == []
+    assert path[-1].step == 3000 and len(built) == 1
+
+
+def test_canonical_phase_works_row_by_row():
+    """A stack of states is canonicalized state by state."""
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    stack[1, 0] = 0.0
+    stack[2] = 0.0
+    fixed = canonical_phase(stack)
+    for row, got in zip(stack, fixed):
+        np.testing.assert_array_equal(got, canonical_phase(row))
+    np.testing.assert_array_equal(fixed[2], np.zeros(3))
+    assert fixed[1, 1].imag == pytest.approx(0.0, abs=1e-15) and fixed[1, 1].real > 0
 
 
 def test_filter_trajectory_simplex_and_purity(qubit):
