@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, SingularFisherError
+from .errors import ConstructionError, RefusalError, SingularFisherError
 from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, logsumexp, maximize_scalar
 from .model import (
     MixtureWeights,
@@ -114,6 +115,30 @@ class ExperimentPlan:
     def search_box(self) -> ParameterBox:
         return self.estimation_box if self.estimation_box is not None else self.family.box
 
+    @cached_property
+    def fisher(self) -> np.ndarray:
+        """Every component's Fisher information at theta*, shape (d, D, D),
+        evaluated once per plan and read-only."""
+        m = fisher_information(self.family, self.theta_star)
+        m.setflags(write=False)
+        return m
+
+    def check_hypotheses(self, scalar: bool = False) -> np.ndarray:
+        """The Fisher stack at theta*, once the plan meets the hypotheses of the
+        limit theorems; RefusalError otherwise.  An experiment that needs the
+        scalar MLE (scalar=True) refuses D != 1 first; then every component's
+        Fisher information must be non-singular at theta*."""
+        if scalar and self.family.dim != 1:
+            raise RefusalError(
+                f"this experiment covers D = 1 only; the model has D = {self.family.dim}"
+            )
+        singular = np.linalg.eigvalsh(self.fisher)[:, 0] <= SINGULAR_EIG_TOL
+        if singular.any():
+            raise SingularFisherError(
+                f"Fisher information of component {int(np.argmax(singular))} is singular at theta*"
+            )
+        return self.fisher
+
 
 # ---------------------------------------------------------------------------
 # Shared machinery
@@ -132,19 +157,6 @@ def log_likelihood_ratio(
     return counts.n * (la.value - lb.value)
 
 
-def _component_fishers(plan: ExperimentPlan) -> np.ndarray:
-    """Per-component Fisher matrices at theta*; refuses on singularity."""
-    mats = []
-    for g in range(plan.family.n_components):
-        m = fisher_information(plan.family, plan.theta_star, g).m
-        if np.min(np.linalg.eigvalsh(m)) <= SINGULAR_EIG_TOL:
-            raise SingularFisherError(
-                f"Fisher information of component {g} is singular at theta*"
-            )
-        mats.append(m)
-    return np.stack(mats)
-
-
 def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     """Hidden component of each replication, drawn from q on (TAG_MIXGAMMA, *tags)."""
     rng = substream(plan.master_seed, TAG_MIXGAMMA, *tags)
@@ -153,11 +165,7 @@ def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
 
 def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], ScalarMaxima]:
     """The mixture MLE over the plan's search box, as a function of a matrix of
-    count rows (one estimate and one boundary flag per row).  Refuses D != 1."""
-    if plan.family.dim != 1:
-        raise NotImplementedError(
-            f"this experiment covers D = 1 only; the model has D = {plan.family.dim}"
-        )
+    count rows (one estimate and one boundary flag per row); D = 1 only."""
     lo, hi = float(plan.search_box().lower[0]), float(plan.search_box().upper[0])
     return lambda counts_matrix: maximize_scalar(
         loglik_rows(plan.family, plan.q.log(), counts_matrix), lo, hi
@@ -218,7 +226,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     3 standard errors of -h'Ih/2, variance within 10% of h'Ih, and the
     Anderson-Darling normality statistic below its 1% critical value.
     """
-    fishers = _component_fishers(plan)
+    fishers = plan.check_hypotheses()
     h = plan.h
     d = plan.family.n_components
     n_max = max(plan.n_grid)
@@ -393,8 +401,8 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     max_evaluations, the most objective evaluations one record's refinement
     took.  A component Fisher information singular at theta* is refused.
     """
+    plan.check_hypotheses(scalar=True)
     estimate = _scalar_mle(plan)
-    _component_fishers(plan)
     n_grid = sorted(plan.n_grid)
     p_star = plan.family.prob_table(plan.theta_star)
     by_n = {}
@@ -433,8 +441,8 @@ def mle_path(
     n_points: Sequence[int],
 ) -> list[tuple[int, float]]:
     """Mixture MLE along growing prefixes of one trajectory (D = 1, Fisher non-singular)."""
+    plan.check_hypotheses(scalar=True)
     estimate = _scalar_mle(plan)
-    _component_fishers(plan)
     ns = sorted(int(n) for n in n_points)
     cm = np.stack([np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes) for n in ns])
     return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm).x)]
@@ -456,8 +464,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     max_evaluations, the most objective evaluations one replication's
     refinement took; the verdict uses neither.
     """
+    fishers = plan.check_hypotheses(scalar=True)[:, 0, 0]
     estimate = _scalar_mle(plan)
-    fishers = _component_fishers(plan)[:, 0, 0]
     n = max(plan.n_grid)
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
     p_n = plan.family.prob_table(theta_n)

@@ -2,9 +2,10 @@
 plot data.
 
 Exit codes: 0 success, 1 experiment check failed, 2 config error,
-3 refusal (singular Fisher information, or an experiment that covers D = 1
-only run on a multi-parameter model), 4 any other package error, 5 an
-unexpected exception.
+3 refusal (RefusalError from the plan's one hypotheses check: singular
+Fisher information, or an experiment that covers D = 1 only run on a
+multi-parameter model; fig1 runs the check before drawing), 4 any other
+package error, 5 an unexpected exception.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .asymptotics import (
     mle_path,
     purification_experiment,
 )
-from .errors import ConfigError, QndmixError, SingularFisherError
+from .errors import ConfigError, QndmixError, RefusalError
 from .estimate import mle
 from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
@@ -191,6 +192,7 @@ def _run_estimate(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
 
 def _run_fig1(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
     """Ten seeded mixture runs; one CSV of (n, theta_hat) per seed."""
+    plan.check_hypotheses(scalar=True)
     n_points = sorted(
         {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX}
     )
@@ -240,7 +242,7 @@ def run(config: RunConfig) -> int:
             report = _run_fig1(plan, config, out)
         else:
             report = runners[config.experiment](plan)
-    except (SingularFisherError, NotImplementedError) as exc:
+    except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     report["model"] = config.model
@@ -263,10 +265,19 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--n-grid", help="comma-separated record lengths")
     parser.add_argument("--n-reps", type=int, help="Monte-Carlo replications")
-    parser.add_argument("--h", type=float, help="local shift h (theta* + h/sqrt(n)); lamn: 1")
+    parser.add_argument(
+        "--h", help="comma-separated local shift h (theta* + h/sqrt(n)); lamn: 1"
+    )
     parser.add_argument("--theta-star", help="comma-separated true parameter")
     parser.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
     return parser
+
+
+def _comma_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot parse {text!r}") from None
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
@@ -281,19 +292,13 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if args.out:
         data["output_dir"] = args.out
     if args.n_grid:
-        try:
-            data["n_grid"] = [int(x) for x in str(args.n_grid).split(",")]
-        except ValueError:
-            raise ConfigError(f"--n-grid: cannot parse {args.n_grid!r}") from None
+        data["n_grid"] = _comma_list("--n-grid", args.n_grid, int)
     if args.n_reps is not None:
         data["n_reps"] = args.n_reps
     if args.h is not None:
-        data["h"] = [args.h]
+        data["h"] = _comma_list("--h", args.h, float)
     if args.theta_star:
-        try:
-            data["theta_star"] = [float(x) for x in str(args.theta_star).split(",")]
-        except ValueError:
-            raise ConfigError(f"--theta-star: cannot parse {args.theta_star!r}") from None
+        data["theta_star"] = _comma_list("--theta-star", args.theta_star, float)
     if args.q:
         data["q"] = args.q
     return RunConfig(**data)

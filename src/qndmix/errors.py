@@ -13,15 +13,15 @@ class ConstructionError(QndmixError, ValueError):
     """An object failed its construction-time validation."""
 
 
-class CapabilityError(QndmixError, RuntimeError):
-    """The object lacks the regularity required by the requested operation."""
-
-
 class InferenceError(QndmixError, RuntimeError):
     """An observation is impossible under the model (zero-probability outcome)."""
 
 
-class SingularFisherError(QndmixError, RuntimeError):
+class RefusalError(QndmixError, RuntimeError):
+    """The experiment refuses a model outside the hypotheses of its theorem."""
+
+
+class SingularFisherError(RefusalError):
     """A per-component Fisher information matrix is singular; the experiment refuses to run."""
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (
-    InfoMatrix,
     MixtureWeights,
     ParametricFamily,
     fisher_information,
@@ -84,7 +83,7 @@ class EstimationReport:
     loglik_at_max: float
     n: int
     optimizer_trace: list
-    fisher_at_hat: list
+    fisher_at_hat: np.ndarray
     posterior_at_hat: np.ndarray
     converged: bool = True
     boundary: bool = False
@@ -99,9 +98,7 @@ class EstimationReport:
             "loglik_at_max": float(self.loglik_at_max),
             "n": int(self.n),
             "posterior_at_hat": [float(x) for x in self.posterior_at_hat],
-            "fisher_at_hat": [
-                [[float(x) for x in row] for row in im.m] for im in self.fisher_at_hat
-            ],
+            "fisher_at_hat": self.fisher_at_hat.tolist(),
             "converged": bool(self.converged),
             "boundary": bool(self.boundary),
             "tie": bool(self.tie),
@@ -441,7 +438,8 @@ def mle(
     rows of one loglik_rows objective, maximized by maximize_scalar (D = 1) or
     _maximize_box (D > 1).  The report carries both argmaxes, the mixture
     row's tie, boundary and converged flags, the posterior component weights
-    at the mixture argmax and each component's Fisher matrix there.
+    at the mixture argmax and the (d, D, D) stack of component Fisher matrices
+    there.
     """
     if counts.n < 1:
         raise DomainError("MLE needs at least one observation")
@@ -466,14 +464,13 @@ def mle(
 
     terms = log_terms(fam, q, counts.counts, theta_hat)
     posterior = np.exp(terms - logsumexp(terms))
-    fishers = [fisher_information(fam, theta_hat, g) for g in range(fam.n_components)]
     return EstimationReport(
         theta_hat=theta_hat,
         theta_hat_per_component=x_hat[1:],
         loglik_at_max=float(f_hat[0]),
         n=counts.n,
         optimizer_trace=trace,
-        fisher_at_hat=fishers,
+        fisher_at_hat=fisher_information(fam, theta_hat),
         posterior_at_hat=posterior,
         converged=bool(converged[0]),
         boundary=bool(boundary[0]),

@@ -3,7 +3,8 @@
 A family assigns to every parameter value theta (in a compact box) and every
 hidden component alpha a probability distribution over a finite outcome
 alphabet.  Information functionals (Shannon entropy, Kullback-Leibler
-divergence, Fisher information) and a grid-based identifiability checker are
+divergence, and Fisher information as one (d, D, D) stack of every
+component's D x D matrix) and a grid-based identifiability checker are
 provided on top.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConstructionError, DomainError
+from .errors import ConstructionError, DomainError
 
 __all__ = [
     "Alphabet",
@@ -22,7 +23,6 @@ __all__ = [
     "ParameterBox",
     "ParametricFamily",
     "MixtureWeights",
-    "InfoMatrix",
     "IdentifiabilityReport",
     "shannon_entropy",
     "kl_divergence",
@@ -157,17 +157,13 @@ class ParametricFamily:
         box: ParameterBox,
         probs: Callable[[np.ndarray], np.ndarray],
         dprobs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        regularity: str = "C1",
         validate: bool = True,
     ):
-        if regularity not in ("continuous", "C1", "C2", "C3"):
-            raise ConstructionError(f"unknown regularity tag {regularity!r}")
         self.alphabet = alphabet
         self.components = components
         self.box = box
         self._probs = probs
         self._dprobs = dprobs
-        self.regularity = regularity
         if validate:
             self._validate()
 
@@ -203,13 +199,10 @@ class ParametricFamily:
         point, (..., D, d, l) for a stack of points of shape (..., D).
 
         Falls back to finite differences (relative step 1e-5) when no analytic
-        rule was supplied; a family declared merely ``continuous`` refuses
-        with CapabilityError.
+        rule was supplied.
         """
         t = self.box.require(theta)
         if self._dprobs is None:
-            if self.regularity == "continuous":
-                raise CapabilityError("family declares no differentiability; derivatives unavailable")
             return self._fd_dprob_table(t)
         jac = np.asarray(self._dprobs(t), dtype=float)
         expected = t.shape[:-1] + (self.dim, self.n_components, self.n_outcomes)
@@ -250,10 +243,6 @@ class ParametricFamily:
                 diff = np.where(one_sided[..., None, None], side, diff)
             jac[..., k, :, :] = diff / (2.0 * h)[..., None, None]
         return jac
-
-    def score_table(self, theta) -> np.ndarray:
-        """Score d ln p / d theta_k, shape (..., D, d, l) like dprob_table."""
-        return self.dprob_table(theta) / self.prob_table(theta)[..., None, :, :]
 
     # -- construction validation -------------------------------------------
     def _validation_points(self) -> np.ndarray:
@@ -359,35 +348,6 @@ class MixtureWeights:
         return np.log(self.q)
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Fisher information matrix of one component at one parameter value."""
-
-    m: np.ndarray
-    component: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.m, dtype=float))
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if m.shape[0] != m.shape[1] or m.shape[0] != theta.size:
-            raise ConstructionError("information matrix must be square, D x D")
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise ConstructionError("information matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < -1e-10:
-            raise ConstructionError("information matrix must be positive semi-definite")
-        m.setflags(write=False)
-        theta.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "theta", theta)
-
-    def scalar(self) -> float:
-        """The single entry of a 1-D information matrix."""
-        if self.m.shape != (1, 1):
-            raise ValueError("scalar() is only defined for D=1")
-        return float(self.m[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Information functionals
 # ---------------------------------------------------------------------------
@@ -421,15 +381,14 @@ def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
     return out
 
 
-def fisher_information(fam: ParametricFamily, theta, alpha: int) -> InfoMatrix:
-    """Fisher information sum_j p (grad ln p)(grad ln p)^T of one component."""
-    if fam.regularity == "continuous":
-        raise CapabilityError("Fisher information needs at least C1 regularity")
-    p = fam.prob_table(theta)[alpha]
-    score = fam.score_table(theta)[:, alpha, :]  # (D, l)
-    m = (score * p[None, :]) @ score.T
-    m = 0.5 * (m + m.T)
-    return InfoMatrix(m=m, component=alpha, theta=np.atleast_1d(np.asarray(theta, float)))
+def fisher_information(fam: ParametricFamily, theta) -> np.ndarray:
+    """Fisher information sum_j p (grad ln p)(grad ln p)^T of every component
+    at one point theta: shape (d, D, D), row alpha the D x D matrix of
+    component alpha, symmetric and positive semi-definite."""
+    p = fam.prob_table(theta)
+    s = np.swapaxes(fam.dprob_table(theta) / p, 0, 1)  # score, (d, D, l)
+    m = (s * p[:, None, :]) @ np.swapaxes(s, 1, 2)
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 # ---------------------------------------------------------------------------

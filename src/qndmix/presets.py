@@ -125,7 +125,6 @@ def _toy_family(alpha_values: np.ndarray, box: ParameterBox, probs, dprobs) -> P
         box=box,
         probs=probs,
         dprobs=dprobs,
-        regularity="C3",
     )
 
 

@@ -202,7 +202,6 @@ def as_family(
         box=box,
         probs=probs,
         dprobs=dprobs,
-        regularity="C2",
     )
 
 

@@ -33,7 +33,6 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
         box=ParameterBox(np.array([box[0]]), np.array([box[1]])),
         probs=probs,
         dprobs=dprobs,
-        regularity="C2",
     )
 
 
@@ -71,7 +70,6 @@ def make_random_family(rng):
         box=ParameterBox(np.array([-1.0]), np.array([1.0])),
         probs=probs,
         dprobs=dprobs,
-        regularity="C2",
     )
 
 

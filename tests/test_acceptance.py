@@ -73,7 +73,7 @@ def test_criterion_1_fisher_cross_check():
     for k in range(33):
         theta = math.pi / 8 + k * math.pi / 128
         for c in range(8):
-            generic = fisher_information(pre.family, [theta], c).scalar()
+            generic = fisher_information(pre.family, [theta])[c, 0, 0]
             closed = pre.fisher_closed_form(theta, c)
             worst = max(worst, abs(generic - closed))
     elapsed = time.perf_counter() - t0
@@ -270,11 +270,9 @@ def test_criterion_8_property_suites():
         if np.min(kl_matrix(fam, theta)) < -1e-12:
             ok = False
             failures.append(f"kl<0 at family {i}")
-        for g in range(fam.n_components):
-            m = fisher_information(fam, theta, g).m  # PSD enforced on build
-            if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-                ok = False
-                failures.append(f"fisher psd at family {i}")
+        if np.min(np.linalg.eigvalsh(fisher_information(fam, theta))) < -1e-10:
+            ok = False
+            failures.append(f"fisher psd at family {i}")
 
         # Simplex preservation along a filtered record.
         q = MixtureWeights.normalized(np.arange(1.0, fam.n_components + 1.0))

@@ -19,7 +19,7 @@ from qndmix.asymptotics import (
     mle_path,
     purification_experiment,
 )
-from qndmix.errors import ConstructionError, SingularFisherError
+from qndmix.errors import ConstructionError, RefusalError, SingularFisherError
 from qndmix import estimate
 from qndmix.estimate import loglik
 from qndmix.model import MixtureWeights
@@ -100,7 +100,7 @@ def test_collapse_ratio_single_component(bernoulli_pair):
     fam = ParametricFamily(
         Alphabet(size=2), ComponentSet(size=1),
         ParameterBox(np.array([0.2]), np.array([0.8])),
-        probs=lambda t: np.stack([t, 1 - t], axis=-1), regularity="C1",
+        probs=lambda t: np.stack([t, 1 - t], axis=-1),
     )
     out = _log_collapse_ratio(fam, q1, np.array([[2, 3]]), [0.5], 0)
     assert out[0] == -np.inf  # nothing to collapse
@@ -239,12 +239,12 @@ def test_cramer_rao_needs_scalar_parameter():
         family=pre.family, q=pre.q, theta_star=pre.theta_star,
         h=np.zeros(6), n_grid=(100,), n_reps=4, master_seed=0,
     )
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(RefusalError, match="covers D = 1 only"):
         cramer_rao_experiment(plan)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(RefusalError, match="covers D = 1 only"):
         consistency_experiment(plan)
     traj = sample_trajectory(pre.family, pre.theta_star, 0, 100, seed=0)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(RefusalError, match="covers D = 1 only"):
         mle_path(plan, traj, [50, 100])
 
 

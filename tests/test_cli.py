@@ -8,7 +8,6 @@ import pytest
 
 import numpy as np
 
-from qndmix import cli
 from qndmix.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -22,7 +21,8 @@ from qndmix.cli import (
     main,
     parse_weights,
 )
-from qndmix.errors import ConfigError, DomainError
+from qndmix import asymptotics, cli
+from qndmix.errors import ConfigError, DomainError, RefusalError
 from qndmix.estimate import loglik
 from qndmix.simulate import counts, sample_mixture_trajectory
 
@@ -249,6 +249,39 @@ def test_singular_fisher_preset_is_refused_by_consistency_and_fig1(tmp_path, cap
         assert not (tmp_path / experiment / "report.json").exists()
 
 
+def test_fig1_refuses_before_drawing(tmp_path, monkeypatch, capsys):
+    draws = []
+    monkeypatch.setattr(cli, "sample_mixture_trajectory",
+                        lambda *a, **k: draws.append(a) or sample_mixture_trajectory(*a, **k))
+    code = run_cli("fig1", "--preset", "toy_haroche_guerlin", "--out", str(tmp_path))
+    assert code == EXIT_REFUSAL
+    assert capsys.readouterr().err.startswith(
+        "refused: Fisher information of component 0 is singular")
+    assert draws == []
+
+
+def test_fig1_evaluates_fisher_once(tmp_path, monkeypatch):
+    calls = []
+    fisher = asymptotics.fisher_information
+    monkeypatch.setattr(asymptotics, "fisher_information",
+                        lambda *a: calls.append(a) or fisher(*a))
+    code = run_cli("fig1", "--preset", "qubit_rotation", "--out", str(tmp_path))
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert len(calls) == 1
+    assert len(list(tmp_path.glob("fig1_seed*.csv"))) == cli.FIG1_SEEDS
+
+
+def test_h_takes_a_comma_list(tmp_path, capsys):
+    args = cli.make_parser().parse_args(["lamn", "--h", "1,0.5"])
+    assert cli._merge(args).h == [1.0, 0.5]
+    code = run_cli("lamn", "--preset", "qubit_rotation", "--h", "1,0.5",
+                   "--n-reps", "4", "--n-grid", "50", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: h must have the same dimension")
+    assert run_cli("lamn", "--h", "1,x", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --h: cannot parse")
+
+
 def test_lamn_defaults_to_a_unit_shift(tmp_path):
     """Without --h, lamn shifts by h = 1, so the Anderson-Darling gate runs
     at every n; --h 0 still gives the untested h = 0 report."""
@@ -281,6 +314,8 @@ def test_scalar_experiments_refuse_multiparameter_model(experiment, tmp_path, ca
 @pytest.mark.parametrize("exc,code,prefix", [
     (DomainError("theta outside the box"), EXIT_ERROR, "error:"),
     (ZeroDivisionError("boom"), EXIT_INTERNAL, None),
+    (NotImplementedError("not yet"), EXIT_INTERNAL, None),
+    (RefusalError("outside the theorem"), EXIT_REFUSAL, "refused:"),
 ])
 def test_errors_are_not_check_failures(exc, code, prefix, tmp_path, monkeypatch, capsys):
     def broken(plan):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qndmix.errors import CapabilityError, ConstructionError, DomainError
+from qndmix.errors import ConstructionError, DomainError
 from qndmix.model import (
     Alphabet,
     ComponentSet,
-    InfoMatrix,
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
@@ -133,29 +132,6 @@ def test_family_rejects_bad_shape():
         ParametricFamily(alphabet, components, box, probs=lambda t: np.array([0.5, 0.5]))
 
 
-def test_family_unknown_regularity():
-    alphabet, components, box = _simple_parts()
-    with pytest.raises(ConstructionError):
-        ParametricFamily(
-            alphabet, components, box,
-            probs=lambda t: np.array([[t[0], 1.0 - t[0]]]),
-            regularity="smooth-ish",
-        )
-
-
-def test_continuous_family_refuses_derivatives():
-    alphabet, components, box = _simple_parts()
-    fam = ParametricFamily(
-        alphabet, components, box,
-        probs=lambda t: np.stack([t, 1.0 - t], axis=-1),
-        regularity="continuous",
-    )
-    with pytest.raises(CapabilityError):
-        fam.dprob_table([0.5])
-    with pytest.raises(CapabilityError):
-        fisher_information(fam, [0.5], 0)
-
-
 def _fd_bernoulli_pair():
     return ParametricFamily(
         Alphabet(size=2), ComponentSet(size=2),
@@ -163,7 +139,6 @@ def _fd_bernoulli_pair():
         probs=lambda t: np.concatenate(
             [t[..., None] * [[1.0], [0.5]], 1.0 - t[..., None] * [[1.0], [0.5]]], axis=-1
         ),
-        regularity="C1",
     )
 
 
@@ -274,26 +249,15 @@ def test_kl_matrix_matches_pairwise(bernoulli_pair):
 def test_fisher_bernoulli_closed_form(bernoulli_pair):
     # Component 0 is Bernoulli(theta): I = 1/(theta(1-theta)).
     for theta in (0.3, 0.5, 0.7):
-        got = fisher_information(bernoulli_pair, [theta], 0).scalar()
+        got = fisher_information(bernoulli_pair, [theta])[0, 0, 0]
         assert got == pytest.approx(1.0 / (theta * (1 - theta)), rel=1e-12)
     # Component 1 is Bernoulli(theta/2) with dp/dtheta = 1/2.
     theta = 0.6
     p = theta / 2
     expect = 0.25 / (p * (1 - p))
-    assert fisher_information(bernoulli_pair, [theta], 1).scalar() == pytest.approx(
-        expect, rel=1e-12
-    )
-
-
-def test_info_matrix_validation():
-    with pytest.raises(ConstructionError):
-        InfoMatrix(m=np.array([[1.0, 0.5], [0.0, 1.0]]), component=0, theta=np.zeros(2))
-    with pytest.raises(ConstructionError):
-        InfoMatrix(m=np.array([[-1.0]]), component=0, theta=np.zeros(1))
-    im = InfoMatrix(m=np.array([[2.0]]), component=0, theta=np.zeros(1))
-    assert im.scalar() == 2.0
-    with pytest.raises(ValueError):
-        InfoMatrix(m=np.eye(2), component=0, theta=np.zeros(2)).scalar()
+    stack = fisher_information(bernoulli_pair, [theta])
+    assert stack.shape == (2, 1, 1)
+    assert stack[1, 0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +289,7 @@ def test_identifiability_flags_duplicate_components():
     fam = ParametricFamily(
         Alphabet(size=2), ComponentSet(size=2),
         ParameterBox(np.array([0.2]), np.array([0.8])),
-        probs=probs, regularity="C1",
+        probs=probs,
     )
     report = check_identifiability(fam, [[0.5]])
     assert not report.passed

@@ -62,7 +62,7 @@ def test_toy_fisher_closed_form_samples(toy):
     # Full-grid agreement is the acceptance cross-check; spot-check here.
     for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
         for c in (0, 3, 7):
-            generic = fisher_information(toy.family, [theta], c).scalar()
+            generic = fisher_information(toy.family, [theta])[c, 0, 0]
             closed = toy.fisher_closed_form(theta, c)
             assert generic == pytest.approx(closed, abs=1e-10)
 
@@ -122,7 +122,7 @@ def test_qubit_preset(qubit):
     assert qubit.component_values == (1, 2)
     for theta in (0.55, 0.725, 0.9):
         for c in range(2):
-            got = fisher_information(qubit.family, [theta], c).scalar()
+            got = fisher_information(qubit.family, [theta])[c, 0, 0]
             assert got == pytest.approx((c + 1) ** 2, abs=1e-9)
     assert qubit.system is not None
     assert qubit.estimation_box is None
@@ -132,7 +132,7 @@ def test_qubit_preset(qubit):
 def test_qubit_custom_box():
     pre = qubit_rotation(d=3, box=(0.3, 1.0))
     assert pre.theta_star[0] == pytest.approx(0.65)
-    assert fisher_information(pre.family, [0.65], 2).scalar() == pytest.approx(9.0, abs=1e-9)
+    assert fisher_information(pre.family, [0.65])[2, 0, 0] == pytest.approx(9.0, abs=1e-9)
 
 
 def test_full_variant_consistent_with_toy(toy):

@@ -293,7 +293,6 @@ def test_filter_step_zero_probability_outcome():
         Alphabet(size=2), ComponentSet(size=1),
         ParameterBox(np.array([0.0]), np.array([1.0])),
         probs=lambda t: np.array([[1.0, 0.0]]),
-        regularity="C1",
         validate=False,  # deliberately degenerate
     )
     state = FilterState.from_weights([1.0])
