@@ -75,8 +75,8 @@ class RunConfig:
             raise ConfigError(
                 f"field 'experiment': {self.experiment!r} is not one of {EXPERIMENTS}"
             )
-        if self.n_reps < 1:
-            raise ConfigError("field 'n_reps': must be a positive integer")
+        if self.n_reps < 2:
+            raise ConfigError("field 'n_reps': must be at least 2")
         if self.n_grid is not None and (
             not self.n_grid or any(int(n) < 1 for n in self.n_grid)
         ):

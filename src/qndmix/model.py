@@ -1,8 +1,9 @@
 """Parametric families of multinomials over a finite alphabet and their mixtures.
 
 A family assigns to every parameter value theta (in a compact box) and every
-hidden component alpha a probability distribution over a finite outcome
-alphabet.  Information functionals (Shannon entropy, Kullback-Leibler
+hidden component alpha a probability distribution over outcomes 0..l-1; it is
+its table p_theta(j|alpha), whose (d, l) shape gives the number of components
+and of outcomes.  Information functionals (Shannon entropy, Kullback-Leibler
 divergence, and Fisher information as one (d, D, D) stack of every
 component's D x D matrix) and a grid-based identifiability checker are
 provided on top.
@@ -10,7 +11,7 @@ provided on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,8 +19,6 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 
 __all__ = [
-    "Alphabet",
-    "ComponentSet",
     "ParameterBox",
     "ParametricFamily",
     "MixtureWeights",
@@ -39,42 +38,6 @@ FD_REL_STEP = 1e-5
 
 # Evenly spaced points, edge to edge, per box axis of the construction checks.
 VALIDATION_POINTS_PER_AXIS = 9
-
-
-def _default_labels(prefix: str, size: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(size))
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite outcome alphabet; outcomes are indexed 0..size-1."""
-
-    size: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ConstructionError(f"alphabet needs at least 2 outcomes, got {self.size}")
-        labels = self.labels or _default_labels("j", self.size)
-        if len(labels) != self.size or len(set(labels)) != self.size:
-            raise ConstructionError("alphabet labels must be distinct and match size")
-        object.__setattr__(self, "labels", tuple(labels))
-
-
-@dataclass(frozen=True)
-class ComponentSet:
-    """Hidden-component index set; components are indexed 0..size-1."""
-
-    size: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ConstructionError("component set must be non-empty")
-        labels = self.labels or _default_labels("a", self.size)
-        if len(labels) != self.size or len(set(labels)) != self.size:
-            raise ConstructionError("component labels must be distinct and match size")
-        object.__setattr__(self, "labels", tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -132,7 +95,7 @@ class ParameterBox:
 
 
 class ParametricFamily:
-    """Map (theta, alpha) -> distribution over the alphabet.
+    """Map (theta, alpha) -> distribution over the outcomes 0..l-1.
 
     The evaluation rule is supplied as a table function ``probs(theta)``
     taking theta of shape (..., D) and returning an array of shape (..., d, l):
@@ -142,39 +105,38 @@ class ParametricFamily:
     returns the parameter Jacobian in the same way: shape (..., D, d, l) for
     theta of shape (..., D).
 
-    Construction validates, at the box center and at 9 evenly spaced points
-    from edge to edge along each axis through it, that every row is a
-    probability vector with entries strictly inside (0, 1), that the analytic
-    Jacobian (when given) is consistent with finite differences, and that the
-    tables and Jacobians of the stacked sample match those of its points one
-    at a time.  Violations raise ConstructionError; nothing is clamped.
+    The number of components d and of outcomes l are read off the table at
+    the box center, as QndSystem reads its sizes off its generators; a table
+    that is not 2-D, has no row or has a single outcome is refused.
+    Construction then validates, at the box center and at 9 evenly spaced
+    points from edge to edge along each axis through it, that every table has
+    the center's shape, that every row is a probability vector with entries
+    strictly inside (0, 1), that the analytic Jacobian (when given) is
+    consistent with finite differences, and that the tables and Jacobians of
+    the stacked sample match those of its points one at a time.  Violations
+    raise ConstructionError; nothing is clamped.
     """
 
     def __init__(
         self,
-        alphabet: Alphabet,
-        components: ComponentSet,
         box: ParameterBox,
         probs: Callable[[np.ndarray], np.ndarray],
         dprobs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         validate: bool = True,
     ):
-        self.alphabet = alphabet
-        self.components = components
         self.box = box
         self._probs = probs
         self._dprobs = dprobs
+        center = 0.5 * (box.lower + box.upper)
+        shape = np.shape(probs(center))
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
+            raise ConstructionError(
+                f"probs returned shape {shape} at the box center theta={center}; "
+                f"one point must give a (d, l) table with d >= 1 and l >= 2"
+            )
+        self.n_components, self.n_outcomes = shape
         if validate:
             self._validate()
-
-    # -- basic shape aliases ------------------------------------------------
-    @property
-    def n_outcomes(self) -> int:
-        return self.alphabet.size
-
-    @property
-    def n_components(self) -> int:
-        return self.components.size
 
     @property
     def dim(self) -> int:
@@ -262,7 +224,8 @@ class ParametricFamily:
             table = np.asarray(self._probs(t), dtype=float)
             if table.shape != (self.n_components, self.n_outcomes):
                 raise ConstructionError(
-                    f"probs returned shape {table.shape} at theta={t}"
+                    f"probs returned shape {table.shape} at theta={t}, "
+                    f"{(self.n_components, self.n_outcomes)} at the box center"
                 )
             if not np.all(np.isfinite(table)):
                 raise ConstructionError(f"non-finite probability at theta={t}")
@@ -384,7 +347,11 @@ def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
 def fisher_information(fam: ParametricFamily, theta) -> np.ndarray:
     """Fisher information sum_j p (grad ln p)(grad ln p)^T of every component
     at one point theta: shape (d, D, D), row alpha the D x D matrix of
-    component alpha, symmetric and positive semi-definite."""
+    component alpha, symmetric and positive semi-definite.  A stack of points
+    is refused with DomainError."""
+    if np.ndim(theta) > 1:
+        raise DomainError(f"fisher_information takes one parameter point, got theta of shape "
+                          f"{np.shape(theta)}")
     p = fam.prob_table(theta)
     s = np.swapaxes(fam.dprob_table(theta) / p, 0, 1)  # score, (d, D, l)
     m = (s * p[:, None, :]) @ np.swapaxes(s, 1, 2)

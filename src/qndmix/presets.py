@@ -2,6 +2,7 @@
 
 ``toy_haroche`` is the photon-number toy model: 8 hidden components
 (alpha = 1..8), outcomes indexed by (x, a) with x in {0,1} and a in {0..3},
+in the order j = 4x + a,
 
     p_theta(x, a | alpha) = (1 + 0.674 cos(alpha*theta + (2-a)*pi/4 + x*pi)) / 8
 
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ConstructionError
-from .model import Alphabet, ComponentSet, MixtureWeights, ParameterBox, ParametricFamily
+from .model import MixtureWeights, ParameterBox, ParametricFamily
 from .quantum import QndSystem, as_family
 
 __all__ = [
@@ -113,27 +114,11 @@ def _toy_fisher(theta: float, alpha: float) -> float:
     return float(np.sum(alpha**2 * (VISIBILITY**2 / 4) * num / den))
 
 
-def _toy_family(alpha_values: np.ndarray, box: ParameterBox, probs, dprobs) -> ParametricFamily:
-    """The 8-outcome toy alphabet, with outcome bijection j = 4*x + a, and one
-    component per photon number in alpha_values."""
-    return ParametricFamily(
-        alphabet=Alphabet(size=8, labels=tuple(f"x{x}a{a}" for x in (0, 1) for a in range(4))),
-        components=ComponentSet(
-            size=alpha_values.size,
-            labels=tuple(f"n{int(a)}" for a in alpha_values),
-        ),
-        box=box,
-        probs=probs,
-        dprobs=dprobs,
-    )
-
-
 def _toy_preset(
     name: str, alpha_values: np.ndarray, estimation_box: Optional[ParameterBox] = None
 ) -> Preset:
     """Single-parameter toy model on the box [pi/8, 3pi/8] with theta* = pi/4."""
-    family = _toy_family(
-        alpha_values,
+    family = ParametricFamily(
         ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
         probs=lambda t: _toy_prob_table(alpha_values, t),
         dprobs=lambda t: _toy_dprob_table(alpha_values, t),
@@ -203,7 +188,7 @@ def toy_haroche_full() -> Preset:
         ], axis=-3)                                             # (..., 6, d, 4)
         return np.concatenate([half, -half], axis=-1)
 
-    family = _toy_family(alpha_values, ParameterBox(lower, upper), probs, dprobs)
+    family = ParametricFamily(ParameterBox(lower, upper), probs, dprobs)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))
     return Preset(
         name="toy_haroche_full",
@@ -240,12 +225,7 @@ def qubit_rotation(d: int = 2, box: tuple[float, float] = (0.5, 0.95)) -> Preset
         probe=np.array([1.0, 0.0], dtype=complex),
     )
     pbox = ParameterBox(np.array([box[0]]), np.array([box[1]]))
-    family = as_family(
-        sys,
-        pbox,
-        alphabet_labels=("up", "down"),
-        component_labels=tuple(f"a{c + 1}" for c in range(d)),
-    )
+    family = as_family(sys, pbox)
     theta_star = np.array([0.5 * (box[0] + box[1])])
     return Preset(
         name="qubit_rotation",

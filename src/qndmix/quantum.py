@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, InferenceError
 from .estimate import logsumexp
-from .model import Alphabet, ComponentSet, ParameterBox, ParametricFamily
+from .model import ParameterBox, ParametricFamily
 
 __all__ = [
     "QndSystem",
@@ -164,13 +164,9 @@ def outcome_probs(sys: QndSystem, theta, alpha: int) -> np.ndarray:
     return np.abs(_amplitudes(sys, theta)[..., alpha, :]) ** 2
 
 
-def as_family(
-    sys: QndSystem,
-    box: ParameterBox,
-    alphabet_labels: Sequence[str] = (),
-    component_labels: Sequence[str] = (),
-) -> ParametricFamily:
-    """Wrap the induced outcome distributions as a ParametricFamily.
+def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
+    """Wrap the induced outcome distributions as a ParametricFamily, whose
+    d components and l outcomes are the system's and the probe's levels.
 
     The family constructor's checks are the positivity gate: an outcome with
     probability 0 or 1 at one of its sample points names the offending
@@ -184,8 +180,6 @@ def as_family(
         raise ConstructionError(
             f"box has dimension {box.dimension}, but the generators take D = {sys.dim}"
         )
-    alphabet = Alphabet(size=sys.probe_dim, labels=tuple(alphabet_labels))
-    components = ComponentSet(size=sys.system_dim, labels=tuple(component_labels))
 
     def probs(theta: np.ndarray) -> np.ndarray:
         return np.abs(_amplitudes(sys, theta)) ** 2
@@ -196,13 +190,7 @@ def as_family(
         num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
         return np.abs(den) ** 2 * (2.0 * np.imag(num / den))                    # (..., D, d, l)
 
-    return ParametricFamily(
-        alphabet=alphabet,
-        components=components,
-        box=box,
-        probs=probs,
-        dprobs=dprobs,
-    )
+    return ParametricFamily(box, probs, dprobs)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,12 @@ def sample_counts(
     return CountVector(n=n, counts=c[0, 0])
 
 
-def counts(traj: Trajectory, n_prefix: Optional[int] = None, n_outcomes: Optional[int] = None) -> CountVector:
-    """Exact outcome counts of the first n_prefix steps of a trajectory."""
+def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:
+    """Exact counts of outcomes 0..n_outcomes-1 in the first n_prefix steps
+    of a trajectory."""
     n = len(traj) if n_prefix is None else int(n_prefix)
     if n > len(traj):
         raise DomainError(f"prefix length {n} exceeds trajectory length {len(traj)}")
-    if n_outcomes is None:
-        n_outcomes = int(traj.outcomes.max(initial=-1)) + 1 if len(traj) else 1
     c = np.bincount(traj.outcomes[:n], minlength=n_outcomes)
     return CountVector(n=n, counts=c)
 

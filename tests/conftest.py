@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qndmix.model import (
-    Alphabet,
-    ComponentSet,
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
@@ -28,8 +26,6 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
         return np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], t.shape[:-1] + (1, 2, 2))
 
     return ParametricFamily(
-        alphabet=Alphabet(size=2),
-        components=ComponentSet(size=2),
         box=ParameterBox(np.array([box[0]]), np.array([box[1]])),
         probs=probs,
         dprobs=dprobs,
@@ -65,8 +61,6 @@ def make_random_family(rng):
         return (p * (gp - np.sum(p * gp, axis=-1, keepdims=True)))[..., None, :, :]
 
     return ParametricFamily(
-        alphabet=Alphabet(size=l),
-        components=ComponentSet(size=d),
         box=ParameterBox(np.array([-1.0]), np.array([1.0])),
         probs=probs,
         dprobs=dprobs,

@@ -95,10 +95,9 @@ def test_collapse_ratio_matches_direct(bernoulli_pair):
 
 def test_collapse_ratio_single_component(bernoulli_pair):
     q1 = MixtureWeights(np.array([1.0]))
-    from qndmix.model import Alphabet, ComponentSet, ParameterBox, ParametricFamily
+    from qndmix.model import ParameterBox, ParametricFamily
 
     fam = ParametricFamily(
-        Alphabet(size=2), ComponentSet(size=1),
         ParameterBox(np.array([0.2]), np.array([0.8])),
         probs=lambda t: np.stack([t, 1 - t], axis=-1),
     )

@@ -45,6 +45,14 @@ def test_bad_n_grid_is_config_error(tmp_path):
     assert run_cli("purify", "--n-grid", "10,abc", "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+def test_single_rep_is_config_error(tmp_path, capsys):
+    """One replication has no sample variance; it is refused before a run."""
+    code = run_cli("cramer-rao", "--n-reps", "1", "--n-grid", "1000", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: field 'n_reps': must be at least 2")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_theta_star_outside_box_is_config_error(tmp_path):
     assert (
         run_cli("purify", "--preset", "qubit_rotation", "--theta-star", "9.0",
@@ -180,6 +188,22 @@ def test_import_leaves_out_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_export_resolves():
+    """Each name in the package's and its submodules' __all__ is defined, once."""
+    import importlib
+    import pkgutil
+
+    import qndmix
+
+    modules = [qndmix] + [importlib.import_module(f"qndmix.{m.name}")
+                          for m in pkgutil.iter_modules(qndmix.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 SCIPY_BLOCKED = """

@@ -20,8 +20,6 @@ from qndmix.estimate import (
     mle,
 )
 from qndmix.model import (
-    Alphabet,
-    ComponentSet,
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
@@ -262,8 +260,6 @@ def _two_param_family():
         return np.broadcast_to(np.stack([da, db]), t.shape[:-1] + (2, 2, 3))
 
     return ParametricFamily(
-        alphabet=Alphabet(size=3),
-        components=ComponentSet(size=2),
         box=ParameterBox(np.array([0.1, 0.1]), np.array([0.4, 0.4])),
         probs=probs,
         dprobs=dprobs,

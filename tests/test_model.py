@@ -5,8 +5,6 @@ import pytest
 
 from qndmix.errors import ConstructionError, DomainError
 from qndmix.model import (
-    Alphabet,
-    ComponentSet,
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
@@ -21,24 +19,6 @@ from qndmix.model import (
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
-
-def test_alphabet_requires_two_outcomes():
-    with pytest.raises(ConstructionError):
-        Alphabet(size=1)
-
-
-def test_alphabet_default_and_custom_labels():
-    assert Alphabet(size=3).labels == ("j0", "j1", "j2")
-    assert Alphabet(size=2, labels=("up", "down")).labels == ("up", "down")
-    with pytest.raises(ConstructionError):
-        Alphabet(size=2, labels=("same", "same"))
-
-
-def test_component_set_nonempty():
-    with pytest.raises(ConstructionError):
-        ComponentSet(size=0)
-    assert ComponentSet(size=2).labels == ("a0", "a1")
-
 
 def test_box_validation():
     with pytest.raises(ConstructionError):
@@ -98,28 +78,37 @@ def test_weights_are_immutable():
 # Family construction gates
 # ---------------------------------------------------------------------------
 
-def _simple_parts():
-    return Alphabet(size=2), ComponentSet(size=1), ParameterBox(np.array([0.2]), np.array([0.8]))
+def _simple_box():
+    return ParameterBox(np.array([0.2]), np.array([0.8]))
+
+
+def test_family_sizes_are_the_table_shape(toy, qubit):
+    """d and l are the shape of the table at the box center; a 1-D table, a
+    table with no row and a table with one outcome are refused."""
+    for table in (np.array([0.5, 0.5]), np.empty((0, 2)), np.ones((2, 1))):
+        with pytest.raises(ConstructionError, match="shape"):
+            ParametricFamily(_simple_box(), probs=lambda t: table)
+    for preset, shape in ((toy, (8, 8)), (qubit, (2, 2))):
+        fam = preset.family
+        assert (fam.n_components, fam.n_outcomes) == shape
 
 
 def test_family_rejects_bad_row_sum():
-    alphabet, components, box = _simple_parts()
+    box = _simple_box()
     with pytest.raises(ConstructionError, match="sums to"):
-        ParametricFamily(alphabet, components, box, probs=lambda t: np.array([[0.5, 0.4]]))
+        ParametricFamily(box, probs=lambda t: np.array([[0.5, 0.4]]))
 
 
 def test_family_rejects_boundary_probabilities():
-    alphabet, components, box = _simple_parts()
+    box = _simple_box()
     with pytest.raises(ConstructionError, match="strict"):
-        ParametricFamily(alphabet, components, box, probs=lambda t: np.array([[0.0, 1.0]]))
+        ParametricFamily(box, probs=lambda t: np.array([[0.0, 1.0]]))
 
 
 def test_family_rejects_inconsistent_gradient():
-    alphabet, components, box = _simple_parts()
+    box = _simple_box()
     with pytest.raises(ConstructionError, match="finite differences"):
         ParametricFamily(
-            alphabet,
-            components,
             box,
             probs=lambda t: np.array([[t[0], 1.0 - t[0]]]),
             dprobs=lambda t: np.array([[[2.0, -2.0]]]),  # off by a factor of 2
@@ -127,14 +116,17 @@ def test_family_rejects_inconsistent_gradient():
 
 
 def test_family_rejects_bad_shape():
-    alphabet, components, box = _simple_parts()
-    with pytest.raises(ConstructionError, match="shape"):
-        ParametricFamily(alphabet, components, box, probs=lambda t: np.array([0.5, 0.5]))
+    """Every validation point must give a table of the center's shape."""
+
+    def off_center(t):
+        return np.full((1, 2), 0.5) if np.allclose(t, 0.5) else np.full((1, 3), 1.0 / 3.0)
+
+    with pytest.raises(ConstructionError, match=r"shape \(1, 3\) .*\(1, 2\) at the box center"):
+        ParametricFamily(_simple_box(), probs=off_center)
 
 
 def _fd_bernoulli_pair():
     return ParametricFamily(
-        Alphabet(size=2), ComponentSet(size=2),
         ParameterBox(np.array([0.2]), np.array([0.8])),
         probs=lambda t: np.concatenate(
             [t[..., None] * [[1.0], [0.5]], 1.0 - t[..., None] * [[1.0], [0.5]]], axis=-1
@@ -180,7 +172,7 @@ def test_fd_fallback_on_a_two_parameter_stack():
         row = np.stack([a * b, a * (1.0 - b), 1.0 - a], axis=-1)
         return np.stack([row, row[..., ::-1]], axis=-2)
 
-    fam = ParametricFamily(Alphabet(size=3), ComponentSet(size=2), box, probs=probs)
+    fam = ParametricFamily(box, probs=probs)
     stack = np.array([[0.1, 0.4], [0.25, 0.1 + 1e-6], [0.4 - 1e-6, 0.3]])
     jacs = fam.dprob_table(stack)
     for t, jac in zip(stack, jacs):
@@ -260,6 +252,11 @@ def test_fisher_bernoulli_closed_form(bernoulli_pair):
     assert stack[1, 0, 0] == pytest.approx(expect, rel=1e-12)
 
 
+def test_fisher_refuses_a_stack_of_points(toy):
+    with pytest.raises(DomainError, match=r"one parameter point, got theta of shape \(2, 1\)"):
+        fisher_information(toy.family, [[0.7], [0.8]])
+
+
 # ---------------------------------------------------------------------------
 # Identifiability scan
 # ---------------------------------------------------------------------------
@@ -287,7 +284,6 @@ def test_identifiability_flags_duplicate_components():
         return np.concatenate([x, x], axis=-2)  # identical components
 
     fam = ParametricFamily(
-        Alphabet(size=2), ComponentSet(size=2),
         ParameterBox(np.array([0.2]), np.array([0.8])),
         probs=probs,
     )

@@ -287,10 +287,7 @@ def test_filter_step_rejects_bad_outcome(bernoulli_pair, uniform2):
 
 
 def test_filter_step_zero_probability_outcome():
-    from qndmix.model import Alphabet, ComponentSet, ParametricFamily
-
     fam = ParametricFamily(
-        Alphabet(size=2), ComponentSet(size=1),
         ParameterBox(np.array([0.0]), np.array([1.0])),
         probs=lambda t: np.array([[1.0, 0.0]]),
         validate=False,  # deliberately degenerate
@@ -363,10 +360,7 @@ def test_filter_path_equals_the_step_by_step_filter(case, request):
 def test_filter_refuses_an_impossible_outcome_at_its_step():
     """Outcome 1 rules out component 1, so outcome 2, possible only under
     component 1, is impossible at step 3, the first step it occurs."""
-    from qndmix.model import Alphabet, ComponentSet
-
     fam = ParametricFamily(
-        Alphabet(size=3), ComponentSet(size=2),
         ParameterBox(np.array([0.0]), np.array([1.0])),
         probs=lambda t: np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
         validate=False,  # deliberately degenerate

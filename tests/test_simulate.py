@@ -77,7 +77,7 @@ def test_counts_and_prefixes(bernoulli_pair):
     head = counts(traj, n_prefix=10, n_outcomes=2)
     assert head.n == 10 and head.counts.sum() == 10
     with pytest.raises(DomainError):
-        counts(traj, n_prefix=101)
+        counts(traj, n_prefix=101, n_outcomes=2)
 
 
 def test_count_vector_validation():
