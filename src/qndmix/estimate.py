@@ -155,11 +155,8 @@ def limit_loglik(fam: ParametricFamily, theta_star, gamma: int, theta) -> float:
 
         -S_{theta*}(gamma) - min_alpha KL(p_{theta*}(.|gamma) || p_theta(.|alpha))
     """
-    divergences = [
-        kl_divergence(fam, theta_star, theta, gamma, alpha)
-        for alpha in range(fam.n_components)
-    ]
-    return -shannon_entropy(fam, theta_star, gamma) - min(divergences)
+    divergences = kl_divergence(fam, theta_star, theta)[gamma]
+    return -shannon_entropy(fam, theta_star, gamma) - float(divergences.min())
 
 
 def log_sum_paths(ell_a: np.ndarray, ell_b: np.ndarray, n: int) -> np.ndarray:
@@ -378,7 +375,7 @@ def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray
     """Multi-start projected gradient ascent with backtracking (D > 1) on the
     rows of a loglik_rows objective, from N_STARTS Halton starts per row; all
     (row, start) pairs step together, and only pairs still stepping are
-    evaluated.  Per row the end points are ordered by value, then by x.
+    evaluated.  Per row the smallest x within TIE_TOL of the best value wins.
 
     Returns per row x, value, tie, boundary and whether any start converged,
     then every pair's end points and values, shaped (n_rows, N_STARTS, ...).
@@ -415,12 +412,13 @@ def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray
         done = np.where(rise, (proj <= GRAD_TOL) | (iters[act] == MAX_ITER), step[act] <= 1e-14)
         act = act[~done]
 
-    # Ties resolve to the smaller x; a runner-up within TIE_TOL in value but
-    # not at the same x sets the tie flag.
-    order = np.lexsort((*x.T[::-1], -fx, rows)).reshape(n_rows, N_STARTS)
-    best, runner = order[:, 0], order[:, 1]
+    # The (lexicographically) smallest end point within TIE_TOL of its row's
+    # best value wins; another such end point elsewhere sets the tie flag.
+    near = fx >= np.repeat(fx.reshape(n_rows, N_STARTS).max(axis=1), N_STARTS) - TIE_TOL
+    best = np.lexsort((*x.T[::-1], ~near, rows))[::N_STARTS]
     x_hat = x[best]
-    tie = (fx[best] - fx[runner] <= TIE_TOL) & ~np.isclose(x[runner], x_hat, atol=1e-9).all(axis=1)
+    apart = ~np.isclose(x, x_hat[rows], atol=1e-9).all(axis=1)
+    tie = (near & apart).reshape(n_rows, N_STARTS).any(axis=1)
     boundary = np.any(x_hat - lower <= 1e-9, axis=1) | np.any(upper - x_hat <= 1e-9, axis=1)
     converged = ok.reshape(n_rows, N_STARTS).any(axis=1)
     ends = x.reshape(n_rows, N_STARTS, dim), fx.reshape(n_rows, N_STARTS)

@@ -4,9 +4,9 @@ A family assigns to every parameter value theta (in a compact box) and every
 hidden component alpha a probability distribution over outcomes 0..l-1; it is
 its table p_theta(j|alpha), whose (d, l) shape gives the number of components
 and of outcomes.  Information functionals (Shannon entropy, Kullback-Leibler
-divergence, and Fisher information as one (d, D, D) stack of every
-component's D x D matrix) and a grid-based identifiability checker are
-provided on top.
+divergence as one (d, d) matrix of every component pair, and Fisher
+information as one (d, D, D) stack of every component's D x D matrix) and a
+grid-based identifiability checker are provided on top.
 """
 
 from __future__ import annotations
@@ -108,13 +108,15 @@ class ParametricFamily:
     The number of components d and of outcomes l are read off the table at
     the box center, as QndSystem reads its sizes off its generators; a table
     that is not 2-D, has no row or has a single outcome is refused.
-    Construction then validates, at the box center and at 9 evenly spaced
-    points from edge to edge along each axis through it, that every table has
-    the center's shape, that every row is a probability vector with entries
-    strictly inside (0, 1), that the analytic Jacobian (when given) is
-    consistent with finite differences, and that the tables and Jacobians of
-    the stacked sample match those of its points one at a time.  Violations
-    raise ConstructionError; nothing is clamped.
+    Every family is then checked once, at the box center and at 9 evenly
+    spaced points from edge to edge along each axis through it: each point's
+    table (and Jacobian, when given) is evaluated once, alone, and the checks
+    run over the stacked results.  Every table must have the center's shape,
+    every row be a probability vector with entries strictly inside (0, 1),
+    the stacked call match the single-point ones, and the analytic Jacobian
+    agree with one finite-difference pass over all points.  A violation
+    raises ConstructionError naming the first offending theta; nothing is
+    clamped.
     """
 
     def __init__(
@@ -122,7 +124,6 @@ class ParametricFamily:
         box: ParameterBox,
         probs: Callable[[np.ndarray], np.ndarray],
         dprobs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        validate: bool = True,
     ):
         self.box = box
         self._probs = probs
@@ -135,8 +136,7 @@ class ParametricFamily:
                 f"one point must give a (d, l) table with d >= 1 and l >= 2"
             )
         self.n_components, self.n_outcomes = shape
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -218,50 +218,54 @@ class ParametricFamily:
         return np.unique(np.vstack([center, scan.reshape(-1, self.dim)]), axis=0)
 
     def _validate(self):
+        # np.nonzero(flags)[0][0] is the first point with a flagged entry.
         points = self._validation_points()
-        tables, jacobians = [], []
-        for t in points:
-            table = np.asarray(self._probs(t), dtype=float)
-            if table.shape != (self.n_components, self.n_outcomes):
-                raise ConstructionError(
-                    f"probs returned shape {table.shape} at theta={t}, "
-                    f"{(self.n_components, self.n_outcomes)} at the box center"
-                )
-            if not np.all(np.isfinite(table)):
-                raise ConstructionError(f"non-finite probability at theta={t}")
-            if np.any(table <= PROB_EPS) or np.any(table >= 1.0 - PROB_EPS):
-                a, j = np.unravel_index(
-                    int(np.argmin(np.minimum(table, 1.0 - table))), table.shape
-                )
-                raise ConstructionError(
-                    f"probability p(j={j}|alpha={a}) = {table[a, j]} at theta={t} "
-                    f"violates the strict (0, 1) requirement"
-                )
-            row_err = np.abs(table.sum(axis=1) - 1.0)
-            if np.any(row_err > 1e-12):
-                a = int(np.argmax(row_err))
-                raise ConstructionError(
-                    f"distribution for alpha={a} sums to {table[a].sum()} at theta={t}"
-                )
-            tables.append(table)
-            if self._dprobs is not None:
-                analytic = np.asarray(self._dprobs(t), dtype=float)
-                fd = self._fd_dprob_table(t)
-                denom = 1.0 + np.abs(analytic)
-                if np.any(np.abs(analytic - fd) > 1e-6 * denom):
-                    raise ConstructionError(
-                        f"analytic gradient inconsistent with finite differences at theta={t}"
-                    )
-                jacobians.append(analytic)
+        tables = self._singles("probs", self._probs, points, ())
+        bad = ~np.isfinite(tables)
+        if np.any(bad):
+            i = np.nonzero(bad)[0][0]
+            raise ConstructionError(f"non-finite probability at theta={points[i]}")
+        margin = np.minimum(tables, 1.0 - tables)
+        if np.any(margin <= PROB_EPS):
+            i = np.nonzero(margin <= PROB_EPS)[0][0]
+            a, j = np.unravel_index(int(np.argmin(margin[i])), margin.shape[1:])
+            raise ConstructionError(
+                f"probability p(j={j}|alpha={a}) = {tables[i, a, j]} at theta={points[i]} "
+                f"violates the strict (0, 1) requirement"
+            )
+        row_err = np.abs(tables.sum(axis=2) - 1.0)
+        if np.any(row_err > 1e-12):
+            i = np.nonzero(row_err > 1e-12)[0][0]
+            a = int(np.argmax(row_err[i]))
+            raise ConstructionError(
+                f"distribution for alpha={a} sums to {tables[i, a].sum()} at theta={points[i]}"
+            )
         self._check_stack("probs", "(..., d, l)", self._probs, points, tables)
         if self._dprobs is not None:
+            jacobians = self._singles("dprobs", self._dprobs, points, (self.dim,))
             self._check_stack("dprobs", "(..., D, d, l)", self._dprobs, points, jacobians)
+            err = np.abs(jacobians - self._fd_dprob_table(points))
+            bad = err > 1e-6 * (1.0 + np.abs(jacobians))
+            if np.any(bad):
+                raise ConstructionError(f"analytic gradient inconsistent with finite differences "
+                                        f"at theta={points[np.nonzero(bad)[0][0]]}")
+
+    def _singles(self, name: str, fn: Callable, points: np.ndarray, lead: tuple) -> np.ndarray:
+        """fn at each point alone, stacked; each must have shape lead + (d, l)."""
+        expected = lead + (self.n_components, self.n_outcomes)
+        singles = [np.asarray(fn(t), dtype=float) for t in points]
+        for t, value in zip(points, singles):
+            if value.shape != expected:
+                raise ConstructionError(
+                    f"{name} returned shape {value.shape} at theta={t}, expected {expected} "
+                    f"for the table shape {expected[-2:]} at the box center"
+                )
+        return np.array(singles)
 
     @staticmethod
-    def _check_stack(name: str, shape: str, fn: Callable, points: np.ndarray, singles: list):
+    def _check_stack(name: str, shape: str, fn: Callable, points: np.ndarray, singles: np.ndarray):
         """fn on the stacked points must give, row by row, its single-point
         results within 1e-12."""
-        singles = np.array(singles)
         stacked = np.asarray(fn(points), dtype=float)
         if stacked.shape != singles.shape:
             raise ConstructionError(
@@ -321,26 +325,20 @@ def shannon_entropy(fam: ParametricFamily, theta, alpha: int) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def kl_divergence(fam: ParametricFamily, theta, theta2, alpha: int, beta: int) -> float:
-    """KL divergence of p_theta(.|alpha) from p_theta2(.|beta)."""
-    p = fam.prob_table(theta)[alpha]
-    r = fam.prob_table(theta2)[beta]
-    return float(np.sum(p * (np.log(p) - np.log(r))))
+def kl_divergence(fam: ParametricFamily, theta, theta2) -> np.ndarray:
+    """Matrix of divergences; entry (a, g) = KL(p_theta(.|a) || p_theta2(.|g))."""
+    p = fam.prob_table(theta)
+    return np.sum(p[:, None] * (np.log(p)[:, None] - fam.log_prob_table(theta2)), axis=-1)
 
 
 def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
-    """Matrix of same-parameter divergences; entry (a, g) = KL(p(.|a) || p(.|g)).
+    """kl_divergence at theta2 = theta, with an exactly zero diagonal.
 
-    The diagonal is exactly zero.  Off-diagonal entries are strictly positive
-    whenever the components are pairwise distinguishable at theta.
+    Off-diagonal entries are strictly positive whenever the components are
+    pairwise distinguishable at theta.
     """
-    p = fam.prob_table(theta)
-    logp = np.log(p)
-    d = fam.n_components
-    out = np.empty((d, d))
-    for a in range(d):
-        out[a] = np.sum(p[a] * (logp[a][None, :] - logp), axis=1)
-        out[a, a] = 0.0
+    out = kl_divergence(fam, theta, theta)
+    np.fill_diagonal(out, 0.0)
     return out
 
 

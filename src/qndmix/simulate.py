@@ -160,26 +160,28 @@ def sample_counts(
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:
     """Exact counts of outcomes 0..n_outcomes-1 in the first n_prefix steps
-    of a trajectory."""
+    of a trajectory; DomainError names the first other outcome there."""
     n = len(traj) if n_prefix is None else int(n_prefix)
     if n > len(traj):
         raise DomainError(f"prefix length {n} exceeds trajectory length {len(traj)}")
-    c = np.bincount(traj.outcomes[:n], minlength=n_outcomes)
-    return CountVector(n=n, counts=c)
+    prefix = traj.outcomes[:n]
+    bad = (prefix < 0) | (prefix >= n_outcomes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"outcome index {prefix[k]} at step {k + 1} outside 0..{n_outcomes - 1}")
+    return CountVector(n=n, counts=np.bincount(prefix, minlength=n_outcomes))
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory, path, labels: Optional[Sequence[str]] = None) -> None:
-    """One row per step: step index and outcome label."""
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """One row per step: step index and outcome index."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "outcome"])
-        for k, j in enumerate(traj.outcomes):
-            label = labels[j] if labels is not None else int(j)
-            writer.writerow([k, label])
+        writer.writerows(enumerate(traj.outcomes.tolist()))
 
 
 def trajectory_to_json(traj: Trajectory, path=None) -> str:

@@ -1,6 +1,8 @@
-"""Smoke test: every script in demos/ runs to completion against the package."""
+"""Smoke tests: every script in demos/ and the README's python blocks run to
+completion against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,13 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """The README's python blocks run in order, in one namespace, as a reader
+    pasting them into one session would run them."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

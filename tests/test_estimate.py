@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from qndmix.errors import DomainError
 from qndmix.estimate import (
     _halton,
+    _maximize_box,
     limit_loglik,
     log_sum_paths,
     log_terms,
@@ -195,6 +196,26 @@ def test_maximize_scalar_tie_flag():
     x, tie = res.x[0], res.tie[0]
     assert tie
     assert abs(x) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("gap, x_hat, tie", [
+    (1e-13, [0.2, 0.5], True),     # within TIE_TOL: the smaller x wins
+    (1e-9, [0.8, 0.5], False),     # beyond it: the higher peak wins
+])
+def test_maximize_box_ties_resolve_to_the_smaller_x(gap, x_hat, tie):
+    """Two peaks on [0, 1]^2, at (0.2, 0.5) and at (0.8, 0.5), the second
+    higher by gap; Halton starts on either side of x_0 = 0.5 reach both."""
+    peaks, heights = np.array([[0.2, 0.5], [0.8, 0.5]]), np.array([0.0, gap])
+
+    def f(x, rows):
+        v = heights - np.sum((x[:, None, :] - peaks) ** 2, axis=-1)  # (k, 2)
+        k = v.argmax(axis=1)
+        return v[np.arange(len(x)), k], -2.0 * (x - peaks[k]), None
+
+    x, value, got_tie, boundary, converged, x_end, _ = _maximize_box(f, 1, np.zeros(2), np.ones(2))
+    assert np.isclose(x_end[0, :, 0], 0.2).any() and np.isclose(x_end[0, :, 0], 0.8).any()
+    np.testing.assert_allclose(x[0], x_hat, atol=1e-9)
+    assert got_tie[0] == tie and converged[0] and not boundary[0]
 
 
 # ---------------------------------------------------------------------------

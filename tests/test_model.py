@@ -110,9 +110,37 @@ def test_family_rejects_inconsistent_gradient():
     with pytest.raises(ConstructionError, match="finite differences"):
         ParametricFamily(
             box,
-            probs=lambda t: np.array([[t[0], 1.0 - t[0]]]),
-            dprobs=lambda t: np.array([[[2.0, -2.0]]]),  # off by a factor of 2
-        )
+            probs=lambda t: np.stack([t, 1.0 - t], axis=-1),              # (..., 1, 2)
+            dprobs=lambda t: 2.0 * np.stack([t**0, -(t**0)], axis=-1)[..., None, :, :],
+        )  # dprobs is off by a factor of 2
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("non-finite", "non-finite probability"),
+    ("boundary", "probability p(j=0|alpha=0) = 0.0"),
+    ("row sum", "distribution for alpha=0 sums to 0.9"),
+    ("gradient", "analytic gradient inconsistent with finite differences"),
+])
+def test_defect_away_from_the_center_is_named_by_its_theta(defect, message):
+    """A Bernoulli family on [0.2, 0.8], clean at the center 0.5 and broken
+    above 0.7: the first broken validation point, 0.725, is named."""
+
+    def broken(t):
+        return (t[..., 0] > 0.7)[..., None, None]
+
+    def probs(t):
+        p = np.stack([t, 1.0 - t], axis=-1)                          # (..., 1, 2)
+        bad = {"non-finite": np.nan, "boundary": [0.0, 1.0], "row sum": 0.9 * p}
+        return np.where(broken(t), bad.get(defect, p), p)
+
+    def dprobs(t):
+        scale = np.where(broken(t), 2.0, 1.0) if defect == "gradient" else 1.0
+        return (scale * np.stack([t**0, -(t**0)], axis=-1))[..., None, :, :]
+
+    with pytest.raises(ConstructionError) as err:
+        ParametricFamily(_simple_box(), probs, dprobs)
+    assert message in str(err.value)
+    assert f"theta={np.linspace(0.2, 0.8, 9)[7:8]}" in str(err.value)
 
 
 def test_family_rejects_bad_shape():
@@ -207,34 +235,33 @@ def test_entropy_uniform_and_frozen_value(bernoulli_pair):
 
 def test_kl_frozen_value(bernoulli_pair):
     # [DERIVED] KL((0.6,0.4) || (0.5,0.5)) = 0.6 ln(6/5) + 0.4 ln(4/5).
-    got = kl_divergence(bernoulli_pair, [0.6], [0.5], 0, 0)
+    got = kl_divergence(bernoulli_pair, [0.6], [0.5])[0, 0]
     assert got == pytest.approx(0.020135513550688863, abs=1e-14)
 
 
 def test_kl_zero_iff_equal(bernoulli_pair):
-    assert kl_divergence(bernoulli_pair, [0.6], [0.6], 0, 0) == 0.0
+    assert kl_divergence(bernoulli_pair, [0.6], [0.6])[0, 0] == 0.0
     # Component 1 at 2*theta emits the same distribution as component 0 at theta.
-    assert kl_divergence(bernoulli_pair, [0.3], [0.6], 0, 1) == pytest.approx(0.0, abs=1e-15)
-    assert kl_divergence(bernoulli_pair, [0.3], [0.5], 0, 1) > 0.0
+    assert kl_divergence(bernoulli_pair, [0.3], [0.6])[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert kl_divergence(bernoulli_pair, [0.3], [0.5])[0, 1] > 0.0
 
 
 def test_kl_nonnegative_grid(bernoulli_pair):
     for t1 in (0.25, 0.5, 0.75):
         for t2 in (0.25, 0.5, 0.75):
-            for a in (0, 1):
-                for b in (0, 1):
-                    v = kl_divergence(bernoulli_pair, [t1], [t2], a, b)
-                    assert v >= -1e-15
-                    if a == b and t1 == t2:
-                        assert v == 0.0
+            m = kl_divergence(bernoulli_pair, [t1], [t2])
+            assert m.shape == (2, 2)
+            assert np.all(m >= -1e-15)
+            if t1 == t2:
+                assert np.all(np.diag(m) == 0.0)
 
 
 def test_kl_matrix_matches_pairwise(bernoulli_pair):
     m = kl_matrix(bernoulli_pair, [0.6])
     assert m.shape == (2, 2)
     assert m[0, 0] == 0.0 and m[1, 1] == 0.0
-    assert m[0, 1] == pytest.approx(kl_divergence(bernoulli_pair, [0.6], [0.6], 0, 1))
-    assert m[1, 0] == pytest.approx(kl_divergence(bernoulli_pair, [0.6], [0.6], 1, 0))
+    pairwise = kl_divergence(bernoulli_pair, [0.6], [0.6])
+    assert m[0, 1] == pairwise[0, 1] and m[1, 0] == pairwise[1, 0]
     assert m[0, 1] > 0 and m[1, 0] > 0
 
 

@@ -166,19 +166,51 @@ def test_stacked_tables_refuse_a_row_outside_the_box(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_probs_ignoring_the_stack_is_refused(name):
-    """A probs that returns one table for a whole stack has the wrong shape;
-    one whose stacked rows differ from its single-point tables is refused too."""
+def test_probs_ignoring_the_stack_is_refused(name, monkeypatch):
+    """A probs that returns one table for a whole stack has the wrong shape,
+    at construction and, swapped into a built family, at evaluation; one whose
+    stacked rows differ from its single-point tables is refused too."""
     fam = get_preset(name).family
     parts = (fam.box,)
     first_only = lambda t: fam.prob_table(t.reshape(-1, fam.dim)[0])
     with pytest.raises(ConstructionError, match="shape"):
         ParametricFamily(*parts, probs=first_only)
+    swapped = get_preset(name).family
+    monkeypatch.setattr(swapped, "_probs", first_only)
     with pytest.raises(ConstructionError, match="shape"):
-        ParametricFamily(*parts, probs=first_only, validate=False).prob_table(fam.box.grid(3))
+        swapped.prob_table(fam.box.grid(3))
     reversed_rows = lambda t: fam.prob_table(t) if t.ndim == 1 else fam.prob_table(t)[::-1]
     with pytest.raises(ConstructionError, match="differs"):
         ParametricFamily(*parts, probs=reversed_rows)
+
+
+@pytest.mark.parametrize("name, n_probs", [
+    ("qubit_rotation", 14), ("toy_haroche", 14), ("toy_haroche_guerlin", 14),
+    ("toy_haroche_full", 69),
+])
+def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch):
+    """Building a preset calls probs once at the box center, once at each of
+    the 9 (D = 1) or 49 (D = 6) validation points and once on their stack,
+    then runs one finite-difference pass over the stack: 3 stacked calls per
+    axis, as the box edges need a one-sided stencil."""
+    calls = {"probs": 0, "fd": 0}
+    init, fd = ParametricFamily.__init__, ParametricFamily._fd_dprob_table
+
+    def counting_init(self, box, probs, dprobs=None):
+        def counted(t):
+            calls["probs"] += 1
+            return probs(t)
+
+        init(self, box, counted, dprobs)
+
+    def counting_fd(self, t):
+        calls["fd"] += 1
+        return fd(self, t)
+
+    monkeypatch.setattr(ParametricFamily, "__init__", counting_init)
+    monkeypatch.setattr(ParametricFamily, "_fd_dprob_table", counting_fd)
+    PRESETS[name]()
+    assert calls == {"probs": n_probs, "fd": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +228,20 @@ def test_stacked_jacobians_equal_single_point_jacobians(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_dprobs_ignoring_the_stack_is_refused(name):
-    """A dprobs that returns one Jacobian for a whole stack has the wrong shape;
-    one whose stacked rows differ from its single-point Jacobians is refused too."""
+def test_dprobs_ignoring_the_stack_is_refused(name, monkeypatch):
+    """A dprobs that returns one Jacobian for a whole stack has the wrong
+    shape, at construction and, swapped into a built family, at evaluation;
+    one whose stacked rows differ from its single-point Jacobians is refused
+    too."""
     fam = get_preset(name).family
     parts = (fam.box,)
     first_only = lambda t: fam.dprob_table(t.reshape(-1, fam.dim)[0])
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=first_only)
+    swapped = get_preset(name).family
+    monkeypatch.setattr(swapped, "_dprobs", first_only)
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
-        ParametricFamily(
-            *parts, probs=fam.prob_table, dprobs=first_only, validate=False
-        ).dprob_table(fam.box.grid(3))
+        swapped.dprob_table(fam.box.grid(3))
     reversed_rows = lambda t: fam.dprob_table(t) if t.ndim == 1 else fam.dprob_table(t)[::-1]
     with pytest.raises(ConstructionError, match="dprobs on a stack of points differs"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=reversed_rows)

@@ -286,12 +286,19 @@ def test_filter_step_rejects_bad_outcome(bernoulli_pair, uniform2):
         filter_step(bernoulli_pair, state, [0.5], 5)
 
 
-def test_filter_step_zero_probability_outcome():
+def _degenerate_family(monkeypatch, table):
+    """A family built on a valid uniform table of table's shape, whose probs
+    is then swapped for the constant, deliberately degenerate, table."""
     fam = ParametricFamily(
         ParameterBox(np.array([0.0]), np.array([1.0])),
-        probs=lambda t: np.array([[1.0, 0.0]]),
-        validate=False,  # deliberately degenerate
+        probs=lambda t: np.full(t.shape[:-1] + table.shape, 1.0 / table.shape[1]),
     )
+    monkeypatch.setattr(fam, "_probs", lambda t: table)
+    return fam
+
+
+def test_filter_step_zero_probability_outcome(monkeypatch):
+    fam = _degenerate_family(monkeypatch, np.array([[1.0, 0.0]]))
     state = FilterState.from_weights([1.0])
     with pytest.raises(InferenceError):
         filter_step(fam, state, [0.5], 1)
@@ -357,14 +364,10 @@ def test_filter_path_equals_the_step_by_step_filter(case, request):
         np.testing.assert_allclose(path.phi, phi, rtol=0, atol=1e-12)
 
 
-def test_filter_refuses_an_impossible_outcome_at_its_step():
+def test_filter_refuses_an_impossible_outcome_at_its_step(monkeypatch):
     """Outcome 1 rules out component 1, so outcome 2, possible only under
     component 1, is impossible at step 3, the first step it occurs."""
-    fam = ParametricFamily(
-        ParameterBox(np.array([0.0]), np.array([1.0])),
-        probs=lambda t: np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
-        validate=False,  # deliberately degenerate
-    )
+    fam = _degenerate_family(monkeypatch, np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]))
     initial = FilterState.from_weights([0.5, 0.5])
     path = filter_trajectory(fam, initial, [0.5], [0, 1, 1])
     np.testing.assert_array_equal(path.q[-1], [1.0, 0.0])

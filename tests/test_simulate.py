@@ -4,6 +4,7 @@ import pytest
 from qndmix.errors import ConstructionError, DomainError
 from qndmix.simulate import (
     CountVector,
+    Trajectory,
     counts,
     sample_component,
     sample_count_paths,
@@ -78,6 +79,14 @@ def test_counts_and_prefixes(bernoulli_pair):
     assert head.n == 10 and head.counts.sum() == 10
     with pytest.raises(DomainError):
         counts(traj, n_prefix=101, n_outcomes=2)
+    # The first outcome of the prefix outside 0..n_outcomes-1 is named, a
+    # negative one included; a prefix that stops before it is counted.
+    for outcomes, message in (([0, 1, 9], "outcome index 9 at step 3"),
+                              ([0, -1, 9], "outcome index -1 at step 2")):
+        bad = Trajectory(outcomes=outcomes, gamma=0, seed=0, theta_true=[0.5])
+        with pytest.raises(DomainError, match=f"{message} outside 0..7"):
+            counts(bad, n_outcomes=8)
+    np.testing.assert_array_equal(counts(bad, n_prefix=1, n_outcomes=8).counts, [1] + [0] * 7)
 
 
 def test_count_vector_validation():
@@ -186,11 +195,10 @@ def test_trajectory_json_string_roundtrip_long_record(toy, tmp_path):
 def test_trajectory_csv(bernoulli_pair, tmp_path):
     traj = sample_trajectory(bernoulli_pair, [0.4], 0, 3, seed=8)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path, labels=("up", "down"))
+    trajectory_to_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,outcome"
-    assert len(lines) == 4
-    assert lines[1].split(",")[1] in ("up", "down")
+    assert lines[1:] == [f"{k},{j}" for k, j in enumerate(traj.outcomes)]
 
 
 def test_trajectory_is_immutable(bernoulli_pair):
