@@ -8,9 +8,9 @@ record only through its outcome counts:
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
 
-loglik_rows evaluates it and its score for many rows at once.  For D = 1,
-maximize_scalar fits the rows by a coarse scan, then bracketed root-finding
-on the score; for D > 1, _maximize_box by multi-start projected gradient ascent.
+loglik_rows evaluates it, its score and its curvature for many rows at once.
+For D = 1, maximize_scalar fits the rows by a coarse scan, then bracketed
+root-finding on the score; for D > 1, _maximize_box by projected Fisher scoring.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ COARSE_POINTS = 64
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
-# Score-root refinement (D = 1): a candidate stops once its last step or its
-# bracket is below STEP_TOL, and is left unconverged after MAX_STEPS steps.
+# Refinement, for every D: a candidate stops once its last step (for D = 1, or
+# its bracket) is below STEP_TOL; it is unconverged after MAX_STEPS steps.
 STEP_TOL = 1e-8
 MAX_STEPS = 60
-# Multi-start projected gradient ascent (D > 1).
+# Multi-start projected Fisher scoring (D > 1); the pseudo-inverse's relative
+# cutoff leaves out the near-flat directions of a rank-deficient information.
 N_STARTS = 8
-GRAD_TOL = 1e-7
-MAX_ITER = 500
+PINV_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,9 @@ class LogLikelihood:
 
 @dataclass
 class EstimationReport:
-    """MLE output: the mixture argmax, per-component argmaxes and diagnostics."""
+    """MLE output: the mixture argmax, per-component argmaxes and diagnostics.
+    converged is the mixture row's: for D = 1 every candidate stopped within
+    MAX_STEPS steps, for D > 1 its winning end point did."""
 
     theta_hat: np.ndarray
     theta_hat_per_component: np.ndarray
@@ -294,8 +296,8 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)),
 
     with, at trial points x (k scalars or (k, D)), its slope (the mixture
-    score over n_r) and the diagonal of the Fisher-scoring curvature
-    -sum_alpha w_alpha I_alpha(x), both shaped like x, where w are the
+    score over n_r), shaped like x, and the Fisher-scoring curvature
+    -sum_alpha w_alpha I_alpha(x), shaped (k,) or (k, D, D), where w are the
     posterior component weights of the row at x.
 
     logq is (R, d) and counts (R, l); either may have a single row shared by
@@ -326,8 +328,8 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         w = np.exp(terms - total[:, None])[:, None, :]
         score = dp / p[:, None]
         slope = np.sum(w * np.einsum("kidl,kl->kid", score, c), axis=-1) / n[rows, None]
-        curvature = -np.sum(w * np.einsum("kidl,kidl->kid", dp, score), axis=-1)
-        return total / n[rows], slope.reshape(x.shape), curvature.reshape(x.shape)
+        curvature = -np.sum(w[:, None] * np.einsum("kidl,kjdl->kijd", dp, score), axis=-1)
+        return total / n[rows], slope.reshape(x.shape), curvature.reshape(x.shape + x.shape[1:])
 
     return f
 
@@ -372,57 +374,53 @@ def _halton(n: int, dim: int) -> np.ndarray:
 
 
 def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray) -> tuple:
-    """Multi-start projected gradient ascent with backtracking (D > 1) on the
-    rows of a loglik_rows objective, from N_STARTS Halton starts per row; all
-    (row, start) pairs step together, and only pairs still stepping are
-    evaluated.  Per row the smallest x within TIE_TOL of the best value wins.
+    """Multi-start projected Fisher scoring (D > 1) on the rows of a
+    loglik_rows objective, from N_STARTS Halton starts per row; all (row,
+    start) pairs step together, and only pairs still stepping are evaluated.
+    A pair steps by its curvature's pseudo-inverse times its slope, on the
+    coordinates no outward slope holds at a box edge, clipped to the box and
+    halved while the value does not rise; it stops once the step is below
+    STEP_TOL, unconverged after MAX_STEPS steps.  Per row the smallest x
+    within TIE_TOL of the best value wins, with its own converged flag.
 
-    Returns per row x, value, tie, boundary and whether any start converged,
-    then every pair's end points and values, shaped (n_rows, N_STARTS, ...).
+    Returns per row x, value, tie, boundary and converged, then every pair's
+    end points and values, shaped (n_rows, N_STARTS, ...).
     """
     dim = lower.size
     starts = lower + _halton(N_STARTS, dim) * (upper - lower)
     rows = np.repeat(np.arange(n_rows), N_STARTS)
-    x = np.clip(np.tile(starts, (n_rows, 1)), lower, upper)
-    fx, g, _ = f(x, rows)
-
-    def projected_norm(idx):
-        return np.linalg.norm(np.clip(x[idx] + g[idx], lower, upper) - x[idx], axis=1)
-
-    ok = projected_norm(slice(None)) <= GRAD_TOL
-    iters = np.zeros(rows.size, dtype=int)
-    step = np.ones(rows.size)
-    act = np.flatnonzero(~ok)
-    while act.size:
-        x_act, fx_act, g_act = x[act], fx[act], g[act]
-        x_new = np.clip(x_act + step[act, None] * g_act, lower, upper)
-        f_new, g_new, _ = f(x_new, rows[act])
-        gain = 1e-4 * step[act] * np.sum(g_act * (x_new - x_act), axis=1)
-        rise = (f_new > fx_act + gain) | (f_new > fx_act)
+    x = np.tile(starts, (n_rows, 1))
+    fx, g, h = f(x, rows)
+    scale = np.ones(rows.size)
+    ok = np.zeros(rows.size, dtype=bool)
+    act = np.arange(rows.size)
+    for _ in range(MAX_STEPS):
+        x_act, g_act = x[act], g[act]
+        free = ~(((x_act - lower <= STEP_TOL) & (g_act < 0)) | ((upper - x_act <= STEP_TOL) & (g_act > 0)))
+        info = -h[act] * (free[:, :, None] & free[:, None, :])
+        step = np.einsum("kij,kj->ki", np.linalg.pinv(info, rcond=PINV_RCOND, hermitian=True), g_act * free)
+        x_new = np.clip(x_act + scale[act, None] * step, lower, upper)
+        moving = np.abs(x_new - x_act).max(axis=1) > STEP_TOL
+        ok[act[~moving]] = True
+        act, x_new = act[moving], x_new[moving]
+        if act.size == 0:
+            break
+        f_new, g_new, h_new = f(x_new, rows[act])
+        rise = f_new > fx[act]
         up = act[rise]
-        x[up], fx[up], g[up] = x_new[rise], f_new[rise], g_new[rise]
-        iters[up] += 1
-        step[act] = np.where(rise, 1.0, 0.5 * step[act])
-        # A pair stops at a small projected gradient (converged), after
-        # MAX_ITER steps, or once its step falls to 1e-14 (converged if the
-        # projected gradient is within 10 GRAD_TOL); its flag is the one set
-        # in the round it stops.
-        proj = projected_norm(act)
-        ok[act] = np.where(rise, (proj <= GRAD_TOL) & (iters[act] < MAX_ITER), proj <= 10 * GRAD_TOL)
-        done = np.where(rise, (proj <= GRAD_TOL) | (iters[act] == MAX_ITER), step[act] <= 1e-14)
-        act = act[~done]
+        x[up], fx[up], g[up], h[up] = x_new[rise], f_new[rise], g_new[rise], h_new[rise]
+        scale[act] = np.where(rise, 1.0, 0.5 * scale[act])
 
     # The (lexicographically) smallest end point within TIE_TOL of its row's
     # best value wins; another such end point elsewhere sets the tie flag.
     near = fx >= np.repeat(fx.reshape(n_rows, N_STARTS).max(axis=1), N_STARTS) - TIE_TOL
     best = np.lexsort((*x.T[::-1], ~near, rows))[::N_STARTS]
     x_hat = x[best]
-    apart = ~np.isclose(x, x_hat[rows], atol=1e-9).all(axis=1)
+    apart = ~np.isclose(x, x_hat[rows], atol=STEP_TOL).all(axis=1)
     tie = (near & apart).reshape(n_rows, N_STARTS).any(axis=1)
-    boundary = np.any(x_hat - lower <= 1e-9, axis=1) | np.any(upper - x_hat <= 1e-9, axis=1)
-    converged = ok.reshape(n_rows, N_STARTS).any(axis=1)
+    boundary = np.any(x_hat - lower <= STEP_TOL, axis=1) | np.any(upper - x_hat <= STEP_TOL, axis=1)
     ends = x.reshape(n_rows, N_STARTS, dim), fx.reshape(n_rows, N_STARTS)
-    return x_hat, fx[best], tie, boundary, converged, *ends
+    return x_hat, fx[best], tie, boundary, ok[best], *ends
 
 
 def mle(

@@ -1,6 +1,8 @@
 """Smoke tests: every script in demos/ and the README's python blocks run to
 completion against the package."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -27,9 +29,13 @@ def test_demo_runs(script, tmp_path):
 
 def test_readme_python_blocks_run():
     """The README's python blocks run in order, in one namespace, as a reader
-    pasting them into one session would run them."""
+    pasting them into one session would run them, and print no False: a
+    verdict the tour prints must pass."""
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks
     namespace = {}
     for block in blocks:
-        exec(compile(block, "README.md", "exec"), namespace)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert not re.search(r"\bFalse\b", out.getvalue()), out.getvalue()

@@ -24,6 +24,7 @@ from qndmix.model import (
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
+    fisher_information,
     shannon_entropy,
 )
 from qndmix.presets import get_preset, toy_haroche_guerlin
@@ -210,12 +211,41 @@ def test_maximize_box_ties_resolve_to_the_smaller_x(gap, x_hat, tie):
     def f(x, rows):
         v = heights - np.sum((x[:, None, :] - peaks) ** 2, axis=-1)  # (k, 2)
         k = v.argmax(axis=1)
-        return v[np.arange(len(x)), k], -2.0 * (x - peaks[k]), None
+        return v[np.arange(len(x)), k], -2.0 * (x - peaks[k]), np.tile(-2.0 * np.eye(2), (len(x), 1, 1))
 
     x, value, got_tie, boundary, converged, x_end, _ = _maximize_box(f, 1, np.zeros(2), np.ones(2))
     assert np.isclose(x_end[0, :, 0], 0.2).any() and np.isclose(x_end[0, :, 0], 0.8).any()
     np.testing.assert_allclose(x[0], x_hat, atol=1e-9)
     assert got_tie[0] == tie and converged[0] and not boundary[0]
+
+
+def test_maximize_box_stops_on_the_edge_an_outward_slope_holds():
+    """-(x_0 - 1.3)^2 - (x_1 - 0.5)^2 on [0, 1]^2 peaks outside the box: the
+    search ends at (1, 0.5), on the boundary and converged."""
+    def f(x, rows):
+        peak = np.array([1.3, 0.5])
+        return -np.sum((x - peak) ** 2, axis=1), -2.0 * (x - peak), np.tile(-2.0 * np.eye(2), (len(x), 1, 1))
+
+    x, _, _, boundary, converged, _, _ = _maximize_box(f, 1, np.zeros(2), np.ones(2))
+    np.testing.assert_allclose(x[0], [1.0, 0.5], rtol=0, atol=1e-12)
+    assert boundary[0] and converged[0]
+
+
+def test_loglik_rows_curvature_is_the_expected_information():
+    """At D = 6 the trial-point curvature is the full D x D matrix
+    -sum_alpha w_alpha I_alpha(x): -I_alpha for the one-hot row of alpha, and
+    the posterior-weighted sum for the mixture row."""
+    pre = get_preset("toy_haroche_full")
+    fam, x, d = pre.family, pre.theta_star, pre.family.n_components
+    c = sample_counts(fam, x, 2, 20, 3)   # a short record keeps the posterior spread
+    logq = np.vstack([pre.q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
+    _, _, curvature = loglik_rows(fam, logq, c.counts)(np.tile(x, (d + 1, 1)), np.arange(d + 1))
+    info = fisher_information(fam, x)
+    terms = log_terms(fam, pre.q, c.counts, x)
+    w = np.exp(terms - logsumexp(terms))
+    assert curvature.shape == (d + 1, fam.dim, fam.dim)
+    np.testing.assert_allclose(curvature[1:], -info, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curvature[0], -np.einsum("a,aij->ij", w, info), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
