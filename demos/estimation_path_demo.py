@@ -37,11 +37,11 @@ def main():
 
     print(f"theta* = pi/4 = {math.pi / 4:.6f}; estimation box "
           f"[{pre.estimation_box.lower[0]:.4f}, {pre.estimation_box.upper[0]:.4f}]")
-    for k in range(10):
-        traj = sample_mixture_trajectory(
-            pre.family, pre.theta_star, pre.q, 10_000, args.seed * 10 + k
-        )
-        path = mle_path(plan, traj, n_points)
+    trajs = [
+        sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, args.seed * 10 + k)
+        for k in range(10)
+    ]
+    for k, (traj, path) in enumerate(zip(trajs, mle_path(plan, trajs, n_points))):
         final = path[-1][1]
         csv_path = out / f"path_seed{k}.csv"
         with open(csv_path, "w") as f:

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, RefusalError, SingularFisherError
+from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, logsumexp, maximize_scalar
 from .model import (
     MixtureWeights,
@@ -38,7 +38,7 @@ from .model import (
     fisher_information,
     kl_matrix,
 )
-from .simulate import CountVector, Trajectory, sample_count_paths, substream
+from .simulate import CountVector, Trajectory, counts, sample_count_paths, substream
 
 __all__ = [
     "ExperimentPlan",
@@ -165,11 +165,21 @@ def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
 
 def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], ScalarMaxima]:
     """The mixture MLE over the plan's search box, as a function of a matrix of
-    count rows (one estimate and one boundary flag per row); D = 1 only."""
+    count rows (one estimate and one boundary flag per row); D = 1 only.
+    Rows may have different record lengths, so each experiment fits all of
+    its rows in one call."""
     lo, hi = float(plan.search_box().lower[0]), float(plan.search_box().upper[0])
     return lambda counts_matrix: maximize_scalar(
         loglik_rows(plan.family, plan.q.log(), counts_matrix), lo, hi
     )
+
+
+def _fit_blocks(plan: ExperimentPlan, blocks: list) -> tuple:
+    """Fit blocks of n_reps count rows each in one _scalar_mle call; returns
+    the estimates, boundary flags and evaluation counts, each shaped
+    (len(blocks), n_reps)."""
+    res = _scalar_mle(plan)(np.concatenate(blocks))
+    return tuple(a.reshape(len(blocks), plan.n_reps) for a in (res.x, res.boundary, res.evaluations))
 
 
 def _log_ndtr(w: np.ndarray) -> np.ndarray:
@@ -396,30 +406,33 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 def consistency_experiment(plan: ExperimentPlan) -> dict:
     """Error quantiles of the mixture MLE along the n grid; medians must fall.
 
-    Each n also reports boundary_hits, the number of estimates on the edge of
+    The replications of every n are fitted in one estimator call.  Each n
+    also reports boundary_hits, the number of estimates on the edge of
     the search box, where the box truncates the error distribution, and
     max_evaluations, the most objective evaluations one record's refinement
     took.  A component Fisher information singular at theta* is refused.
     """
     plan.check_hypotheses(scalar=True)
-    estimate = _scalar_mle(plan)
     n_grid = sorted(plan.n_grid)
     p_star = plan.family.prob_table(plan.theta_star)
-    by_n = {}
-    medians = []
+    blocks = []
     for n in n_grid:
         gammas = _draw_mixture_gammas(plan, TAG_CONSIST, n)
         cm = sample_count_paths(p_star[gammas], (n,), substream(plan.master_seed, TAG_CONSIST, n))
-        res = estimate(cm[:, 0])
-        errors = np.abs(res.x - plan.theta_star[0])
+        blocks.append(cm[:, 0])
+    x_hat, boundary, evaluations = _fit_blocks(plan, blocks)
+    by_n = {}
+    medians = []
+    for k, n in enumerate(n_grid):
+        errors = np.abs(x_hat[k] - plan.theta_star[0])
         med = float(np.median(errors))
         medians.append(med)
         by_n[n] = {
             "median_abs_error": med,
             "q90_abs_error": float(np.quantile(errors, 0.9)),
             "max_abs_error": float(errors.max()),
-            "boundary_hits": int(res.boundary.sum()),
-            "max_evaluations": int(res.evaluations.max()),
+            "boundary_hits": int(boundary[k].sum()),
+            "max_evaluations": int(evaluations[k].max()),
         }
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     report = {
@@ -437,15 +450,22 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
 
 def mle_path(
     plan: ExperimentPlan,
-    traj: Trajectory,
+    trajs: Sequence[Trajectory],
     n_points: Sequence[int],
-) -> list[tuple[int, float]]:
-    """Mixture MLE along growing prefixes of one trajectory (D = 1, Fisher non-singular)."""
+) -> list[list[tuple[int, float]]]:
+    """Mixture MLE along growing prefixes of each trajectory (D = 1, Fisher
+    non-singular): one path of (n, theta_hat) per trajectory, n ascending.
+    Every prefix of every trajectory is fitted in one estimator call.  A
+    prefix length outside 1..len(traj) raises DomainError naming it."""
     plan.check_hypotheses(scalar=True)
-    estimate = _scalar_mle(plan)
     ns = sorted(int(n) for n in n_points)
-    cm = np.stack([np.bincount(traj.outcomes[:n], minlength=plan.family.n_outcomes) for n in ns])
-    return [(n, float(theta_hat)) for n, theta_hat in zip(ns, estimate(cm).x)]
+    for n in ns:
+        if n < 1:
+            raise DomainError(f"prefix length {n} must be at least 1")
+    l = plan.family.n_outcomes
+    cm = np.stack([counts(traj, n, n_outcomes=l).counts for traj in trajs for n in ns])
+    x_hat = _scalar_mle(plan)(cm).x.reshape(len(trajs), len(ns))
+    return [list(zip(ns, path.tolist())) for path in x_hat]
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +478,31 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     Replications are generated under the shifted law theta* + h/sqrt(n) at the
     largest n.  Per realized component, the variance of sqrt(n)(theta_hat -
     theta* - h/sqrt(n)) must match 1/I(gamma) within the efficiency band; the
-    mixture second moment must match sum_a q(a)/I(a) within 10%.  Each
-    component and the mixture report boundary_hits, the number of estimates on
-    the edge of the search box, which truncate the variance, and
-    max_evaluations, the most objective evaluations one replication's
-    refinement took; the verdict uses neither.
+    mixture second moment must match sum_a q(a)/I(a) within 10%.  The
+    replications of every component and of the mixture are fitted in one
+    estimator call.  Each component and the mixture report boundary_hits,
+    the number of estimates on the edge of the search box, which truncate
+    the variance, and max_evaluations, the most objective evaluations one
+    replication's refinement took; the verdict uses neither.
     """
     fishers = plan.check_hypotheses(scalar=True)[:, 0, 0]
-    estimate = _scalar_mle(plan)
     n = max(plan.n_grid)
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
     p_n = plan.family.prob_table(theta_n)
     d = plan.family.n_components
+    # Component g's replications on (TAG_CRAMER, g), the mixture's on (TAG_CRAMER, d).
+    laws = [p_n[np.full(plan.n_reps, g)] for g in range(d)]
+    laws.append(p_n[_draw_mixture_gammas(plan, TAG_CRAMER)])
+    blocks = [
+        sample_count_paths(p, (n,), substream(plan.master_seed, TAG_CRAMER, g))[:, 0]
+        for g, p in enumerate(laws)
+    ]
+    x_hat, boundary, evaluations = _fit_blocks(plan, blocks)
     per_component = {}
     all_pass = True
 
     for g in range(d):
-        rng = substream(plan.master_seed, TAG_CRAMER, g)
-        cm = sample_count_paths(p_n[np.full(plan.n_reps, g)], (n,), rng)
-        res = estimate(cm[:, 0])
-        root = np.sqrt(n) * (res.x - theta_n[0])
+        root = np.sqrt(n) * (x_hat[g] - theta_n[0])
         var = float(root.var(ddof=1))
         target = 1.0 / fishers[g]
         ratio = var / target
@@ -488,16 +513,13 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "mean": float(root.mean()),
             "target_var": target,
             "efficiency_ratio": float(ratio),
-            "boundary_hits": int(res.boundary.sum()),
-            "max_evaluations": int(res.evaluations.max()),
+            "boundary_hits": int(boundary[g].sum()),
+            "max_evaluations": int(evaluations[g].max()),
             "passed": bool(ok),
         }
         all_pass = all_pass and ok
 
-    gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
-    cm = sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))
-    res = estimate(cm[:, 0])
-    root = np.sqrt(n) * (res.x - theta_n[0])
+    root = np.sqrt(n) * (x_hat[d] - theta_n[0])
     second = float(np.mean(root**2))
     target_second = float(plan.q.q @ (1.0 / fishers))
     mix_ok = abs(second / target_second - 1.0) <= CRAMER_MIXTURE_RTOL
@@ -515,8 +537,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "second_moment": second,
             "target": target_second,
             "ratio": second / target_second,
-            "boundary_hits": int(res.boundary.sum()),
-            "max_evaluations": int(res.evaluations.max()),
+            "boundary_hits": int(boundary[d].sum()),
+            "max_evaluations": int(evaluations[d].max()),
             "passed": bool(mix_ok),
         },
         "efficiency_band": CRAMER_RATIO_BAND,

@@ -197,12 +197,14 @@ def _run_fig1(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
         {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX}
     )
     target = float(plan.theta_star[0])
-    final_errors = []
-    for k in range(FIG1_SEEDS):
-        traj = sample_mixture_trajectory(
+    trajs = [
+        sample_mixture_trajectory(
             plan.family, plan.theta_star, plan.q, FIG1_N_MAX, config.seed * FIG1_SEEDS + k
         )
-        path = mle_path(plan, traj, n_points)
+        for k in range(FIG1_SEEDS)
+    ]
+    final_errors = []
+    for k, path in enumerate(mle_path(plan, trajs, n_points)):
         write_csv(
             [(n, float(th)) for n, th in path],
             ["n", "theta_hat"],

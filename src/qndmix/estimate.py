@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 COARSE_POINTS = 64
+# loglik_rows evaluates at most this many count rows (scan) or trial points at
+# once, so that every elementwise temporary of a block stays in cache.
+ROW_BLOCK = 1024
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
@@ -302,7 +305,13 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
 
     logq is (R, d) and counts (R, l); either may have a single row shared by
     all.  Log-weights 0 on one component and -inf elsewhere give that
-    component's likelihood.
+    component's likelihood.  Each row is normalized by its own n_r, so rows
+    of different record lengths share one objective.
+
+    Both forms run in blocks of at most ROW_BLOCK count rows (the scan) or
+    trial points.  A trial point's arithmetic does not depend on the blocks;
+    a scan row's depends on them only through the rounding of the matrix
+    product, which may vary with the row's place in it.
     """
     logq, counts = np.atleast_2d(logq), np.atleast_2d(counts).astype(float)
     n_rows = max(len(logq), len(counts))
@@ -310,15 +319,20 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     counts = np.broadcast_to(counts, (n_rows, counts.shape[1]))
     n = counts.sum(axis=1)
 
-    def f(x: np.ndarray, rows: Optional[np.ndarray] = None):
-        if rows is None:
-            # Component-major terms (d, m, R): the sum over components runs
-            # elementwise over d contiguous (m, R) slabs.
-            logp = np.swapaxes(fam.log_prob_table(x[:, None]), 0, 1)     # (d, m, l)
-            d, m, l = logp.shape
-            terms = (logp.reshape(d * m, l) @ counts.T).reshape(d, m, n_rows)
-            terms += logq.T[:, None, :]
-            return (logsumexp(terms, axis=0) / n).T
+    def scan(x: np.ndarray) -> np.ndarray:
+        # Component-major terms (d, m, rows): the sum over components runs
+        # elementwise over d contiguous (m, rows) slabs.
+        logp = np.swapaxes(fam.log_prob_table(x[:, None]), 0, 1)         # (d, m, l)
+        d, m, l = logp.shape
+        logp = logp.reshape(d * m, l)
+        out = np.empty((n_rows, m))
+        for b in _blocks(n_rows):
+            terms = (logp @ counts[b].T).reshape(d, m, -1)
+            terms += logq[b].T[:, None, :]
+            out[b] = (logsumexp(terms, axis=0) / n[b]).T
+        return out
+
+    def at_points(x: np.ndarray, rows: np.ndarray) -> tuple:
         t = x.reshape(len(x), -1)
         p = fam.prob_table(t)                                            # (k, d, l)
         dp = fam.dprob_table(t)                                          # (k, D, d, l)
@@ -331,7 +345,18 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         curvature = -np.sum(w[:, None] * np.einsum("kidl,kjdl->kijd", dp, score), axis=-1)
         return total / n[rows], slope.reshape(x.shape), curvature.reshape(x.shape + x.shape[1:])
 
+    def f(x: np.ndarray, rows: Optional[np.ndarray] = None):
+        if rows is None:
+            return scan(x)
+        parts = [at_points(x[b], rows[b]) for b in _blocks(len(x))]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
     return f
+
+
+def _blocks(size: int) -> list:
+    """Consecutive slices of at most ROW_BLOCK entries covering range(size)."""
+    return [slice(start, start + ROW_BLOCK) for start in range(0, size, ROW_BLOCK)]
 
 
 def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:

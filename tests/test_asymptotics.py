@@ -19,7 +19,7 @@ from qndmix.asymptotics import (
     mle_path,
     purification_experiment,
 )
-from qndmix.errors import ConstructionError, RefusalError, SingularFisherError
+from qndmix.errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from qndmix import estimate
 from qndmix.estimate import loglik
 from qndmix.model import MixtureWeights
@@ -189,47 +189,84 @@ def test_cramer_rao_small_run(qubit):
     assert report["mixture"]["target"] == pytest.approx(0.5 * (1.0 + 0.25), abs=1e-9)
 
 
-def test_boundary_hits_count_estimates_on_the_box_edge(toy, monkeypatch):
-    """The reported boundary_hits equal the boundary flags of the maximize_scalar
-    calls behind each entry; n = 1000 puts many alpha = 1 estimates on the edge."""
-    flags = []
+def record_pooled_fits(monkeypatch) -> list:
+    """Route asymptotics' maximize_scalar through a wrapper that keeps each result."""
+    results = []
 
     def recording(*args):
         res = estimate.maximize_scalar(*args)
-        flags.append(int(res.boundary.sum()))
+        results.append(res)
         return res
 
     monkeypatch.setattr("qndmix.asymptotics.maximize_scalar", recording)
+    return results
+
+
+def test_boundary_hits_count_estimates_on_the_box_edge(toy, monkeypatch):
+    """Each experiment makes exactly one maximize_scalar call, and each reported
+    boundary_hits equals the boundary flags of its entry's n_reps-row slice of
+    that call; n = 1000 puts many alpha = 1 estimates on the edge."""
+    results = record_pooled_fits(monkeypatch)
     plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
     cr = cramer_rao_experiment(plan)
+    assert len(results) == 1
+    flags = results[0].boundary.reshape(-1, plan.n_reps).sum(axis=1).tolist()
     entries = [cr["per_component"][str(g)] for g in range(8)] + [cr["mixture"]]
     assert [e["boundary_hits"] for e in entries] == flags
     assert flags[0] > 0
-    flags.clear()
+    results.clear()
     cons = consistency_experiment(plan)
+    assert len(results) == 1
+    flags = results[0].boundary.reshape(-1, plan.n_reps).sum(axis=1).tolist()
     assert [cons["by_n"][n]["boundary_hits"] for n in ("1000", "4000")] == flags
     assert flags[0] > 0
 
 
 def test_max_evaluations_report_the_costliest_refinement(toy, monkeypatch):
-    """The reported max_evaluations equal the largest per-row evaluation count
-    of the maximize_scalar calls behind each entry."""
-    counts = []
-
-    def recording(*args):
-        res = estimate.maximize_scalar(*args)
-        assert res.converged.all() and np.all(res.evaluations >= 1)
-        counts.append(int(res.evaluations.max()))
-        return res
-
-    monkeypatch.setattr("qndmix.asymptotics.maximize_scalar", recording)
+    """Each experiment makes exactly one maximize_scalar call, and each reported
+    max_evaluations equals the largest per-row evaluation count of its entry's
+    n_reps-row slice of that call."""
+    results = record_pooled_fits(monkeypatch)
     plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
-    cr = cramer_rao_experiment(plan)
-    entries = [cr["per_component"][str(g)] for g in range(8)] + [cr["mixture"]]
-    assert [e["max_evaluations"] for e in entries] == counts
-    counts.clear()
-    cons = consistency_experiment(plan)
-    assert [cons["by_n"][n]["max_evaluations"] for n in ("1000", "4000")] == counts
+    for runner, entries in (
+        (cramer_rao_experiment, lambda r: [r["per_component"][str(g)] for g in range(8)] + [r["mixture"]]),
+        (consistency_experiment, lambda r: [r["by_n"][n] for n in ("1000", "4000")]),
+    ):
+        results.clear()
+        report = runner(plan)
+        assert len(results) == 1
+        res = results[0]
+        assert res.converged.all() and np.all(res.evaluations >= 1)
+        counts = res.evaluations.reshape(-1, plan.n_reps).max(axis=1).tolist()
+        assert [e["max_evaluations"] for e in entries(report)] == counts
+
+
+@pytest.mark.parametrize("runner", [cramer_rao_experiment, consistency_experiment])
+def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
+    """The one pooled estimator call of an experiment gives, bit for bit, the
+    estimates that _scalar_mle gives on each n_reps-row block by itself."""
+    from qndmix import asymptotics
+
+    calls = []
+
+    def recording(plan):
+        fit = _scalar_mle(plan)
+
+        def recorded(counts_matrix):
+            calls.append((counts_matrix, fit(counts_matrix)))
+            return calls[-1][1]
+
+        return recorded
+
+    monkeypatch.setattr(asymptotics, "_scalar_mle", recording)
+    plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
+    runner(plan)
+    assert len(calls) == 1
+    pooled, res = calls[0]
+    blocks = pooled.reshape(-1, plan.n_reps, pooled.shape[1])
+    assert len(blocks) == (9 if runner is cramer_rao_experiment else 2)
+    for block, x in zip(blocks, res.x.reshape(len(blocks), -1)):
+        assert np.array_equal(_scalar_mle(plan)(block).x, x)
 
 
 def test_cramer_rao_needs_scalar_parameter():
@@ -244,7 +281,7 @@ def test_cramer_rao_needs_scalar_parameter():
         consistency_experiment(plan)
     traj = sample_trajectory(pre.family, pre.theta_star, 0, 100, seed=0)
     with pytest.raises(RefusalError, match="covers D = 1 only"):
-        mle_path(plan, traj, [50, 100])
+        mle_path(plan, [traj], [50, 100])
 
 
 def test_anderson_darling_pinned():
@@ -289,11 +326,25 @@ def test_purification_report(qubit):
 
 
 def test_mle_path_monotone_grid(qubit):
+    """One path per trajectory, n ascending, each equal to the path of its
+    trajectory by itself."""
     plan = small_plan(qubit, h=np.array([0.0]))
-    traj = sample_trajectory(qubit.family, qubit.theta_star, 0, 2_000, seed=11)
-    path = mle_path(plan, traj, [100, 500, 2000])
-    assert [n for n, _ in path] == [100, 500, 2000]
-    assert abs(path[-1][1] - qubit.theta_star[0]) < 0.1
+    trajs = [sample_trajectory(qubit.family, qubit.theta_star, g, 2_000, seed=11 + g) for g in (0, 1)]
+    paths = mle_path(plan, trajs, [2000, 100, 500])
+    assert len(paths) == 2
+    for traj, path in zip(trajs, paths):
+        assert [n for n, _ in path] == [100, 500, 2000]
+        assert abs(path[-1][1] - qubit.theta_star[0]) < 0.1
+        assert mle_path(plan, [traj], [100, 500, 2000]) == [path]
+
+
+@pytest.mark.parametrize("n", [0, -3, 101, 5000])
+def test_mle_path_refuses_prefixes_outside_the_record(qubit, n):
+    """A prefix length outside 1..len(traj) is named, not clamped to the record."""
+    plan = small_plan(qubit, h=np.array([0.0]))
+    traj = sample_trajectory(qubit.family, qubit.theta_star, 0, 100, seed=11)
+    with pytest.raises(DomainError, match=rf"prefix length {n} "):
+        mle_path(plan, [traj], [50, n])
 
 
 EXPERIMENTS = [

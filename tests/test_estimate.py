@@ -8,6 +8,8 @@ from scipy.special import logsumexp
 
 from qndmix.errors import DomainError
 from qndmix.estimate import (
+    COARSE_POINTS,
+    ROW_BLOCK,
     _halton,
     _maximize_box,
     limit_loglik,
@@ -31,6 +33,7 @@ from qndmix.presets import get_preset, toy_haroche_guerlin
 from qndmix.simulate import (
     CountVector,
     counts,
+    sample_count_paths,
     sample_counts,
     sample_mixture_trajectory,
     sample_trajectory,
@@ -246,6 +249,32 @@ def test_loglik_rows_curvature_is_the_expected_information():
     assert curvature.shape == (d + 1, fam.dim, fam.dim)
     np.testing.assert_allclose(curvature[1:], -info, rtol=0, atol=1e-12)
     np.testing.assert_allclose(curvature[0], -np.einsum("a,aij->ij", w, info), rtol=0, atol=1e-12)
+
+
+def test_loglik_rows_blocks_cover_every_row_once():
+    """Across the edges of ROW_BLOCK, the blocked scan and trial-point values
+    of R mixture rows on toy_haroche equal each row evaluated alone.  Trial
+    points agree bit for bit.  The scan's matrix product rounds a row by its
+    place in the product (a lone row takes a matrix-vector kernel, edge tiles
+    another), so the scan agrees to 1e-14 relative, where a dropped or
+    shifted row would differ by orders of magnitude more."""
+    pre = get_preset("toy_haroche")
+    fam, logq, box = pre.family, pre.q.log(), pre.estimation_box
+    rng = np.random.default_rng(5)
+    r_max = 2 * ROW_BLOCK + 1
+    gammas = rng.integers(0, fam.n_components, r_max)
+    cm = sample_count_paths(fam.prob_table(pre.theta_star)[gammas], (10_000,), rng)[:, 0]
+    xs = np.linspace(box.lower[0], box.upper[0], COARSE_POINTS)
+    x = rng.uniform(box.lower[0], box.upper[0], r_max)
+    alone = [loglik_rows(fam, logq, cm[r]) for r in range(r_max)]
+    scan_alone = np.vstack([f(xs) for f in alone])
+    at_x_alone = [np.concatenate(v) for v in zip(*(f(x[r:r + 1], np.zeros(1, int)) for r, f in enumerate(alone)))]
+    for n_rows in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, r_max):
+        f = loglik_rows(fam, logq, cm[:n_rows])
+        np.testing.assert_allclose(f(xs), scan_alone[:n_rows], rtol=1e-14, atol=0)
+        rows = rng.permutation(n_rows)
+        for got, want in zip(f(x[rows], rows), at_x_alone):
+            assert np.array_equal(got, want[rows])
 
 
 # ---------------------------------------------------------------------------
