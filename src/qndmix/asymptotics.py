@@ -78,7 +78,8 @@ class ExperimentPlan:
 
     h is the local parameter shift (zero by default): replications under the
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
-    and every shifted parameter must stay inside it.
+    and every shifted parameter must stay inside it.  n_grid holds distinct
+    record lengths of at least 1.
     """
 
     family: ParametricFamily
@@ -101,8 +102,15 @@ class ExperimentPlan:
         box = self.family.box
         if not box.is_interior(theta):
             raise ConstructionError("theta_star must be interior to the box")
-        for n in self.n_grid:
-            if n >= 1 and not box.contains(theta + h / np.sqrt(n), atol=1e-12):
+        n_grid = tuple(int(n) for n in self.n_grid)
+        if not n_grid:
+            raise ConstructionError("n_grid must not be empty")
+        for k, n in enumerate(n_grid):
+            if n < 1:
+                raise ConstructionError(f"n_grid entry {n} must be at least 1")
+            if n in n_grid[:k]:
+                raise ConstructionError(f"n_grid entry {n} appears more than once")
+            if not box.contains(theta + h / np.sqrt(n), atol=1e-12):
                 raise ConstructionError(f"theta_star + h/sqrt({n}) leaves the box")
         if self.q.size != self.family.n_components:
             raise ConstructionError("q does not match the number of components")
@@ -110,7 +118,7 @@ class ExperimentPlan:
         h.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", n_grid)
 
     def search_box(self) -> ParameterBox:
         return self.estimation_box if self.estimation_box is not None else self.family.box
@@ -182,28 +190,40 @@ def _fit_blocks(plan: ExperimentPlan, blocks: list) -> tuple:
     return tuple(a.reshape(len(blocks), plan.n_reps) for a in (res.x, res.boundary, res.evaluations))
 
 
-def _log_ndtr(w: np.ndarray) -> np.ndarray:
-    """ln Phi(w) elementwise from math.erfc: ln of the lower tail below 0, log1p of minus
-    the upper tail above it, and below -20, where erfc nears underflow, an asymptotic series."""
-    z = np.abs(np.maximum(w, -20.0)) / math.sqrt(2)
-    tail = np.array([math.erfc(x) for x in z.tolist()]) / 2          # Phi(-|w|)
-    near = np.log(tail, out=np.log1p(-tail), where=w < 0)
-    x, r = np.minimum(w, -20.0), 1.0
+def _log_ndtr_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln Phi(w) and ln Phi(-w) elementwise, from one math.erfc evaluation of the
+    tail t = Phi(-|w|) per entry: ln t on the side below 0, log1p(-t) on the side
+    above it, and below -20, where erfc nears underflow, an asymptotic series."""
+    a = np.abs(w)
+    z = (a / math.sqrt(2)).ravel().tolist()
+    tail = np.array([math.erfc(x) for x in z]).reshape(a.shape) / 2
+    body = np.log1p(-tail)
+    x, r = np.minimum(-a, -20.0), 1.0
     for k in range(23, 0, -2):  # r = 1 - 1/x^2 + 1*3/x^4 - ..., exact to rounding at x <= -20
         r = 1 - k * r / (x * x)
     far = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
-    return np.where(w < -20, far, near)
+    low = np.log(tail, out=far, where=a <= 20)                         # ln Phi(-|w|)
+    return np.where(w < 0, low, body), np.where(w > 0, low, body)
 
 
-def _anderson_darling_normal(x: np.ndarray) -> tuple[float, float]:
-    """Anderson-Darling A^2 of x against the normal law with estimated mean and
-    variance, and its 1% critical value with Stephens' small-sample factor."""
-    n = x.size
-    w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+def _log_ndtr(w: np.ndarray) -> np.ndarray:
+    """ln Phi(w) elementwise; see _log_ndtr_pair."""
+    return _log_ndtr_pair(w)[0]
+
+
+def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Anderson-Darling A^2 of each row of x (shape (..., R)) against the normal
+    law with that row's estimated mean and variance, shape (...), and the 1%
+    critical value with Stephens' small-sample factor for R samples."""
+    n = x.shape[-1]
+    w = (np.sort(x, axis=-1) - np.mean(x, axis=-1, keepdims=True)) / np.std(
+        x, axis=-1, ddof=1, keepdims=True
+    )
+    lower, upper = _log_ndtr_pair(w)
     i = np.arange(1, n + 1)
-    a2 = -n - np.sum((2 * i - 1.0) / n * (_log_ndtr(w) + _log_ndtr(-w)[::-1]))
+    a2 = -n - np.sum((2 * i - 1.0) / n * (lower + upper[..., ::-1]), axis=-1)
     crit = np.round(AD_CRIT_1PCT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
-    return float(a2), float(crit)
+    return a2, float(crit)
 
 
 def _jsonable(x):
@@ -235,67 +255,79 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     Pass requires, per component at the largest n: empirical mean within
     3 standard errors of -h'Ih/2, variance within 10% of h'Ih, and the
     Anderson-Darling normality statistic below its 1% critical value.
+
+    Per n, each component's replications are drawn on their own stream and
+    stacked; one likelihood pass at each of theta_n and theta* and one
+    moment and Anderson-Darling pass then cover every component at once.
     """
     fishers = plan.check_hypotheses()
-    h = plan.h
-    d = plan.family.n_components
+    fam, q, h, reps = plan.family, plan.q, plan.h, plan.n_reps
+    d = fam.n_components
     n_max = max(plan.n_grid)
-    p_star = plan.family.prob_table(plan.theta_star)
+    p_star = fam.prob_table(plan.theta_star)
+    hih = [float(h @ f @ h) for f in fishers]
+    tested = np.array(hih) > 0
+    by_n = {}
+
+    for n in plan.n_grid:
+        theta_n = plan.theta_star + h / np.sqrt(n)
+        cm = np.stack([
+            sample_count_paths(p_star[np.full(reps, g)], (n,), substream(plan.master_seed, TAG_LAMN, g, n))[:, 0]
+            for g in range(d)
+        ])                                                                  # (d, R, l)
+        lr = logsumexp(log_terms(fam, q, cm, theta_n), axis=-1) - logsumexp(
+            log_terms(fam, q, cm, plan.theta_star), axis=-1
+        )                                                                   # (d, R)
+        mean, var = lr.mean(axis=1), lr.var(axis=1, ddof=1)
+        ad_rows = np.flatnonzero(tested & (var > 0))
+        rows = lr[ad_rows]
+        stats, crit = _anderson_darling_normal(
+            (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, ddof=1, keepdims=True)
+        )
+        by_n[n] = (mean, var, np.sqrt(var / reps), dict(zip(ad_rows.tolist(), stats.tolist())), crit)
+        if n == n_max:
+            samples_at_nmax = lr
+
     per_component: dict = {}
     all_pass = True
-    samples_at_nmax = np.empty((d, plan.n_reps))
-
     for g in range(d):
-        hih = float(h @ fishers[g] @ h)
-        target_mean, target_var = -0.5 * hih, hih
         per_n = {}
-        for n in plan.n_grid:
-            theta_n = plan.theta_star + h / np.sqrt(n)
-            rng = substream(plan.master_seed, TAG_LAMN, g, n)
-            cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], (n,), rng)[:, 0]
-            lr = logsumexp(log_terms(plan.family, plan.q, cm, theta_n), axis=1) - logsumexp(
-                log_terms(plan.family, plan.q, cm, plan.theta_star), axis=1
-            )
-            mean, var = float(lr.mean()), float(lr.var(ddof=1))
-            se = np.sqrt(var / plan.n_reps)
+        target_mean, target_var = -0.5 * hih[g], hih[g]
+        for n, (mean, var, se, ad, crit) in by_n.items():
             entry = {
                 "n": n,
-                "mean": mean,
-                "var": var,
+                "mean": float(mean[g]),
+                "var": float(var[g]),
                 "target_mean": target_mean,
                 "target_var": target_var,
-                "mean_se": float(se),
-                "mean_ok": bool(abs(mean - target_mean) <= LAMN_MEAN_SIGMAS * se),
-                "var_ok": bool(abs(var / target_var - 1.0) <= LAMN_VAR_RTOL) if hih > 0 else bool(var == 0.0),
+                "mean_se": float(se[g]),
+                "mean_ok": bool(abs(mean[g] - target_mean) <= LAMN_MEAN_SIGMAS * se[g]),
+                "var_ok": bool(abs(var[g] / target_var - 1.0) <= LAMN_VAR_RTOL) if tested[g] else bool(var[g] == 0.0),
             }
-            if hih > 0 and var > 0:
-                std = (lr - lr.mean()) / lr.std(ddof=1)
-                stat, crit = _anderson_darling_normal(std)
-                entry["ad_statistic"] = stat
+            if g in ad:
+                entry["ad_statistic"] = ad[g]
                 entry["ad_critical_1pct"] = crit
-                entry["ad_ok"] = bool(stat < crit)
+                entry["ad_ok"] = bool(ad[g] < crit)
             per_n[n] = entry
-            if n == n_max:
-                samples_at_nmax[g] = lr
         final = per_n[n_max]
         comp_pass = final["mean_ok"] and final["var_ok"] and final.get("ad_ok", True)
-        per_component[g] = {"fisher_quadratic": hih, "by_n": per_n, "passed": comp_pass}
+        per_component[g] = {"fisher_quadratic": hih[g], "by_n": per_n, "passed": comp_pass}
         all_pass = all_pass and comp_pass
 
     # Mixture limit via Lemma-style aggregation: reweight the per-component
     # samples by drawn gammas.
     gammas = _draw_mixture_gammas(plan, TAG_LAMN)
-    mixture_samples = samples_at_nmax[gammas, np.arange(plan.n_reps)]
+    mixture_samples = samples_at_nmax[gammas, np.arange(reps)]
     hih_all = np.einsum("i,gij,j->g", h, fishers, h)
-    mix_mean_target = float(plan.q.q @ (-0.5 * hih_all))
-    mix_second = plan.q.q @ (hih_all + 0.25 * hih_all**2)
+    mix_mean_target = float(q.q @ (-0.5 * hih_all))
+    mix_second = q.q @ (hih_all + 0.25 * hih_all**2)
     mix_var_target = float(mix_second - mix_mean_target**2)
     report = {
         "experiment": "lamn",
         "theta_star": plan.theta_star,
         "h": h,
         "n_grid": plan.n_grid,
-        "n_reps": plan.n_reps,
+        "n_reps": reps,
         "master_seed": plan.master_seed,
         "per_component": per_component,
         "mixture": {
@@ -314,20 +346,26 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
 # ---------------------------------------------------------------------------
 
 def _log_collapse_ratio(
-    fam: ParametricFamily, q: MixtureWeights, counts_matrix: np.ndarray, theta, gamma: int
+    fam: ParametricFamily, q: MixtureWeights, counts_matrix: np.ndarray, theta, gamma
 ) -> np.ndarray:
     """ln r_n with r_n = P_theta / (q(gamma) P_{theta|gamma}) - 1, exactly, for
-    count rows of any leading shape.
+    count rows of any leading shape.  gamma is one own component for every row,
+    or an integer array with one own component per index of the leading axis.
 
     ln r_n is the log-sum of the other components' log terms minus the own
     term, evaluated in the log domain so exponentially small values keep full
-    relative precision.
+    relative precision.  The other components are gathered by index, so each
+    log-sum adds the same d - 1 terms in the same order whatever gamma is; with
+    one component there are none, and ln r_n is -inf.
     """
     terms = log_terms(fam, q, counts_matrix, theta)
-    others = np.delete(terms, gamma, axis=-1)
-    if others.shape[-1] == 0:
+    d = terms.shape[-1]
+    if d == 1:
         return np.full(terms.shape[:-1], -np.inf)
-    return logsumexp(others, axis=-1) - terms[..., gamma]
+    own = np.reshape(gamma, np.shape(gamma) + (1,) * (terms.ndim - np.ndim(gamma)))
+    rest = np.arange(d - 1)
+    others = np.take_along_axis(terms, rest + (rest >= own), axis=-1)
+    return logsumexp(others, axis=-1) - np.take_along_axis(terms, own, axis=-1)[..., 0]
 
 
 def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
@@ -337,49 +375,55 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     q(gamma) times the component likelihood tends to 1 exponentially fast, at
     rate at least min_{a != gamma} KL(gamma | a) at theta*.  Checked at both
     theta* and the shifted theta* + h/sqrt(n).
+
+    Each component's records are drawn on their own stream and stacked, and
+    ln r_n of every component is evaluated in one pass at theta* and one at
+    the shifted parameter; the decay rate is fitted per component.
     """
-    fam, q = plan.family, plan.q
+    fam, q, reps = plan.family, plan.q, plan.n_reps
     d = fam.n_components
     n_grid = sorted(plan.n_grid)
     n_max = n_grid[-1]
     theta_n = plan.theta_star + plan.h / np.sqrt(n_max)
-    kl = kl_matrix(fam, plan.theta_star)
     p_star = fam.prob_table(plan.theta_star)
+    # One record per replication, counted at every n of the grid.
+    cm = np.stack([
+        sample_count_paths(p_star[np.full(reps, g)], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g))
+        for g in range(d)
+    ])                                                                      # (d, R, K, l)
+    own = np.arange(d)
+    log_r = _log_collapse_ratio(fam, q, cm, plan.theta_star, own)           # (d, R, K)
+    log_r_shift = _log_collapse_ratio(fam, q, cm[:, :, -1], theta_n, own)   # (d, R)
+
+    sqrt_n_r = np.sqrt(n_max) * np.exp(log_r[..., -1])
+    sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
+    frac_ok = np.mean(sqrt_n_r < COLLAPSE_SQRT_N_BOUND, axis=1)
+    frac_ok_shift = np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND, axis=1)
+    medians = np.median(sqrt_n_r, axis=1)
+    min_kl = np.where(np.eye(d, dtype=bool), np.inf, kl_matrix(fam, plan.theta_star)).min(axis=1)
+    ns = np.asarray(n_grid, dtype=float)
     per_component = {}
     all_pass = True
 
     for g in range(d):
-        # One record per replication, counted at every n of the grid.
-        rng = substream(plan.master_seed, TAG_COLLAPSE, g)
-        cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], n_grid, rng)
-        log_r = _log_collapse_ratio(fam, q, cm, plan.theta_star, g)      # (R, K)
-        log_r_shift = _log_collapse_ratio(fam, q, cm[:, -1], theta_n, g)
-
-        sqrt_n_r = np.sqrt(n_max) * np.exp(log_r[:, -1])
-        sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
-        frac_ok = float(np.mean(sqrt_n_r < COLLAPSE_SQRT_N_BOUND))
-        frac_ok_shift = float(np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND))
-        min_kl = float(np.min(np.delete(kl[g], g))) if d > 1 else np.inf
         if d > 1:
             # ln r_n ~ -rate * n; least-squares slope of the mean path.
-            mean_log_r = log_r.mean(axis=0)
-            ns = np.asarray(n_grid, dtype=float)
-            rate = float(-np.polyfit(ns, mean_log_r, 1)[0])
-            rate_ok = rate >= COLLAPSE_RATE_SLACK * min_kl
+            rate = float(-np.polyfit(ns, log_r[g].mean(axis=0), 1)[0])
+            rate_ok = rate >= COLLAPSE_RATE_SLACK * min_kl[g]
         else:
             rate, rate_ok = np.inf, True
         comp_pass = (
-            frac_ok >= COLLAPSE_QUANTILE
-            and frac_ok_shift >= COLLAPSE_QUANTILE
+            frac_ok[g] >= COLLAPSE_QUANTILE
+            and frac_ok_shift[g] >= COLLAPSE_QUANTILE
             and rate_ok
         )
         per_component[g] = {
-            "min_kl": min_kl,
+            "min_kl": min_kl[g],
             "fitted_rate": rate,
             "rate_ok": bool(rate_ok),
-            "sqrt_n_r_median": float(np.median(sqrt_n_r)),
-            "fraction_below_bound": frac_ok,
-            "fraction_below_bound_shifted": frac_ok_shift,
+            "sqrt_n_r_median": medians[g],
+            "fraction_below_bound": frac_ok[g],
+            "fraction_below_bound_shifted": frac_ok_shift[g],
             "n_checked": n_max,
             "passed": bool(comp_pass),
         }
@@ -390,7 +434,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "theta_star": plan.theta_star,
         "h": plan.h,
         "n_grid": n_grid,
-        "n_reps": plan.n_reps,
+        "n_reps": reps,
         "master_seed": plan.master_seed,
         "bound": COLLAPSE_SQRT_N_BOUND,
         "per_component": per_component,

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, logsumexp
 
+from qndmix import asymptotics as asym
 from qndmix.asymptotics import (
     ExperimentPlan,
     _anderson_darling_normal,
@@ -22,10 +24,12 @@ from qndmix.asymptotics import (
 from qndmix.errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from qndmix import estimate
 from qndmix.estimate import loglik
-from qndmix.model import MixtureWeights
+from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily, kl_matrix
 from qndmix.presets import toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
-from qndmix.simulate import CountVector, counts, sample_counts, sample_trajectory, substream
+from qndmix.simulate import (
+    CountVector, counts, sample_count_paths, sample_counts, sample_trajectory, substream,
+)
 
 
 def small_plan(preset, **kw):
@@ -62,6 +66,19 @@ def test_plan_rejects_mismatched_weights(qubit):
         small_plan(qubit, q=MixtureWeights.normalized(np.ones(5)))
 
 
+@pytest.mark.parametrize("grid,entry", [
+    ((0, 100), "entry 0 must be at least 1"),
+    ((-5, 100), "entry -5 must be at least 1"),
+    ((500, 100, 500), "entry 500 appears more than once"),
+    ((), "must not be empty"),
+])
+def test_plan_rejects_bad_grid(toy, grid, entry):
+    """An empty grid, a grid point below 1 and a repeated one are refused,
+    the point named, before any experiment runs on them."""
+    with pytest.raises(ConstructionError, match=f"n_grid {entry}"):
+        small_plan(toy, n_grid=grid)
+
+
 def test_plan_search_box_default(qubit, toy):
     assert small_plan(qubit).search_box() is qubit.family.box
     assert small_plan(toy, h=np.array([0.0])).search_box() is toy.estimation_box
@@ -93,16 +110,34 @@ def test_collapse_ratio_matches_direct(bernoulli_pair):
             assert got == pytest.approx(direct, rel=1e-10)
 
 
-def test_collapse_ratio_single_component(bernoulli_pair):
-    q1 = MixtureWeights(np.array([1.0]))
-    from qndmix.model import ParameterBox, ParametricFamily
-
-    fam = ParametricFamily(
+def one_component_family():
+    return ParametricFamily(
         ParameterBox(np.array([0.2]), np.array([0.8])),
         probs=lambda t: np.stack([t, 1 - t], axis=-1),
     )
-    out = _log_collapse_ratio(fam, q1, np.array([[2, 3]]), [0.5], 0)
+
+
+def test_collapse_ratio_single_component():
+    q1 = MixtureWeights(np.array([1.0]))
+    out = _log_collapse_ratio(one_component_family(), q1, np.array([[2, 3]]), [0.5], 0)
     assert out[0] == -np.inf  # nothing to collapse
+
+
+def test_collapse_ratio_per_row_components(toy):
+    """One own component per leading row gives, bit for bit, the int form on
+    each row's block alone, and both equal ln r_n with the own term deleted
+    from the log terms: the other components' log-sum adds the same d - 1
+    terms in the same order.  Short records keep several terms in each sum."""
+    p = toy.family.prob_table(toy.theta_star)
+    cm = np.stack([
+        sample_count_paths(p[np.full(500, g)], (20, 50, 100), np.random.default_rng(g)) for g in range(8)
+    ])
+    stacked = _log_collapse_ratio(toy.family, toy.q, cm, toy.theta_star, np.arange(8))
+    assert stacked.shape == (8, 500, 3)
+    for g in range(8):
+        alone = _log_collapse_ratio(toy.family, toy.q, cm[g], toy.theta_star, g)
+        assert np.array_equal(stacked[g], alone)
+        assert np.array_equal(alone, log_collapse_ratio_deleting(toy.family, toy.q, cm[g], toy.theta_star, g))
 
 
 def test_collapse_ratio_handles_extreme_counts(bernoulli_pair, uniform2):
@@ -267,6 +302,173 @@ def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
     assert len(blocks) == (9 if runner is cramer_rao_experiment else 2)
     for block, x in zip(blocks, res.x.reshape(len(blocks), -1)):
         assert np.array_equal(_scalar_mle(plan)(block).x, x)
+
+
+# ---------------------------------------------------------------------------
+# Stacked LAMN and collapse against the per-component loop
+# ---------------------------------------------------------------------------
+
+def lamn_per_component(plan):
+    """LAMN as one pass per component and grid point: the reference for the
+    stacked experiment."""
+    fishers = plan.check_hypotheses()
+    h, d = plan.h, plan.family.n_components
+    n_max = max(plan.n_grid)
+    p_star = plan.family.prob_table(plan.theta_star)
+    per_component, all_pass = {}, True
+    samples_at_nmax = np.empty((d, plan.n_reps))
+    for g in range(d):
+        hih = float(h @ fishers[g] @ h)
+        target_mean, target_var = -0.5 * hih, hih
+        per_n = {}
+        for n in plan.n_grid:
+            theta_n = plan.theta_star + h / np.sqrt(n)
+            rng = substream(plan.master_seed, asym.TAG_LAMN, g, n)
+            cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], (n,), rng)[:, 0]
+            lr = estimate.logsumexp(estimate.log_terms(plan.family, plan.q, cm, theta_n), axis=1) - (
+                estimate.logsumexp(estimate.log_terms(plan.family, plan.q, cm, plan.theta_star), axis=1)
+            )
+            mean, var = float(lr.mean()), float(lr.var(ddof=1))
+            se = np.sqrt(var / plan.n_reps)
+            entry = {
+                "n": n, "mean": mean, "var": var, "target_mean": target_mean,
+                "target_var": target_var, "mean_se": float(se),
+                "mean_ok": bool(abs(mean - target_mean) <= asym.LAMN_MEAN_SIGMAS * se),
+                "var_ok": bool(abs(var / target_var - 1.0) <= asym.LAMN_VAR_RTOL) if hih > 0 else bool(var == 0.0),
+            }
+            if hih > 0 and var > 0:
+                std = (lr - lr.mean()) / lr.std(ddof=1)
+                # Anderson-Darling with ln Phi(w) and ln Phi(-w) evaluated apart.
+                x = np.sort(std)
+                r = x.size
+                w = (x - np.mean(std)) / np.std(std, ddof=1)
+                i = np.arange(1, r + 1)
+                stat = float(-r - np.sum((2 * i - 1.0) / r * (_log_ndtr(w) + _log_ndtr(-w)[::-1])))
+                crit = float(np.round(asym.AD_CRIT_1PCT / (1.0 + 0.75 / r + 2.25 / r / r), 3))
+                entry.update(ad_statistic=stat, ad_critical_1pct=crit, ad_ok=bool(stat < crit))
+            per_n[n] = entry
+            if n == n_max:
+                samples_at_nmax[g] = lr
+        final = per_n[n_max]
+        comp_pass = final["mean_ok"] and final["var_ok"] and final.get("ad_ok", True)
+        per_component[g] = {"fisher_quadratic": hih, "by_n": per_n, "passed": comp_pass}
+        all_pass = all_pass and comp_pass
+    mixture_samples = samples_at_nmax[asym._draw_mixture_gammas(plan, asym.TAG_LAMN), np.arange(plan.n_reps)]
+    hih_all = np.einsum("i,gij,j->g", h, fishers, h)
+    mix_mean_target = float(plan.q.q @ (-0.5 * hih_all))
+    mix_second = plan.q.q @ (hih_all + 0.25 * hih_all**2)
+    return asym._jsonable({
+        "experiment": "lamn", "theta_star": plan.theta_star, "h": h, "n_grid": plan.n_grid,
+        "n_reps": plan.n_reps, "master_seed": plan.master_seed, "per_component": per_component,
+        "mixture": {
+            "mean": float(mixture_samples.mean()), "var": float(mixture_samples.var(ddof=1)),
+            "target_mean": mix_mean_target, "target_var": float(mix_second - mix_mean_target**2),
+        },
+        "passed": all_pass,
+    })
+
+
+def log_collapse_ratio_deleting(fam, q, cm, theta, g):
+    """ln r_n with the own component deleted from the log terms."""
+    terms = estimate.log_terms(fam, q, cm, theta)
+    others = np.delete(terms, g, axis=-1)
+    if others.shape[-1] == 0:
+        return np.full(terms.shape[:-1], -np.inf)
+    return estimate.logsumexp(others, axis=-1) - terms[..., g]
+
+
+def collapse_per_component(plan):
+    """Mixture collapse as one pass per component: the reference for the
+    stacked experiment."""
+    fam, q, d = plan.family, plan.q, plan.family.n_components
+    n_grid = sorted(plan.n_grid)
+    n_max = n_grid[-1]
+    theta_n = plan.theta_star + plan.h / np.sqrt(n_max)
+    kl = kl_matrix(fam, plan.theta_star)
+    p_star = fam.prob_table(plan.theta_star)
+    per_component, all_pass = {}, True
+    for g in range(d):
+        rng = substream(plan.master_seed, asym.TAG_COLLAPSE, g)
+        cm = sample_count_paths(p_star[np.full(plan.n_reps, g)], n_grid, rng)
+        log_r = log_collapse_ratio_deleting(fam, q, cm, plan.theta_star, g)
+        log_r_shift = log_collapse_ratio_deleting(fam, q, cm[:, -1], theta_n, g)
+        sqrt_n_r = np.sqrt(n_max) * np.exp(log_r[:, -1])
+        sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
+        frac_ok = float(np.mean(sqrt_n_r < asym.COLLAPSE_SQRT_N_BOUND))
+        frac_ok_shift = float(np.mean(sqrt_n_r_shift < asym.COLLAPSE_SQRT_N_BOUND))
+        min_kl = float(np.min(np.delete(kl[g], g))) if d > 1 else np.inf
+        if d > 1:
+            rate = float(-np.polyfit(np.asarray(n_grid, dtype=float), log_r.mean(axis=0), 1)[0])
+            rate_ok = rate >= asym.COLLAPSE_RATE_SLACK * min_kl
+        else:
+            rate, rate_ok = np.inf, True
+        comp_pass = frac_ok >= asym.COLLAPSE_QUANTILE and frac_ok_shift >= asym.COLLAPSE_QUANTILE and rate_ok
+        per_component[g] = {
+            "min_kl": min_kl, "fitted_rate": rate, "rate_ok": bool(rate_ok),
+            "sqrt_n_r_median": float(np.median(sqrt_n_r)), "fraction_below_bound": frac_ok,
+            "fraction_below_bound_shifted": frac_ok_shift, "n_checked": n_max, "passed": bool(comp_pass),
+        }
+        all_pass = all_pass and comp_pass
+    return asym._jsonable({
+        "experiment": "collapse", "theta_star": plan.theta_star, "h": plan.h, "n_grid": n_grid,
+        "n_reps": plan.n_reps, "master_seed": plan.master_seed, "bound": asym.COLLAPSE_SQRT_N_BOUND,
+        "per_component": per_component, "passed": all_pass,
+    })
+
+
+STACKED = [(lamn_experiment, lamn_per_component), (mixture_collapse_experiment, collapse_per_component)]
+
+
+@pytest.mark.parametrize("runner,reference,grid", [
+    (lamn_experiment, lamn_per_component, (2_000,)),
+    (lamn_experiment, lamn_per_component, (300, 1_000, 2_000)),
+    (mixture_collapse_experiment, collapse_per_component, (50, 200)),
+    (mixture_collapse_experiment, collapse_per_component, (20, 100, 2_000)),
+])
+@pytest.mark.parametrize("preset", ["toy", "qubit"])
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_stacked_pass_equals_per_component_loop(request, runner, reference, grid, preset, h):
+    """The stacked LAMN and collapse reports are byte-identical to those of the
+    per-component loop.  Collapse fits a rate, so its shortest grid has two
+    points, and it starts at short records, whose fractions below the bound
+    are not all 1."""
+    pre = request.getfixturevalue(preset)
+    for seed in (0, 3):
+        plan = small_plan(pre, h=np.array([h]), n_grid=grid, n_reps=50, master_seed=seed)
+        assert json.dumps(runner(plan)) == json.dumps(reference(plan))
+
+
+def test_anderson_darling_rows_equal_each_row_alone():
+    """A^2 of an (8, 150) stack equals A^2 of each row by itself, bit for bit."""
+    x = np.random.default_rng(5).standard_normal((8, 150)) * np.arange(1.0, 9.0)[:, None]
+    stats, crit = _anderson_darling_normal(x)
+    assert stats.shape == (8,)
+    for row, stat in zip(x, stats):
+        alone, crit_alone = _anderson_darling_normal(row)
+        assert alone == stat and crit_alone == crit
+
+
+@pytest.mark.parametrize("runner,reference", STACKED)
+def test_stacked_edge_cases_raise_no_warning(toy, runner, reference):
+    """h = 0 (every ln LR is 0, no Anderson-Darling row) and a one-component
+    family (no other component, so ln r_n = -inf) give the reference report
+    without a numpy warning."""
+    single = ExperimentPlan(
+        family=one_component_family(), q=MixtureWeights(np.array([1.0])),
+        theta_star=np.array([0.5]), h=np.array([1.0]), n_grid=(200, 500), n_reps=40,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero, one = (runner(plan) for plan in (small_plan(toy, h=np.array([0.0])), single))
+        assert json.dumps(zero) == json.dumps(reference(small_plan(toy, h=np.array([0.0]))))
+        assert json.dumps(one) == json.dumps(reference(single))
+    if runner is lamn_experiment:
+        for comp in zero["per_component"].values():
+            for entry in comp["by_n"].values():
+                assert entry["var"] == 0.0 and not any(k.startswith("ad_") for k in entry)
+    else:
+        assert one["per_component"]["0"]["fitted_rate"] == math.inf
+        assert one["per_component"]["0"]["sqrt_n_r_median"] == 0.0
 
 
 def test_cramer_rao_needs_scalar_parameter():

@@ -45,6 +45,21 @@ def test_bad_n_grid_is_config_error(tmp_path):
     assert run_cli("purify", "--n-grid", "10,abc", "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("experiment", ["consistency", "collapse", "lamn"])
+@pytest.mark.parametrize("grid,message", [
+    ("500,500", "config error: n_grid entry 500 appears more than once"),
+    ("0,100", "config error: field 'n_grid': must be a non-empty list of positive integers"),
+    ("-5,100", "config error: field 'n_grid': must be a non-empty list of positive integers"),
+])
+def test_bad_grid_point_is_config_error(tmp_path, capsys, experiment, grid, message):
+    """A repeated grid point or one below 1 exits 2 with a message, before
+    any report is written."""
+    code = run_cli(experiment, f"--n-grid={grid}", "--n-reps", "4", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_single_rep_is_config_error(tmp_path, capsys):
     """One replication has no sample variance; it is refused before a run."""
     code = run_cli("cramer-rao", "--n-reps", "1", "--n-grid", "1000", "--out", str(tmp_path))
