@@ -368,6 +368,15 @@ def _log_collapse_ratio(
     return logsumexp(others, axis=-1) - np.take_along_axis(terms, own, axis=-1)[..., 0]
 
 
+def check_collapse_grid(n_grid) -> None:
+    """The collapse rate is a slope over n_grid: a grid of fewer than two
+    record lengths raises DomainError naming it."""
+    if len(n_grid) < 2:
+        raise DomainError(
+            f"n_grid {tuple(n_grid)}: the collapse rate needs at least 2 record lengths"
+        )
+
+
 def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     """Exponential collapse of the mixture onto the realized component.
 
@@ -380,6 +389,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     ln r_n of every component is evaluated in one pass at theta* and one at
     the shifted parameter; the decay rate is fitted per component.
     """
+    check_collapse_grid(plan.n_grid)
     fam, q, reps = plan.family, plan.q, plan.n_reps
     d = fam.n_components
     n_grid = sorted(plan.n_grid)

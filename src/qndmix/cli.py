@@ -11,6 +11,7 @@ package error, 5 an unexpected exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -24,6 +25,7 @@ import yaml
 
 from .asymptotics import (
     ExperimentPlan,
+    check_collapse_grid,
     consistency_experiment,
     cramer_rao_experiment,
     lamn_experiment,
@@ -146,6 +148,8 @@ def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
             master_seed=config.seed,
             estimation_box=preset.estimation_box,
         )
+        if config.experiment == "collapse":
+            check_collapse_grid(plan.n_grid)
     except QndmixError as exc:
         raise ConfigError(str(exc)) from exc
     return plan, preset
@@ -227,9 +231,9 @@ def _run_fig1(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
 def run(config: RunConfig) -> int:
     """Execute one experiment; writes report.json (and CSVs) under output_dir."""
     config.validate()
+    plan, _preset = build_plan(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    plan, _preset = build_plan(config)
     runners = {
         "lamn": lamn_experiment,
         "collapse": mixture_collapse_experiment,
@@ -254,7 +258,9 @@ def run(config: RunConfig) -> int:
     return EXIT_OK if report.get("passed", True) else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qndmix",
         description="Simulation and asymptotic-theory experiments for repeated "

@@ -15,7 +15,6 @@ root-finding on the score; for D > 1, _maximize_box by projected Fisher scoring.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -110,13 +109,16 @@ class EstimationReport:
         }
 
     def trace_to_csv(self, path) -> None:
+        """One row per (theta, loglik) of optimizer_trace, theta a 1-D array:
+        17 significant digits, comma-separated, CRLF line ends, one write."""
+        dim = np.atleast_1d(self.theta_hat).size
+        lines = [",".join([f"theta_{k}" for k in range(dim)] + ["loglik"])]
+        lines += [
+            ",".join([f"{x:.17g}" for x in theta] + [f"{value:.17g}"])
+            for theta, value in self.optimizer_trace
+        ]
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            dim = np.atleast_1d(self.theta_hat).size
-            writer.writerow([f"theta_{k}" for k in range(dim)] + ["loglik"])
-            for theta, value in self.optimizer_trace:
-                row = [f"{x:.17g}" for x in np.atleast_1d(theta)]
-                writer.writerow(row + [f"{value:.17g}"])
+            f.write("\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ Fisher information alpha^2 independent of theta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,6 +71,11 @@ class Preset:
     fisher_closed_form: Optional[Callable[[float, int], float]] = None
     system: Optional[QndSystem] = None
     estimation_box: Optional[ParameterBox] = None
+
+    def __post_init__(self):
+        theta_star = np.array(self.theta_star, dtype=float)
+        theta_star.setflags(write=False)
+        object.__setattr__(self, "theta_star", theta_star)
 
     def search_box(self) -> ParameterBox:
         """Box over which estimators maximize; defaults to the family box."""
@@ -246,7 +252,13 @@ PRESETS: dict[str, Callable[[], Preset]] = {
 }
 
 
+@functools.cache
 def get_preset(name: str) -> Preset:
+    """The built-in preset `name`, built and validated once per process.
+
+    Every call with one name returns the same, read-only instance; use
+    `PRESETS[name]()` for a private copy built from scratch.
+    """
     try:
         factory = PRESETS[name]
     except KeyError:

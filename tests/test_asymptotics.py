@@ -202,6 +202,14 @@ def test_collapse_report(qubit):
     json.dumps(report)
 
 
+def test_collapse_refuses_a_one_point_grid(qubit, monkeypatch):
+    """A decay rate needs two record lengths: a one-point grid is refused
+    before any record is drawn."""
+    monkeypatch.setattr(asym, "sample_count_paths", lambda *a: pytest.fail("drew records"))
+    with pytest.raises(DomainError, match=r"n_grid \(800,\)"):
+        mixture_collapse_experiment(small_plan(qubit, n_grid=(800,)))
+
+
 def test_consistency_medians_shrink(qubit):
     report = consistency_experiment(
         small_plan(qubit, h=np.array([0.0]), n_grid=(100, 400, 1600), n_reps=150)

@@ -33,6 +33,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -74,6 +81,28 @@ def test_theta_star_outside_box_is_config_error(tmp_path):
                 "--out", str(tmp_path))
         == EXIT_CONFIG
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("collapse", "--n-grid", "500,500"),
+    ("purify", "--preset", "qubit_rotation", "--theta-star", "9.0"),
+])
+def test_config_error_creates_no_output_directory(argv, tmp_path):
+    """The plan is built and checked before the output directory is made."""
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--n-reps", "4", "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_one_point_collapse_grid_is_config_error(tmp_path, monkeypatch, capsys):
+    """No decay rate can be fitted through one record length: exit 2 before
+    any draw, and no output directory."""
+    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a: pytest.fail("drew records"))
+    out = tmp_path / "out"
+    assert run_cli("collapse", "--n-grid", "1000", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: n_grid (1000,): the collapse rate needs at least 2 record lengths")
+    assert not out.exists()
 
 
 def test_config_file_schema_version(tmp_path):
@@ -162,6 +191,26 @@ def test_estimate_writes_report_and_trace(tmp_path):
     assert len(trace) > 10
 
 
+@pytest.mark.parametrize("preset, seed", [
+    ("toy_haroche", 0), ("toy_haroche_guerlin", 7), ("qubit_rotation", 123),
+])
+def test_repeated_estimates_match_a_fresh_process(preset, seed, tmp_path):
+    """Two in-process runs, which share one preset instance and one parser,
+    write the bytes of a run in a fresh interpreter."""
+    argv = ["estimate", "--preset", preset, "--seed", str(seed)]
+    for name in ("a", "b"):
+        assert run_cli(*argv, "--out", str(tmp_path / name)) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "qndmix.cli", *argv, "--out", str(tmp_path / "fresh")],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for artifact in ("report.json", "estimate_trace.csv"):
+        want = (tmp_path / "fresh" / artifact).read_bytes()
+        assert (tmp_path / "a" / artifact).read_bytes() == want
+        assert (tmp_path / "b" / artifact).read_bytes() == want
+
+
 # theta_hat and loglik_at_max of `qndmix estimate --preset toy_haroche_full
 # --seed 1` (n = 1e4): the maximum lies on a near-flat valley, end points of
 # the multi-start search along it agree in loglik within TIE_TOL, and the one
@@ -191,11 +240,9 @@ def test_estimate_runs_multiparameter_preset(tmp_path):
 
 
 def _run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=_src_env(), capture_output=True, text=True, timeout=300,
     )
 
 

@@ -324,6 +324,42 @@ def test_mle_report_serialization(bernoulli_pair, uniform2, tmp_path):
     assert len(lines) > 64
 
 
+def _csv_writer_trace(report, path) -> None:
+    """Reference for EstimationReport.trace_to_csv: the same rows through
+    csv.writer (RFC 4180 quoting, CRLF line ends) one row at a time."""
+    import csv
+
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        dim = np.atleast_1d(report.theta_hat).size
+        writer.writerow([f"theta_{k}" for k in range(dim)] + ["loglik"])
+        for theta, value in report.optimizer_trace:
+            writer.writerow([f"{x:.17g}" for x in np.atleast_1d(theta)] + [f"{value:.17g}"])
+
+
+@pytest.mark.parametrize("name, min_rows", [("toy_haroche", 65), ("toy_haroche_full", 8)])
+def test_trace_csv_matches_the_csv_writer_bytes(name, min_rows, tmp_path):
+    """The one-write trace file holds the bytes csv.writer would write, on a
+    D = 1 report, a D = 6 report and a trace holding -inf."""
+    import dataclasses
+
+    pre = get_preset(name)
+    traj = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, 7)
+    report = mle(pre.family, pre.q, counts(traj, n_outcomes=pre.family.n_outcomes),
+                 box=pre.search_box())
+    minus_inf = dataclasses.replace(
+        report, optimizer_trace=[(pre.theta_star, -np.inf)] + report.optimizer_trace[:3]
+    )
+    for rep in (report, minus_inf):
+        rep.trace_to_csv(tmp_path / "got.csv")
+        _csv_writer_trace(rep, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.endswith(b"\r\n") and got.count(b"\r\n") == len(rep.optimizer_trace) + 1
+    assert len(report.optimizer_trace) >= min_rows
+    assert b",-inf\r\n" in got
+
+
 def _two_param_family():
     """d=2, l=3 family with a 2-D parameter; gradients by hand."""
 

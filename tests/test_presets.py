@@ -7,6 +7,7 @@ from qndmix.errors import ConfigError, ConstructionError, DomainError
 from qndmix.model import ParametricFamily, check_identifiability, fisher_information, kl_matrix
 from qndmix.presets import (
     PRESETS,
+    Preset,
     get_preset,
     poisson_like_weights,
     qubit_rotation,
@@ -24,6 +25,32 @@ def test_registry_contents():
         assert get_preset(name).name == name
     with pytest.raises(ConfigError):
         get_preset("nope")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_get_preset_returns_one_shared_read_only_instance(name):
+    """get_preset builds each preset once per process; PRESETS[name]() builds
+    a private one.  No array of the shared instance can be written."""
+    shared = get_preset(name)
+    assert get_preset(name) is shared
+    private = PRESETS[name]()
+    assert private is not shared and private.family is not shared.family
+    np.testing.assert_array_equal(private.theta_star, shared.theta_star)
+    with pytest.raises(ValueError, match="read-only"):
+        shared.theta_star[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        private.theta_star[0] = 0.0
+    for array in (shared.q.q, shared.family.box.lower, shared.family.box.upper):
+        assert not array.flags.writeable
+
+
+def test_preset_copies_its_theta_star():
+    """A Preset holds a read-only copy, so the caller's array stays writable."""
+    pre = get_preset("toy_haroche")
+    theta = np.array([0.8])
+    copy = Preset(pre.name, pre.family, pre.q, theta, pre.component_values)
+    theta[0] = 0.7
+    assert copy.theta_star[0] == 0.8 and not copy.theta_star.flags.writeable
 
 
 def test_poisson_like_weights_frozen():
@@ -175,7 +202,7 @@ def test_probs_ignoring_the_stack_is_refused(name, monkeypatch):
     first_only = lambda t: fam.prob_table(t.reshape(-1, fam.dim)[0])
     with pytest.raises(ConstructionError, match="shape"):
         ParametricFamily(*parts, probs=first_only)
-    swapped = get_preset(name).family
+    swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_probs", first_only)
     with pytest.raises(ConstructionError, match="shape"):
         swapped.prob_table(fam.box.grid(3))
@@ -238,7 +265,7 @@ def test_dprobs_ignoring_the_stack_is_refused(name, monkeypatch):
     first_only = lambda t: fam.dprob_table(t.reshape(-1, fam.dim)[0])
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=first_only)
-    swapped = get_preset(name).family
+    swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_dprobs", first_only)
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
         swapped.dprob_table(fam.box.grid(3))
