@@ -28,7 +28,7 @@ def main():
     pre = toy_haroche()
     plan = ExperimentPlan(
         family=pre.family, q=pre.q, theta_star=pre.theta_star,
-        h=np.array([0.0]), n_grid=(10_000,), n_reps=1,
+        h=np.array([0.0]), n_grid=(10_000,),
         master_seed=args.seed, estimation_box=pre.estimation_box,
     )
     n_points = sorted({int(round(x)) for x in np.geomspace(100, 10_000, 25)})

@@ -9,7 +9,6 @@ from .asymptotics import (
     consistency_experiment,
     cramer_rao_experiment,
     lamn_experiment,
-    log_likelihood_ratio,
     mixture_collapse_experiment,
     mle_path,
     purification_experiment,
@@ -26,8 +25,6 @@ from .errors import (
 from .estimate import (
     EstimationReport,
     LogLikelihood,
-    limit_loglik,
-    log_sum_paths,
     loglik,
     loglik_component,
     maximize_scalar,
@@ -42,7 +39,6 @@ from .model import (
     fisher_information,
     kl_divergence,
     kl_matrix,
-    shannon_entropy,
 )
 from .presets import PRESETS, Preset, get_preset, poisson_like_weights
 from .quantum import (
@@ -57,13 +53,9 @@ from .simulate import (
     Trajectory,
     counts,
     sample_component,
-    sample_counts,
     sample_mixture_trajectory,
     sample_trajectory,
     substream,
-    trajectory_from_json,
-    trajectory_to_csv,
-    trajectory_to_json,
 )
 
 __version__ = "0.1.0"
@@ -101,9 +93,6 @@ __all__ = [
     "kl_divergence",
     "kl_matrix",
     "lamn_experiment",
-    "limit_loglik",
-    "log_likelihood_ratio",
-    "log_sum_paths",
     "loglik",
     "loglik_component",
     "maximize_scalar",
@@ -113,12 +102,7 @@ __all__ = [
     "poisson_like_weights",
     "purification_experiment",
     "sample_component",
-    "sample_counts",
     "sample_mixture_trajectory",
     "sample_trajectory",
-    "shannon_entropy",
     "substream",
-    "trajectory_from_json",
-    "trajectory_to_csv",
-    "trajectory_to_json",
 ]

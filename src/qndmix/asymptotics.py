@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
-from .estimate import ScalarMaxima, log_terms, loglik, loglik_rows, logsumexp, maximize_scalar
+from .estimate import ScalarMaxima, log_terms, loglik_rows, logsumexp, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -38,11 +38,10 @@ from .model import (
     fisher_information,
     kl_matrix,
 )
-from .simulate import CountVector, Trajectory, counts, sample_count_paths, substream
+from .simulate import Trajectory, counts, sample_count_paths, substream
 
 __all__ = [
     "ExperimentPlan",
-    "log_likelihood_ratio",
     "lamn_experiment",
     "mixture_collapse_experiment",
     "consistency_experiment",
@@ -79,7 +78,8 @@ class ExperimentPlan:
     h is the local parameter shift (zero by default): replications under the
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
     and every shifted parameter must stay inside it.  n_grid holds distinct
-    record lengths of at least 1.
+    record lengths of at least 1; n_reps, the replications per stream, is at
+    least 2, so that every sample variance is defined.
     """
 
     family: ParametricFamily
@@ -102,6 +102,8 @@ class ExperimentPlan:
         box = self.family.box
         if not box.is_interior(theta):
             raise ConstructionError("theta_star must be interior to the box")
+        if self.n_reps < 2:
+            raise ConstructionError(f"n_reps {self.n_reps} must be at least 2")
         n_grid = tuple(int(n) for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")
@@ -151,19 +153,6 @@ class ExperimentPlan:
 # ---------------------------------------------------------------------------
 # Shared machinery
 # ---------------------------------------------------------------------------
-
-def log_likelihood_ratio(
-    fam: ParametricFamily,
-    q: MixtureWeights,
-    counts: CountVector,
-    theta_a,
-    theta_b,
-) -> float:
-    """ln P_{theta_a} - ln P_{theta_b} of the observed record (mixture laws)."""
-    la = loglik(fam, q, counts, theta_a)
-    lb = loglik(fam, q, counts, theta_b)
-    return counts.n * (la.value - lb.value)
-
 
 def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     """Hidden component of each replication, drawn from q on (TAG_MIXGAMMA, *tags)."""

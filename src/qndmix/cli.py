@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import traceback
@@ -86,18 +87,22 @@ class RunConfig:
 
 
 def parse_weights(spec, d: int) -> MixtureWeights:
-    """Weights from a list or a named rule like 'poissonlike(3.46)'."""
+    """Weights from a list, a comma-separated string or the rule
+    'poissonlike(RATE)' with a positive, finite RATE."""
     if isinstance(spec, MixtureWeights):
         return spec
     if isinstance(spec, str):
         m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip())
         if not m:
-            raise ConfigError(f"field 'q': unknown weight rule {spec!r}")
-        try:
-            rate = float(m.group(1))
-        except ValueError:
-            raise ConfigError(f"field 'q': bad rate in {spec!r}") from None
-        return poisson_like_weights(rate, d)
+            spec = _comma_list("field 'q'", spec, float)
+        else:
+            try:
+                rate = float(m.group(1))
+            except ValueError:
+                raise ConfigError(f"field 'q': bad rate in {spec!r}") from None
+            if not 0.0 < rate < math.inf:
+                raise ConfigError(f"field 'q': rate in {spec!r} must be positive and finite")
+            return poisson_like_weights(rate, d)
     try:
         return MixtureWeights.normalized(np.asarray(spec, dtype=float))
     except Exception as exc:

@@ -21,13 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import (
-    MixtureWeights,
-    ParametricFamily,
-    fisher_information,
-    kl_divergence,
-    shannon_entropy,
-)
+from .model import MixtureWeights, ParametricFamily, fisher_information
 from .simulate import CountVector
 
 __all__ = [
@@ -37,8 +31,6 @@ __all__ = [
     "loglik_component",
     "log_terms",
     "logsumexp",
-    "limit_loglik",
-    "log_sum_paths",
     "ScalarMaxima",
     "loglik_rows",
     "maximize_scalar",
@@ -155,34 +147,6 @@ def loglik_component(
         raise DomainError("log-likelihood needs at least one observation")
     logp = fam.log_prob_table(theta)[gamma]
     return float(logp @ counts.counts) / counts.n
-
-
-def limit_loglik(fam: ParametricFamily, theta_star, gamma: int, theta) -> float:
-    """Pointwise limit of ell_n(theta) along data from component gamma at theta_star:
-
-        -S_{theta*}(gamma) - min_alpha KL(p_{theta*}(.|gamma) || p_theta(.|alpha))
-    """
-    divergences = kl_divergence(fam, theta_star, theta)[gamma]
-    return -shannon_entropy(fam, theta_star, gamma) - float(divergences.min())
-
-
-def log_sum_paths(ell_a: np.ndarray, ell_b: np.ndarray, n: int) -> np.ndarray:
-    """Combine tabulated (1/n) ln a_n and (1/n) ln b_n into (1/n) ln(a_n + b_n).
-
-    Computed stably as max + (1/n) ln(1 + exp(-n |difference|)); the result
-    never exceeds max(ell_a, ell_b) + ln(2)/n.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    a = np.asarray(ell_a, dtype=float)
-    b = np.asarray(ell_b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("the two tabulated paths must share a grid")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("tabulated log values must be finite (inputs strictly positive)")
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    return hi + np.log1p(np.exp(-n * (hi - lo))) / n
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 A family assigns to every parameter value theta (in a compact box) and every
 hidden component alpha a probability distribution over outcomes 0..l-1; it is
 its table p_theta(j|alpha), whose (d, l) shape gives the number of components
-and of outcomes.  Information functionals (Shannon entropy, Kullback-Leibler
-divergence as one (d, d) matrix of every component pair, and Fisher
-information as one (d, D, D) stack of every component's D x D matrix) and a
-grid-based identifiability checker are provided on top.
+and of outcomes.  Information functionals (Kullback-Leibler divergence as
+one (d, d) matrix of every component pair, and Fisher information as one
+(d, D, D) stack of every component's D x D matrix) and a grid-based
+identifiability checker are provided on top.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "ParametricFamily",
     "MixtureWeights",
     "IdentifiabilityReport",
-    "shannon_entropy",
     "kl_divergence",
     "fisher_information",
     "kl_matrix",
@@ -88,10 +87,6 @@ class ParameterBox:
                 f"theta {t[row]}{where} outside parameter box [{self.lower}, {self.upper}]"
             )
         return t
-
-    def grid(self, num: int) -> np.ndarray:
-        """Axis-wise linspace grid; shape (num, D).  Intended for D=1 scans."""
-        return np.linspace(self.lower, self.upper, num)
 
 
 class ParametricFamily:
@@ -318,12 +313,6 @@ class MixtureWeights:
 # ---------------------------------------------------------------------------
 # Information functionals
 # ---------------------------------------------------------------------------
-
-def shannon_entropy(fam: ParametricFamily, theta, alpha: int) -> float:
-    """Shannon entropy -sum_j p ln p of component alpha at theta (nats)."""
-    p = fam.prob_table(theta)[alpha]
-    return float(-np.sum(p * np.log(p)))
-
 
 def kl_divergence(fam: ParametricFamily, theta, theta2) -> np.ndarray:
     """Matrix of divergences; entry (a, g) = KL(p_theta(.|a) || p_theta2(.|g))."""

@@ -27,8 +27,6 @@ __all__ = [
     "FilterState",
     "FilterPath",
     "hermitian_expm",
-    "unitary",
-    "outcome_probs",
     "as_family",
     "filter_step",
     "filter_trajectory",
@@ -140,28 +138,10 @@ def _unitaries(sys: QndSystem, theta) -> np.ndarray:
     return _expm_minus_i(np.einsum("...k,akij->...aij", t, sys.generators))
 
 
-def _component(sys: QndSystem, alpha: int) -> int:
-    if not 0 <= alpha < sys.system_dim:
-        raise DomainError(f"component index {alpha} outside 0..{sys.system_dim - 1}")
-    return alpha
-
-
-def unitary(sys: QndSystem, theta, alpha: int) -> np.ndarray:
-    """Interaction unitary U_alpha(theta) = exp(-i H_alpha(theta))."""
-    alpha = _component(sys, alpha)
-    return _unitaries(sys, theta)[..., alpha, :, :]
-
-
 def _amplitudes(sys: QndSystem, theta) -> np.ndarray:
     """Probe amplitudes <psi_j, U_alpha psi> of every component alpha and
     outcome j, shape (..., d, l) for theta of shape (..., D)."""
     return (_unitaries(sys, theta) @ sys.probe) @ sys.probe_basis.conj()
-
-
-def outcome_probs(sys: QndSystem, theta, alpha: int) -> np.ndarray:
-    """Outcome distribution p(j|alpha) = |<psi_j, U_alpha(theta) psi>|^2."""
-    alpha = _component(sys, alpha)
-    return np.abs(_amplitudes(sys, theta)[..., alpha, :]) ** 2
 
 
 def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:

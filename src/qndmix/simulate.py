@@ -1,5 +1,5 @@
 """Seeded generation of measurement records under the per-component and
-mixture laws, plus outcome counting and trajectory export.
+mixture laws, plus outcome counting.
 
 All randomness flows through numpy's PCG64 generator.  substream keys one
 generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
@@ -11,11 +11,8 @@ bit.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +27,7 @@ __all__ = [
     "sample_trajectory",
     "sample_mixture_trajectory",
     "sample_count_paths",
-    "sample_counts",
     "counts",
-    "trajectory_to_csv",
-    "trajectory_to_json",
-    "trajectory_from_json",
 ]
 
 
@@ -144,20 +137,6 @@ def sample_count_paths(p, n_grid: Sequence[int], rng: np.random.Generator) -> np
     return np.cumsum(out, axis=1, out=out)
 
 
-def sample_counts(
-    fam: ParametricFamily,
-    theta,
-    gamma: int,
-    n: int,
-    rng_or_seed: Union[int, np.random.Generator],
-) -> CountVector:
-    """Outcome counts of an n-step per-component record, drawn directly by
-    sample_count_paths; the generator form continues the given stream."""
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else substream(rng_or_seed, 1)
-    c = sample_count_paths(fam.prob_table(theta)[[gamma]], (n,), rng)
-    return CountVector(n=n, counts=c[0, 0])
-
-
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:
     """Exact counts of outcomes 0..n_outcomes-1 in the first n_prefix steps
     of a trajectory; DomainError names the first other outcome there."""
@@ -170,43 +149,3 @@ def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int)
         k = int(np.argmax(bad))
         raise DomainError(f"outcome index {prefix[k]} at step {k + 1} outside 0..{n_outcomes - 1}")
     return CountVector(n=n, counts=np.bincount(prefix, minlength=n_outcomes))
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """One row per step: step index and outcome index."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "outcome"])
-        writer.writerows(enumerate(traj.outcomes.tolist()))
-
-
-def trajectory_to_json(traj: Trajectory, path=None) -> str:
-    """Compact JSON record {seed, gamma, theta_true, outcomes}."""
-    record = {
-        "seed": int(traj.seed),
-        "gamma": int(traj.gamma),
-        "theta_true": [float(x) for x in traj.theta_true],
-        "outcomes": [int(j) for j in traj.outcomes],
-    }
-    text = json.dumps(record)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def trajectory_from_json(source) -> Trajectory:
-    """Inverse of trajectory_to_json; accepts the JSON text (a string starting
-    with '{') or a file path (str or Path)."""
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        source = Path(source).read_text()
-    record = json.loads(source)
-    return Trajectory(
-        outcomes=np.asarray(record["outcomes"], dtype=np.int64),
-        gamma=int(record["gamma"]),
-        seed=int(record["seed"]),
-        theta_true=np.asarray(record["theta_true"], dtype=float),
-    )

@@ -9,6 +9,7 @@ from qndmix.model import (
     ParametricFamily,
 )
 from qndmix.presets import qubit_rotation, toy_haroche
+from qndmix.simulate import CountVector, sample_count_paths, substream
 
 
 def make_bernoulli_pair(box=(0.2, 0.8)):
@@ -30,6 +31,13 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
         probs=probs,
         dprobs=dprobs,
     )
+
+
+def sample_counts(fam, theta, gamma, n, seed):
+    """Outcome counts of an n-step record from component gamma at theta, drawn
+    directly by sample_count_paths on substream(seed, 1)."""
+    c = sample_count_paths(fam.prob_table(theta)[[gamma]], (n,), substream(seed, 1))
+    return CountVector(n=n, counts=c[0, 0])
 
 
 def make_random_family(rng):

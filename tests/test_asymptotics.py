@@ -16,20 +16,18 @@ from qndmix.asymptotics import (
     consistency_experiment,
     cramer_rao_experiment,
     lamn_experiment,
-    log_likelihood_ratio,
     mixture_collapse_experiment,
     mle_path,
     purification_experiment,
 )
 from qndmix.errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from qndmix import estimate
-from qndmix.estimate import loglik
 from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily, kl_matrix
 from qndmix.presets import toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
-from qndmix.simulate import (
-    CountVector, counts, sample_count_paths, sample_counts, sample_trajectory, substream,
-)
+from qndmix.simulate import CountVector, counts, sample_count_paths, sample_trajectory, substream
+
+from conftest import sample_counts
 
 
 def small_plan(preset, **kw):
@@ -79,6 +77,14 @@ def test_plan_rejects_bad_grid(toy, grid, entry):
         small_plan(toy, n_grid=grid)
 
 
+@pytest.mark.parametrize("n_reps", [1, 0, -3])
+def test_plan_rejects_fewer_than_two_replications(toy, n_reps):
+    """A sample variance needs two replications; fewer are refused, the
+    value named, before any experiment runs."""
+    with pytest.raises(ConstructionError, match=f"n_reps {n_reps} must be at least 2"):
+        small_plan(toy, n_reps=n_reps)
+
+
 def test_plan_search_box_default(qubit, toy):
     assert small_plan(qubit).search_box() is qubit.family.box
     assert small_plan(toy, h=np.array([0.0])).search_box() is toy.estimation_box
@@ -88,12 +94,28 @@ def test_plan_search_box_default(qubit, toy):
 # Log-likelihood ratio and collapse ratio against brute force
 # ---------------------------------------------------------------------------
 
-def test_log_likelihood_ratio_identity(bernoulli_pair, uniform2):
-    c = sample_counts(bernoulli_pair, [0.5], 0, 40, 2)
-    lr = log_likelihood_ratio(bernoulli_pair, uniform2, c, [0.6], [0.5])
-    la = loglik(bernoulli_pair, uniform2, c, [0.6]).value
-    lb = loglik(bernoulli_pair, uniform2, c, [0.5]).value
-    assert lr == pytest.approx(40 * (la - lb), abs=1e-12)
+def test_log_likelihood_ratio_identity(bernoulli_pair):
+    """The stacked ratio that lamn_experiment takes over a (d, R, l) count
+    array equals, record by record, n times the difference of the normalized
+    log-likelihoods and ln P_a - ln P_b computed in plain arithmetic."""
+    q = MixtureWeights.normalized([0.3, 0.7])
+    theta_a, theta_b = [0.6], [0.5]
+    n = 40
+    cm = np.stack([
+        np.stack([sample_counts(bernoulli_pair, theta_b, g, n, seed).counts for seed in range(3)])
+        for g in range(2)
+    ])                                                                      # (2, 3, 2)
+    lr = logsumexp(estimate.log_terms(bernoulli_pair, q, cm, theta_a), axis=-1) - logsumexp(
+        estimate.log_terms(bernoulli_pair, q, cm, theta_b), axis=-1
+    )
+    assert lr.shape == (2, 3)
+    for idx in np.ndindex(lr.shape):
+        c = CountVector(n=n, counts=cm[idx])
+        la = estimate.loglik(bernoulli_pair, q, c, theta_a).value
+        lb = estimate.loglik(bernoulli_pair, q, c, theta_b).value
+        assert lr[idx] == pytest.approx(n * (la - lb), abs=1e-12)
+        direct = [q.q @ np.prod(bernoulli_pair.prob_table(t) ** cm[idx], axis=1) for t in (theta_a, theta_b)]
+        assert lr[idx] == pytest.approx(math.log(direct[0] / direct[1]), abs=1e-10)
 
 
 def test_collapse_ratio_matches_direct(bernoulli_pair):

@@ -75,6 +75,29 @@ def test_single_rep_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_comma_separated_q_runs(tmp_path, capsys):
+    """--q takes the comma list that its help names."""
+    code = run_cli("purify", "--preset", "qubit_rotation", "--q", "0.3,0.7", "--n-reps", "40",
+                   "--out", str(tmp_path))
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("q,message", [
+    ("dirichlet(1)", "field 'q': cannot parse 'dirichlet(1)'"),
+    ("poissonlike(0)", "field 'q': rate in 'poissonlike(0)' must be positive and finite"),
+    ("poissonlike(-1)", "field 'q': rate in 'poissonlike(-1)' must be positive and finite"),
+    ("poissonlike(nan)", "field 'q': rate in 'poissonlike(nan)' must be positive and finite"),
+    ("poissonlike(inf)", "field 'q': rate in 'poissonlike(inf)' must be positive and finite"),
+])
+def test_bad_q_is_config_error(tmp_path, capsys, q, message):
+    code = run_cli("purify", "--preset", "qubit_rotation", "--q", q, "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not tmp_path.joinpath("report.json").exists()
+
+
 def test_theta_star_outside_box_is_config_error(tmp_path):
     assert (
         run_cli("purify", "--preset", "qubit_rotation", "--theta-star", "9.0",
@@ -155,6 +178,7 @@ def test_parse_weights():
     assert q.size == 8
     q2 = parse_weights([1, 1, 2], 3)
     assert q2.q[2] == pytest.approx(0.5)
+    assert parse_weights("1, 1,2", 3).q.tolist() == q2.q.tolist()
     with pytest.raises(ConfigError):
         parse_weights("dirichlet(1)", 8)
     with pytest.raises(ConfigError):

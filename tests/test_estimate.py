@@ -12,8 +12,6 @@ from qndmix.estimate import (
     ROW_BLOCK,
     _halton,
     _maximize_box,
-    limit_loglik,
-    log_sum_paths,
     log_terms,
     logsumexp as own_logsumexp,
     loglik,
@@ -27,17 +25,11 @@ from qndmix.model import (
     ParameterBox,
     ParametricFamily,
     fisher_information,
-    shannon_entropy,
 )
 from qndmix.presets import get_preset, toy_haroche_guerlin
-from qndmix.simulate import (
-    CountVector,
-    counts,
-    sample_count_paths,
-    sample_counts,
-    sample_mixture_trajectory,
-    sample_trajectory,
-)
+from qndmix.simulate import CountVector, counts, sample_count_paths, sample_mixture_trajectory
+
+from conftest import sample_counts
 
 
 def brute_force_prob(fam, q, theta, seq):
@@ -107,53 +99,6 @@ def test_loglik_no_underflow_at_large_n(bernoulli_pair, uniform2):
     comp = loglik_component(bernoulli_pair, c, [0.7], 0)
     assert comp + math.log(uniform2.q[0]) / c.n <= val + 1e-12
     assert val <= comp + math.log(2.0) / c.n + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Limit likelihood and stable log-sum of paths
-# ---------------------------------------------------------------------------
-
-def test_limit_loglik_peaks_at_truth(bernoulli_pair):
-    theta_star = [0.5]
-    top = limit_loglik(bernoulli_pair, theta_star, 0, theta_star)
-    assert top == pytest.approx(-shannon_entropy(bernoulli_pair, theta_star, 0), abs=1e-14)
-    for x in np.linspace(0.2, 0.8, 31):
-        assert limit_loglik(bernoulli_pair, theta_star, 0, [x]) <= top + 1e-12
-    # The twin component achieves the same limit at 2*theta (no penalty there).
-    assert limit_loglik(bernoulli_pair, [0.3], 0, [0.6]) == pytest.approx(
-        -shannon_entropy(bernoulli_pair, [0.3], 0), abs=1e-13
-    )
-
-
-def test_log_sum_paths_exact_small_values():
-    a_n = np.array([2.0, 3.0])
-    b_n = np.array([5.0, 1.0])
-    for n in (1, 2, 5):
-        ell_a = np.log(a_n) / n
-        ell_b = np.log(b_n) / n
-        got = log_sum_paths(ell_a, ell_b, n)
-        np.testing.assert_allclose(got, np.log(a_n + b_n) / n, atol=1e-14)
-
-
-def test_log_sum_paths_bound_and_stability():
-    ell_a = np.array([-0.3])
-    ell_b = np.array([-0.9])
-    for n in (1, 10, 1_000, 100_000):
-        got = log_sum_paths(ell_a, ell_b, n)[0]
-        assert got <= max(ell_a[0], ell_b[0]) + math.log(2.0) / n + 1e-15
-        assert got >= max(ell_a[0], ell_b[0])
-    # Equal paths saturate the ln(2)/n bound exactly.
-    same = log_sum_paths(ell_a, ell_a, 50)[0]
-    assert same == pytest.approx(ell_a[0] + math.log(2.0) / 50, abs=1e-15)
-
-
-def test_log_sum_paths_validation():
-    with pytest.raises(DomainError):
-        log_sum_paths(np.zeros(2), np.zeros(3), 5)
-    with pytest.raises(DomainError):
-        log_sum_paths(np.zeros(2), np.zeros(2), 0)
-    with pytest.raises(DomainError):
-        log_sum_paths(np.array([-np.inf]), np.zeros(1), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from qndmix.model import (
     fisher_information,
     kl_divergence,
     kl_matrix,
-    shannon_entropy,
 )
 
 
@@ -36,9 +34,6 @@ def test_box_membership():
     assert not box.is_interior([0.0])
     with pytest.raises(DomainError):
         box.require([1.5])
-    grid = box.grid(5)
-    assert grid.shape == (5, 1)
-    assert grid[0, 0] == 0.0 and grid[-1, 0] == 1.0
 
 
 def test_box_require_checks_every_row_of_a_stack():
@@ -223,15 +218,6 @@ def test_prob_accessors(bernoulli_pair):
 # ---------------------------------------------------------------------------
 # Information functionals
 # ---------------------------------------------------------------------------
-
-def test_entropy_uniform_and_frozen_value(bernoulli_pair):
-    # [DERIVED] H(0.6, 0.4) computed by hand from -sum p ln p.
-    assert shannon_entropy(bernoulli_pair, [0.6], 0) == pytest.approx(
-        0.6730116670092565, abs=1e-14
-    )
-    # Uniform distribution over l outcomes has entropy ln l.
-    assert shannon_entropy(bernoulli_pair, [0.5], 0) == pytest.approx(math.log(2))
-
 
 def test_kl_frozen_value(bernoulli_pair):
     # [DERIVED] KL((0.6,0.4) || (0.5,0.5)) = 0.6 ln(6/5) + 0.4 ln(4/5).

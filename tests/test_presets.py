@@ -116,9 +116,10 @@ def test_toy_min_kl_frozen(toy):
 def test_toy_identifiability_split(toy):
     """The full display box contains exact component collisions; the default
     estimation box does not."""
-    full = check_identifiability(toy.family, toy.family.box.grid(257), tol=1e-9)
+    box, est_box = toy.family.box, toy.estimation_box
+    full = check_identifiability(toy.family, np.linspace(box.lower, box.upper, 257), tol=1e-9)
     assert not full.passed
-    est = check_identifiability(toy.family, toy.estimation_box.grid(257), tol=1e-9)
+    est = check_identifiability(toy.family, np.linspace(est_box.lower, est_box.upper, 257), tol=1e-9)
     assert est.passed
     assert toy.search_box() is toy.estimation_box
     # theta* sits strictly inside the estimation box.
@@ -136,7 +137,8 @@ def test_toy_collision_is_exact(toy):
 def test_guerlin_variant_flags_alpha_zero():
     pre = toy_haroche_guerlin()
     assert pre.component_values[0] == 0
-    report = check_identifiability(pre.family, pre.family.box.grid(33), tol=1e-9)
+    box = pre.family.box
+    report = check_identifiability(pre.family, np.linspace(box.lower, box.upper, 33), tol=1e-9)
     assert not report.passed
     # alpha = 0 is constant in theta, so it collides with itself across points.
     zero_pairs = [f for f in report.flagged if f[0][0] == 0 and f[1][0] == 0]
@@ -176,7 +178,7 @@ def test_full_variant_consistent_with_toy(toy):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_stacked_tables_equal_single_point_tables(name):
     fam = get_preset(name).family
-    for stack in (fam._validation_points(), fam.box.grid(64)):
+    for stack in (fam._validation_points(), np.linspace(fam.box.lower, fam.box.upper, 64)):
         tables = fam.prob_table(stack)
         assert tables.shape == (len(stack), fam.n_components, fam.n_outcomes)
         for t, table in zip(stack, tables):
@@ -186,7 +188,7 @@ def test_stacked_tables_equal_single_point_tables(name):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_stacked_tables_refuse_a_row_outside_the_box(name):
     fam = get_preset(name).family
-    stack = fam.box.grid(5)
+    stack = np.linspace(fam.box.lower, fam.box.upper, 5)
     stack[3] = fam.box.upper + 0.01
     with pytest.raises(DomainError, match=r"at stack index \(3,\)"):
         fam.prob_table(stack)
@@ -205,7 +207,7 @@ def test_probs_ignoring_the_stack_is_refused(name, monkeypatch):
     swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_probs", first_only)
     with pytest.raises(ConstructionError, match="shape"):
-        swapped.prob_table(fam.box.grid(3))
+        swapped.prob_table(np.linspace(fam.box.lower, fam.box.upper, 3))
     reversed_rows = lambda t: fam.prob_table(t) if t.ndim == 1 else fam.prob_table(t)[::-1]
     with pytest.raises(ConstructionError, match="differs"):
         ParametricFamily(*parts, probs=reversed_rows)
@@ -247,7 +249,7 @@ def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch)
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_stacked_jacobians_equal_single_point_jacobians(name):
     fam = get_preset(name).family
-    for stack in (fam._validation_points(), fam.box.grid(64)):
+    for stack in (fam._validation_points(), np.linspace(fam.box.lower, fam.box.upper, 64)):
         jacs = fam.dprob_table(stack)
         assert jacs.shape == (len(stack), fam.dim, fam.n_components, fam.n_outcomes)
         for t, jac in zip(stack, jacs):
@@ -268,7 +270,7 @@ def test_dprobs_ignoring_the_stack_is_refused(name, monkeypatch):
     swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_dprobs", first_only)
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
-        swapped.dprob_table(fam.box.grid(3))
+        swapped.dprob_table(np.linspace(fam.box.lower, fam.box.upper, 3))
     reversed_rows = lambda t: fam.dprob_table(t) if t.ndim == 1 else fam.dprob_table(t)[::-1]
     with pytest.raises(ConstructionError, match="dprobs on a stack of points differs"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=reversed_rows)

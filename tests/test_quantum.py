@@ -15,8 +15,6 @@ from qndmix.quantum import (
     filter_step,
     filter_trajectory,
     hermitian_expm,
-    outcome_probs,
-    unitary,
 )
 from qndmix.presets import qubit_rotation
 from qndmix.simulate import sample_trajectory
@@ -75,15 +73,14 @@ def test_hermitian_expm_on_a_stack():
 def test_qubit_probabilities_are_cos_squared():
     pre = qubit_rotation()
     theta = 0.8
-    for c, alpha in enumerate(pre.component_values):
-        p = outcome_probs(pre.system, [theta], c)
+    for p, alpha in zip(pre.family.prob_table([theta]), pre.component_values):
         assert p[0] == pytest.approx(np.cos(theta * alpha / 2) ** 2, abs=1e-12)
         assert p[1] == pytest.approx(np.sin(theta * alpha / 2) ** 2, abs=1e-12)
 
 
 def test_unitary_of_sigma_z_is_diagonal_phase():
     sys = QndSystem(generators=SIGMA_Z[None, None], probe=np.array([1.0, 0.0]))
-    u = unitary(sys, [0.4], 0)
+    u = quantum._unitaries(sys, [0.4])[0]
     np.testing.assert_allclose(u, np.diag([np.exp(-0.4j), np.exp(0.4j)]), atol=1e-12)
 
 
@@ -115,14 +112,6 @@ def test_system_dimensions_come_from_generators():
         QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
     with pytest.raises(ConstructionError, match=r"shape \(d, D, l, l\)"):
         QndSystem(generators=SIGMA_X[None], probe=np.array([1.0, 0.0]))
-
-
-def test_component_index_outside_range_is_refused(qubit):
-    with pytest.raises(DomainError, match="component index 7"):
-        unitary(qubit.system, [0.8], 7)
-    for alpha in (-1, 2):
-        with pytest.raises(DomainError, match="component index"):
-            outcome_probs(qubit.system, [0.8], alpha)
 
 
 def test_as_family_refuses_box_of_wrong_dimension(qubit):
@@ -207,9 +196,9 @@ def test_nearly_hermitian_generators_are_checked_once():
     gens = np.stack([a * 0.5 * SIGMA_X + skew for a in (1.0, 2.0)])[:, None]
     sys = QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
     assert np.array_equal(sys.generators, np.swapaxes(sys.generators.conj(), -1, -2))
-    u = unitary(sys, [3.0], 1)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-    p = outcome_probs(sys, [3.0], 0)
+    u = quantum._unitaries(sys, [3.0])
+    np.testing.assert_allclose(u[1] @ u[1].conj().T, np.eye(2), atol=1e-12)
+    p = np.abs(u[0] @ sys.probe) ** 2
     np.testing.assert_allclose(p, [np.cos(1.5) ** 2, np.sin(1.5) ** 2], atol=1e-10)
     state = filter_step(sys, FilterState.from_phi([1.0, 1.0]), [3.0], 0)
     assert state.step == 1 and np.all(np.isfinite(state.phi))
@@ -227,7 +216,7 @@ def test_custom_probe_basis_changes_statistics():
         probe=np.array([1.0, 0.0]),
         probe_basis=hadamard.astype(complex),
     )
-    p = outcome_probs(sys, [0.8], 0)
+    p = as_family(sys, ParameterBox(np.array([0.5]), np.array([1.0]))).prob_table([0.8])[0]
     # In the Hadamard basis the outcome law is (1 +/- cos) ... derived directly:
     u = hermitian_expm(0.8 * 0.5 * SIGMA_X)
     amp = hadamard.conj().T @ (u @ np.array([1.0, 0.0]))
@@ -336,7 +325,7 @@ def _weak_generic_system():
     probe = rng.normal(size=3) + 1j * rng.normal(size=3)
     sys = QndSystem(generators=0.01 * (a + np.swapaxes(a.conj(), -1, -2)),
                     probe=probe / np.linalg.norm(probe))
-    p = outcome_probs(sys, [0.7], 0)
+    p = np.abs(quantum._amplitudes(sys, [0.7])[0]) ** 2
     return sys, FilterState.from_phi([1.0, 1j, -1.0]), [0.7], rng.choice(3, size=3000, p=p)
 
 
@@ -512,7 +501,7 @@ def test_quantum_filter_path_matches_per_component_unitaries(qubit):
     phi0 = np.sqrt(qubit.q.q).astype(complex)
     path = filter_trajectory(sys, FilterState.from_phi(phi0), qubit.theta_star, traj.outcomes)
     amps = np.stack([
-        sys.probe_basis.conj().T @ (unitary(sys, qubit.theta_star, a) @ sys.probe)
+        sys.probe_basis.conj().T @ (quantum._unitaries(sys, qubit.theta_star)[a] @ sys.probe)
         for a in range(sys.system_dim)
     ])
     phi = phi0

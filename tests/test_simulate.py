@@ -8,13 +8,9 @@ from qndmix.simulate import (
     counts,
     sample_component,
     sample_count_paths,
-    sample_counts,
     sample_mixture_trajectory,
     sample_trajectory,
     substream,
-    trajectory_from_json,
-    trajectory_to_csv,
-    trajectory_to_json,
 )
 from qndmix.model import MixtureWeights
 
@@ -51,6 +47,14 @@ def test_sample_trajectory_validation(bernoulli_pair):
         sample_trajectory(bernoulli_pair, [0.4], 0, -1, seed=0)
     with pytest.raises(DomainError):
         sample_trajectory(bernoulli_pair, [0.95], 0, 10, seed=0)
+
+
+def test_component_index_outside_range_is_refused(qubit):
+    """A component index outside 0..d-1, a negative one included, is refused
+    with the index and the valid range named."""
+    for gamma in (7, 2, -1):
+        with pytest.raises(DomainError, match=f"component index {gamma} outside 0..1"):
+            sample_trajectory(qubit.family, [0.8], gamma, 10, seed=0)
 
 
 def test_empirical_frequencies_approach_the_law(bernoulli_pair):
@@ -97,18 +101,6 @@ def test_count_vector_validation():
     c = CountVector(n=4, counts=np.array([1, 3]))
     with pytest.raises(ValueError):
         c.counts[0] = 7
-
-
-def test_sample_counts_deterministic(bernoulli_pair):
-    c1 = sample_counts(bernoulli_pair, [0.4], 0, 500, 9)
-    c2 = sample_counts(bernoulli_pair, [0.4], 0, 500, 9)
-    np.testing.assert_array_equal(c1.counts, c2.counts)
-    assert c1.n == 500
-    # Passing the generator directly continues its stream.
-    rng = substream(9, 1)
-    c3 = sample_counts(bernoulli_pair, [0.4], 0, 500, rng)
-    c4 = sample_counts(bernoulli_pair, [0.4], 0, 500, rng)
-    assert not np.array_equal(c3.counts, c4.counts)
 
 
 def test_count_paths_one_point_is_one_multinomial(toy):
@@ -162,43 +154,6 @@ def test_count_paths_equal_counted_records_in_distribution(toy):
     block = np.diag(p) - np.outer(p, p)
     target = np.minimum.outer(n_col, n_col) * np.tile(block, (grid.size, grid.size))
     assert np.all(np.abs(cov - target) <= 5 * cov_se)
-
-
-def test_trajectory_json_roundtrip(bernoulli_pair, tmp_path):
-    traj = sample_trajectory(bernoulli_pair, [0.4], 1, 25, seed=2)
-    path = tmp_path / "traj.json"
-    trajectory_to_json(traj, path)
-    back = trajectory_from_json(path)
-    np.testing.assert_array_equal(back.outcomes, traj.outcomes)
-    assert back.gamma == traj.gamma
-    assert back.seed == traj.seed
-    np.testing.assert_allclose(back.theta_true, traj.theta_true)
-    # Round trip through the bare string as well.
-    again = trajectory_from_json(trajectory_to_json(traj))
-    np.testing.assert_array_equal(again.outcomes, traj.outcomes)
-
-
-def test_trajectory_json_string_roundtrip_long_record(toy, tmp_path):
-    """JSON text longer than a file name is parsed, never looked up as a path;
-    str and Path file names still load the file."""
-    traj = sample_trajectory(toy.family, toy.theta_star, 0, 200, seed=1)
-    text = trajectory_to_json(traj)
-    assert len(text) > 255
-    back = trajectory_from_json(text)
-    np.testing.assert_array_equal(back.outcomes, traj.outcomes)
-    path = tmp_path / "long.json"
-    path.write_text(text)
-    for source in (path, str(path)):
-        np.testing.assert_array_equal(trajectory_from_json(source).outcomes, traj.outcomes)
-
-
-def test_trajectory_csv(bernoulli_pair, tmp_path):
-    traj = sample_trajectory(bernoulli_pair, [0.4], 0, 3, seed=8)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,outcome"
-    assert lines[1:] == [f"{k},{j}" for k, j in enumerate(traj.outcomes)]
 
 
 def test_trajectory_is_immutable(bernoulli_pair):
