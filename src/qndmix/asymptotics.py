@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
-from .estimate import ScalarMaxima, log_terms, loglik_rows, logsumexp, maximize_scalar
+from .estimate import Maxima, log_terms, loglik_rows, logsumexp, maximize_scalar
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -93,13 +93,15 @@ class ExperimentPlan:
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_star, dtype=float))
+        box = self.family.box
+        if theta.shape != box.lower.shape:
+            raise ConstructionError(f"theta_star has shape {theta.shape}; the model has D = {box.dimension}")
         if self.h is None:
             h = np.zeros_like(theta)
         else:
             h = np.atleast_1d(np.asarray(self.h, dtype=float))
         if h.shape != theta.shape:
             raise ConstructionError("h must have the same dimension as theta_star")
-        box = self.family.box
         if not box.is_interior(theta):
             raise ConstructionError("theta_star must be interior to the box")
         if self.n_reps < 2:
@@ -160,7 +162,7 @@ def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     return rng.choice(plan.q.size, size=plan.n_reps, p=plan.q.q)
 
 
-def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], ScalarMaxima]:
+def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], Maxima]:
     """The mixture MLE over the plan's search box, as a function of a matrix of
     count rows (one estimate and one boundary flag per row); D = 1 only.
     Rows may have different record lengths, so each experiment fits all of
@@ -193,11 +195,6 @@ def _log_ndtr_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     far = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
     low = np.log(tail, out=far, where=a <= 20)                         # ln Phi(-|w|)
     return np.where(w < 0, low, body), np.where(w > 0, low, body)
-
-
-def _log_ndtr(w: np.ndarray) -> np.ndarray:
-    """ln Phi(w) elementwise; see _log_ndtr_pair."""
-    return _log_ndtr_pair(w)[0]
 
 
 def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -91,6 +91,7 @@ def parse_weights(spec, d: int) -> MixtureWeights:
     'poissonlike(RATE)' with a positive, finite RATE."""
     if isinstance(spec, MixtureWeights):
         return spec
+    weights = MixtureWeights.normalized
     if isinstance(spec, str):
         m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip())
         if not m:
@@ -102,9 +103,11 @@ def parse_weights(spec, d: int) -> MixtureWeights:
                 raise ConfigError(f"field 'q': bad rate in {spec!r}") from None
             if not 0.0 < rate < math.inf:
                 raise ConfigError(f"field 'q': rate in {spec!r} must be positive and finite")
-            return poisson_like_weights(rate, d)
+            spec, weights = d, functools.partial(poisson_like_weights, rate)
     try:
-        return MixtureWeights.normalized(np.asarray(spec, dtype=float))
+        # A rate far from 1 can overflow rate^alpha, or underflow a weight to 0.
+        with np.errstate(over="raise"):
+            return weights(spec)
     except Exception as exc:
         raise ConfigError(f"field 'q': {exc}") from exc
 

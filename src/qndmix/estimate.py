@@ -9,8 +9,9 @@ and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
 
 loglik_rows evaluates it, its score and its curvature for many rows at once.
-For D = 1, maximize_scalar fits the rows by a coarse scan, then bracketed
-root-finding on the score; for D > 1, _maximize_box by projected Fisher scoring.
+Both maximizers seed each row's candidates from one shared scan of the box;
+maximize_scalar (D = 1) refines them by bracketed root-finding on the score,
+_maximize_box (D > 1) by projected Fisher scoring.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "loglik_component",
     "log_terms",
     "logsumexp",
-    "ScalarMaxima",
+    "Maxima",
     "loglik_rows",
     "maximize_scalar",
     "mle",
@@ -48,9 +49,8 @@ EXP_FLOOR = -700.0
 # its bracket) is below STEP_TOL; it is unconverged after MAX_STEPS steps.
 STEP_TOL = 1e-8
 MAX_STEPS = 60
-# Multi-start projected Fisher scoring (D > 1); the pseudo-inverse's relative
-# cutoff leaves out the near-flat directions of a rank-deficient information.
-N_STARTS = 8
+# Projected Fisher scoring (D > 1): the pseudo-inverse's relative cutoff
+# leaves out the near-flat directions of a rank-deficient information.
 PINV_RCOND = 1e-8
 
 
@@ -71,8 +71,8 @@ class LogLikelihood:
 @dataclass
 class EstimationReport:
     """MLE output: the mixture argmax, per-component argmaxes and diagnostics.
-    converged is the mixture row's: for D = 1 every candidate stopped within
-    MAX_STEPS steps, for D > 1 its winning end point did."""
+    converged is the mixture row's: every candidate stopped within MAX_STEPS
+    steps."""
 
     theta_hat: np.ndarray
     theta_hat_per_component: np.ndarray
@@ -154,10 +154,10 @@ def loglik_component(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScalarMaxima:
-    """Output of maximize_scalar: x, value, tie, boundary, evaluations and
-    converged hold one entry per row; the scan and the refined candidates make
-    up each row's trace."""
+class Maxima:
+    """Output of maximize_scalar and _maximize_box: x (R, D), value, tie,
+    boundary, evaluations and converged hold one entry per row; the scan and
+    the refined candidates make up each row's trace."""
 
     x: np.ndarray
     value: np.ndarray
@@ -172,13 +172,14 @@ class ScalarMaxima:
     cand_values: np.ndarray
 
     def trace(self, row: int) -> list:
-        """(x, f(x)) of every scan point and every refined candidate of one row."""
+        """(x, f(x)) of every scan point and every refined candidate of one
+        row, x as a list of D floats."""
         mine = self.cand_rows == row
         points = list(zip(self.scan_x.tolist(), self.scan_values[row].tolist()))
         return points + list(zip(self.cand_x[mine].tolist(), self.cand_values[mine].tolist()))
 
 
-def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
+def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     """Maximize R smooth scalar objectives ("rows") on [lo, hi] at once.
 
     ``f(x)`` evaluates every row at every point of the 1-D array x and returns
@@ -195,11 +196,7 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
     that would leave the bracket bisects it instead.  A candidate stops once
     its last step or its bracket is below STEP_TOL, so one whose slope points
     out of the box at a box edge stops on that edge.  All candidates of all
-    rows advance together.  Per row, the best refined value wins; a runner-up
-    from another candidate within TIE_TOL sets the tie flag, and ties resolve
-    to the smaller x.  evaluations counts a row's refinement evaluations over
-    all its candidates; a row is converged when every candidate stopped within
-    MAX_STEPS steps.
+    rows advance together, and _select picks each row's maximum.
     """
     xs = np.linspace(lo, hi, COARSE_POINTS)
     scan = np.atleast_2d(f(xs))
@@ -234,23 +231,30 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> ScalarMaxima:
         moved[act] = np.abs(new - x_act)
         x[act], value[act], slope[act] = new, v, s
         evaluations[act] += 1
+    return _select(xs[:, None], scan, rows, x[:, None], value, evaluations, act, lo, hi)
 
-    # Candidates ordered by row, then best value, then smaller x; the runner-up
-    # is the next candidate when it belongs to the same row.
-    order = np.lexsort((x, -value, rows))
-    _, first = np.unique(rows[order], return_index=True)
-    best, runner = order[first], order[np.minimum(first + 1, order.size - 1)]
+
+def _select(scan_x, scan, rows, x, value, evaluations, unstopped, lower, upper) -> Maxima:
+    """Each row's maximum among its refined candidates (rows in ascending
+    order, x of shape (k, D)): the lexicographically smallest x within TIE_TOL
+    of the row's best value wins, and another candidate within TIE_TOL that
+    ends more than STEP_TOL away sets the tie flag.  evaluations counts a
+    row's refinement evaluations over all its candidates; a row is converged
+    when none of its candidates is among the unstopped ones."""
+    n_rows = len(scan)
+    first = np.searchsorted(rows, np.arange(n_rows))
+    near = value >= np.maximum.reduceat(value, first)[rows] - TIE_TOL
+    best = np.lexsort((*x.T[::-1], ~near, rows))[first]
     x_hat = x[best]
-    return ScalarMaxima(
+    apart = np.any(np.abs(x - x_hat[rows]) > STEP_TOL, axis=1)
+    return Maxima(
         x=x_hat,
         value=value[best],
-        tie=(runner != best)
-        & (rows[runner] == rows[best])
-        & (value[best] - value[runner] <= TIE_TOL),
-        boundary=(x_hat - lo <= STEP_TOL) | (hi - x_hat <= STEP_TOL),
-        evaluations=np.bincount(rows, weights=evaluations, minlength=len(scan)).astype(int),
-        converged=np.bincount(rows[act], minlength=len(scan)) == 0,
-        scan_x=xs,
+        tie=np.bincount(rows[near & apart], minlength=n_rows) > 0,
+        boundary=np.any((x_hat - lower <= STEP_TOL) | (upper - x_hat <= STEP_TOL), axis=1),
+        evaluations=np.bincount(rows, weights=evaluations, minlength=n_rows).astype(int),
+        converged=np.bincount(rows[unstopped], minlength=n_rows) == 0,
+        scan_x=scan_x,
         scan_values=scan,
         cand_rows=rows,
         cand_x=x,
@@ -264,8 +268,9 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
 
         (1/n_r) ln sum_alpha exp(logq[r, alpha] + sum_j counts[r, j] ln p_x(j|alpha)),
 
-    with, at trial points x (k scalars or (k, D)), its slope (the mixture
-    score over n_r), shaped like x, and the Fisher-scoring curvature
+    at scan points x (m scalars or (m, D)) for every row, or at trial points
+    x (k scalars or (k, D)) with its slope (the mixture score over n_r),
+    shaped like x, and the Fisher-scoring curvature
     -sum_alpha w_alpha I_alpha(x), shaped (k,) or (k, D, D), where w are the
     posterior component weights of the row at x.
 
@@ -288,7 +293,7 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     def scan(x: np.ndarray) -> np.ndarray:
         # Component-major terms (d, m, rows): the sum over components runs
         # elementwise over d contiguous (m, rows) slabs.
-        logp = np.swapaxes(fam.log_prob_table(x[:, None]), 0, 1)         # (d, m, l)
+        logp = np.swapaxes(fam.log_prob_table(x.reshape(len(x), -1)), 0, 1)  # (d, m, l)
         d, m, l = logp.shape
         logp = logp.reshape(d * m, l)
         out = np.empty((n_rows, m))
@@ -364,26 +369,34 @@ def _halton(n: int, dim: int) -> np.ndarray:
     return points
 
 
-def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray) -> tuple:
-    """Multi-start projected Fisher scoring (D > 1) on the rows of a
-    loglik_rows objective, from N_STARTS Halton starts per row; all (row,
-    start) pairs step together, and only pairs still stepping are evaluated.
-    A pair steps by its curvature's pseudo-inverse times its slope, on the
-    coordinates no outward slope holds at a box edge, clipped to the box and
-    halved while the value does not rise; it stops once the step is below
-    STEP_TOL, unconverged after MAX_STEPS steps.  Per row the smallest x
-    within TIE_TOL of the best value wins, with its own converged flag.
+def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
+    """Projected Fisher scoring (D > 1) on the rows of a loglik_rows
+    objective, the D-dimensional twin of maximize_scalar.
 
-    Returns per row x, value, tie, boundary and converged, then every pair's
-    end points and values, shaped (n_rows, N_STARTS, ...).
+    A shared scan of COARSE_POINTS Halton points of the box picks each row's
+    candidates: the scan argmax and every scan point above its D nearest scan
+    neighbours, distances scaled by the box.  All candidates of all rows step
+    together, and only those still stepping are evaluated.  A candidate steps
+    by its curvature's pseudo-inverse times its slope, on the coordinates no
+    outward slope holds at a box edge, clipped to the box and halved while the
+    value does not rise; it stops once the step is below STEP_TOL, unstopped
+    after MAX_STEPS steps.  _select picks each row's maximum.
     """
     dim = lower.size
-    starts = lower + _halton(N_STARTS, dim) * (upper - lower)
-    rows = np.repeat(np.arange(n_rows), N_STARTS)
-    x = np.tile(starts, (n_rows, 1))
+    unit = _halton(COARSE_POINTS, dim)
+    xs = lower + unit * (upper - lower)
+    scan = np.atleast_2d(f(xs))
+    # Column 0 of each sorted row is the point itself, at distance 0.
+    dist = np.sum((unit[:, None] - unit) ** 2, axis=-1)
+    neighbours = np.argsort(dist, axis=1, kind="stable")[:, 1:dim + 1]
+    peak = np.all(scan[:, :, None] > scan[:, neighbours], axis=2)
+    peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
+    rows, idx = np.nonzero(peak)
+
+    x = xs[idx]
     fx, g, h = f(x, rows)
+    evaluations = np.ones(rows.size, dtype=int)
     scale = np.ones(rows.size)
-    ok = np.zeros(rows.size, dtype=bool)
     act = np.arange(rows.size)
     for _ in range(MAX_STEPS):
         x_act, g_act = x[act], g[act]
@@ -392,26 +405,16 @@ def _maximize_box(f: Callable, n_rows: int, lower: np.ndarray, upper: np.ndarray
         step = np.einsum("kij,kj->ki", np.linalg.pinv(info, rcond=PINV_RCOND, hermitian=True), g_act * free)
         x_new = np.clip(x_act + scale[act, None] * step, lower, upper)
         moving = np.abs(x_new - x_act).max(axis=1) > STEP_TOL
-        ok[act[~moving]] = True
         act, x_new = act[moving], x_new[moving]
         if act.size == 0:
             break
         f_new, g_new, h_new = f(x_new, rows[act])
+        evaluations[act] += 1
         rise = f_new > fx[act]
         up = act[rise]
         x[up], fx[up], g[up], h[up] = x_new[rise], f_new[rise], g_new[rise], h_new[rise]
         scale[act] = np.where(rise, 1.0, 0.5 * scale[act])
-
-    # The (lexicographically) smallest end point within TIE_TOL of its row's
-    # best value wins; another such end point elsewhere sets the tie flag.
-    near = fx >= np.repeat(fx.reshape(n_rows, N_STARTS).max(axis=1), N_STARTS) - TIE_TOL
-    best = np.lexsort((*x.T[::-1], ~near, rows))[::N_STARTS]
-    x_hat = x[best]
-    apart = ~np.isclose(x, x_hat[rows], atol=STEP_TOL).all(axis=1)
-    tie = (near & apart).reshape(n_rows, N_STARTS).any(axis=1)
-    boundary = np.any(x_hat - lower <= STEP_TOL, axis=1) | np.any(upper - x_hat <= STEP_TOL, axis=1)
-    ends = x.reshape(n_rows, N_STARTS, dim), fx.reshape(n_rows, N_STARTS)
-    return x_hat, fx[best], tie, boundary, ok[best], *ends
+    return _select(xs, scan, rows, x, fx, evaluations, act, lower, upper)
 
 
 def mle(
@@ -440,26 +443,21 @@ def mle(
 
     if fam.dim == 1:
         res = maximize_scalar(f, float(lower[0]), float(upper[0]))
-        x_hat, f_hat, tie, boundary, converged = (
-            res.x[:, None], res.value, res.tie, res.boundary, res.converged
-        )
-        trace = [(np.array([x]), v) for x, v in res.trace(0)]
     else:
-        x_hat, f_hat, tie, boundary, converged, x_end, f_end = _maximize_box(f, d + 1, lower, upper)
-        trace = list(zip(x_end[0], f_end[0].tolist()))
-    theta_hat = x_hat[0]
+        res = _maximize_box(f, lower, upper)
+    theta_hat = res.x[0]
 
     terms = log_terms(fam, q, counts.counts, theta_hat)
     posterior = np.exp(terms - logsumexp(terms))
     return EstimationReport(
         theta_hat=theta_hat,
-        theta_hat_per_component=x_hat[1:],
-        loglik_at_max=float(f_hat[0]),
+        theta_hat_per_component=res.x[1:],
+        loglik_at_max=float(res.value[0]),
         n=counts.n,
-        optimizer_trace=trace,
+        optimizer_trace=[(np.array(x), v) for x, v in res.trace(0)],
         fisher_at_hat=fisher_information(fam, theta_hat),
         posterior_at_hat=posterior,
-        converged=bool(converged[0]),
-        boundary=bool(boundary[0]),
-        tie=bool(tie[0]),
+        converged=bool(res.converged[0]),
+        boundary=bool(res.boundary[0]),
+        tie=bool(res.tie[0]),
     )

@@ -70,7 +70,7 @@ class ParameterBox:
 
     def is_interior(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        return bool(np.all(t > self.lower) and np.all(t < self.upper))
+        return t.shape == self.lower.shape and bool(np.all(t > self.lower) and np.all(t < self.upper))
 
     def require(self, theta) -> np.ndarray:
         """Return theta as an array of shape (..., D): one point, or a stack of

@@ -10,7 +10,7 @@ from qndmix import asymptotics as asym
 from qndmix.asymptotics import (
     ExperimentPlan,
     _anderson_darling_normal,
-    _log_ndtr,
+    _log_ndtr_pair,
     _log_collapse_ratio,
     _scalar_mle,
     consistency_experiment,
@@ -52,6 +52,13 @@ def small_plan(preset, **kw):
 def test_plan_rejects_boundary_theta(qubit):
     with pytest.raises(ConstructionError):
         small_plan(qubit, theta_star=np.array([qubit.family.box.lower[0]]))
+
+
+def test_plan_rejects_theta_of_the_wrong_length(qubit):
+    """A theta_star with D + 1 entries is refused as a length mismatch, not as
+    a shift leaving the box."""
+    with pytest.raises(ConstructionError, match=r"theta_star has shape \(2,\); the model has D = 1"):
+        small_plan(qubit, theta_star=np.array([0.7, 0.8]), h=None)
 
 
 def test_plan_rejects_shift_leaving_box(qubit):
@@ -330,7 +337,7 @@ def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
     pooled, res = calls[0]
     blocks = pooled.reshape(-1, plan.n_reps, pooled.shape[1])
     assert len(blocks) == (9 if runner is cramer_rao_experiment else 2)
-    for block, x in zip(blocks, res.x.reshape(len(blocks), -1)):
+    for block, x in zip(blocks, res.x.reshape(len(blocks), plan.n_reps, 1)):
         assert np.array_equal(_scalar_mle(plan)(block).x, x)
 
 
@@ -373,7 +380,7 @@ def lamn_per_component(plan):
                 r = x.size
                 w = (x - np.mean(std)) / np.std(std, ddof=1)
                 i = np.arange(1, r + 1)
-                stat = float(-r - np.sum((2 * i - 1.0) / r * (_log_ndtr(w) + _log_ndtr(-w)[::-1])))
+                stat = float(-r - np.sum((2 * i - 1.0) / r * (_log_ndtr_pair(w)[0] + _log_ndtr_pair(-w)[0][::-1])))
                 crit = float(np.round(asym.AD_CRIT_1PCT / (1.0 + 0.75 / r + 2.25 / r / r), 3))
                 entry.update(ad_statistic=stat, ad_critical_1pct=crit, ad_ok=bool(stat < crit))
             per_n[n] = entry
@@ -529,7 +536,7 @@ def test_log_ndtr_matches_scipy():
     w = 38 on both are below 1e-300 in magnitude, and math.erfc may still
     return a subnormal where scipy's ndtr returns 0."""
     w = np.linspace(-50.0, 50.0, 200_001)
-    got = _log_ndtr(w)
+    got = _log_ndtr_pair(w)[0]
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, log_ndtr(w), rtol=1e-12, atol=1e-300)
 

@@ -90,12 +90,21 @@ def test_comma_separated_q_runs(tmp_path, capsys):
     ("poissonlike(-1)", "field 'q': rate in 'poissonlike(-1)' must be positive and finite"),
     ("poissonlike(nan)", "field 'q': rate in 'poissonlike(nan)' must be positive and finite"),
     ("poissonlike(inf)", "field 'q': rate in 'poissonlike(inf)' must be positive and finite"),
+    ("poissonlike(1e100)", "field 'q': overflow encountered in exp"),
+    ("poissonlike(1e-300)", "field 'q': all mixture weights must be strictly positive"),
 ])
 def test_bad_q_is_config_error(tmp_path, capsys, q, message):
-    code = run_cli("purify", "--preset", "qubit_rotation", "--q", q, "--out", str(tmp_path))
+    """On toy_haroche's d = 8 components, 1e100^8 overflows and 1e-300^2
+    underflows to a zero weight."""
+    code = run_cli("purify", "--preset", "toy_haroche", "--q", q, "--out", str(tmp_path))
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not tmp_path.joinpath("report.json").exists()
+
+
+def test_theta_star_of_the_wrong_length_is_config_error(tmp_path, capsys):
+    assert run_cli("estimate", "--theta-star", "0.7,0.8", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: theta_star has shape (2,); the model has D = 1\n"
 
 
 def test_theta_star_outside_box_is_config_error(tmp_path):
@@ -236,12 +245,12 @@ def test_repeated_estimates_match_a_fresh_process(preset, seed, tmp_path):
 
 
 # theta_hat and loglik_at_max of `qndmix estimate --preset toy_haroche_full
-# --seed 1` (n = 1e4): the maximum lies on a near-flat valley, end points of
-# the multi-start search along it agree in loglik within TIE_TOL, and the one
-# with the smallest theta_0 wins.
+# --seed 1` (n = 1e4): the maximum lies on a near-flat valley, refined
+# candidates along it agree in loglik within TIE_TOL, and the one with the
+# smallest theta_0 wins.
 FULL_SEED1_THETA_HAT = [
-    1.045302287029076, 1.596706003319672, 0.8267777750239285,
-    -0.2275357143881693, -0.8452953865973077, 0.7202434358942017,
+    1.0083063014034896, 1.7082437522712641, 0.9121510303649326,
+    0.15212147845997917, -0.7102203164672823, 0.7011847103488387,
 ]
 FULL_SEED1_LOGLIK = -1.949086702348302
 

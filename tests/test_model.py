@@ -32,6 +32,7 @@ def test_box_membership():
     assert not box.contains([1.1])
     assert box.is_interior([0.5])
     assert not box.is_interior([0.0])
+    assert not box.is_interior([0.5, 0.5])
     with pytest.raises(DomainError):
         box.require([1.5])
 
