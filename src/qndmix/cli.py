@@ -35,7 +35,7 @@ from .asymptotics import (
     purification_experiment,
 )
 from .errors import ConfigError, QndmixError, RefusalError
-from .estimate import mle
+from .estimate import _write_in_place, mle
 from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
 from .simulate import counts, sample_mixture_trajectory
@@ -172,18 +172,13 @@ def _default_n_grid(config: RunConfig) -> tuple:
 
 
 def write_json(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    _write_in_place(path, json.dumps(report, indent=2) + "\n")
 
 
 def write_csv(rows, header, path: Path) -> None:
     """RFC-4180-style CSV with '.' decimals and 17 significant digits."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for row in rows:
-            cells = [
-                f"{x:.17g}" if isinstance(x, float) else str(x) for x in row
-            ]
-            f.write(",".join(cells) + "\r\n")
+    cells = [header] + [[f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows]
+    _write_in_place(path, "".join(",".join(row) + "\r\n" for row in cells))
 
 
 def _run_estimate(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:

@@ -9,13 +9,17 @@ and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
 
 loglik_rows evaluates it, its score and its curvature for many rows at once.
-Both maximizers seed each row's candidates from one shared scan of the box;
-maximize_scalar (D = 1) refines them by bracketed root-finding on the score,
-_maximize_box (D > 1) by projected Fisher scoring.
+Both maximizers seed each row's candidates from one shared scan of the box,
+built once per family and box; maximize_scalar (D = 1) refines them by
+bracketed root-finding on the score, _maximize_box (D > 1) by projected
+Fisher scoring.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -109,8 +113,20 @@ class EstimationReport:
             ",".join([f"{x:.17g}" for x in theta] + [f"{value:.17g}"])
             for theta, value in self.optimizer_trace
         ]
-        with open(path, "w", newline="") as f:
-            f.write("\r\n".join(lines) + "\r\n")
+        _write_in_place(path, "\r\n".join(lines) + "\r\n")
+
+
+def _write_in_place(path, text: str) -> None:
+    """Write text to path, UTF-8 encoded, with the bytes and new-file mode of
+    open(path, "w"), but without O_TRUNC: write, then truncate to the written
+    length, keeping the inode.  A truncation to zero at open makes ext4 flush
+    the file on close (auto_da_alloc).  Median cost per rewrite of a dirty
+    ext4 file, 2-vCPU shared host: 290-630 us with O_TRUNC, 40-110 us in
+    place, 90-180 us after an unlink, 430 us by temporary file and os.replace
+    (a rename also triggers the flush)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +214,7 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     out of the box at a box edge stops on that edge.  All candidates of all
     rows advance together, and _select picks each row's maximum.
     """
-    xs = np.linspace(lo, hi, COARSE_POINTS)
+    xs = _linspace(lo, hi)
     scan = np.atleast_2d(f(xs))
     padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
     peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
@@ -232,6 +248,14 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
         x[act], value[act], slope[act] = new, v, s
         evaluations[act] += 1
     return _select(xs[:, None], scan, rows, x[:, None], value, evaluations, act, lo, hi)
+
+
+@functools.cache
+def _linspace(lo: float, hi: float) -> np.ndarray:
+    """The COARSE_POINTS scan points from lo to hi, evenly spaced, read-only."""
+    xs = np.linspace(lo, hi, COARSE_POINTS)
+    xs.setflags(write=False)
+    return xs
 
 
 def _select(scan_x, scan, rows, x, value, evaluations, unstopped, lower, upper) -> Maxima:
@@ -293,9 +317,8 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     def scan(x: np.ndarray) -> np.ndarray:
         # Component-major terms (d, m, rows): the sum over components runs
         # elementwise over d contiguous (m, rows) slabs.
-        logp = np.swapaxes(fam.log_prob_table(x.reshape(len(x), -1)), 0, 1)  # (d, m, l)
-        d, m, l = logp.shape
-        logp = logp.reshape(d * m, l)
+        logp = _scan_table(fam, x)
+        d, m = fam.n_components, len(x)
         out = np.empty((n_rows, m))
         for b in _blocks(n_rows):
             terms = (logp @ counts[b].T).reshape(d, m, -1)
@@ -305,8 +328,7 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
 
     def at_points(x: np.ndarray, rows: np.ndarray) -> tuple:
         t = x.reshape(len(x), -1)
-        p = fam.prob_table(t)                                            # (k, d, l)
-        dp = fam.dprob_table(t)                                          # (k, D, d, l)
+        p, dp = fam.tables(t)                                      # (k, d, l), (k, D, d, l)
         c = counts[rows]
         terms = np.einsum("kdl,kl->kd", np.log(p), c) + logq[rows]
         total = logsumexp(terms, axis=-1)
@@ -323,6 +345,23 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     return f
+
+
+_SCAN_TABLES = weakref.WeakKeyDictionary()  # family -> {scan points: table}
+
+
+def _scan_table(fam: ParametricFamily, x: np.ndarray) -> np.ndarray:
+    """ln p at the m scan points x as a read-only, component-major (d·m, l)
+    table, built on the first scan of x.  It stays C-contiguous, the layout
+    that fixes how the scan's matrix product rounds each value."""
+    tables = _SCAN_TABLES.setdefault(fam, {})
+    key = (x.shape, x.tobytes())
+    if key not in tables:
+        logp = np.swapaxes(fam.log_prob_table(x.reshape(len(x), -1)), 0, 1)  # (d, m, l)
+        table = logp.reshape(-1, fam.n_outcomes)
+        table.setflags(write=False)
+        tables[key] = table
+    return tables[key]
 
 
 def _blocks(size: int) -> list:
@@ -351,9 +390,10 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
 
 
+@functools.cache
 def _halton(n: int, dim: int) -> np.ndarray:
-    """First n points of the unscrambled Halton sequence in [0, 1)^dim: the
-    radical inverses of 0, ..., n - 1 in the first dim prime bases."""
+    """First n points of the unscrambled Halton sequence in [0, 1)^dim, read-only:
+    the radical inverses of 0, ..., n - 1 in the first dim prime bases."""
     primes, p = [], 2
     while len(primes) < dim:
         if all(p % k for k in primes):
@@ -366,6 +406,7 @@ def _halton(n: int, dim: int) -> np.ndarray:
             while rest:
                 points[i, k] += rest % base * scale
                 rest, scale = rest // base, scale / base
+    points.setflags(write=False)
     return points
 
 

@@ -141,31 +141,32 @@ class ParametricFamily:
     def prob_table(self, theta) -> np.ndarray:
         """All outcome distributions at theta: shape (d, l) for one point,
         (..., d, l) for a stack of points of shape (..., D)."""
-        t = self.box.require(theta)
-        table = np.asarray(self._probs(t), dtype=float)
-        expected = t.shape[:-1] + (self.n_components, self.n_outcomes)
-        if table.shape != expected:
-            raise ConstructionError(f"probs returned shape {table.shape}, expected {expected}")
-        return table
+        return self._evaluate("probs", self._probs, self.box.require(theta))
 
     def log_prob_table(self, theta) -> np.ndarray:
         return np.log(self.prob_table(theta))
 
-    def dprob_table(self, theta) -> np.ndarray:
-        """Jacobian d p_theta(j|alpha) / d theta_k: shape (D, d, l) for one
-        point, (..., D, d, l) for a stack of points of shape (..., D).
+    def tables(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """prob_table and its Jacobian d p_theta(j|alpha) / d theta_k at theta,
+        after one box check: shapes (d, l) and (D, d, l) for one point,
+        (..., d, l) and (..., D, d, l) for a stack of points of shape (..., D).
 
-        Falls back to finite differences (relative step 1e-5) when no analytic
-        rule was supplied.
+        The Jacobian falls back to finite differences (relative step 1e-5)
+        when no analytic rule was supplied.
         """
         t = self.box.require(theta)
+        table = self._evaluate("probs", self._probs, t)
         if self._dprobs is None:
-            return self._fd_dprob_table(t)
-        jac = np.asarray(self._dprobs(t), dtype=float)
-        expected = t.shape[:-1] + (self.dim, self.n_components, self.n_outcomes)
-        if jac.shape != expected:
-            raise ConstructionError(f"dprobs returned shape {jac.shape}, expected {expected}")
-        return jac
+            return table, self._fd_dprob_table(t)
+        return table, self._evaluate("dprobs", self._dprobs, t, (self.dim,))
+
+    def _evaluate(self, name: str, fn: Callable, t: np.ndarray, lead: tuple = ()) -> np.ndarray:
+        """fn at the checked points t; shape t.shape[:-1] + lead + (d, l)."""
+        value = np.asarray(fn(t), dtype=float)
+        expected = t.shape[:-1] + lead + (self.n_components, self.n_outcomes)
+        if value.shape != expected:
+            raise ConstructionError(f"{name} returned shape {value.shape}, expected {expected}")
+        return value
 
     def _fd_dprob_table(self, t: np.ndarray) -> np.ndarray:
         """Finite-difference Jacobian of probs, shape (..., D, d, l) for t of
@@ -339,8 +340,8 @@ def fisher_information(fam: ParametricFamily, theta) -> np.ndarray:
     if np.ndim(theta) > 1:
         raise DomainError(f"fisher_information takes one parameter point, got theta of shape "
                           f"{np.shape(theta)}")
-    p = fam.prob_table(theta)
-    s = np.swapaxes(fam.dprob_table(theta) / p, 0, 1)  # score, (d, D, l)
+    p, dp = fam.tables(theta)
+    s = np.swapaxes(dp / p, 0, 1)  # score, (d, D, l)
     m = (s * p[:, None, :]) @ np.swapaxes(s, 1, 2)
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 

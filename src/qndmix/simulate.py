@@ -96,10 +96,11 @@ def sample_trajectory(
     if not 0 <= gamma < fam.n_components:
         raise DomainError(f"component index {gamma} outside 0..{fam.n_components - 1}")
     t = fam.box.require(theta)
-    # Inverse CDF over the alphabet.
-    cdf = np.cumsum(fam.prob_table(t)[gamma])
-    cdf[-1] = 1.0
-    outcomes = np.searchsorted(cdf, substream(seed, 1).random(n), side="right")
+    # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
+    u = substream(seed, 1).random(n)
+    outcomes = np.zeros(n, dtype=np.intp)
+    for c in np.cumsum(fam.prob_table(t)[gamma][:-1]).tolist():
+        outcomes += u >= c
     return Trajectory(outcomes=outcomes, gamma=gamma, seed=seed, theta_true=t)
 
 

@@ -481,3 +481,28 @@ def test_json_report_is_stable_bytes(tmp_path):
     assert (tmp_path / "x" / "report.json").read_bytes() == (
         tmp_path / "y" / "report.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["estimate", "fig1"])
+def test_rerun_rewrites_longer_artifacts_in_place(experiment, tmp_path):
+    """A run into a directory of longer stale artifacts leaves, file by file,
+    the bytes of a run into a fresh directory, in the same inodes; a new
+    file gets the mode open(path, "w") gives."""
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    names = ["report.json", "estimate_trace.csv"] + [f"fig1_seed{k}.csv" for k in range(10)]
+    for name in names:
+        (stale / name).write_bytes(b"stale,row\r\n" * 20_000)
+    inodes = {name: (stale / name).stat().st_ino for name in names}
+    argv = [experiment, "--preset", "toy_haroche", "--seed", "1"]
+    codes = {run_cli(*argv, "--out", str(out)) for out in (fresh, stale)}
+    assert len(codes) == 1 and codes <= {EXIT_OK, EXIT_CHECK_FAILED}
+    written = sorted(p.name for p in fresh.iterdir())
+    assert "report.json" in written and len(written) == (2 if experiment == "estimate" else 11)
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    for name in written:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+        assert (stale / name).stat().st_ino == inodes[name]
+        assert (fresh / name).stat().st_mode == reference.stat().st_mode

@@ -13,8 +13,10 @@ from qndmix.estimate import (
     PINV_RCOND,
     ROW_BLOCK,
     STEP_TOL,
+    _SCAN_TABLES,
     _halton,
     _maximize_box,
+    _linspace,
     log_terms,
     logsumexp as own_logsumexp,
     loglik,
@@ -29,7 +31,7 @@ from qndmix.model import (
     ParametricFamily,
     fisher_information,
 )
-from qndmix.presets import get_preset, toy_haroche_guerlin
+from qndmix.presets import PRESETS, get_preset, toy_haroche_guerlin
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_mixture_trajectory
 
 from conftest import sample_counts
@@ -425,6 +427,42 @@ def test_halton_matches_scipy():
         np.testing.assert_array_equal(_halton(8, dim), expected)
 
 
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_full"])
+def test_scan_table_is_built_once_per_box(name, monkeypatch):
+    """Only the first mle on a family and box evaluates the COARSE_POINTS-row
+    scan table; another box gets a table of its own.  Every cached scan array
+    is read-only, the Halton points are built once per (COARSE_POINTS, D),
+    and a cached scan gives the report of a fresh one."""
+    pre = PRESETS[name]()  # a new instance, with no scan table yet
+    fam = pre.family
+    probs, stacks = fam._probs, []
+    monkeypatch.setattr(fam, "_probs", lambda t: stacks.append(t.shape[:-1]) or probs(t))
+    c = counts(sample_mixture_trajectory(fam, pre.theta_star, pre.q, 2_000, 3),
+               n_outcomes=fam.n_outcomes)
+    half = ParameterBox(fam.box.lower, 0.5 * (fam.box.lower + fam.box.upper))
+    boxes = [fam.box, half, fam.box, half]
+    _halton.cache_clear()
+    reports, scans = [], []
+    for box in boxes:
+        stacks.clear()
+        reports.append(mle(fam, pre.q, c, box=box).to_dict())
+        scans.append(stacks.count((COARSE_POINTS,)))
+    assert scans == [1, 1, 0, 0]
+    assert reports[2:] == reports[:2]
+    assert _halton.cache_info().misses == (fam.dim > 1)
+    tables = list(_SCAN_TABLES[fam].values())
+    assert len(tables) == 2
+    for table in tables:
+        assert table.shape == (fam.n_components * COARSE_POINTS, fam.n_outcomes)
+        assert table.flags.c_contiguous and not table.flags.writeable
+    if fam.dim == 1:
+        for box in boxes[:2]:
+            points = _linspace(box.lower[0], box.upper[0])
+            assert points is _linspace(box.lower[0], box.upper[0])
+            assert not points.flags.writeable
+    assert not _halton(COARSE_POINTS, fam.dim).flags.writeable
+
+
 def test_mle_finds_narrow_collision_peak():
     """On this guerlin record the global maximum is a narrow peak that the
     coarse scan only shows as a lower local maximum; the box edge is a decoy."""
@@ -514,7 +552,8 @@ def test_pinned_mle_is_closer_to_the_score_root(name, theta_hat, golden):
         t = np.array([x])
         terms = log_terms(pre.family, pre.q, c.counts, t)
         w = np.exp(terms - logsumexp(terms))
-        score_table = pre.family.dprob_table(t) / pre.family.prob_table(t)  # dp/p, (D, d, l)
+        p, dp = pre.family.tables(t)
+        score_table = dp / p  # (D, d, l)
         return float(w @ (score_table[0] @ c.counts))
 
     assert abs(score(theta_hat)) < abs(score(golden))

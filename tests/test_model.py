@@ -163,14 +163,14 @@ def test_fd_fallback_matches_analytic(bernoulli_pair):
     fd_fam = _fd_bernoulli_pair()
     theta = [0.37]
     np.testing.assert_allclose(
-        fd_fam.dprob_table(theta), bernoulli_pair.dprob_table(theta), atol=1e-9
+        fd_fam.tables(theta)[1], bernoulli_pair.tables(theta)[1], atol=1e-9
     )
 
 
 def test_fd_step_shrinks_at_boundary(bernoulli_pair):
     # Both stencil points must stay inside the box even at its edge.
-    jac = _fd_bernoulli_pair().dprob_table([0.8])
-    np.testing.assert_allclose(jac, bernoulli_pair.dprob_table([0.8]), atol=1e-6)
+    jac = _fd_bernoulli_pair().tables([0.8])[1]
+    np.testing.assert_allclose(jac, bernoulli_pair.tables([0.8])[1], atol=1e-6)
 
 
 def test_fd_fallback_on_a_stack_equals_the_single_point_fallback():
@@ -178,10 +178,10 @@ def test_fd_fallback_on_a_stack_equals_the_single_point_fallback():
     fam = _fd_bernoulli_pair()
     step = 1e-5 * 1.8
     stack = np.array([[0.2], [0.2 + 0.5 * step], [0.37], [0.8 - 0.5 * step], [0.8]])
-    jacs = fam.dprob_table(stack)
+    jacs = fam.tables(stack)[1]
     assert jacs.shape == (5, 1, 2, 2)
     for t, jac in zip(stack, jacs):
-        np.testing.assert_array_equal(jac, fam.dprob_table(t))
+        np.testing.assert_array_equal(jac, fam.tables(t)[1])
     np.testing.assert_allclose(jacs, np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], jacs.shape),
                                atol=1e-9)
 
@@ -198,9 +198,9 @@ def test_fd_fallback_on_a_two_parameter_stack():
 
     fam = ParametricFamily(box, probs=probs)
     stack = np.array([[0.1, 0.4], [0.25, 0.1 + 1e-6], [0.4 - 1e-6, 0.3]])
-    jacs = fam.dprob_table(stack)
+    jacs = fam.tables(stack)[1]
     for t, jac in zip(stack, jacs):
-        np.testing.assert_array_equal(jac, fam.dprob_table(t))
+        np.testing.assert_array_equal(jac, fam.tables(t)[1])
         a, b = t
         da = np.array([b, 1.0 - b, -1.0])
         db = np.array([a, -a, 0.0])

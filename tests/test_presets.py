@@ -250,10 +250,10 @@ def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch)
 def test_stacked_jacobians_equal_single_point_jacobians(name):
     fam = get_preset(name).family
     for stack in (fam._validation_points(), np.linspace(fam.box.lower, fam.box.upper, 64)):
-        jacs = fam.dprob_table(stack)
+        jacs = fam.tables(stack)[1]
         assert jacs.shape == (len(stack), fam.dim, fam.n_components, fam.n_outcomes)
         for t, jac in zip(stack, jacs):
-            assert jac.tobytes() == fam.dprob_table(t).tobytes()
+            assert jac.tobytes() == fam.tables(t)[1].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -264,13 +264,13 @@ def test_dprobs_ignoring_the_stack_is_refused(name, monkeypatch):
     too."""
     fam = get_preset(name).family
     parts = (fam.box,)
-    first_only = lambda t: fam.dprob_table(t.reshape(-1, fam.dim)[0])
+    first_only = lambda t: fam.tables(t.reshape(-1, fam.dim)[0])[1]
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=first_only)
     swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_dprobs", first_only)
     with pytest.raises(ConstructionError, match="dprobs returned shape"):
-        swapped.dprob_table(np.linspace(fam.box.lower, fam.box.upper, 3))
-    reversed_rows = lambda t: fam.dprob_table(t) if t.ndim == 1 else fam.dprob_table(t)[::-1]
+        swapped.tables(np.linspace(fam.box.lower, fam.box.upper, 3))
+    reversed_rows = lambda t: fam.tables(t)[1] if t.ndim == 1 else fam.tables(t)[1][::-1]
     with pytest.raises(ConstructionError, match="dprobs on a stack of points differs"):
         ParametricFamily(*parts, probs=fam.prob_table, dprobs=reversed_rows)

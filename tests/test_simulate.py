@@ -13,6 +13,7 @@ from qndmix.simulate import (
     substream,
 )
 from qndmix.model import MixtureWeights
+from qndmix.presets import get_preset
 
 
 def test_substream_reproducible_and_distinct():
@@ -160,3 +161,19 @@ def test_trajectory_is_immutable(bernoulli_pair):
     traj = sample_trajectory(bernoulli_pair, [0.4], 0, 5, seed=0)
     with pytest.raises(ValueError):
         traj.outcomes[0] = 1
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "toy_haroche_guerlin", "qubit_rotation"])
+def test_outcomes_follow_the_inverse_cdf(name):
+    """Each outcome is searchsorted(cdf, u, side="right") of its uniform draw
+    u on substream(seed, 1), with the cdf's last entry set to 1."""
+    pre = get_preset(name)
+    table = pre.family.prob_table(pre.theta_star)
+    for seed in range(50):
+        gamma = seed % pre.family.n_components
+        traj = sample_trajectory(pre.family, pre.theta_star, gamma, 2_000, seed)
+        cdf = np.cumsum(table[gamma])
+        cdf[-1] = 1.0
+        expected = np.searchsorted(cdf, substream(seed, 1).random(2_000), side="right")
+        assert traj.outcomes.dtype == expected.dtype
+        np.testing.assert_array_equal(traj.outcomes, expected)
