@@ -8,6 +8,8 @@ from .asymptotics import (
     ExperimentPlan,
     consistency_experiment,
     cramer_rao_experiment,
+    estimate_experiment,
+    fig1_experiment,
     lamn_experiment,
     mixture_collapse_experiment,
     mle_path,
@@ -85,6 +87,8 @@ __all__ = [
     "consistency_experiment",
     "counts",
     "cramer_rao_experiment",
+    "estimate_experiment",
+    "fig1_experiment",
     "filter_step",
     "filter_trajectory",
     "fisher_information",

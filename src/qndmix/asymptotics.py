@@ -1,9 +1,9 @@
-"""Monte-Carlo experiments checking the limit theorems at desk scale.
+"""The experiments of every subcommand, each deciding its own verdict.
 
-Each experiment draws seeded replications, compares empirical moments against
-their analytic targets (per hidden component first, then on the mixture) and
-returns a JSON-serializable report with targets, estimates, tolerances and a
-pass flag.
+The Monte-Carlo experiments draw seeded replications, compare empirical
+moments against their analytic targets (per hidden component first, then on
+the mixture) and return a JSON-serializable report with targets, estimates,
+tolerances and a pass flag; estimate and fig1 fit seeded single records.
 
 Each experiment stream owns one generator, substream(master_seed, *key), on
 which all of its replications are drawn (sample_count_paths):
@@ -16,8 +16,9 @@ which all of its replications are drawn (sample_count_paths):
 
 The hidden components of a mixture stream are drawn on (TAG_MIXGAMMA, *tags):
 (TAG_MIXGAMMA, TAG_LAMN), (TAG_MIXGAMMA, TAG_CONSIST, n),
-(TAG_MIXGAMMA, TAG_CRAMER) and (TAG_MIXGAMMA, TAG_PURIFY).  Reruns with the
-same master seed give bitwise identical reports.
+(TAG_MIXGAMMA, TAG_CRAMER) and (TAG_MIXGAMMA, TAG_PURIFY).  estimate draws
+its record on master_seed, fig1 its record k on master_seed * FIG1_SEEDS + k.
+Reruns with the same master seed give bitwise identical reports.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
-from .estimate import Maxima, log_terms, loglik_rows, logsumexp, maximize_scalar
+from .estimate import EstimationReport, Maxima, log_terms, loglik_rows, logsumexp, maximize_scalar, mle
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -38,10 +39,12 @@ from .model import (
     fisher_information,
     kl_matrix,
 )
-from .simulate import Trajectory, counts, sample_count_paths, substream
+from .simulate import Trajectory, counts, sample_count_paths, sample_mixture_trajectory, substream
 
 __all__ = [
     "ExperimentPlan",
+    "estimate_experiment",
+    "fig1_experiment",
     "lamn_experiment",
     "mixture_collapse_experiment",
     "consistency_experiment",
@@ -69,6 +72,9 @@ COLLAPSE_RATE_SLACK = 0.5
 PURIFY_LEVEL = 0.99
 PURIFY_FRACTION = 0.95
 PURIFY_TV_BOUND = 0.05
+FIG1_SEEDS = 10
+FIG1_N_MAX = 10_000
+FIG1_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -440,7 +446,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Consistency
+# Consistency, and the single-record experiments estimate and fig1
 # ---------------------------------------------------------------------------
 
 def consistency_experiment(plan: ExperimentPlan) -> dict:
@@ -506,6 +512,42 @@ def mle_path(
     cm = np.stack([counts(traj, n, n_outcomes=l).counts for traj in trajs for n in ns])
     x_hat = _scalar_mle(plan)(cm).x.reshape(len(trajs), len(ns))
     return [list(zip(ns, path.tolist())) for path in x_hat]
+
+
+def estimate_experiment(plan: ExperimentPlan) -> tuple[dict, EstimationReport]:
+    """The MLE over the search box of one mixture record of max(n_grid) steps,
+    drawn on master_seed; it passes when the fit converged.  Returns the
+    report and the EstimationReport, whose optimizer trace is the CSV."""
+    traj = sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, max(plan.n_grid), plan.master_seed)
+    fit = mle(plan.family, plan.q, counts(traj, n_outcomes=plan.family.n_outcomes), box=plan.search_box())
+    report = {**fit.to_dict(), "experiment": "estimate", "gamma_true": int(traj.gamma),
+              "theta_true": [float(x) for x in plan.theta_star], "passed": bool(fit.converged)}
+    return report, fit
+
+
+def fig1_experiment(plan: ExperimentPlan) -> tuple[dict, list]:
+    """The paper's Fig. 1: after the hypotheses check, the mle_path at 25
+    prefix lengths of FIG1_SEEDS mixture records of FIG1_N_MAX steps, record k
+    on seed master_seed * FIG1_SEEDS + k.  It passes when every final estimate
+    lies within FIG1_TOLERANCE of theta*.  Returns the report and the paths."""
+    plan.check_hypotheses(scalar=True)
+    target = float(plan.theta_star[0])
+    trajs = [
+        sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, FIG1_N_MAX, plan.master_seed * FIG1_SEEDS + k)
+        for k in range(FIG1_SEEDS)
+    ]
+    paths = mle_path(plan, trajs, {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX})
+    final_errors = [abs(path[-1][1] - target) for path in paths]
+    report = {
+        "experiment": "fig1",
+        "theta_star": target,
+        "n_max": FIG1_N_MAX,
+        "seeds": FIG1_SEEDS,
+        "final_abs_errors": final_errors,
+        "tolerance": FIG1_TOLERANCE,
+        "passed": all(e < FIG1_TOLERANCE for e in final_errors),
+    }
+    return report, paths
 
 
 # ---------------------------------------------------------------------------

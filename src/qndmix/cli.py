@@ -1,5 +1,5 @@
-"""Command-line front end: run preset experiments, emit JSON reports and CSV
-plot data.
+"""Command line: parse the flags, run the subcommand's experiment (which decides
+the verdict), write its JSON report and CSV plot data, and map it to an exit code.
 
 Exit codes: 0 success, 1 experiment check failed, 2 config error,
 3 refusal (RefusalError from the plan's one hypotheses check: singular
@@ -25,20 +25,22 @@ import numpy as np
 import yaml
 
 from .asymptotics import (
+    FIG1_N_MAX,  # noqa: F401  (perfbench reads cli.FIG1_N_MAX and cli.FIG1_SEEDS)
+    FIG1_SEEDS,  # noqa: F401
     ExperimentPlan,
     check_collapse_grid,
     consistency_experiment,
     cramer_rao_experiment,
+    estimate_experiment,
+    fig1_experiment,
     lamn_experiment,
     mixture_collapse_experiment,
-    mle_path,
     purification_experiment,
 )
 from .errors import ConfigError, QndmixError, RefusalError
-from .estimate import _write_in_place, mle
+from .estimate import _csv_text, _write_in_place, mle  # noqa: F401  (perfbench's tracer test wraps cli.mle)
 from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
-from .simulate import counts, sample_mixture_trajectory
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("estimate", "lamn", "collapse", "consistency", "cramer-rao", "purify", "fig1")
@@ -49,9 +51,6 @@ EXIT_CONFIG = 2
 EXIT_REFUSAL = 3
 EXIT_ERROR = 4
 EXIT_INTERNAL = 5
-
-FIG1_SEEDS = 10
-FIG1_N_MAX = 10_000
 
 
 @dataclass
@@ -177,83 +176,37 @@ def write_json(report: dict, path: Path) -> None:
 
 def write_csv(rows, header, path: Path) -> None:
     """RFC-4180-style CSV with '.' decimals and 17 significant digits."""
-    cells = [header] + [[f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows]
-    _write_in_place(path, "".join(",".join(row) + "\r\n" for row in cells))
-
-
-def _run_estimate(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
-    n = max(plan.n_grid)
-    traj = sample_mixture_trajectory(
-        plan.family, plan.theta_star, plan.q, n, config.seed
-    )
-    c = counts(traj, n_outcomes=plan.family.n_outcomes)
-    report = mle(plan.family, plan.q, c, box=plan.search_box())
-    report.trace_to_csv(out / "estimate_trace.csv")
-    result = report.to_dict()
-    result["experiment"] = "estimate"
-    result["gamma_true"] = int(traj.gamma)
-    result["theta_true"] = [float(x) for x in plan.theta_star]
-    result["passed"] = bool(report.converged)
-    return result
-
-
-def _run_fig1(plan: ExperimentPlan, config: RunConfig, out: Path) -> dict:
-    """Ten seeded mixture runs; one CSV of (n, theta_hat) per seed."""
-    plan.check_hypotheses(scalar=True)
-    n_points = sorted(
-        {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX}
-    )
-    target = float(plan.theta_star[0])
-    trajs = [
-        sample_mixture_trajectory(
-            plan.family, plan.theta_star, plan.q, FIG1_N_MAX, config.seed * FIG1_SEEDS + k
-        )
-        for k in range(FIG1_SEEDS)
-    ]
-    final_errors = []
-    for k, path in enumerate(mle_path(plan, trajs, n_points)):
-        write_csv(
-            [(n, float(th)) for n, th in path],
-            ["n", "theta_hat"],
-            out / f"fig1_seed{k}.csv",
-        )
-        final = dict(path)[FIG1_N_MAX]
-        final_errors.append(abs(final - target))
-    passed = all(e < 0.02 for e in final_errors)
-    return {
-        "experiment": "fig1",
-        "theta_star": target,
-        "n_max": FIG1_N_MAX,
-        "seeds": FIG1_SEEDS,
-        "final_abs_errors": [float(e) for e in final_errors],
-        "tolerance": 0.02,
-        "passed": bool(passed),
-    }
+    _write_in_place(path, _csv_text(header, rows))
 
 
 def run(config: RunConfig) -> int:
-    """Execute one experiment; writes report.json (and CSVs) under output_dir."""
+    """Run the experiment that the subcommand names, looked up at each call;
+    write report.json (and CSVs) under output_dir; return the exit code."""
     config.validate()
     plan, _preset = build_plan(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runners = {
+    experiment = {
+        "estimate": estimate_experiment,
         "lamn": lamn_experiment,
         "collapse": mixture_collapse_experiment,
         "consistency": consistency_experiment,
         "cramer-rao": cramer_rao_experiment,
         "purify": purification_experiment,
-    }
+        "fig1": fig1_experiment,
+    }[config.experiment]
     try:
-        if config.experiment == "estimate":
-            report = _run_estimate(plan, config, out)
-        elif config.experiment == "fig1":
-            report = _run_fig1(plan, config, out)
-        else:
-            report = runners[config.experiment](plan)
+        report = experiment(plan)
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    if config.experiment == "estimate":
+        report, fit = report
+        fit.trace_to_csv(out / "estimate_trace.csv")
+    elif config.experiment == "fig1":
+        report, paths = report
+        for k, path in enumerate(paths):
+            write_csv(path, ["n", "theta_hat"], out / f"fig1_seed{k}.csv")
     report["model"] = config.model
     report["schema_version"] = SCHEMA_VERSION
     write_json(report, out / "report.json")

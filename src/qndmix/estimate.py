@@ -105,15 +105,15 @@ class EstimationReport:
         }
 
     def trace_to_csv(self, path) -> None:
-        """One row per (theta, loglik) of optimizer_trace, theta a 1-D array:
-        17 significant digits, comma-separated, CRLF line ends, one write."""
-        dim = np.atleast_1d(self.theta_hat).size
-        lines = [",".join([f"theta_{k}" for k in range(dim)] + ["loglik"])]
-        lines += [
-            ",".join([f"{x:.17g}" for x in theta] + [f"{value:.17g}"])
-            for theta, value in self.optimizer_trace
-        ]
-        _write_in_place(path, "\r\n".join(lines) + "\r\n")
+        """One CSV row per (theta, loglik) of optimizer_trace, in one write."""
+        header = [f"theta_{k}" for k in range(np.atleast_1d(self.theta_hat).size)] + ["loglik"]
+        _write_in_place(path, _csv_text(header, [[*theta, value] for theta, value in self.optimizer_trace]))
+
+
+def _csv_text(header, rows) -> str:
+    """RFC-4180-style CSV: '.' decimals, floats to 17 significant digits, CRLF line ends."""
+    cells = [header] + [[f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows]
+    return "".join(",".join(row) + "\r\n" for row in cells)
 
 
 def _write_in_place(path, text: str) -> None:
@@ -410,6 +410,15 @@ def _halton(n: int, dim: int) -> np.ndarray:
     return points
 
 
+@functools.cache
+def _halton_neighbours(n: int, dim: int) -> np.ndarray:
+    """The dim nearest others of each of the first n Halton points, nearest first, read-only."""
+    unit = _halton(n, dim)
+    neighbours = np.argsort(np.sum((unit[:, None] - unit) ** 2, axis=-1), axis=1, kind="stable")[:, 1:dim + 1]
+    neighbours.setflags(write=False)
+    return neighbours
+
+
 def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
     """Projected Fisher scoring (D > 1) on the rows of a loglik_rows
     objective, the D-dimensional twin of maximize_scalar.
@@ -427,10 +436,7 @@ def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
     unit = _halton(COARSE_POINTS, dim)
     xs = lower + unit * (upper - lower)
     scan = np.atleast_2d(f(xs))
-    # Column 0 of each sorted row is the point itself, at distance 0.
-    dist = np.sum((unit[:, None] - unit) ** 2, axis=-1)
-    neighbours = np.argsort(dist, axis=1, kind="stable")[:, 1:dim + 1]
-    peak = np.all(scan[:, :, None] > scan[:, neighbours], axis=2)
+    peak = np.all(scan[:, :, None] > scan[:, _halton_neighbours(COARSE_POINTS, dim)], axis=2)
     peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
     rows, idx = np.nonzero(peak)
 

@@ -16,8 +16,8 @@ from scipy.special import logsumexp
 
 from qndmix.asymptotics import (
     ExperimentPlan,
-    _scalar_mle,
     cramer_rao_experiment,
+    fig1_experiment,
     lamn_experiment,
     mixture_collapse_experiment,
     purification_experiment,
@@ -30,7 +30,7 @@ from qndmix.model import (
 )
 from qndmix.presets import qubit_rotation, toy_haroche, toy_haroche_full
 from qndmix.quantum import FilterState, filter_trajectory, hermitian_expm
-from qndmix.simulate import CountVector, counts, sample_mixture_trajectory, sample_trajectory
+from qndmix.simulate import CountVector, counts, sample_trajectory
 
 from conftest import make_bernoulli_pair, make_random_family
 
@@ -152,20 +152,14 @@ def test_criterion_2_exhaustive_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_seeded_runs():
-    pre = toy_haroche()
-    plan = toy_plan(n_grid=(10_000,), n_reps=10)
-    estimate = _scalar_mle(plan)
+    """fig1_experiment at master seed 1 fits the records of seeds 10-19."""
     t0 = time.perf_counter()
-    errors = []
-    for k in range(10):
-        traj = sample_mixture_trajectory(
-            pre.family, pre.theta_star, pre.q, 10_000, FIG1_MASTER_SEED * 10 + k
-        )
-        cm = counts(traj, n_outcomes=8).counts[None, :]
-        theta_hat = estimate(cm).x[0, 0]
-        errors.append(abs(theta_hat - math.pi / 4))
+    report, _ = fig1_experiment(toy_plan(master_seed=FIG1_MASTER_SEED))
     elapsed = time.perf_counter() - t0
-    ok = all(e < 0.02 for e in errors) and elapsed < 120.0
+    errors = report["final_abs_errors"]
+    assert (report["seeds"], report["n_max"], report["tolerance"]) == (10, 10_000, 0.02)
+    assert report["theta_star"] == math.pi / 4
+    ok = report["passed"] and elapsed < 120.0
     assert verdict(
         3, "ten seeded runs land within 0.02 of theta* at n=1e4", ok,
         f"max |error| {max(errors):.4f}, {elapsed:.1f}s",

@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,7 @@ from qndmix.cli import (
 from qndmix import asymptotics, cli
 from qndmix.errors import ConfigError, DomainError, RefusalError
 from qndmix.estimate import loglik
+from qndmix.presets import PRESETS
 from qndmix.simulate import counts, sample_mixture_trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -287,20 +291,65 @@ def test_import_leaves_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_every_export_resolves():
-    """Each name in the package's and its submodules' __all__ is defined, once."""
+def _package_modules() -> list:
+    """The package and each of its submodules."""
     import importlib
     import pkgutil
 
     import qndmix
 
-    modules = [qndmix] + [importlib.import_module(f"qndmix.{m.name}")
-                          for m in pkgutil.iter_modules(qndmix.__path__)]
-    for module in modules:
+    return [qndmix] + [importlib.import_module(f"qndmix.{m.name}")
+                       for m in pkgutil.iter_modules(qndmix.__path__)]
+
+
+def test_every_export_resolves():
+    """Each name in the package's and its submodules' __all__ is defined, once."""
+    for module in _package_modules():
         names = getattr(module, "__all__", [])
         assert len(names) == len(set(names)), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def _naming_lines(names: set) -> list:
+    """(line, names the line does not count for) for every line of src/,
+    demos/, perfbench/ (its tests left out) and README.md.  A line of an
+    import or of an __all__ assignment counts for none of names, a def, class
+    or assignment line not for the names it defines.  README's python blocks
+    are parsed like the modules; its other lines count for every name."""
+    files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+             *(p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_"))]
+    readme = (ROOT / "README.md").read_text()
+    block = re.compile(r"```python\n(.*?)```", re.S)
+    lines = [(line, set()) for line in block.sub("", readme).splitlines()]
+    for source in [p.read_text() for p in files] + block.findall(readme):
+        skip: dict = {}
+        for node in ast.walk(ast.parse(source)):
+            defined = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, ast.Assign):
+                defined = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or "__all__" in defined:
+                skip.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), names))
+            elif defined:
+                skip.setdefault(node.lineno, set()).update(defined)
+        lines += [(line, skip.get(k, set())) for k, line in enumerate(source.splitlines(), 1)]
+    return lines
+
+
+def test_every_export_has_a_caller():
+    """Each name in the package's and its submodules' __all__ is named on a
+    line of src/, demos/, perfbench/ or README.md other than its definition,
+    its __all__ entries and the imports that re-export it: a public name that
+    only tests call is deleted, not kept."""
+    names = {name for module in _package_modules() for name in getattr(module, "__all__", [])}
+    lines = _naming_lines(names)
+    uncalled = sorted(
+        name for name in names
+        if not any(name not in skip and re.search(rf"\b{name}\b", line) for line, skip in lines)
+    )
+    assert uncalled == []
 
 
 SCIPY_BLOCKED = """
@@ -372,7 +421,7 @@ def test_singular_fisher_preset_is_refused_by_consistency_and_fig1(tmp_path, cap
 
 def test_fig1_refuses_before_drawing(tmp_path, monkeypatch, capsys):
     draws = []
-    monkeypatch.setattr(cli, "sample_mixture_trajectory",
+    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory",
                         lambda *a, **k: draws.append(a) or sample_mixture_trajectory(*a, **k))
     code = run_cli("fig1", "--preset", "toy_haroche_guerlin", "--out", str(tmp_path))
     assert code == EXIT_REFUSAL
@@ -470,6 +519,48 @@ def test_fig1_artifacts(tmp_path):
     assert first[0] == "n,theta_hat"
     assert first[-1].startswith("10000,")
     assert code == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)
+
+
+@pytest.mark.parametrize("preset", ["toy_haroche", "qubit_rotation"])
+@pytest.mark.parametrize("experiment, seed", [("estimate", 2), ("fig1", 1)])
+def test_single_record_experiments_are_the_cli_reports(experiment, seed, preset, tmp_path):
+    """estimate_experiment and fig1_experiment, called in process on a plan
+    of the preset, return the report the subcommand writes, less its model
+    and schema_version, and the data of its CSV artifacts."""
+    pre = PRESETS[preset]()
+    plan = asymptotics.ExperimentPlan(family=pre.family, q=pre.q, theta_star=pre.theta_star,
+                                      master_seed=seed, estimation_box=pre.estimation_box)
+    report, data = getattr(asymptotics, f"{experiment}_experiment")(plan)
+    code = run_cli(experiment, "--preset", preset, "--seed", str(seed), "--out", str(tmp_path))
+    assert code == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert (written.pop("model"), written.pop("schema_version")) == (preset, 1)
+    assert written == report and list(written) == list(report)
+    if experiment == "estimate":
+        data.trace_to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "estimate_trace.csv").read_bytes()
+    else:
+        for k, path in enumerate(data):
+            cli.write_csv(path, ["n", "theta_hat"], tmp_path / "path.csv")
+            assert (tmp_path / "path.csv").read_bytes() == (tmp_path / f"fig1_seed{k}.csv").read_bytes()
+
+
+def test_fig1_gate_fails_on_biased_estimates(tmp_path, monkeypatch):
+    """fig1 at seed 1 passes; with every estimate shifted by +0.05, each
+    final error leaves the 0.02 band and the subcommand exits 1."""
+    argv = ["fig1", "--preset", "toy_haroche", "--seed", "1"]
+    assert run_cli(*argv, "--out", str(tmp_path / "plain")) == EXIT_OK
+    maximize = asymptotics.maximize_scalar
+
+    def biased(*args):
+        res = maximize(*args)
+        return dataclasses.replace(res, x=res.x + 0.05)
+
+    monkeypatch.setattr(asymptotics, "maximize_scalar", biased)
+    assert run_cli(*argv, "--out", str(tmp_path / "biased")) == EXIT_CHECK_FAILED
+    report = json.loads((tmp_path / "biased" / "report.json").read_text())
+    assert report["passed"] is False
+    assert min(report["final_abs_errors"]) > report["tolerance"] == 0.02
 
 
 def test_json_report_is_stable_bytes(tmp_path):

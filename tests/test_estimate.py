@@ -15,6 +15,7 @@ from qndmix.estimate import (
     STEP_TOL,
     _SCAN_TABLES,
     _halton,
+    _halton_neighbours,
     _maximize_box,
     _linspace,
     log_terms,
@@ -427,12 +428,28 @@ def test_halton_matches_scipy():
         np.testing.assert_array_equal(_halton(8, dim), expected)
 
 
+@pytest.mark.parametrize("dim", [2, 6])
+def test_halton_neighbours_are_the_nearest_others(dim):
+    """Row i lists the dim scan points nearest to point i, itself left out,
+    nearest first."""
+    unit = _halton(COARSE_POINTS, dim)
+    neighbours = _halton_neighbours(COARSE_POINTS, dim)
+    assert neighbours.shape == (COARSE_POINTS, dim)
+    dist = np.sum((unit[:, None] - unit) ** 2, axis=-1)
+    for i, row in enumerate(neighbours):
+        assert i not in row and len(set(row)) == dim
+        rest = np.setdiff1d(np.arange(COARSE_POINTS), np.r_[i, row])
+        assert np.all(np.diff(dist[i, row]) >= 0)
+        assert dist[i, row].max() <= dist[i, rest].min()
+
+
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_full"])
 def test_scan_table_is_built_once_per_box(name, monkeypatch):
     """Only the first mle on a family and box evaluates the COARSE_POINTS-row
     scan table; another box gets a table of its own.  Every cached scan array
-    is read-only, the Halton points are built once per (COARSE_POINTS, D),
-    and a cached scan gives the report of a fresh one."""
+    is read-only, the Halton points and their neighbour indices are built
+    once per (COARSE_POINTS, D), and a cached scan gives the report of a
+    fresh one."""
     pre = PRESETS[name]()  # a new instance, with no scan table yet
     fam = pre.family
     probs, stacks = fam._probs, []
@@ -442,6 +459,7 @@ def test_scan_table_is_built_once_per_box(name, monkeypatch):
     half = ParameterBox(fam.box.lower, 0.5 * (fam.box.lower + fam.box.upper))
     boxes = [fam.box, half, fam.box, half]
     _halton.cache_clear()
+    _halton_neighbours.cache_clear()
     reports, scans = [], []
     for box in boxes:
         stacks.clear()
@@ -450,6 +468,7 @@ def test_scan_table_is_built_once_per_box(name, monkeypatch):
     assert scans == [1, 1, 0, 0]
     assert reports[2:] == reports[:2]
     assert _halton.cache_info().misses == (fam.dim > 1)
+    assert _halton_neighbours.cache_info().misses == (fam.dim > 1)
     tables = list(_SCAN_TABLES[fam].values())
     assert len(tables) == 2
     for table in tables:
@@ -461,6 +480,7 @@ def test_scan_table_is_built_once_per_box(name, monkeypatch):
             assert points is _linspace(box.lower[0], box.upper[0])
             assert not points.flags.writeable
     assert not _halton(COARSE_POINTS, fam.dim).flags.writeable
+    assert not _halton_neighbours(COARSE_POINTS, fam.dim).flags.writeable
 
 
 def test_mle_finds_narrow_collision_peak():
