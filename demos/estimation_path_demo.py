@@ -1,9 +1,10 @@
 """Track the mixture MLE along growing prefixes of ten seeded records.
 
-Reproduces the headline picture of the package: records of length 10^4 from
-the photon-number toy model, hidden component drawn from the Poisson-like
-weights, estimator path theta_hat(n) converging to theta* = pi/4 for every
-seed.  Writes one CSV per seed next to this script.
+Reproduces the headline picture of the package, the records and paths of
+`qndmix fig1`: records of length 10^4 from the photon-number toy model,
+hidden component drawn from the Poisson-like weights, estimator path
+theta_hat(n) converging to theta* = pi/4 for every seed.  Writes one CSV per
+seed into --out.
 
 Run:  python3 demos/estimation_path_demo.py [--seed 1] [--out demo_out]
 """
@@ -12,11 +13,9 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
-from qndmix.asymptotics import ExperimentPlan, mle_path
+from qndmix.asymptotics import FIG1_N_MAX, FIG1_SEEDS, ExperimentPlan, fig1_experiment
+from qndmix.cli import write_csv
 from qndmix.presets import toy_haroche
-from qndmix.simulate import sample_mixture_trajectory
 
 
 def main():
@@ -28,29 +27,20 @@ def main():
     pre = toy_haroche()
     plan = ExperimentPlan(
         family=pre.family, q=pre.q, theta_star=pre.theta_star,
-        h=np.array([0.0]), n_grid=(10_000,),
         master_seed=args.seed, estimation_box=pre.estimation_box,
     )
-    n_points = sorted({int(round(x)) for x in np.geomspace(100, 10_000, 25)})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     print(f"theta* = pi/4 = {math.pi / 4:.6f}; estimation box "
           f"[{pre.estimation_box.lower[0]:.4f}, {pre.estimation_box.upper[0]:.4f}]")
-    trajs = [
-        sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, args.seed * 10 + k)
-        for k in range(10)
-    ]
-    for k, (traj, path) in enumerate(zip(trajs, mle_path(plan, trajs, n_points))):
+    report, paths = fig1_experiment(plan)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for k, path in enumerate(paths):
         final = path[-1][1]
         csv_path = out / f"path_seed{k}.csv"
-        with open(csv_path, "w") as f:
-            f.write("n,theta_hat\n")
-            for n, th in path:
-                f.write(f"{n},{th:.17g}\n")
-        print(f"seed {args.seed * 10 + k:3d}: gamma = {traj.gamma + 1}  "
-              f"theta_hat(1e4) = {final:.6f}  |error| = {abs(final - math.pi / 4):.5f}"
-              f"  -> {csv_path}")
+        write_csv(path, ["n", "theta_hat"], csv_path)
+        print(f"seed {args.seed * FIG1_SEEDS + k:3d}: theta_hat({FIG1_N_MAX}) = {final:.6f}  "
+              f"|error| = {abs(final - math.pi / 4):.5f}  -> {csv_path}")
+    print(f"every final |error| below {report['tolerance']}: {report['passed']}")
 
 
 if __name__ == "__main__":

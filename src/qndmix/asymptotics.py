@@ -85,7 +85,8 @@ class ExperimentPlan:
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
     and every shifted parameter must stay inside it.  n_grid holds distinct
     record lengths of at least 1; n_reps, the replications per stream, is at
-    least 2, so that every sample variance is defined.
+    least 2, so that every sample variance is defined; master_seed is at
+    least 0, as every generator's entropy must be.
     """
 
     family: ParametricFamily
@@ -112,6 +113,8 @@ class ExperimentPlan:
             raise ConstructionError("theta_star must be interior to the box")
         if self.n_reps < 2:
             raise ConstructionError(f"n_reps {self.n_reps} must be at least 2")
+        if self.master_seed < 0:
+            raise ConstructionError(f"master_seed {self.master_seed} must be at least 0")
         n_grid = tuple(int(n) for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")

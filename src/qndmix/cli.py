@@ -1,7 +1,9 @@
-"""Command line: parse the flags, run the subcommand's experiment (which decides
-the verdict), write its JSON report and CSV plot data, and map it to an exit code.
+"""Command line: parse the flags into the RunConfig fields of their names, over
+the config file's, run the subcommand's experiment (which decides the verdict),
+write its JSON report and CSV plot data, and map it to an exit code.
 
-Exit codes: 0 success, 1 experiment check failed, 2 config error,
+Exit codes: 0 success, 1 experiment check failed, 2 config error (a field that
+does not convert, or a plan out of range; no output directory is made),
 3 refusal (RefusalError from the plan's one hypotheses check: singular
 Fisher information, or an experiment that covers D = 1 only run on a
 multi-parameter model; fig1 runs the check before drawing), 4 any other
@@ -55,7 +57,10 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (config file merged with CLI flags)."""
+    """One run's settings, each field converted here whatever its source:
+    theta_star, h and n_grid take a comma string, a list, or a scalar as one
+    entry; n_reps, seed and grid entries are integers.  ExperimentPlan checks
+    the ranges."""
 
     model: str
     experiment: str
@@ -67,8 +72,8 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "qndmix_out"
 
-    def validate(self) -> None:
-        if self.model not in PRESETS:
+    def __post_init__(self):
+        if not (isinstance(self.model, str) and self.model in PRESETS):
             raise ConfigError(
                 f"field 'model': unknown preset {self.model!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"
@@ -77,24 +82,38 @@ class RunConfig:
             raise ConfigError(
                 f"field 'experiment': {self.experiment!r} is not one of {EXPERIMENTS}"
             )
-        if self.n_reps < 2:
-            raise ConfigError("field 'n_reps': must be at least 2")
-        if self.n_grid is not None and (
-            not self.n_grid or any(int(n) < 1 for n in self.n_grid)
-        ):
-            raise ConfigError("field 'n_grid': must be a non-empty list of positive integers")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError(f"field 'output_dir': cannot parse {self.output_dir!r}")
+        for name, kind in (("theta_star", float), ("h", float), ("n_grid", int)):
+            if getattr(self, name) is not None:
+                setattr(self, name, _parse(name, getattr(self, name), kind, many=True))
+        self.n_reps = _parse("n_reps", self.n_reps, int)
+        self.seed = _parse("seed", self.seed, int)
+
+
+def _parse(name: str, value, kind, many: bool = False):
+    """value as a kind, or (many) a list of kind from a comma string, a list or
+    one scalar; ConfigError on a bool, a float for an int, or no conversion."""
+    items = value if many and isinstance(value, list) else [value]
+    if many and isinstance(value, str):
+        items = value.split(",")
+    try:
+        if any(isinstance(x, bool) or (kind is int and isinstance(x, float)) for x in items):
+            raise TypeError
+        entries = [kind(x) for x in items]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field '{name}': cannot parse {value!r}") from None
+    return entries if many else entries[0]
 
 
 def parse_weights(spec, d: int) -> MixtureWeights:
     """Weights from a list, a comma-separated string or the rule
     'poissonlike(RATE)' with a positive, finite RATE."""
-    if isinstance(spec, MixtureWeights):
-        return spec
     weights = MixtureWeights.normalized
     if isinstance(spec, str):
         m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip())
         if not m:
-            spec = _comma_list("field 'q'", spec, float)
+            spec = _parse("q", spec, float, many=True)
         else:
             try:
                 rate = float(m.group(1))
@@ -132,15 +151,11 @@ def load_config(path) -> dict:
     return raw
 
 
-def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
+def build_plan(config: RunConfig) -> ExperimentPlan:
+    """The run's plan, with the preset's value where a field is unset;
+    ConfigError when ExperimentPlan refuses a range."""
     preset = get_preset(config.model)
-    theta_star = (
-        np.asarray(config.theta_star, dtype=float)
-        if config.theta_star is not None
-        else preset.theta_star
-    )
     q = parse_weights(config.q, preset.family.n_components) if config.q is not None else preset.q
-    n_grid = tuple(int(n) for n in config.n_grid) if config.n_grid else _default_n_grid(config)
     h = config.h
     if h is None and config.experiment == "lamn":
         h = [1.0] * preset.family.dim   # at h = 0 the LAMN law has nothing to test
@@ -148,9 +163,9 @@ def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
         plan = ExperimentPlan(
             family=preset.family,
             q=q,
-            theta_star=theta_star,
+            theta_star=preset.theta_star if config.theta_star is None else config.theta_star,
             h=h,
-            n_grid=n_grid,
+            n_grid=_default_n_grid(config) if config.n_grid is None else config.n_grid,
             n_reps=config.n_reps,
             master_seed=config.seed,
             estimation_box=preset.estimation_box,
@@ -159,7 +174,7 @@ def build_plan(config: RunConfig) -> tuple[ExperimentPlan, "object"]:
             check_collapse_grid(plan.n_grid)
     except QndmixError as exc:
         raise ConfigError(str(exc)) from exc
-    return plan, preset
+    return plan
 
 
 def _default_n_grid(config: RunConfig) -> tuple:
@@ -182,10 +197,7 @@ def write_csv(rows, header, path: Path) -> None:
 def run(config: RunConfig) -> int:
     """Run the experiment that the subcommand names, looked up at each call;
     write report.json (and CSVs) under output_dir; return the exit code."""
-    config.validate()
-    plan, _preset = build_plan(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    plan = build_plan(config)
     experiment = {
         "estimate": estimate_experiment,
         "lamn": lamn_experiment,
@@ -200,6 +212,8 @@ def run(config: RunConfig) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if config.experiment == "estimate":
         report, fit = report
         fit.trace_to_csv(out / "estimate_trace.csv")
@@ -224,47 +238,24 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
     parser.add_argument("--config", help="YAML config file (flags override it)")
-    parser.add_argument("--preset", help="model preset name")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--n-grid", help="comma-separated record lengths")
-    parser.add_argument("--n-reps", type=int, help="Monte-Carlo replications")
-    parser.add_argument(
-        "--h", help="comma-separated local shift h (theta* + h/sqrt(n)); lamn: 1"
-    )
-    parser.add_argument("--theta-star", help="comma-separated true parameter")
-    parser.add_argument("--q", help="weights: 'poissonlike(RATE)' or comma-separated")
+    parser.add_argument("--preset", dest="model", help="model preset name")
+    parser.add_argument("--seed", dest="seed", help="master seed")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+    parser.add_argument("--n-grid", dest="n_grid", help="comma-separated record lengths")
+    parser.add_argument("--n-reps", dest="n_reps", help="Monte-Carlo replications")
+    parser.add_argument("--h", dest="h",
+                        help="comma-separated local shift h (theta* + h/sqrt(n)); lamn: 1")
+    parser.add_argument("--theta-star", dest="theta_star", help="comma-separated true parameter")
+    parser.add_argument("--q", dest="q", help="weights: 'poissonlike(RATE)' or comma-separated")
     return parser
 
 
-def _comma_list(flag: str, text: str, kind) -> list:
-    try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag}: cannot parse {text!r}") from None
-
-
 def _merge(args: argparse.Namespace) -> RunConfig:
-    data: dict = {"model": "toy_haroche", "experiment": args.experiment}
+    """The config file's fields, overridden by every flag given."""
+    data: dict = {"model": "toy_haroche"}
     if args.config:
         data.update(load_config(args.config))
-        data["experiment"] = args.experiment
-    if args.preset:
-        data["model"] = args.preset
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out:
-        data["output_dir"] = args.out
-    if args.n_grid:
-        data["n_grid"] = _comma_list("--n-grid", args.n_grid, int)
-    if args.n_reps is not None:
-        data["n_reps"] = args.n_reps
-    if args.h is not None:
-        data["h"] = _comma_list("--h", args.h, float)
-    if args.theta_star:
-        data["theta_star"] = _comma_list("--theta-star", args.theta_star, float)
-    if args.q:
-        data["q"] = args.q
+    data.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
     return RunConfig(**data)
 
 

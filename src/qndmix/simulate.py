@@ -45,16 +45,11 @@ class Trajectory:
 
     outcomes: np.ndarray
     gamma: int
-    seed: int
-    theta_true: np.ndarray
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=np.int64)
-        theta = np.atleast_1d(np.asarray(self.theta_true, dtype=float))
         outcomes.setflags(write=False)
-        theta.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "theta_true", theta)
 
     def __len__(self) -> int:
         return self.outcomes.size
@@ -101,7 +96,7 @@ def sample_trajectory(
     outcomes = np.zeros(n, dtype=np.intp)
     for c in np.cumsum(fam.prob_table(t)[gamma][:-1]).tolist():
         outcomes += u >= c
-    return Trajectory(outcomes=outcomes, gamma=gamma, seed=seed, theta_true=t)
+    return Trajectory(outcomes=outcomes, gamma=gamma)
 
 
 def sample_mixture_trajectory(
@@ -142,6 +137,8 @@ def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int)
     """Exact counts of outcomes 0..n_outcomes-1 in the first n_prefix steps
     of a trajectory; DomainError names the first other outcome there."""
     n = len(traj) if n_prefix is None else int(n_prefix)
+    if n < 0:
+        raise DomainError(f"prefix length {n} must be at least 0")
     if n > len(traj):
         raise DomainError(f"prefix length {n} exceeds trajectory length {len(traj)}")
     prefix = traj.outcomes[:n]

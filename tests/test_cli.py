@@ -59,8 +59,8 @@ def test_bad_n_grid_is_config_error(tmp_path):
 @pytest.mark.parametrize("experiment", ["consistency", "collapse", "lamn"])
 @pytest.mark.parametrize("grid,message", [
     ("500,500", "config error: n_grid entry 500 appears more than once"),
-    ("0,100", "config error: field 'n_grid': must be a non-empty list of positive integers"),
-    ("-5,100", "config error: field 'n_grid': must be a non-empty list of positive integers"),
+    ("0,100", "config error: n_grid entry 0 must be at least 1"),
+    ("-5,100", "config error: n_grid entry -5 must be at least 1"),
 ])
 def test_bad_grid_point_is_config_error(tmp_path, capsys, experiment, grid, message):
     """A repeated grid point or one below 1 exits 2 with a message, before
@@ -75,7 +75,7 @@ def test_single_rep_is_config_error(tmp_path, capsys):
     """One replication has no sample variance; it is refused before a run."""
     code = run_cli("cramer-rao", "--n-reps", "1", "--n-grid", "1000", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: field 'n_reps': must be at least 2")
+    assert capsys.readouterr().err.startswith("config error: n_reps 1 must be at least 2")
     assert not (tmp_path / "report.json").exists()
 
 
@@ -199,14 +199,84 @@ def test_parse_weights():
 
 
 def test_run_config_validation():
+    """A field that does not convert raises at RunConfig; a range that the
+    plan refuses, at build_plan."""
     with pytest.raises(ConfigError):
-        RunConfig(model="x", experiment="purify").validate()
+        RunConfig(model="x", experiment="purify")
     with pytest.raises(ConfigError):
-        RunConfig(model="qubit_rotation", experiment="juggle").validate()
-    with pytest.raises(ConfigError):
-        RunConfig(model="qubit_rotation", experiment="purify", n_reps=0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(model="qubit_rotation", experiment="purify", n_grid=[]).validate()
+        RunConfig(model="qubit_rotation", experiment="juggle")
+    with pytest.raises(ConfigError, match="n_reps 0 must be at least 2"):
+        build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_reps=0))
+    with pytest.raises(ConfigError, match="n_grid must not be empty"):
+        build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_grid=[]))
+
+
+def test_every_flag_sets_the_run_config_field_of_its_name():
+    """The parser's dests, --config aside, are exactly the RunConfig fields:
+    one table of names, which _merge passes on unrenamed."""
+    dests = set(vars(cli.make_parser().parse_args(["purify"]))) - {"config"}
+    assert dests == {field.name for field in dataclasses.fields(RunConfig)}
+
+
+def test_a_flag_and_a_config_field_convert_alike(tmp_path):
+    """A config file's scalars and lists, and the flags' strings, of the same
+    values give the same RunConfig."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nn_grid: 500\nh: [1, 0.5]\n"
+                   "theta_star: 0.7\nn_reps: 40\nseed: 3\nq: 1,3\n")
+    parse = cli.make_parser().parse_args
+    by_file = cli._merge(parse(["lamn", "--config", str(cfg)]))
+    by_flags = cli._merge(parse(["lamn", "--preset", "qubit_rotation", "--n-grid", "500",
+                                 "--h", "1,0.5", "--theta-star", "0.7", "--n-reps", "40",
+                                 "--seed", "3", "--q", "1,3"]))
+    assert by_file == by_flags == RunConfig(
+        model="qubit_rotation", experiment="lamn", theta_star=[0.7], q="1,3", h=[1.0, 0.5],
+        n_grid=[500], n_reps=40, seed=3)
+
+
+# (field, its value in a config file, its value as a flag); None where the
+# value has no such form.
+MALFORMED = [
+    ("n_reps", "abc", "abc"),
+    ("n_reps", "2.5", "2.5"),
+    ("seed", "1.5", "1.5"),
+    ("seed", "-3", "-3"),
+    ("seed", "true", "true"),
+    ("seed", None, "-1"),
+    ("n_grid", "[abc]", "abc"),
+    ("n_grid", "[100, 250.5]", "100,250.5"),
+    ("n_grid", None, ""),
+    ("theta_star", "abc", "abc"),
+    ("theta_star", None, ""),
+    ("h", "abc", "abc"),
+    ("q", None, ""),
+    ("model", "[a]", None),
+    ("output_dir", "5", None),
+]
+FLAG = {"n_reps": "--n-reps", "seed": "--seed", "n_grid": "--n-grid",
+        "theta_star": "--theta-star", "h": "--h", "q": "--q"}
+
+
+@pytest.mark.parametrize("source,field,value", [
+    *(("file", field, value) for field, value, _ in MALFORMED if value is not None),
+    *(("flag", field, value) for field, _, value in MALFORMED if value is not None),
+])
+def test_malformed_value_is_config_error(source, field, value, tmp_path, monkeypatch, capsys):
+    """A value that does not convert, or is out of range, exits 2 with a
+    message naming its field, from a config file and from a flag alike, and
+    leaves no output directory."""
+    monkeypatch.chdir(tmp_path)
+    if source == "file":
+        fields = {"n_reps": "4", "output_dir": "out", field: value}
+        Path("run.yaml").write_text(
+            "schema_version: 1\n" + "".join(f"{k}: {v}\n" for k, v in fields.items()))
+        argv = ["purify", "--config", "run.yaml"]
+    else:
+        argv = ["purify", "--n-reps", "4", "--out", "out", FLAG[field], value]
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.yaml"] if source == "file" else [])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +335,7 @@ def test_estimate_runs_multiparameter_preset(tmp_path):
     code = run_cli("estimate", "--preset", "toy_haroche_full", "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
-    plan, _ = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate", seed=1))
+    plan = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate", seed=1))
     traj = sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, max(plan.n_grid), 1)
     c = counts(traj, n_outcomes=plan.family.n_outcomes)
     at_hat = loglik(plan.family, plan.q, c, report["theta_hat"]).value
@@ -416,7 +486,7 @@ def test_singular_fisher_preset_is_refused_by_consistency_and_fig1(tmp_path, cap
         assert code == EXIT_REFUSAL
         assert capsys.readouterr().err.startswith(
             "refused: Fisher information of component 0 is singular")
-        assert not (tmp_path / experiment / "report.json").exists()
+        assert not (tmp_path / experiment).exists()
 
 
 def test_fig1_refuses_before_drawing(tmp_path, monkeypatch, capsys):
@@ -449,7 +519,7 @@ def test_h_takes_a_comma_list(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: h must have the same dimension")
     assert run_cli("lamn", "--h", "1,x", "--out", str(tmp_path)) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --h: cannot parse")
+    assert capsys.readouterr().err.startswith("config error: field 'h': cannot parse")
 
 
 def test_lamn_defaults_to_a_unit_shift(tmp_path):
@@ -469,7 +539,7 @@ def test_lamn_defaults_to_a_unit_shift(tmp_path):
 
 
 def test_default_shift_has_theta_dimension():
-    plan, _ = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate"))
+    plan = build_plan(RunConfig(model="toy_haroche_full", experiment="estimate"))
     np.testing.assert_array_equal(plan.h, np.zeros(6))
 
 

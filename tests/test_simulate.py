@@ -82,13 +82,16 @@ def test_counts_and_prefixes(bernoulli_pair):
     np.testing.assert_array_equal(c.counts, np.bincount(traj.outcomes, minlength=2))
     head = counts(traj, n_prefix=10, n_outcomes=2)
     assert head.n == 10 and head.counts.sum() == 10
-    with pytest.raises(DomainError):
-        counts(traj, n_prefix=101, n_outcomes=2)
+    # A prefix longer than the record, or of negative length, is refused.
+    for n_prefix, message in ((101, "prefix length 101 exceeds"),
+                              (-1, "prefix length -1 must be at least 0")):
+        with pytest.raises(DomainError, match=message):
+            counts(traj, n_prefix=n_prefix, n_outcomes=2)
     # The first outcome of the prefix outside 0..n_outcomes-1 is named, a
     # negative one included; a prefix that stops before it is counted.
     for outcomes, message in (([0, 1, 9], "outcome index 9 at step 3"),
                               ([0, -1, 9], "outcome index -1 at step 2")):
-        bad = Trajectory(outcomes=outcomes, gamma=0, seed=0, theta_true=[0.5])
+        bad = Trajectory(outcomes=outcomes, gamma=0)
         with pytest.raises(DomainError, match=f"{message} outside 0..7"):
             counts(bad, n_outcomes=8)
     np.testing.assert_array_equal(counts(bad, n_prefix=1, n_outcomes=8).counts, [1] + [0] * 7)
