@@ -84,9 +84,10 @@ class ExperimentPlan:
     h is the local parameter shift (zero by default): replications under the
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
     and every shifted parameter must stay inside it.  n_grid holds distinct
-    record lengths of at least 1; n_reps, the replications per stream, is at
-    least 2, so that every sample variance is defined; master_seed is at
-    least 0, as every generator's entropy must be.
+    integral record lengths of at least 1 (1000.0 is one, 250.5 is refused);
+    n_reps, the replications per stream, is at least 2, so that every sample
+    variance is defined; master_seed is at least 0, as every generator's
+    entropy must be.
     """
 
     family: ParametricFamily
@@ -118,7 +119,9 @@ class ExperimentPlan:
         n_grid = tuple(int(n) for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")
-        for k, n in enumerate(n_grid):
+        for k, (n, entry) in enumerate(zip(n_grid, self.n_grid)):
+            if n != entry:
+                raise ConstructionError(f"n_grid entry {entry} is not an integer")
             if n < 1:
                 raise ConstructionError(f"n_grid entry {n} must be at least 1")
             if n in n_grid[:k]:

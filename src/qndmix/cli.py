@@ -3,7 +3,8 @@ the config file's, run the subcommand's experiment (which decides the verdict),
 write its JSON report and CSV plot data, and map it to an exit code.
 
 Exit codes: 0 success, 1 experiment check failed, 2 config error (a field that
-does not convert, or a plan out of range; no output directory is made),
+does not convert, a plan out of range, or an output path through an existing
+file, checked before the run; no output directory is made),
 3 refusal (RefusalError from the plan's one hypotheses check: singular
 Fisher information, or an experiment that covers D = 1 only run on a
 multi-parameter model; fig1 runs the check before drawing), 4 any other
@@ -198,6 +199,10 @@ def run(config: RunConfig) -> int:
     """Run the experiment that the subcommand names, looked up at each call;
     write report.json (and CSVs) under output_dir; return the exit code."""
     plan = build_plan(config)
+    out = Path(config.output_dir)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigError(f"field 'output_dir': {str(blocker)!r} exists and is not a directory")
     experiment = {
         "estimate": estimate_experiment,
         "lamn": lamn_experiment,
@@ -212,7 +217,6 @@ def run(config: RunConfig) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
-    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.experiment == "estimate":
         report, fit = report

@@ -12,7 +12,9 @@ loglik_rows evaluates it, its score and its curvature for many rows at once.
 Both maximizers seed each row's candidates from one shared scan of the box,
 built once per family and box; maximize_scalar (D = 1) refines them by
 bracketed root-finding on the score, _maximize_box (D > 1) by projected
-Fisher scoring.
+Fisher scoring.  A trial batch takes p and its Jacobian from one
+ParametricFamily.tables call, and mle takes the posterior and the Fisher
+stack at theta_hat from one more.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import MixtureWeights, ParametricFamily, fisher_information
+from .model import MixtureWeights, ParametricFamily, _fisher_from_tables
 from .simulate import CountVector
 
 __all__ = [
@@ -107,7 +109,8 @@ class EstimationReport:
     def trace_to_csv(self, path) -> None:
         """One CSV row per (theta, loglik) of optimizer_trace, in one write."""
         header = [f"theta_{k}" for k in range(np.atleast_1d(self.theta_hat).size)] + ["loglik"]
-        _write_in_place(path, _csv_text(header, [[*theta, value] for theta, value in self.optimizer_trace]))
+        rows = [[*theta.tolist(), value] for theta, value in self.optimizer_trace]
+        _write_in_place(path, _csv_text(header, rows))
 
 
 def _csv_text(header, rows) -> str:
@@ -211,13 +214,15 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     secant steps.  The sign of the slope moves the bracket ends, and a step
     that would leave the bracket bisects it instead.  A candidate stops once
     its last step or its bracket is below STEP_TOL, so one whose slope points
-    out of the box at a box edge stops on that edge.  All candidates of all
-    rows advance together, and _select picks each row's maximum.
+    out of the box at a box edge stops on that edge.  The candidates of all
+    rows still stepping advance together, held in compact arrays that drop
+    each candidate as it stops, and _select picks each row's maximum.
     """
     xs = _linspace(lo, hi)
     scan = np.atleast_2d(f(xs))
-    padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
-    peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
+    peak = np.ones(scan.shape, dtype=bool)
+    peak[:, 1:] = scan[:, 1:] > scan[:, :-1]
+    peak[:, :-1] &= scan[:, :-1] > scan[:, 1:]
     peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
     rows, idx = np.nonzero(peak)
 
@@ -225,29 +230,38 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     a = xs[np.maximum(idx - 1, 0)]
     b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
     value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows))
-    evaluations = np.ones(rows.size, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -slope / curvature
     moved = np.full(rows.size, np.inf)
-    act = np.arange(rows.size)
+    # The loop holds the live candidates only, in candidate order: live[i] is
+    # the candidate index of entry i.  A candidate's x, value and evaluation
+    # count go to x_hat, value_hat and evaluations when it stops.
+    live, live_rows = np.arange(rows.size), rows
+    x_hat, value_hat = np.empty(rows.size), np.empty(rows.size)
+    evaluations = np.empty(rows.size, dtype=int)
     for n_steps in range(MAX_STEPS + 1):
         # A positive slope moves the lower end up to x, a negative one the
         # upper end down; a zero slope closes the bracket.
-        a[act] = np.where(slope[act] >= 0, x[act], a[act])
-        b[act] = np.where(slope[act] <= 0, x[act], b[act])
-        act = act[(b[act] - a[act] > STEP_TOL) & (moved[act] > STEP_TOL)]
-        if act.size == 0 or n_steps == MAX_STEPS:
+        a = np.where(slope >= 0, x, a)
+        b = np.where(slope <= 0, x, b)
+        keep = (b - a > STEP_TOL) & (moved > STEP_TOL)
+        if not keep.all():
+            stop = ~keep
+            done = live[stop]
+            x_hat[done], value_hat[done], evaluations[done] = x[stop], value[stop], n_steps + 1
+            live, live_rows, x, value, slope, step, a, b = (
+                v[keep] for v in (live, live_rows, x, value, slope, step, a, b))
+        if live.size == 0 or n_steps == MAX_STEPS:
             break
-        x_act, lo_act, hi_act = x[act], a[act], b[act]
-        new = x_act + step[act]
-        new = np.where((new > lo_act) & (new < hi_act), new, 0.5 * (lo_act + hi_act))
-        v, s, _ = f(new, rows[act])
+        new = x + step
+        new = np.where((new > a) & (new < b), new, 0.5 * (a + b))
+        v, s, _ = f(new, live_rows)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step[act] = s * (new - x_act) / (slope[act] - s)
-        moved[act] = np.abs(new - x_act)
-        x[act], value[act], slope[act] = new, v, s
-        evaluations[act] += 1
-    return _select(xs[:, None], scan, rows, x[:, None], value, evaluations, act, lo, hi)
+            step = s * (new - x) / (slope - s)
+        moved = np.abs(new - x)
+        x, value, slope = new, v, s
+    x_hat[live], value_hat[live], evaluations[live] = x, value, n_steps + 1
+    return _select(xs[:, None], scan, rows, x_hat[:, None], value_hat, evaluations, live, lo, hi)
 
 
 @functools.cache
@@ -494,7 +508,8 @@ def mle(
         res = _maximize_box(f, lower, upper)
     theta_hat = res.x[0]
 
-    terms = log_terms(fam, q, counts.counts, theta_hat)
+    p, dp = fam.tables(theta_hat)
+    terms = q.log() + counts.counts @ np.log(p).T
     posterior = np.exp(terms - logsumexp(terms))
     return EstimationReport(
         theta_hat=theta_hat,
@@ -502,7 +517,7 @@ def mle(
         loglik_at_max=float(res.value[0]),
         n=counts.n,
         optimizer_trace=[(np.array(x), v) for x, v in res.trace(0)],
-        fisher_at_hat=fisher_information(fam, theta_hat),
+        fisher_at_hat=_fisher_from_tables(p, dp),
         posterior_at_hat=posterior,
         converged=bool(res.converged[0]),
         boundary=bool(res.boundary[0]),

@@ -3,7 +3,9 @@
 A family assigns to every parameter value theta (in a compact box) and every
 hidden component alpha a probability distribution over outcomes 0..l-1; it is
 its table p_theta(j|alpha), whose (d, l) shape gives the number of components
-and of outcomes.  Information functionals (Kullback-Leibler divergence as
+and of outcomes.  An optional joint rule gives the table and its parameter
+Jacobian in one call; without one, the Jacobian comes from finite
+differences.  Information functionals (Kullback-Leibler divergence as
 one (d, d) matrix of every component pair, and Fisher information as one
 (d, D, D) stack of every component's D x D matrix) and a grid-based
 identifiability checker are provided on top.
@@ -96,33 +98,34 @@ class ParametricFamily:
     taking theta of shape (..., D) and returning an array of shape (..., d, l):
     row alpha of each table holds the outcome distribution p_theta(.|alpha).
     A single point, shape (D,), gives one (d, l) table; a stack of m points,
-    shape (m, D), gives m tables in one call.  An optional ``dprobs(theta)``
-    returns the parameter Jacobian in the same way: shape (..., D, d, l) for
-    theta of shape (..., D).
+    shape (m, D), gives m tables in one call.  An optional joint rule
+    ``tables(theta)`` returns the pair (p, dp) in one call: the table, as
+    probs gives it, and the parameter Jacobian of shape (..., D, d, l), so
+    that a rule can share its work (phases, unitaries) between the two.
 
     The number of components d and of outcomes l are read off the table at
     the box center, as QndSystem reads its sizes off its generators; a table
     that is not 2-D, has no row or has a single outcome is refused.
     Every family is then checked once, at the box center and at 9 evenly
     spaced points from edge to edge along each axis through it: each point's
-    table (and Jacobian, when given) is evaluated once, alone, and the checks
-    run over the stacked results.  Every table must have the center's shape,
-    every row be a probability vector with entries strictly inside (0, 1),
-    the stacked call match the single-point ones, and the analytic Jacobian
-    agree with one finite-difference pass over all points.  A violation
-    raises ConstructionError naming the first offending theta; nothing is
-    clamped.
+    table (and joint pair, when given) is evaluated once, alone, and the
+    checks run over the stacked results.  Every table must have the center's
+    shape, every row be a probability vector with entries strictly inside
+    (0, 1), the stacked call match the single-point ones, the joint rule's
+    table match probs within 1e-12, and its Jacobian agree with one
+    finite-difference pass over all points.  A violation raises
+    ConstructionError naming the first offending theta; nothing is clamped.
     """
 
     def __init__(
         self,
         box: ParameterBox,
         probs: Callable[[np.ndarray], np.ndarray],
-        dprobs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        tables: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
     ):
         self.box = box
         self._probs = probs
-        self._dprobs = dprobs
+        self._tables = tables
         center = 0.5 * (box.lower + box.upper)
         shape = np.shape(probs(center))
         if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
@@ -141,7 +144,8 @@ class ParametricFamily:
     def prob_table(self, theta) -> np.ndarray:
         """All outcome distributions at theta: shape (d, l) for one point,
         (..., d, l) for a stack of points of shape (..., D)."""
-        return self._evaluate("probs", self._probs, self.box.require(theta))
+        t = self.box.require(theta)
+        return self._shaped("probs", self._probs(t), t)
 
     def log_prob_table(self, theta) -> np.ndarray:
         return np.log(self.prob_table(theta))
@@ -151,18 +155,20 @@ class ParametricFamily:
         after one box check: shapes (d, l) and (D, d, l) for one point,
         (..., d, l) and (..., D, d, l) for a stack of points of shape (..., D).
 
-        The Jacobian falls back to finite differences (relative step 1e-5)
-        when no analytic rule was supplied.
+        Both come from one call of the joint rule; without one, the table
+        comes from probs and the Jacobian from finite differences (relative
+        step 1e-5).
         """
         t = self.box.require(theta)
-        table = self._evaluate("probs", self._probs, t)
-        if self._dprobs is None:
-            return table, self._fd_dprob_table(t)
-        return table, self._evaluate("dprobs", self._dprobs, t, (self.dim,))
+        if self._tables is None:
+            return self._shaped("probs", self._probs(t), t), self._fd_dprob_table(t)
+        p, dp = self._tables(t)
+        return self._shaped("tables", p, t), self._shaped("tables", dp, t, (self.dim,))
 
-    def _evaluate(self, name: str, fn: Callable, t: np.ndarray, lead: tuple = ()) -> np.ndarray:
-        """fn at the checked points t; shape t.shape[:-1] + lead + (d, l)."""
-        value = np.asarray(fn(t), dtype=float)
+    def _shaped(self, name: str, value, t: np.ndarray, lead: tuple = ()) -> np.ndarray:
+        """value, which name gave at the checked points t, as a float array of
+        shape t.shape[:-1] + lead + (d, l)."""
+        value = np.asarray(value, dtype=float)
         expected = t.shape[:-1] + lead + (self.n_components, self.n_outcomes)
         if value.shape != expected:
             raise ConstructionError(f"{name} returned shape {value.shape}, expected {expected}")
@@ -216,7 +222,7 @@ class ParametricFamily:
     def _validate(self):
         # np.nonzero(flags)[0][0] is the first point with a flagged entry.
         points = self._validation_points()
-        tables = self._singles("probs", self._probs, points, ())
+        tables = self._singles("probs", [self._probs(t) for t in points], points, ())
         bad = ~np.isfinite(tables)
         if np.any(bad):
             i = np.nonzero(bad)[0][0]
@@ -236,20 +242,29 @@ class ParametricFamily:
             raise ConstructionError(
                 f"distribution for alpha={a} sums to {tables[i, a].sum()} at theta={points[i]}"
             )
-        self._check_stack("probs", "(..., d, l)", self._probs, points, tables)
-        if self._dprobs is not None:
-            jacobians = self._singles("dprobs", self._dprobs, points, (self.dim,))
-            self._check_stack("dprobs", "(..., D, d, l)", self._dprobs, points, jacobians)
+        self._check_stack("probs", "(..., d, l)", self._probs(points), points, tables)
+        if self._tables is not None:
+            pairs = [self._tables(t) for t in points]
+            joint = self._singles("tables", [p for p, _ in pairs], points, ())
+            jacobians = self._singles("tables", [dp for _, dp in pairs], points, (self.dim,))
+            stacked, stacked_jacobians = self._tables(points)
+            self._check_stack("tables", "(..., d, l)", stacked, points, joint)
+            self._check_stack("tables", "(..., D, d, l)", stacked_jacobians, points, jacobians)
+            err = np.max(np.abs(joint - tables).reshape(len(points), -1), axis=1)
+            if np.any(err > 1e-12):
+                raise ConstructionError(f"tables differs by {err.max()} from probs at "
+                                        f"theta={points[int(np.argmax(err))]}")
             err = np.abs(jacobians - self._fd_dprob_table(points))
             bad = err > 1e-6 * (1.0 + np.abs(jacobians))
             if np.any(bad):
                 raise ConstructionError(f"analytic gradient inconsistent with finite differences "
                                         f"at theta={points[np.nonzero(bad)[0][0]]}")
 
-    def _singles(self, name: str, fn: Callable, points: np.ndarray, lead: tuple) -> np.ndarray:
-        """fn at each point alone, stacked; each must have shape lead + (d, l)."""
+    def _singles(self, name: str, values: list, points: np.ndarray, lead: tuple) -> np.ndarray:
+        """values, name's results at each point alone, stacked; each must have
+        shape lead + (d, l)."""
         expected = lead + (self.n_components, self.n_outcomes)
-        singles = [np.asarray(fn(t), dtype=float) for t in points]
+        singles = [np.asarray(value, dtype=float) for value in values]
         for t, value in zip(points, singles):
             if value.shape != expected:
                 raise ConstructionError(
@@ -259,10 +274,10 @@ class ParametricFamily:
         return np.array(singles)
 
     @staticmethod
-    def _check_stack(name: str, shape: str, fn: Callable, points: np.ndarray, singles: np.ndarray):
-        """fn on the stacked points must give, row by row, its single-point
-        results within 1e-12."""
-        stacked = np.asarray(fn(points), dtype=float)
+    def _check_stack(name: str, shape: str, stacked, points: np.ndarray, singles: np.ndarray):
+        """name's result on the stacked points must give, row by row, its
+        single-point results within 1e-12."""
+        stacked = np.asarray(stacked, dtype=float)
         if stacked.shape != singles.shape:
             raise ConstructionError(
                 f"{name} returned shape {stacked.shape} for a stack of {len(points)} points; "
@@ -340,7 +355,11 @@ def fisher_information(fam: ParametricFamily, theta) -> np.ndarray:
     if np.ndim(theta) > 1:
         raise DomainError(f"fisher_information takes one parameter point, got theta of shape "
                           f"{np.shape(theta)}")
-    p, dp = fam.tables(theta)
+    return _fisher_from_tables(*fam.tables(theta))
+
+
+def _fisher_from_tables(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """fisher_information from one point's table p (d, l) and Jacobian dp (D, d, l)."""
     s = np.swapaxes(dp / p, 0, 1)  # score, (d, D, l)
     m = (s * p[:, None, :]) @ np.swapaxes(s, 1, 2)
     return 0.5 * (m + np.swapaxes(m, 1, 2))

@@ -96,21 +96,23 @@ def _toy_phases(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return theta[..., None, None] * alpha[:, None] + (2 - a) * math.pi / 4
 
 
+def _toy_table(vis, cos: np.ndarray) -> np.ndarray:
+    """The table (1 +/- vis * cos) / 8 of shape (..., d, 8) from cos of shape
+    (..., d, 4): x = 0 keeps the cosine sign, x = 1 flips it; columns follow
+    j = 4x + a."""
+    return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
+
+
 def _toy_prob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    phases = _toy_phases(alpha_values, theta[..., 0])           # (..., d, 4)
-    cos = np.cos(phases)
-    # x = 0 keeps the cosine sign, x = 1 flips it; columns follow j = 4x + a.
-    return np.concatenate(
-        [(1 + VISIBILITY * cos) / 8, (1 - VISIBILITY * cos) / 8], axis=-1
-    )
+    return _toy_table(VISIBILITY, np.cos(_toy_phases(alpha_values, theta[..., 0])))
 
 
-def _toy_dprob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _toy_tables(alpha_values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_toy_prob_table and its Jacobian (..., 1, d, 8), from one phase table."""
     phases = _toy_phases(alpha_values, theta[..., 0])
     sin = np.sin(phases) * alpha_values[:, None]
-    return np.concatenate(
-        [-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1
-    )[..., None, :, :]
+    dp = np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)
+    return _toy_table(VISIBILITY, np.cos(phases)), dp[..., None, :, :]
 
 
 def _toy_fisher(theta: float, alpha: float) -> float:
@@ -127,7 +129,7 @@ def _toy_preset(
     family = ParametricFamily(
         ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
         probs=lambda t: _toy_prob_table(alpha_values, t),
-        dprobs=lambda t: _toy_dprob_table(alpha_values, t),
+        tables=lambda t: _toy_tables(alpha_values, t),
     )
     return Preset(
         name=name,
@@ -179,22 +181,22 @@ def toy_haroche_full() -> Preset:
 
     def probs(t: np.ndarray) -> np.ndarray:
         theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
-        cos = np.cos(alpha_values[:, None] * theta4 + phases)   # (..., d, 4)
-        return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
+        return _toy_table(vis, np.cos(alpha_values[:, None] * theta4 + phases))
 
-    def dprobs(t: np.ndarray) -> np.ndarray:
+    def tables(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
         arg = alpha_values[:, None] * theta4 + phases           # (..., d, 4)
+        cos = np.cos(arg)
         d_phase = -vis * np.sin(arg) / 8                        # d p(x=0) / d phase_a
         # Rows theta4, phase_0..phase_3 and visibility; x = 1 flips the sign.
         half = np.concatenate([
             (d_phase * alpha_values[:, None])[..., None, :, :],
             d_phase[..., None, :, :] * np.eye(4)[:, None, :],
-            (np.cos(arg) / 8)[..., None, :, :],
+            (cos / 8)[..., None, :, :],
         ], axis=-3)                                             # (..., 6, d, 4)
-        return np.concatenate([half, -half], axis=-1)
+        return _toy_table(vis, cos), np.concatenate([half, -half], axis=-1)
 
-    family = ParametricFamily(ParameterBox(lower, upper), probs, dprobs)
+    family = ParametricFamily(ParameterBox(lower, upper), probs, tables)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))
     return Preset(
         name="toy_haroche_full",

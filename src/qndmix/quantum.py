@@ -4,7 +4,8 @@ A QndSystem couples a d-level system to an l-level probe through a
 block-diagonal unitary sum_alpha |e_alpha><e_alpha| (x) U_alpha(theta), with
 U_alpha(theta) = exp(-i sum_k theta_k G_{alpha,k}) for fixed Hermitian
 generators G.  Measuring the probe in a fixed orthonormal basis yields outcome
-distributions p_theta(j|alpha) that define a ParametricFamily; the filter is
+distributions p_theta(j|alpha) that define a ParametricFamily, whose joint
+rule builds U_alpha(theta) psi once for p and its Jacobian; the filter is
 its log_terms kernel on cumulative outcome counts, plus summed probe phases.
 
 Inner products are linear in the second argument throughout: <a, b> = a^dag b.
@@ -150,7 +151,8 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
 
     The family constructor's checks are the positivity gate: an outcome with
     probability 0 or 1 at one of its sample points names the offending
-    (theta, alpha, j) in the error.  The Jacobian is
+    (theta, alpha, j) in the error.  The joint rule builds U_alpha(theta) psi
+    once for the table p = |<psi_j, U psi>|^2 and the Jacobian
     dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> / <psi_j, U psi>),
     which holds when each H_alpha(theta) commutes with its generators, so
     that dU = -i G U; the family's finite-difference consistency check
@@ -164,13 +166,14 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
     def probs(theta: np.ndarray) -> np.ndarray:
         return np.abs(_amplitudes(sys, theta)) ** 2
 
-    def dprobs(theta: np.ndarray) -> np.ndarray:
+    def tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         upsi = _unitaries(sys, theta) @ sys.probe                               # (..., d, l)
-        den = (upsi @ sys.probe_basis.conj())[..., None, :, :]                  # <psi_j, U psi>
+        amps = upsi @ sys.probe_basis.conj()                                    # <psi_j, U psi>
+        p = np.abs(amps) ** 2
         num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
-        return np.abs(den) ** 2 * (2.0 * np.imag(num / den))                    # (..., D, d, l)
+        return p, p[..., None, :, :] * (2.0 * np.imag(num / amps[..., None, :, :]))
 
-    return ParametricFamily(box, probs, dprobs)
+    return ParametricFamily(box, probs, tables)
 
 
 # ---------------------------------------------------------------------------

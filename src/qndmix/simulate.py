@@ -5,8 +5,8 @@ All randomness flows through numpy's PCG64 generator.  substream keys one
 generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
 trajectory draws on substream(seed, 0) (its component) and substream(seed, 1)
 (its outcomes), and sample_count_paths draws every record of a batch on the one
-generator it is given.  A rerun with the same seed repeats every draw bit for
-bit.
+generator it is given, one multinomial over all records per grid gap.  A rerun
+with the same seed repeats every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -123,12 +123,15 @@ def sample_count_paths(p, n_grid: Sequence[int], rng: np.random.Generator) -> np
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
-    gaps = np.diff(np.asarray(n_grid, dtype=np.int64), prepend=0)
-    if np.any(gaps < 0):
+    # The few grid gaps are Python ints: a numpy array costs more to set up
+    # than the arithmetic on it.
+    grid = [int(n) for n in n_grid]
+    gaps = [n - m for m, n in zip([0, *grid], grid)]
+    if any(gap < 0 for gap in gaps):
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
     p = p / p.sum(axis=1, keepdims=True)
-    out = np.empty((len(p), gaps.size, p.shape[1]), dtype=np.int64)
-    for k, gap in enumerate(gaps.tolist()):
+    out = np.empty((len(p), len(gaps), p.shape[1]), dtype=np.int64)
+    for k, gap in enumerate(gaps):
         out[:, k] = rng.multinomial(gap, p)
     return np.cumsum(out, axis=1, out=out)
 

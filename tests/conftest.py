@@ -9,6 +9,7 @@ from qndmix.model import (
     ParametricFamily,
 )
 from qndmix.presets import qubit_rotation, toy_haroche
+from qndmix.quantum import _unitaries
 from qndmix.simulate import CountVector, sample_count_paths, substream
 
 
@@ -23,14 +24,23 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
         x = t[..., 0, None, None] * np.array([[1.0], [0.5]])   # (..., 2, 1)
         return np.concatenate([x, 1.0 - x], axis=-1)
 
-    def dprobs(t):
+    def jacobian(t):
         return np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], t.shape[:-1] + (1, 2, 2))
 
     return ParametricFamily(
         box=ParameterBox(np.array([box[0]]), np.array([box[1]])),
         probs=probs,
-        dprobs=dprobs,
+        tables=lambda t: (probs(t), jacobian(t)),
     )
+
+
+def reference_quantum_jacobian(sys, t):
+    """The Jacobian rule as_family had before its joint rule, kept as the
+    reference the joint rule must reproduce bit for bit."""
+    upsi = _unitaries(sys, t) @ sys.probe
+    den = (upsi @ sys.probe_basis.conj())[..., None, :, :]
+    num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
+    return np.abs(den) ** 2 * (2.0 * np.imag(num / den))
 
 
 def sample_counts(fam, theta, gamma, n, seed):
@@ -62,16 +72,16 @@ def make_random_family(rng):
     def probs(t):
         return table(t[..., 0])
 
-    def dprobs(t):
+    def tables(t):
         x = t[..., 0, None, None]
         p = table(t[..., 0])
         gp = b * c * np.cos(c * x + e)
-        return (p * (gp - np.sum(p * gp, axis=-1, keepdims=True)))[..., None, :, :]
+        return p, (p * (gp - np.sum(p * gp, axis=-1, keepdims=True)))[..., None, :, :]
 
     return ParametricFamily(
         box=ParameterBox(np.array([-1.0]), np.array([1.0])),
         probs=probs,
-        dprobs=dprobs,
+        tables=tables,
     )
 
 

@@ -76,12 +76,21 @@ def test_plan_rejects_mismatched_weights(qubit):
     ((-5, 100), "entry -5 must be at least 1"),
     ((500, 100, 500), "entry 500 appears more than once"),
     ((), "must not be empty"),
+    ((100, 250.5), "entry 250.5 is not an integer"),
+    ((np.float64(99.999),), "entry 99.999 is not an integer"),
 ])
 def test_plan_rejects_bad_grid(toy, grid, entry):
-    """An empty grid, a grid point below 1 and a repeated one are refused,
-    the point named, before any experiment runs on them."""
+    """An empty grid, a grid point below 1, a repeated one and a non-integral
+    one are refused, the point named, before any experiment runs on them."""
     with pytest.raises(ConstructionError, match=f"n_grid {entry}"):
         small_plan(toy, n_grid=grid)
+
+
+def test_plan_takes_integral_grid_entries(toy):
+    """numpy integers and integral floats are record lengths, held as ints."""
+    plan = small_plan(toy, n_grid=(np.int64(200), 500.0, np.float64(1000.0)))
+    assert plan.n_grid == (200, 500, 1000)
+    assert all(type(n) is int for n in plan.n_grid)
 
 
 @pytest.mark.parametrize("n_reps", [1, 0, -3])

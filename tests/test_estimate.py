@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from qndmix import estimate
 from qndmix.errors import DomainError
 from qndmix.estimate import (
     COARSE_POINTS,
     MAX_STEPS,
+    Maxima,
     PINV_RCOND,
     ROW_BLOCK,
     STEP_TOL,
@@ -151,6 +154,90 @@ def test_maximize_scalar_tie_flag():
     x, tie = res.x[0, 0], res.tie[0]
     assert tie
     assert abs(x) == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_maximize_scalar(f, lo, hi):
+    """The loop maximize_scalar had before it kept compact arrays of its live
+    candidates: every array is gathered and scattered through the index array
+    act at each step.  Kept as the reference its Maxima must equal bit for bit."""
+    xs = _linspace(lo, hi)
+    scan = np.atleast_2d(f(xs))
+    padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
+    peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
+    peak[np.arange(len(scan)), scan.argmax(axis=1)] = True
+    rows, idx = np.nonzero(peak)
+
+    x = xs[idx]
+    a = xs[np.maximum(idx - 1, 0)]
+    b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
+    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows))
+    evaluations = np.ones(rows.size, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -slope / curvature
+    moved = np.full(rows.size, np.inf)
+    act = np.arange(rows.size)
+    for n_steps in range(estimate.MAX_STEPS + 1):
+        a[act] = np.where(slope[act] >= 0, x[act], a[act])
+        b[act] = np.where(slope[act] <= 0, x[act], b[act])
+        act = act[(b[act] - a[act] > STEP_TOL) & (moved[act] > STEP_TOL)]
+        if act.size == 0 or n_steps == estimate.MAX_STEPS:
+            break
+        x_act, lo_act, hi_act = x[act], a[act], b[act]
+        new = x_act + step[act]
+        new = np.where((new > lo_act) & (new < hi_act), new, 0.5 * (lo_act + hi_act))
+        v, s, _ = f(new, rows[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step[act] = s * (new - x_act) / (slope[act] - s)
+        moved[act] = np.abs(new - x_act)
+        x[act], value[act], slope[act] = new, v, s
+        evaluations[act] += 1
+    return estimate._select(xs[:, None], scan, rows, x[:, None], value, evaluations, act, lo, hi)
+
+
+def _assert_same_maxima(got, want):
+    for field in dataclasses.fields(Maxima):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert g.shape == w.shape and g.dtype == w.dtype, field.name
+        assert g.tobytes() == w.tobytes(), field.name
+
+
+@pytest.mark.parametrize("max_steps", [MAX_STEPS, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_guerlin"])
+def test_maximize_scalar_equals_the_reference_loop(name, seed, max_steps, monkeypatch):
+    """Every Maxima field, bit for bit, on one record's mixture and component
+    rows (as mle builds them) and on 45 mixture rows of records drawn at n =
+    1000 and 10000 (as the Monte-Carlo experiments build them); with the step
+    cap at 2, on rows left unconverged too."""
+    monkeypatch.setattr(estimate, "MAX_STEPS", max_steps)
+    pre = get_preset(name)
+    fam, q = pre.family, pre.q
+    box = pre.search_box()
+    lo, hi = float(box.lower[0]), float(box.upper[0])
+    d = fam.n_components
+    record = sample_mixture_trajectory(fam, pre.theta_star, q, 10_000, seed)
+    single = counts(record, n_outcomes=fam.n_outcomes).counts
+    logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
+    rng = np.random.default_rng(seed)
+    laws = fam.prob_table(pre.theta_star)[rng.choice(d, size=45, p=q.q)]
+    batch = sample_count_paths(laws, (1_000, 10_000), rng)
+    for f in (loglik_rows(fam, logq, single),
+              loglik_rows(fam, q.log(), batch[:, 0]),
+              loglik_rows(fam, q.log(), batch[:, 1])):
+        _assert_same_maxima(maximize_scalar(f, lo, hi), reference_maximize_scalar(f, lo, hi))
+
+
+@pytest.mark.parametrize("objective, lo, hi", [
+    ((lambda x: -(x - 0.37) ** 2, lambda x: -2.0 * (x - 0.37), lambda x: np.full_like(x, -2.0)),
+     0.0, 1.0),
+    ((lambda x: x, np.ones_like, np.zeros_like), 0.0, 1.0),
+    ((lambda x: -(x * x - 1.0) ** 2, lambda x: -4.0 * x * (x * x - 1.0),
+      lambda x: 4.0 - 12.0 * x * x), -2.0, 2.0),
+])
+def test_maximize_scalar_equals_the_reference_loop_on_closed_forms(objective, lo, hi):
+    """A quadratic, a slope out of the box (zero curvature) and a double bump."""
+    f = _objective(*objective)
+    _assert_same_maxima(maximize_scalar(f, lo, hi), reference_maximize_scalar(f, lo, hi))
 
 
 def _box_objective(f, slope, curvature):
@@ -384,7 +471,7 @@ def _two_param_family():
             np.stack([b, a, 1.0 - a - b], axis=-1),
         ], axis=-2)
 
-    def dprobs(t):
+    def jacobian(t):
         da = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
         db = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
         return np.broadcast_to(np.stack([da, db]), t.shape[:-1] + (2, 2, 3))
@@ -392,7 +479,7 @@ def _two_param_family():
     return ParametricFamily(
         box=ParameterBox(np.array([0.1, 0.1]), np.array([0.4, 0.4])),
         probs=probs,
-        dprobs=dprobs,
+        tables=lambda t: (probs(t), jacobian(t)),
     )
 
 
@@ -593,3 +680,28 @@ def test_unconverged_rows_are_flagged(monkeypatch):
     assert not res.converged.any()
     np.testing.assert_array_equal(res.evaluations, [2, 2])
     assert not mle(pre.family, pre.q, c, box=pre.search_box()).converged
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_mle_posterior_and_fisher_equal_their_own_evaluations(name, monkeypatch):
+    """mle evaluates the family at one single point, theta_hat, once, for both
+    the posterior and the Fisher stack: bit for bit the log_terms softmax and
+    fisher_information."""
+    pre = get_preset(name)
+    fam = pre.family
+    record = sample_mixture_trajectory(fam, pre.theta_star, pre.q, 2_000, 4)
+    c = counts(record, n_outcomes=fam.n_outcomes)
+    points = []
+    for method in ("prob_table", "tables"):
+        def recorded(t, evaluate=getattr(fam, method)):
+            if np.ndim(t) == 1:
+                points.append(np.array(t))
+            return evaluate(t)
+
+        monkeypatch.setattr(fam, method, recorded)
+    report = mle(fam, pre.q, c, box=pre.search_box())
+    monkeypatch.undo()
+    assert len(points) == 1 and points[0].tobytes() == report.theta_hat.tobytes()
+    terms = log_terms(fam, pre.q, c.counts, report.theta_hat)
+    assert report.posterior_at_hat.tobytes() == np.exp(terms - own_logsumexp(terms)).tobytes()
+    assert report.fisher_at_hat.tobytes() == fisher_information(fam, report.theta_hat).tobytes()

@@ -103,12 +103,16 @@ def test_family_rejects_boundary_probabilities():
 
 def test_family_rejects_inconsistent_gradient():
     box = _simple_box()
+
+    def probs(t):
+        return np.stack([t, 1.0 - t], axis=-1)                        # (..., 1, 2)
+
     with pytest.raises(ConstructionError, match="finite differences"):
         ParametricFamily(
             box,
-            probs=lambda t: np.stack([t, 1.0 - t], axis=-1),              # (..., 1, 2)
-            dprobs=lambda t: 2.0 * np.stack([t**0, -(t**0)], axis=-1)[..., None, :, :],
-        )  # dprobs is off by a factor of 2
+            probs=probs,
+            tables=lambda t: (probs(t), 2.0 * np.stack([t**0, -(t**0)], axis=-1)[..., None, :, :]),
+        )  # the Jacobian is off by a factor of 2
 
 
 @pytest.mark.parametrize("defect, message", [
@@ -116,6 +120,7 @@ def test_family_rejects_inconsistent_gradient():
     ("boundary", "probability p(j=0|alpha=0) = 0.0"),
     ("row sum", "distribution for alpha=0 sums to 0.9"),
     ("gradient", "analytic gradient inconsistent with finite differences"),
+    ("joint table", "tables differs by"),
 ])
 def test_defect_away_from_the_center_is_named_by_its_theta(defect, message):
     """A Bernoulli family on [0.2, 0.8], clean at the center 0.5 and broken
@@ -129,12 +134,13 @@ def test_defect_away_from_the_center_is_named_by_its_theta(defect, message):
         bad = {"non-finite": np.nan, "boundary": [0.0, 1.0], "row sum": 0.9 * p}
         return np.where(broken(t), bad.get(defect, p), p)
 
-    def dprobs(t):
+    def tables(t):
         scale = np.where(broken(t), 2.0, 1.0) if defect == "gradient" else 1.0
-        return (scale * np.stack([t**0, -(t**0)], axis=-1))[..., None, :, :]
+        shift = np.where(broken(t), 1e-9, 0.0) if defect == "joint table" else 0.0
+        return probs(t) + shift, (scale * np.stack([t**0, -(t**0)], axis=-1))[..., None, :, :]
 
     with pytest.raises(ConstructionError) as err:
-        ParametricFamily(_simple_box(), probs, dprobs)
+        ParametricFamily(_simple_box(), probs, tables)
     assert message in str(err.value)
     assert f"theta={np.linspace(0.2, 0.8, 9)[7:8]}" in str(err.value)
 
@@ -159,7 +165,7 @@ def _fd_bernoulli_pair():
 
 
 def test_fd_fallback_matches_analytic(bernoulli_pair):
-    """Without dprobs the family falls back to finite differences."""
+    """Without a joint tables rule the family falls back to finite differences."""
     fd_fam = _fd_bernoulli_pair()
     theta = [0.37]
     np.testing.assert_allclose(

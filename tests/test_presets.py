@@ -7,6 +7,7 @@ from qndmix.errors import ConfigError, ConstructionError, DomainError
 from qndmix.model import ParametricFamily, check_identifiability, fisher_information, kl_matrix
 from qndmix.presets import (
     PRESETS,
+    VISIBILITY,
     Preset,
     get_preset,
     poisson_like_weights,
@@ -15,6 +16,8 @@ from qndmix.presets import (
     toy_haroche_full,
     toy_haroche_guerlin,
 )
+
+from conftest import reference_quantum_jacobian
 
 
 def test_registry_contents():
@@ -225,12 +228,12 @@ def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch)
     calls = {"probs": 0, "fd": 0}
     init, fd = ParametricFamily.__init__, ParametricFamily._fd_dprob_table
 
-    def counting_init(self, box, probs, dprobs=None):
+    def counting_init(self, box, probs, tables=None):
         def counted(t):
             calls["probs"] += 1
             return probs(t)
 
-        init(self, box, counted, dprobs)
+        init(self, box, counted, tables)
 
     def counting_fd(self, t):
         calls["fd"] += 1
@@ -243,7 +246,7 @@ def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# Stacked-theta Jacobians: dprobs maps (..., D) to (..., D, d, l)
+# Joint rules: tables maps (..., D) to (..., d, l) and (..., D, d, l)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -257,20 +260,72 @@ def test_stacked_jacobians_equal_single_point_jacobians(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_dprobs_ignoring_the_stack_is_refused(name, monkeypatch):
-    """A dprobs that returns one Jacobian for a whole stack has the wrong
+def test_tables_ignoring_the_stack_is_refused(name, monkeypatch):
+    """A joint rule that returns one pair for a whole stack has the wrong
     shape, at construction and, swapped into a built family, at evaluation;
-    one whose stacked rows differ from its single-point Jacobians is refused
-    too."""
+    one whose stacked table or stacked Jacobian differs row by row from its
+    single-point ones is refused too."""
     fam = get_preset(name).family
     parts = (fam.box,)
-    first_only = lambda t: fam.tables(t.reshape(-1, fam.dim)[0])[1]
-    with pytest.raises(ConstructionError, match="dprobs returned shape"):
-        ParametricFamily(*parts, probs=fam.prob_table, dprobs=first_only)
+    first_only = lambda t: fam.tables(t.reshape(-1, fam.dim)[0])
+    with pytest.raises(ConstructionError, match="tables returned shape"):
+        ParametricFamily(*parts, probs=fam.prob_table, tables=first_only)
     swapped = PRESETS[name]().family
-    monkeypatch.setattr(swapped, "_dprobs", first_only)
-    with pytest.raises(ConstructionError, match="dprobs returned shape"):
+    monkeypatch.setattr(swapped, "_tables", first_only)
+    with pytest.raises(ConstructionError, match="tables returned shape"):
         swapped.tables(np.linspace(fam.box.lower, fam.box.upper, 3))
-    reversed_rows = lambda t: fam.tables(t)[1] if t.ndim == 1 else fam.tables(t)[1][::-1]
-    with pytest.raises(ConstructionError, match="dprobs on a stack of points differs"):
-        ParametricFamily(*parts, probs=fam.prob_table, dprobs=reversed_rows)
+    for half in (0, 1):
+        def reversed_rows(t, half=half):
+            pair = list(fam.tables(t))
+            if t.ndim > 1:
+                pair[half] = pair[half][::-1]
+            return tuple(pair)
+
+        with pytest.raises(ConstructionError, match="tables on a stack of points differs"):
+            ParametricFamily(*parts, probs=fam.prob_table, tables=reversed_rows)
+
+
+# The Jacobian rules the presets had before their joint rules, kept as the
+# references their joint rules must reproduce bit for bit.
+
+def reference_toy_jacobian(alpha_values, t):
+    phases = t[..., 0, None, None] * alpha_values[:, None] + (2 - np.arange(4)) * math.pi / 4
+    sin = np.sin(phases) * alpha_values[:, None]
+    return np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)[..., None, :, :]
+
+
+def reference_full_jacobian(alpha_values, t):
+    theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
+    arg = alpha_values[:, None] * theta4 + phases
+    d_phase = -vis * np.sin(arg) / 8
+    half = np.concatenate([
+        (d_phase * alpha_values[:, None])[..., None, :, :],
+        d_phase[..., None, :, :] * np.eye(4)[:, None, :],
+        (np.cos(arg) / 8)[..., None, :, :],
+    ], axis=-3)
+    return np.concatenate([half, -half], axis=-1)
+
+
+REFERENCE_JACOBIANS = {
+    "toy_haroche": lambda pre, t: reference_toy_jacobian(np.arange(1.0, 9.0), t),
+    "toy_haroche_guerlin": lambda pre, t: reference_toy_jacobian(np.arange(0.0, 8.0), t),
+    "toy_haroche_full": lambda pre, t: reference_full_jacobian(np.arange(1.0, 9.0), t),
+    "qubit_rotation": lambda pre, t: reference_quantum_jacobian(pre.system, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_joint_rule_equals_probs_and_the_reference_jacobian(name):
+    """Each built-in joint rule gives probs' table and the reference
+    Jacobian bit for bit, at one point and on stacks of one and two axes."""
+    pre = get_preset(name)
+    fam = pre.family
+    center = 0.5 * (fam.box.lower + fam.box.upper)
+    stack = np.linspace(fam.box.lower, fam.box.upper, 24)
+    for t in (center, fam.box.upper, stack[:1], stack, stack.reshape(4, 6, fam.dim)):
+        p, dp = fam._tables(t)
+        reference = REFERENCE_JACOBIANS[name](pre, t)
+        assert p.shape == t.shape[:-1] + (fam.n_components, fam.n_outcomes)
+        assert p.dtype == dp.dtype == reference.dtype == np.float64
+        assert p.tobytes() == fam._probs(t).tobytes()
+        assert dp.shape == reference.shape and dp.tobytes() == reference.tobytes()

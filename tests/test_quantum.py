@@ -19,6 +19,8 @@ from qndmix.quantum import (
 from qndmix.presets import qubit_rotation
 from qndmix.simulate import sample_trajectory
 
+from conftest import reference_quantum_jacobian
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -146,6 +148,26 @@ def test_commuting_two_parameter_family():
             e = np.eye(2)[k] * step
             fd = (fam.prob_table(t + e) - fam.prob_table(t - e)) / (2 * step)
             np.testing.assert_allclose(fam.tables(t)[1][k], fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("case", ["weak_generic", "commuting_two_parameter"])
+def test_as_family_joint_rule_equals_probs_and_the_reference_jacobian(case):
+    """as_family's joint rule gives probs' table and the reference Jacobian
+    bit for bit, at one point and on a stack, on a 3-level system of complex
+    amplitudes and on a D = 2 family."""
+    if case == "weak_generic":
+        sys = _weak_generic_system()[0]
+        fam = as_family(sys, ParameterBox(np.array([0.5]), np.array([0.9])))
+    else:
+        fam = _two_generator_family(0.25 * SIGMA_X)
+        sys = QndSystem(generators=np.stack([a * np.stack([0.5 * SIGMA_X, 0.25 * SIGMA_X])
+                                             for a in (1.0, 2.0)]), probe=np.array([1.0, 0.0]))
+    stack = np.linspace(fam.box.lower, fam.box.upper, 12)
+    for t in (stack[5], stack, stack.reshape(3, 4, fam.dim)):
+        p, dp = fam._tables(t)
+        reference = reference_quantum_jacobian(sys, t)
+        assert p.tobytes() == fam._probs(t).tobytes()
+        assert dp.shape == reference.shape and dp.tobytes() == reference.tobytes()
 
 
 def test_non_commuting_generators_are_refused():

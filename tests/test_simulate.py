@@ -160,6 +160,42 @@ def test_count_paths_equal_counted_records_in_distribution(toy):
     assert np.all(np.abs(cov - target) <= 5 * cov_se)
 
 
+def reference_sample_count_paths(p, n_grid, rng):
+    """The array-based body sample_count_paths had before it computed its gaps
+    as Python ints, kept as the reference its draws must equal bit for bit."""
+    p = np.asarray(p, dtype=float)
+    gaps = np.diff(np.asarray(n_grid, dtype=np.int64), prepend=0)
+    p = p / p.sum(axis=1, keepdims=True)
+    out = np.empty((len(p), gaps.size, p.shape[1]), dtype=np.int64)
+    for k, gap in enumerate(gaps.tolist()):
+        out[:, k] = rng.multinomial(gap, p)
+    return np.cumsum(out, axis=1, out=out)
+
+
+@pytest.mark.parametrize("grid", [
+    (700,), (20, 50, 100), (0, 40, 40, 1_000), np.array([3, 9]), (np.int64(5), 11), (),
+])
+@pytest.mark.parametrize("n_records", [45, 1, 0])
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
+def test_count_paths_equal_the_reference_draws(name, n_records, grid):
+    """Unnormalized outcome laws over one gap, several, a zero gap, an array
+    grid and an empty grid, for R = 45, 1 and 0 records: the same counts,
+    shape, dtype and layout as the reference, and the generator left in the
+    same state."""
+    pre = get_preset(name)
+    table = pre.family.prob_table(pre.theta_star)
+    rows = np.arange(n_records)
+    laws = table[rows % len(table)] * (1.0 + 0.1 * rows)[:, None]
+    for seed in range(3):
+        got_rng, want_rng = substream(seed, 9), substream(seed, 9)
+        got = sample_count_paths(laws, grid, got_rng)
+        want = reference_sample_count_paths(laws, grid, want_rng)
+        assert got.shape == want.shape == (n_records, len(grid), pre.family.n_outcomes)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_trajectory_is_immutable(bernoulli_pair):
     traj = sample_trajectory(bernoulli_pair, [0.4], 0, 5, seed=0)
     with pytest.raises(ValueError):
