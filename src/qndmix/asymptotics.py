@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
-from .estimate import EstimationReport, Maxima, log_terms, loglik_rows, logsumexp, maximize_scalar, mle
+from .estimate import EstimationReport, _fit, log_terms, logsumexp, mle
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -174,22 +174,12 @@ def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     return rng.choice(plan.q.size, size=plan.n_reps, p=plan.q.q)
 
 
-def _scalar_mle(plan: ExperimentPlan) -> Callable[[np.ndarray], Maxima]:
-    """The mixture MLE over the plan's search box, as a function of a matrix of
-    count rows (one estimate and one boundary flag per row); D = 1 only.
-    Rows may have different record lengths, so each experiment fits all of
-    its rows in one call."""
-    lo, hi = float(plan.search_box().lower[0]), float(plan.search_box().upper[0])
-    return lambda counts_matrix: maximize_scalar(
-        loglik_rows(plan.family, plan.q.log(), counts_matrix), lo, hi
-    )
-
-
 def _fit_blocks(plan: ExperimentPlan, blocks: list) -> tuple:
-    """Fit blocks of n_reps count rows each in one _scalar_mle call; returns
-    the estimates, boundary flags and evaluation counts, each shaped
-    (len(blocks), n_reps)."""
-    res = _scalar_mle(plan)(np.concatenate(blocks))
+    """The mixture MLE over the plan's search box of blocks of n_reps count
+    rows each, fitted in one call (the rows may have different record
+    lengths); returns the estimates, boundary flags and evaluation counts,
+    each shaped (len(blocks), n_reps)."""
+    res = _fit(plan.family, plan.q.log(), np.concatenate(blocks), plan.search_box())
     return tuple(a.reshape(len(blocks), plan.n_reps) for a in (res.x, res.boundary, res.evaluations))
 
 
@@ -516,7 +506,7 @@ def mle_path(
             raise DomainError(f"prefix length {n} must be at least 1")
     l = plan.family.n_outcomes
     cm = np.stack([counts(traj, n, n_outcomes=l).counts for traj in trajs for n in ns])
-    x_hat = _scalar_mle(plan)(cm).x.reshape(len(trajs), len(ns))
+    x_hat = _fit(plan.family, plan.q.log(), cm, plan.search_box()).x.reshape(len(trajs), len(ns))
     return [list(zip(ns, path.tolist())) for path in x_hat]
 
 

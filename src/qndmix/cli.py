@@ -111,18 +111,17 @@ def parse_weights(spec, d: int) -> MixtureWeights:
     """Weights from a list, a comma-separated string or the rule
     'poissonlike(RATE)' with a positive, finite RATE."""
     weights = MixtureWeights.normalized
-    if isinstance(spec, str):
-        m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip())
-        if not m:
-            spec = _parse("q", spec, float, many=True)
-        else:
-            try:
-                rate = float(m.group(1))
-            except ValueError:
-                raise ConfigError(f"field 'q': bad rate in {spec!r}") from None
-            if not 0.0 < rate < math.inf:
-                raise ConfigError(f"field 'q': rate in {spec!r} must be positive and finite")
-            spec, weights = d, functools.partial(poisson_like_weights, rate)
+    m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip()) if isinstance(spec, str) else None
+    if not m:
+        spec = _parse("q", spec, float, many=True)
+    else:
+        try:
+            rate = float(m.group(1))
+        except ValueError:
+            raise ConfigError(f"field 'q': bad rate in {spec!r}") from None
+        if not 0.0 < rate < math.inf:
+            raise ConfigError(f"field 'q': rate in {spec!r} must be positive and finite")
+        spec, weights = d, functools.partial(poisson_like_weights, rate)
     try:
         # A rate far from 1 can overflow rate^alpha, or underflow a weight to 0.
         with np.errstate(over="raise"):

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import MixtureWeights, ParametricFamily, _fisher_from_tables
+from .model import MixtureWeights, ParameterBox, ParametricFamily, _fisher_from_tables
 from .simulate import CountVector
 
 __all__ = [
@@ -478,6 +478,15 @@ def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
     return _select(xs, scan, rows, x, fx, evaluations, act, lower, upper)
 
 
+def _fit(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray, box: ParameterBox) -> Maxima:
+    """The rows of loglik_rows(fam, logq, counts) maximized over box, by
+    maximize_scalar (D = 1) or _maximize_box (D > 1)."""
+    f = loglik_rows(fam, logq, counts)
+    if fam.dim == 1:
+        return maximize_scalar(f, float(box.lower[0]), float(box.upper[0]))
+    return _maximize_box(f, box.lower, box.upper)
+
+
 def mle(
     fam: ParametricFamily, q: MixtureWeights, counts: CountVector, box=None
 ) -> EstimationReport:
@@ -486,26 +495,19 @@ def mle(
     identifiability-valid neighborhood of the true parameter).
 
     The mixture likelihood and the d single-component likelihoods are the
-    rows of one loglik_rows objective, maximized by maximize_scalar (D = 1) or
-    _maximize_box (D > 1).  The report carries both argmaxes, the mixture
-    row's tie, boundary and converged flags, the posterior component weights
-    at the mixture argmax and the (d, D, D) stack of component Fisher matrices
-    there.
+    rows of one loglik_rows objective, maximized by _fit.  The report carries
+    both argmaxes, the mixture row's tie, boundary and converged flags, the
+    posterior component weights at the mixture argmax and the (d, D, D)
+    stack of component Fisher matrices there.
     """
     if counts.n < 1:
         raise DomainError("MLE needs at least one observation")
     search = fam.box if box is None else box
     if not (fam.box.contains(search.lower, atol=1e-12) and fam.box.contains(search.upper, atol=1e-12)):
         raise DomainError("search box must lie inside the family box")
-    lower, upper = search.lower, search.upper
     d = fam.n_components
     logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
-    f = loglik_rows(fam, logq, counts.counts)
-
-    if fam.dim == 1:
-        res = maximize_scalar(f, float(lower[0]), float(upper[0]))
-    else:
-        res = _maximize_box(f, lower, upper)
+    res = _fit(fam, logq, counts.counts, search)
     theta_hat = res.x[0]
 
     p, dp = fam.tables(theta_hat)

@@ -3,12 +3,12 @@
 A family assigns to every parameter value theta (in a compact box) and every
 hidden component alpha a probability distribution over outcomes 0..l-1; it is
 its table p_theta(j|alpha), whose (d, l) shape gives the number of components
-and of outcomes.  An optional joint rule gives the table and its parameter
-Jacobian in one call; without one, the Jacobian comes from finite
-differences.  Information functionals (Kullback-Leibler divergence as
-one (d, d) matrix of every component pair, and Fisher information as one
-(d, D, D) stack of every component's D x D matrix) and a grid-based
-identifiability checker are provided on top.
+and of outcomes.  A family is built from one rule: a table rule, whose
+Jacobian comes from finite differences, or a joint rule that gives the
+table and its parameter Jacobian in one call.  Information functionals
+(Kullback-Leibler divergence as one (d, d) matrix of every component pair,
+and Fisher information as one (d, D, D) stack of every component's D x D
+matrix) and a grid-based identifiability checker are provided on top.
 """
 
 from __future__ import annotations
@@ -94,43 +94,50 @@ class ParameterBox:
 class ParametricFamily:
     """Map (theta, alpha) -> distribution over the outcomes 0..l-1.
 
-    The evaluation rule is supplied as a table function ``probs(theta)``
-    taking theta of shape (..., D) and returning an array of shape (..., d, l):
+    A family is built from exactly one rule.  A table rule ``probs(theta)``
+    takes theta of shape (..., D) and returns an array of shape (..., d, l):
     row alpha of each table holds the outcome distribution p_theta(.|alpha).
     A single point, shape (D,), gives one (d, l) table; a stack of m points,
-    shape (m, D), gives m tables in one call.  An optional joint rule
-    ``tables(theta)`` returns the pair (p, dp) in one call: the table, as
-    probs gives it, and the parameter Jacobian of shape (..., D, d, l), so
-    that a rule can share its work (phases, unitaries) between the two.
+    shape (m, D), gives m tables in one call.  Its Jacobian comes from finite
+    differences.  A joint rule ``tables(theta)`` returns the pair (p, dp) in
+    one call: that table and its parameter Jacobian of shape (..., D, d, l),
+    so that the rule can share its work (phases, unitaries) between the two;
+    its table half alone serves prob_table.  Passing both rules or neither
+    raises ConstructionError.
 
     The number of components d and of outcomes l are read off the table at
     the box center, as QndSystem reads its sizes off its generators; a table
     that is not 2-D, has no row or has a single outcome is refused.
     Every family is then checked once, at the box center and at 9 evenly
-    spaced points from edge to edge along each axis through it: each point's
-    table (and joint pair, when given) is evaluated once, alone, and the
-    checks run over the stacked results.  Every table must have the center's
-    shape, every row be a probability vector with entries strictly inside
-    (0, 1), the stacked call match the single-point ones, the joint rule's
-    table match probs within 1e-12, and its Jacobian agree with one
-    finite-difference pass over all points.  A violation raises
+    spaced points from edge to edge along each axis through it: the rule is
+    evaluated once at each point, alone, and once on their stack, and the
+    checks run over the results.  Every table must have the center's shape,
+    every row be a probability vector with entries strictly inside (0, 1),
+    and the stacked call match the single-point ones within 1e-12, for a
+    joint rule in both halves; a joint rule's Jacobian must also agree with
+    one finite-difference pass over all points.  A violation raises
     ConstructionError naming the first offending theta; nothing is clamped.
     """
 
     def __init__(
         self,
         box: ParameterBox,
-        probs: Callable[[np.ndarray], np.ndarray],
+        probs: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         tables: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
     ):
+        if (probs is None) == (tables is None):
+            raise ConstructionError(
+                "a family takes exactly one rule: probs(theta) -> p or tables(theta) -> (p, dp)"
+            )
         self.box = box
-        self._probs = probs
+        self._rule = "probs" if tables is None else "tables"
+        self._probs = probs if tables is None else lambda t: tables(t)[0]
         self._tables = tables
         center = 0.5 * (box.lower + box.upper)
-        shape = np.shape(probs(center))
+        shape = np.shape(self._probs(center))
         if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
             raise ConstructionError(
-                f"probs returned shape {shape} at the box center theta={center}; "
+                f"{self._rule} returned shape {shape} at the box center theta={center}; "
                 f"one point must give a (d, l) table with d >= 1 and l >= 2"
             )
         self.n_components, self.n_outcomes = shape
@@ -145,7 +152,7 @@ class ParametricFamily:
         """All outcome distributions at theta: shape (d, l) for one point,
         (..., d, l) for a stack of points of shape (..., D)."""
         t = self.box.require(theta)
-        return self._shaped("probs", self._probs(t), t)
+        return self._shaped(self._rule, self._probs(t), t)
 
     def log_prob_table(self, theta) -> np.ndarray:
         return np.log(self.prob_table(theta))
@@ -155,9 +162,9 @@ class ParametricFamily:
         after one box check: shapes (d, l) and (D, d, l) for one point,
         (..., d, l) and (..., D, d, l) for a stack of points of shape (..., D).
 
-        Both come from one call of the joint rule; without one, the table
-        comes from probs and the Jacobian from finite differences (relative
-        step 1e-5).
+        Both come from one call of the joint rule; a table rule gives the
+        table, and the Jacobian comes from finite differences (relative step
+        1e-5).
         """
         t = self.box.require(theta)
         if self._tables is None:
@@ -222,7 +229,9 @@ class ParametricFamily:
     def _validate(self):
         # np.nonzero(flags)[0][0] is the first point with a flagged entry.
         points = self._validation_points()
-        tables = self._singles("probs", [self._probs(t) for t in points], points, ())
+        rule = self._tables or (lambda t: (self._probs(t),))
+        singles = [rule(t) for t in points]
+        tables = self._singles(self._rule, [pair[0] for pair in singles], points, ())
         bad = ~np.isfinite(tables)
         if np.any(bad):
             i = np.nonzero(bad)[0][0]
@@ -242,18 +251,11 @@ class ParametricFamily:
             raise ConstructionError(
                 f"distribution for alpha={a} sums to {tables[i, a].sum()} at theta={points[i]}"
             )
-        self._check_stack("probs", "(..., d, l)", self._probs(points), points, tables)
+        stacked = rule(points)
+        self._check_stack(self._rule, "(..., d, l)", stacked[0], points, tables)
         if self._tables is not None:
-            pairs = [self._tables(t) for t in points]
-            joint = self._singles("tables", [p for p, _ in pairs], points, ())
-            jacobians = self._singles("tables", [dp for _, dp in pairs], points, (self.dim,))
-            stacked, stacked_jacobians = self._tables(points)
-            self._check_stack("tables", "(..., d, l)", stacked, points, joint)
-            self._check_stack("tables", "(..., D, d, l)", stacked_jacobians, points, jacobians)
-            err = np.max(np.abs(joint - tables).reshape(len(points), -1), axis=1)
-            if np.any(err > 1e-12):
-                raise ConstructionError(f"tables differs by {err.max()} from probs at "
-                                        f"theta={points[int(np.argmax(err))]}")
+            jacobians = self._singles("tables", [pair[1] for pair in singles], points, (self.dim,))
+            self._check_stack("tables", "(..., D, d, l)", stacked[1], points, jacobians)
             err = np.abs(jacobians - self._fd_dprob_table(points))
             bad = err > 1e-6 * (1.0 + np.abs(jacobians))
             if np.any(bad):

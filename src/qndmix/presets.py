@@ -14,6 +14,10 @@ on the box [pi/8, 3*pi/8], with the closed-form Fisher information
 ``qubit_rotation`` exercises the full quantum path: a qubit probe rotated by
 H_alpha = (alpha/2) sigma_x, giving p(0|alpha) = cos^2(theta*alpha/2) and
 Fisher information alpha^2 independent of theta.
+
+Each preset's family is built from one joint rule, which gives the table and
+its Jacobian in one call (``as_family``'s for ``qubit_rotation``); its table
+half alone serves ``prob_table``.
 """
 
 from __future__ import annotations
@@ -103,12 +107,9 @@ def _toy_table(vis, cos: np.ndarray) -> np.ndarray:
     return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
 
 
-def _toy_prob_table(alpha_values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return _toy_table(VISIBILITY, np.cos(_toy_phases(alpha_values, theta[..., 0])))
-
-
 def _toy_tables(alpha_values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_toy_prob_table and its Jacobian (..., 1, d, 8), from one phase table."""
+    """The toy table (..., d, 8) and its Jacobian (..., 1, d, 8), from one
+    phase table."""
     phases = _toy_phases(alpha_values, theta[..., 0])
     sin = np.sin(phases) * alpha_values[:, None]
     dp = np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)
@@ -128,7 +129,6 @@ def _toy_preset(
     """Single-parameter toy model on the box [pi/8, 3pi/8] with theta* = pi/4."""
     family = ParametricFamily(
         ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
-        probs=lambda t: _toy_prob_table(alpha_values, t),
         tables=lambda t: _toy_tables(alpha_values, t),
     )
     return Preset(
@@ -179,10 +179,6 @@ def toy_haroche_full() -> Preset:
     lower = np.concatenate(([TOY_BOX[0]], phase_center - 0.3, [VISIBILITY - 0.15]))
     upper = np.concatenate(([TOY_BOX[1]], phase_center + 0.3, [VISIBILITY + 0.15]))
 
-    def probs(t: np.ndarray) -> np.ndarray:
-        theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
-        return _toy_table(vis, np.cos(alpha_values[:, None] * theta4 + phases))
-
     def tables(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
         arg = alpha_values[:, None] * theta4 + phases           # (..., d, 4)
@@ -196,7 +192,7 @@ def toy_haroche_full() -> Preset:
         ], axis=-3)                                             # (..., 6, d, 4)
         return _toy_table(vis, cos), np.concatenate([half, -half], axis=-1)
 
-    family = ParametricFamily(ParameterBox(lower, upper), probs, tables)
+    family = ParametricFamily(ParameterBox(lower, upper), tables=tables)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))
     return Preset(
         name="toy_haroche_full",

@@ -151,8 +151,9 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
 
     The family constructor's checks are the positivity gate: an outcome with
     probability 0 or 1 at one of its sample points names the offending
-    (theta, alpha, j) in the error.  The joint rule builds U_alpha(theta) psi
-    once for the table p = |<psi_j, U psi>|^2 and the Jacobian
+    (theta, alpha, j) in the error.  The family's one rule is a joint rule:
+    it builds U_alpha(theta) psi once for the table p = |<psi_j, U psi>|^2,
+    which alone serves prob_table, and the Jacobian
     dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> / <psi_j, U psi>),
     which holds when each H_alpha(theta) commutes with its generators, so
     that dU = -i G U; the family's finite-difference consistency check
@@ -163,9 +164,6 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
             f"box has dimension {box.dimension}, but the generators take D = {sys.dim}"
         )
 
-    def probs(theta: np.ndarray) -> np.ndarray:
-        return np.abs(_amplitudes(sys, theta)) ** 2
-
     def tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         upsi = _unitaries(sys, theta) @ sys.probe                               # (..., d, l)
         amps = upsi @ sys.probe_basis.conj()                                    # <psi_j, U psi>
@@ -173,7 +171,7 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
         num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
         return p, p[..., None, :, :] * (2.0 * np.imag(num / amps[..., None, :, :]))
 
-    return ParametricFamily(box, probs, tables)
+    return ParametricFamily(box, tables=tables)
 
 
 # ---------------------------------------------------------------------------

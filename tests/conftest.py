@@ -20,17 +20,14 @@ def make_bernoulli_pair(box=(0.2, 0.8)):
     probability theta/2.  Everything about it is computable by hand.
     """
 
-    def probs(t):
+    def tables(t):
         x = t[..., 0, None, None] * np.array([[1.0], [0.5]])   # (..., 2, 1)
-        return np.concatenate([x, 1.0 - x], axis=-1)
-
-    def jacobian(t):
-        return np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], t.shape[:-1] + (1, 2, 2))
+        jacobian = np.broadcast_to([[[1.0, -1.0], [0.5, -0.5]]], t.shape[:-1] + (1, 2, 2))
+        return np.concatenate([x, 1.0 - x], axis=-1), jacobian
 
     return ParametricFamily(
         box=ParameterBox(np.array([box[0]]), np.array([box[1]])),
-        probs=probs,
-        tables=lambda t: (probs(t), jacobian(t)),
+        tables=tables,
     )
 
 
@@ -69,9 +66,6 @@ def make_random_family(rng):
         p = np.exp(g)
         return p / p.sum(axis=-1, keepdims=True)
 
-    def probs(t):
-        return table(t[..., 0])
-
     def tables(t):
         x = t[..., 0, None, None]
         p = table(t[..., 0])
@@ -80,7 +74,6 @@ def make_random_family(rng):
 
     return ParametricFamily(
         box=ParameterBox(np.array([-1.0]), np.array([1.0])),
-        probs=probs,
         tables=tables,
     )
 

@@ -12,7 +12,6 @@ from qndmix.asymptotics import (
     _anderson_darling_normal,
     _log_ndtr_pair,
     _log_collapse_ratio,
-    _scalar_mle,
     consistency_experiment,
     cramer_rao_experiment,
     lamn_experiment,
@@ -196,7 +195,7 @@ def test_scalar_mle_batch_matches_single(qubit):
         sample_counts(qubit.family, qubit.theta_star, r % 2, 800, r).counts
         for r in range(6)
     ])
-    batch = _scalar_mle(plan)(cm).x
+    batch = estimate._fit(qubit.family, qubit.q.log(), cm, plan.search_box()).x
     from qndmix.estimate import mle
 
     for r in range(6):
@@ -271,15 +270,15 @@ def test_cramer_rao_small_run(qubit):
 
 
 def record_pooled_fits(monkeypatch) -> list:
-    """Route asymptotics' maximize_scalar through a wrapper that keeps each result."""
+    """Route asymptotics' fits through a wrapper that keeps each result."""
     results = []
 
     def recording(*args):
-        res = estimate.maximize_scalar(*args)
+        res = estimate._fit(*args)
         results.append(res)
         return res
 
-    monkeypatch.setattr("qndmix.asymptotics.maximize_scalar", recording)
+    monkeypatch.setattr("qndmix.asymptotics._fit", recording)
     return results
 
 
@@ -325,21 +324,16 @@ def test_max_evaluations_report_the_costliest_refinement(toy, monkeypatch):
 @pytest.mark.parametrize("runner", [cramer_rao_experiment, consistency_experiment])
 def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
     """The one pooled estimator call of an experiment gives, bit for bit, the
-    estimates that _scalar_mle gives on each n_reps-row block by itself."""
+    estimates that the fit gives on each n_reps-row block by itself."""
     from qndmix import asymptotics
 
     calls = []
 
-    def recording(plan):
-        fit = _scalar_mle(plan)
+    def recording(fam, logq, counts_matrix, box):
+        calls.append((counts_matrix, estimate._fit(fam, logq, counts_matrix, box)))
+        return calls[-1][1]
 
-        def recorded(counts_matrix):
-            calls.append((counts_matrix, fit(counts_matrix)))
-            return calls[-1][1]
-
-        return recorded
-
-    monkeypatch.setattr(asymptotics, "_scalar_mle", recording)
+    monkeypatch.setattr(asymptotics, "_fit", recording)
     plan = small_plan(toy, h=np.array([0.0]), n_grid=(1_000, 4_000), n_reps=40)
     runner(plan)
     assert len(calls) == 1
@@ -347,7 +341,7 @@ def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
     blocks = pooled.reshape(-1, plan.n_reps, pooled.shape[1])
     assert len(blocks) == (9 if runner is cramer_rao_experiment else 2)
     for block, x in zip(blocks, res.x.reshape(len(blocks), plan.n_reps, 1)):
-        assert np.array_equal(_scalar_mle(plan)(block).x, x)
+        assert np.array_equal(estimate._fit(toy.family, toy.q.log(), block, plan.search_box()).x, x)
 
 
 # ---------------------------------------------------------------------------

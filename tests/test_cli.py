@@ -18,6 +18,7 @@ from qndmix.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSAL,
+    EXPERIMENTS,
     RunConfig,
     build_plan,
     load_config,
@@ -90,6 +91,7 @@ def test_comma_separated_q_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("q,message", [
     ("dirichlet(1)", "field 'q': cannot parse 'dirichlet(1)'"),
+    ("poissonlike(abc)", "field 'q': bad rate in 'poissonlike(abc)'"),
     ("poissonlike(0)", "field 'q': rate in 'poissonlike(0)' must be positive and finite"),
     ("poissonlike(-1)", "field 'q': rate in 'poissonlike(-1)' must be positive and finite"),
     ("poissonlike(nan)", "field 'q': rate in 'poissonlike(nan)' must be positive and finite"),
@@ -166,6 +168,12 @@ def test_config_file_schema_version(tmp_path):
         load_config(cfg)
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.yaml")
+    cfg.write_text("schema_version: [1\n")
+    with pytest.raises(ConfigError, match=r"run\.yaml: while parsing"):
+        load_config(cfg)
+    cfg.write_text("- schema_version: 1\n")
+    with pytest.raises(ConfigError, match="top level must be a mapping"):
+        load_config(cfg)
 
 
 def test_config_file_unknown_field(tmp_path):
@@ -226,6 +234,13 @@ def test_run_config_validation():
         build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_grid=[]))
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_grid_of_each_subcommand(experiment):
+    plan = build_plan(RunConfig(model="qubit_rotation", experiment=experiment))
+    expected = {"purify": (100, 250, 500), "collapse": (500, 1_000, 2_000)}
+    assert tuple(plan.n_grid) == expected.get(experiment, (1_000, 5_000, 10_000))
+
+
 def test_every_flag_sets_the_run_config_field_of_its_name():
     """The parser's dests, --config aside, are exactly the RunConfig fields:
     one table of names, which _merge passes on unrenamed."""
@@ -265,6 +280,7 @@ MALFORMED = [
     ("theta_star", None, ""),
     ("h", "abc", "abc"),
     ("q", None, ""),
+    ("q", "[true, 1, 1, 1, 1, 1, 1, 1]", "true,1,1,1,1,1,1,1"),
     ("model", "[a]", None),
     ("output_dir", "5", None),
 ]
@@ -635,13 +651,13 @@ def test_fig1_gate_fails_on_biased_estimates(tmp_path, monkeypatch):
     final error leaves the 0.02 band and the subcommand exits 1."""
     argv = ["fig1", "--preset", "toy_haroche", "--seed", "1"]
     assert run_cli(*argv, "--out", str(tmp_path / "plain")) == EXIT_OK
-    maximize = asymptotics.maximize_scalar
+    fit = asymptotics._fit
 
     def biased(*args):
-        res = maximize(*args)
+        res = fit(*args)
         return dataclasses.replace(res, x=res.x + 0.05)
 
-    monkeypatch.setattr(asymptotics, "maximize_scalar", biased)
+    monkeypatch.setattr(asymptotics, "_fit", biased)
     assert run_cli(*argv, "--out", str(tmp_path / "biased")) == EXIT_CHECK_FAILED
     report = json.loads((tmp_path / "biased" / "report.json").read_text())
     assert report["passed"] is False

@@ -464,22 +464,19 @@ def test_trace_csv_matches_the_csv_writer_bytes(name, tmp_path):
 def _two_param_family():
     """d=2, l=3 family with a 2-D parameter; gradients by hand."""
 
-    def probs(t):
+    def tables(t):
         a, b = t[..., 0], t[..., 1]
-        return np.stack([
+        p = np.stack([
             np.stack([a, b, 1.0 - a - b], axis=-1),
             np.stack([b, a, 1.0 - a - b], axis=-1),
         ], axis=-2)
-
-    def jacobian(t):
         da = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
         db = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
-        return np.broadcast_to(np.stack([da, db]), t.shape[:-1] + (2, 2, 3))
+        return p, np.broadcast_to(np.stack([da, db]), t.shape[:-1] + (2, 2, 3))
 
     return ParametricFamily(
         box=ParameterBox(np.array([0.1, 0.1]), np.array([0.4, 0.4])),
-        probs=probs,
-        tables=lambda t: (probs(t), jacobian(t)),
+        tables=tables,
     )
 
 

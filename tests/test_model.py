@@ -104,15 +104,21 @@ def test_family_rejects_boundary_probabilities():
 def test_family_rejects_inconsistent_gradient():
     box = _simple_box()
 
-    def probs(t):
-        return np.stack([t, 1.0 - t], axis=-1)                        # (..., 1, 2)
+    def tables(t):
+        # The Jacobian is off by a factor of 2.
+        return np.stack([t, 1.0 - t], axis=-1), 2.0 * np.stack([t**0, -(t**0)], axis=-1)[..., None, :, :]
 
     with pytest.raises(ConstructionError, match="finite differences"):
-        ParametricFamily(
-            box,
-            probs=probs,
-            tables=lambda t: (probs(t), 2.0 * np.stack([t**0, -(t**0)], axis=-1)[..., None, :, :]),
-        )  # the Jacobian is off by a factor of 2
+        ParametricFamily(box, tables=tables)
+
+
+def test_family_takes_exactly_one_rule(bernoulli_pair):
+    """A family is built from probs or from tables: both, or neither, is refused."""
+    one_rule = "a family takes exactly one rule"
+    with pytest.raises(ConstructionError, match=one_rule):
+        ParametricFamily(_simple_box())
+    with pytest.raises(ConstructionError, match=one_rule):
+        ParametricFamily(_simple_box(), probs=bernoulli_pair.prob_table, tables=bernoulli_pair.tables)
 
 
 @pytest.mark.parametrize("defect, message", [
@@ -120,7 +126,6 @@ def test_family_rejects_inconsistent_gradient():
     ("boundary", "probability p(j=0|alpha=0) = 0.0"),
     ("row sum", "distribution for alpha=0 sums to 0.9"),
     ("gradient", "analytic gradient inconsistent with finite differences"),
-    ("joint table", "tables differs by"),
 ])
 def test_defect_away_from_the_center_is_named_by_its_theta(defect, message):
     """A Bernoulli family on [0.2, 0.8], clean at the center 0.5 and broken
@@ -136,11 +141,10 @@ def test_defect_away_from_the_center_is_named_by_its_theta(defect, message):
 
     def tables(t):
         scale = np.where(broken(t), 2.0, 1.0) if defect == "gradient" else 1.0
-        shift = np.where(broken(t), 1e-9, 0.0) if defect == "joint table" else 0.0
-        return probs(t) + shift, (scale * np.stack([t**0, -(t**0)], axis=-1))[..., None, :, :]
+        return probs(t), (scale * np.stack([t**0, -(t**0)], axis=-1))[..., None, :, :]
 
     with pytest.raises(ConstructionError) as err:
-        ParametricFamily(_simple_box(), probs, tables)
+        ParametricFamily(_simple_box(), tables=tables)
     assert message in str(err.value)
     assert f"theta={np.linspace(0.2, 0.8, 9)[7:8]}" in str(err.value)
 

@@ -16,6 +16,7 @@ from qndmix.presets import (
     toy_haroche_full,
     toy_haroche_guerlin,
 )
+from qndmix.quantum import _amplitudes
 
 from conftest import reference_quantum_jacobian
 
@@ -221,19 +222,22 @@ def test_probs_ignoring_the_stack_is_refused(name, monkeypatch):
     ("toy_haroche_full", 69),
 ])
 def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch):
-    """Building a preset calls probs once at the box center, once at each of
-    the 9 (D = 1) or 49 (D = 6) validation points and once on their stack,
-    then runs one finite-difference pass over the stack: 3 stacked calls per
-    axis, as the box edges need a one-sided stencil."""
-    calls = {"probs": 0, "fd": 0}
+    """Building a preset calls its one rule, the joint tables rule, once at
+    the box center, once at each of the 9 (D = 1) or 49 (D = 6) validation
+    points and once on their stack, then runs one finite-difference pass over
+    the stack: 3 stacked calls per axis, as the box edges need a one-sided
+    stencil."""
+    calls = {"tables": 0, "fd": 0}
     init, fd = ParametricFamily.__init__, ParametricFamily._fd_dprob_table
 
-    def counting_init(self, box, probs, tables=None):
-        def counted(t):
-            calls["probs"] += 1
-            return probs(t)
+    def counting_init(self, box, probs=None, tables=None):
+        assert probs is None
 
-        init(self, box, counted, tables)
+        def counted(t):
+            calls["tables"] += 1
+            return tables(t)
+
+        init(self, box, tables=counted)
 
     def counting_fd(self, t):
         calls["fd"] += 1
@@ -242,7 +246,7 @@ def test_construction_evaluates_probs_once_per_point(name, n_probs, monkeypatch)
     monkeypatch.setattr(ParametricFamily, "__init__", counting_init)
     monkeypatch.setattr(ParametricFamily, "_fd_dprob_table", counting_fd)
     PRESETS[name]()
-    assert calls == {"probs": n_probs, "fd": 1}
+    assert calls == {"tables": n_probs, "fd": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def test_tables_ignoring_the_stack_is_refused(name, monkeypatch):
     parts = (fam.box,)
     first_only = lambda t: fam.tables(t.reshape(-1, fam.dim)[0])
     with pytest.raises(ConstructionError, match="tables returned shape"):
-        ParametricFamily(*parts, probs=fam.prob_table, tables=first_only)
+        ParametricFamily(*parts, tables=first_only)
     swapped = PRESETS[name]().family
     monkeypatch.setattr(swapped, "_tables", first_only)
     with pytest.raises(ConstructionError, match="tables returned shape"):
@@ -282,16 +286,28 @@ def test_tables_ignoring_the_stack_is_refused(name, monkeypatch):
             return tuple(pair)
 
         with pytest.raises(ConstructionError, match="tables on a stack of points differs"):
-            ParametricFamily(*parts, probs=fam.prob_table, tables=reversed_rows)
+            ParametricFamily(*parts, tables=reversed_rows)
 
 
-# The Jacobian rules the presets had before their joint rules, kept as the
-# references their joint rules must reproduce bit for bit.
+# The table and Jacobian rules the presets had before their joint rules,
+# kept as the references their joint rules must reproduce bit for bit.
+
+def reference_toy_table(alpha_values, t):
+    phases = t[..., 0, None, None] * alpha_values[:, None] + (2 - np.arange(4)) * math.pi / 4
+    cos = np.cos(phases)
+    return np.concatenate([(1 + VISIBILITY * cos) / 8, (1 - VISIBILITY * cos) / 8], axis=-1)
+
 
 def reference_toy_jacobian(alpha_values, t):
     phases = t[..., 0, None, None] * alpha_values[:, None] + (2 - np.arange(4)) * math.pi / 4
     sin = np.sin(phases) * alpha_values[:, None]
     return np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)[..., None, :, :]
+
+
+def reference_full_table(alpha_values, t):
+    theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
+    cos = np.cos(alpha_values[:, None] * theta4 + phases)
+    return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
 
 
 def reference_full_jacobian(alpha_values, t):
@@ -306,26 +322,31 @@ def reference_full_jacobian(alpha_values, t):
     return np.concatenate([half, -half], axis=-1)
 
 
-REFERENCE_JACOBIANS = {
-    "toy_haroche": lambda pre, t: reference_toy_jacobian(np.arange(1.0, 9.0), t),
-    "toy_haroche_guerlin": lambda pre, t: reference_toy_jacobian(np.arange(0.0, 8.0), t),
-    "toy_haroche_full": lambda pre, t: reference_full_jacobian(np.arange(1.0, 9.0), t),
-    "qubit_rotation": lambda pre, t: reference_quantum_jacobian(pre.system, t),
+REFERENCE_RULES = {
+    "toy_haroche": lambda pre, t: (reference_toy_table(np.arange(1.0, 9.0), t),
+                                   reference_toy_jacobian(np.arange(1.0, 9.0), t)),
+    "toy_haroche_guerlin": lambda pre, t: (reference_toy_table(np.arange(0.0, 8.0), t),
+                                           reference_toy_jacobian(np.arange(0.0, 8.0), t)),
+    "toy_haroche_full": lambda pre, t: (reference_full_table(np.arange(1.0, 9.0), t),
+                                        reference_full_jacobian(np.arange(1.0, 9.0), t)),
+    "qubit_rotation": lambda pre, t: (np.abs(_amplitudes(pre.system, t)) ** 2,
+                                      reference_quantum_jacobian(pre.system, t)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_joint_rule_equals_probs_and_the_reference_jacobian(name):
-    """Each built-in joint rule gives probs' table and the reference
-    Jacobian bit for bit, at one point and on stacks of one and two axes."""
+    """Each built-in joint rule gives the reference probs table and Jacobian
+    bit for bit, at one point and on stacks of one and two axes, and
+    prob_table gives its table half."""
     pre = get_preset(name)
     fam = pre.family
     center = 0.5 * (fam.box.lower + fam.box.upper)
     stack = np.linspace(fam.box.lower, fam.box.upper, 24)
     for t in (center, fam.box.upper, stack[:1], stack, stack.reshape(4, 6, fam.dim)):
         p, dp = fam._tables(t)
-        reference = REFERENCE_JACOBIANS[name](pre, t)
+        table, jacobian = REFERENCE_RULES[name](pre, t)
         assert p.shape == t.shape[:-1] + (fam.n_components, fam.n_outcomes)
-        assert p.dtype == dp.dtype == reference.dtype == np.float64
-        assert p.tobytes() == fam._probs(t).tobytes()
-        assert dp.shape == reference.shape and dp.tobytes() == reference.tobytes()
+        assert p.dtype == dp.dtype == table.dtype == jacobian.dtype == np.float64
+        assert p.tobytes() == table.tobytes() == fam.prob_table(t).tobytes()
+        assert dp.shape == jacobian.shape and dp.tobytes() == jacobian.tobytes()

@@ -93,6 +93,8 @@ def test_unitary_of_sigma_z_is_diagonal_phase():
 def test_system_rejects_unnormalized_probe():
     with pytest.raises(ConstructionError):
         QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 1.0]))
+    with pytest.raises(ConstructionError, match="probe vector has wrong dimension"):
+        QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 0.0, 0.0]))
 
 
 def test_system_rejects_non_orthonormal_basis():
@@ -102,6 +104,8 @@ def test_system_rejects_non_orthonormal_basis():
             probe=np.array([1.0, 0.0]),
             probe_basis=np.array([[1.0, 1.0], [0.0, 1.0]]),
         )
+    with pytest.raises(ConstructionError, match="probe_basis must be l x l"):
+        QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 0.0]), probe_basis=np.eye(3))
 
 
 def test_system_dimensions_come_from_generators():
@@ -255,6 +259,10 @@ def test_filter_state_validation():
         FilterState(q=np.array([0.5, 0.6]), step=0)
     with pytest.raises(ConstructionError):
         FilterState(q=np.array([0.5, 0.5]), step=0, phi=np.array([1.0, 0.0]))
+    with pytest.raises(ConstructionError, match="phi and q must have the same dimension"):
+        FilterState(q=np.array([0.5, 0.5]), step=0, phi=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ConstructionError, match="phi has norm 1.414"):
+        FilterState(q=np.array([0.5, 0.5]), step=0, phi=np.array([1.0, 1.0]))
     state = FilterState.from_weights([2.0, 2.0])
     np.testing.assert_allclose(state.q, [0.5, 0.5])
 
