@@ -186,16 +186,18 @@ def _fit_blocks(plan: ExperimentPlan, blocks: list) -> tuple:
 def _log_ndtr_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ln Phi(w) and ln Phi(-w) elementwise, from one math.erfc evaluation of the
     tail t = Phi(-|w|) per entry: ln t on the side below 0, log1p(-t) on the side
-    above it, and below -20, where erfc nears underflow, an asymptotic series."""
+    above it, and below -20, where erfc nears underflow, an asymptotic series
+    evaluated on those entries alone."""
     a = np.abs(w)
     z = (a / math.sqrt(2)).ravel().tolist()
     tail = np.array([math.erfc(x) for x in z]).reshape(a.shape) / 2
     body = np.log1p(-tail)
-    x, r = np.minimum(-a, -20.0), 1.0
-    for k in range(23, 0, -2):  # r = 1 - 1/x^2 + 1*3/x^4 - ..., exact to rounding at x <= -20
+    far = a > 20
+    low = np.log(tail, out=np.empty_like(tail), where=~far)           # ln Phi(-|w|)
+    x, r = -a[far], 1.0
+    for k in range(23, 0, -2):  # r = 1 - 1/x^2 + 1*3/x^4 - ..., exact to rounding at x < -20
         r = 1 - k * r / (x * x)
-    far = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
-    low = np.log(tail, out=far, where=a <= 20)                         # ln Phi(-|w|)
+    low[far] = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
     return np.where(w < 0, low, body), np.where(w > 0, low, body)
 
 
@@ -375,7 +377,8 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
 
     Each component's records are drawn on their own stream and stacked, and
     ln r_n of every component is evaluated in one pass at theta* and one at
-    the shifted parameter; the decay rate is fitted per component.
+    the shifted parameter; one least-squares fit gives every component's
+    decay rate.
     """
     check_collapse_grid(plan.n_grid)
     fam, q, reps = plan.family, plan.q, plan.n_reps
@@ -399,26 +402,26 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     frac_ok_shift = np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND, axis=1)
     medians = np.median(sqrt_n_r, axis=1)
     min_kl = np.where(np.eye(d, dtype=bool), np.inf, kl_matrix(fam, plan.theta_star)).min(axis=1)
-    ns = np.asarray(n_grid, dtype=float)
+    if d > 1:
+        # ln r_n ~ -rate * n: the least-squares slopes of every component's
+        # mean path, from one fit.
+        rates = -np.polyfit(np.asarray(n_grid, dtype=float), log_r.mean(axis=1).T, 1)[0]
+        rates_ok = rates >= COLLAPSE_RATE_SLACK * min_kl
+    else:
+        rates, rates_ok = np.full(d, np.inf), np.full(d, True)
     per_component = {}
     all_pass = True
 
     for g in range(d):
-        if d > 1:
-            # ln r_n ~ -rate * n; least-squares slope of the mean path.
-            rate = float(-np.polyfit(ns, log_r[g].mean(axis=0), 1)[0])
-            rate_ok = rate >= COLLAPSE_RATE_SLACK * min_kl[g]
-        else:
-            rate, rate_ok = np.inf, True
         comp_pass = (
             frac_ok[g] >= COLLAPSE_QUANTILE
             and frac_ok_shift[g] >= COLLAPSE_QUANTILE
-            and rate_ok
+            and rates_ok[g]
         )
         per_component[g] = {
             "min_kl": min_kl[g],
-            "fitted_rate": rate,
-            "rate_ok": bool(rate_ok),
+            "fitted_rate": rates[g],
+            "rate_ok": rates_ok[g],
             "sqrt_n_r_median": medians[g],
             "fraction_below_bound": frac_ok[g],
             "fraction_below_bound_shifted": frac_ok_shift[g],
@@ -568,40 +571,40 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
     p_n = plan.family.prob_table(theta_n)
     d = plan.family.n_components
-    # Component g's replications on (TAG_CRAMER, g), the mixture's on (TAG_CRAMER, d).
-    laws = [p_n[np.full(plan.n_reps, g)] for g in range(d)]
-    laws.append(p_n[_draw_mixture_gammas(plan, TAG_CRAMER)])
+    # Row g < d holds component g's replications, drawn on (TAG_CRAMER, g);
+    # row d the mixture's, drawn on (TAG_CRAMER, d).
+    gammas = np.vstack([np.repeat(np.arange(d)[:, None], plan.n_reps, axis=1),
+                        _draw_mixture_gammas(plan, TAG_CRAMER)])
+    laws = p_n[gammas]                                                      # (d + 1, R, l)
     blocks = [
         sample_count_paths(p, (n,), substream(plan.master_seed, TAG_CRAMER, g))[:, 0]
         for g, p in enumerate(laws)
     ]
     x_hat, boundary, evaluations = _fit_blocks(plan, blocks)
-    per_component = {}
-    all_pass = True
-
-    for g in range(d):
-        root = np.sqrt(n) * (x_hat[g] - theta_n[0])
-        var = float(root.var(ddof=1))
-        target = 1.0 / fishers[g]
-        ratio = var / target
-        ok = CRAMER_RATIO_BAND[0] <= ratio <= CRAMER_RATIO_BAND[1]
-        per_component[g] = {
-            "fisher": float(fishers[g]),
-            "var": var,
-            "mean": float(root.mean()),
-            "target_var": target,
-            "efficiency_ratio": float(ratio),
-            "boundary_hits": int(boundary[g].sum()),
-            "max_evaluations": int(evaluations[g].max()),
-            "passed": bool(ok),
+    root = np.sqrt(n) * (x_hat - theta_n[0])                                # (d + 1, R)
+    var, mean = root[:d].var(axis=1, ddof=1), root[:d].mean(axis=1)
+    target = 1.0 / fishers
+    ratio = var / target
+    passed = (CRAMER_RATIO_BAND[0] <= ratio) & (ratio <= CRAMER_RATIO_BAND[1])
+    hits, max_evals = boundary.sum(axis=1), evaluations.max(axis=1)
+    per_component = {
+        g: {
+            "fisher": fishers[g],
+            "var": var[g],
+            "mean": mean[g],
+            "target_var": target[g],
+            "efficiency_ratio": ratio[g],
+            "boundary_hits": hits[g],
+            "max_evaluations": max_evals[g],
+            "passed": passed[g],
         }
-        all_pass = all_pass and ok
+        for g in range(d)
+    }
 
-    root = np.sqrt(n) * (x_hat[d] - theta_n[0])
-    second = float(np.mean(root**2))
-    target_second = float(plan.q.q @ (1.0 / fishers))
+    second = float(np.mean(root[d] ** 2))
+    target_second = float(plan.q.q @ target)
     mix_ok = abs(second / target_second - 1.0) <= CRAMER_MIXTURE_RTOL
-    all_pass = all_pass and mix_ok
+    all_pass = bool(passed.all()) and mix_ok
 
     report = {
         "experiment": "cramer_rao",
@@ -615,8 +618,8 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "second_moment": second,
             "target": target_second,
             "ratio": second / target_second,
-            "boundary_hits": int(boundary[d].sum()),
-            "max_evaluations": int(evaluations[d].max()),
+            "boundary_hits": hits[d],
+            "max_evaluations": max_evals[d],
             "passed": bool(mix_ok),
         },
         "efficiency_band": CRAMER_RATIO_BAND,

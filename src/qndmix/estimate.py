@@ -8,11 +8,11 @@ record only through its outcome counts:
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.
 
-loglik_rows evaluates it, its score and its curvature for many rows at once.
-Both maximizers seed each row's candidates from one shared scan of the box,
-built once per family and box; maximize_scalar (D = 1) refines them by
-bracketed root-finding on the score, _maximize_box (D > 1) by projected
-Fisher scoring.  A trial batch takes p and its Jacobian from one
+loglik_rows evaluates it, its score and, on request, its curvature for many
+rows at once.  Both maximizers seed each row's candidates from one shared
+scan of the box, built once per family and box; maximize_scalar (D = 1)
+refines them by bracketed root-finding on the score, _maximize_box (D > 1)
+by projected Fisher scoring.  A trial batch takes p and its Jacobian from one
 ParametricFamily.tables call, and mle takes the posterior and the Fisher
 stack at theta_hat from one more.
 """
@@ -203,9 +203,10 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
 
     ``f(x)`` evaluates every row at every point of the 1-D array x and returns
     an (R, len(x)) array (or a length-len(x) vector when R = 1);
-    ``f(x, rows)`` evaluates row rows[i] at x[i] and returns three vectors:
-    the values, the slopes and a negative curvature (an expected Hessian will
-    do), which is used for the first step only.
+    ``f(x, rows)`` evaluates row rows[i] at x[i] and returns two vectors, the
+    values and the slopes; ``f(x, rows, curvature=True)`` adds a third, a
+    negative curvature (an expected Hessian will do).  Only the first
+    evaluation asks for the curvature, which sets the first step.
 
     A shared scan of COARSE_POINTS points picks each row's candidates: the
     scan argmax and every strict local maximum.  Each candidate starts at its
@@ -229,7 +230,7 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     x = xs[idx]
     a = xs[np.maximum(idx - 1, 0)]
     b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
-    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows))
+    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows, curvature=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -slope / curvature
     moved = np.full(rows.size, np.inf)
@@ -255,7 +256,7 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
             break
         new = x + step
         new = np.where((new > a) & (new < b), new, 0.5 * (a + b))
-        v, s, _ = f(new, live_rows)
+        v, s = f(new, live_rows)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = s * (new - x) / (slope - s)
         moved = np.abs(new - x)
@@ -308,9 +309,11 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
 
     at scan points x (m scalars or (m, D)) for every row, or at trial points
     x (k scalars or (k, D)) with its slope (the mixture score over n_r),
-    shaped like x, and the Fisher-scoring curvature
-    -sum_alpha w_alpha I_alpha(x), shaped (k,) or (k, D, D), where w are the
-    posterior component weights of the row at x.
+    shaped like x, and, when called with curvature=True, the Fisher-scoring
+    curvature -sum_alpha w_alpha I_alpha(x), shaped (k,) or (k, D, D), where
+    w are the posterior component weights of the row at x.  maximize_scalar
+    asks for the curvature at its first evaluation only, _maximize_box at
+    every one.
 
     logq is (R, d) and counts (R, l); either may have a single row shared by
     all.  Log-weights 0 on one component and -inf elsewhere give that
@@ -340,7 +343,7 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
             out[b] = (logsumexp(terms, axis=0) / n[b]).T
         return out
 
-    def at_points(x: np.ndarray, rows: np.ndarray) -> tuple:
+    def at_points(x: np.ndarray, rows: np.ndarray, curvature: bool) -> tuple:
         t = x.reshape(len(x), -1)
         p, dp = fam.tables(t)                                      # (k, d, l), (k, D, d, l)
         c = counts[rows]
@@ -349,13 +352,18 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         w = np.exp(terms - total[:, None])[:, None, :]
         score = dp / p[:, None]
         slope = np.sum(w * np.einsum("kidl,kl->kid", score, c), axis=-1) / n[rows, None]
-        curvature = -np.sum(w[:, None] * np.einsum("kidl,kjdl->kijd", dp, score), axis=-1)
-        return total / n[rows], slope.reshape(x.shape), curvature.reshape(x.shape + x.shape[1:])
+        value, slope = total / n[rows], slope.reshape(x.shape)
+        if not curvature:
+            return value, slope
+        h = -np.sum(w[:, None] * np.einsum("kidl,kjdl->kijd", dp, score), axis=-1)
+        return value, slope, h.reshape(x.shape + x.shape[1:])
 
-    def f(x: np.ndarray, rows: Optional[np.ndarray] = None):
+    def f(x: np.ndarray, rows: Optional[np.ndarray] = None, curvature: bool = False):
         if rows is None:
             return scan(x)
-        parts = [at_points(x[b], rows[b]) for b in _blocks(len(x))]
+        if len(x) <= ROW_BLOCK:
+            return at_points(x, rows, curvature)
+        parts = [at_points(x[b], rows[b], curvature) for b in _blocks(len(x))]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     return f
@@ -455,7 +463,7 @@ def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
     rows, idx = np.nonzero(peak)
 
     x = xs[idx]
-    fx, g, h = f(x, rows)
+    fx, g, h = f(x, rows, curvature=True)
     evaluations = np.ones(rows.size, dtype=int)
     scale = np.ones(rows.size)
     act = np.arange(rows.size)
@@ -469,7 +477,7 @@ def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
         act, x_new = act[moving], x_new[moving]
         if act.size == 0:
             break
-        f_new, g_new, h_new = f(x_new, rows[act])
+        f_new, g_new, h_new = f(x_new, rows[act], curvature=True)
         evaluations[act] += 1
         rise = f_new > fx[act]
         up = act[rise]

@@ -100,20 +100,33 @@ def _toy_phases(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return theta[..., None, None] * alpha[:, None] + (2 - a) * math.pi / 4
 
 
-def _toy_table(vis, cos: np.ndarray) -> np.ndarray:
-    """The table (1 +/- vis * cos) / 8 of shape (..., d, 8) from cos of shape
-    (..., d, 4): x = 0 keeps the cosine sign, x = 1 flips it; columns follow
-    j = 4x + a."""
-    return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
+def _signed_halves(v: np.ndarray) -> np.ndarray:
+    """(v, -v) side by side along the last axis: shape (..., 2k) from (..., k)."""
+    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
+    out[..., :v.shape[-1]] = v
+    np.negative(v, out=out[..., v.shape[-1]:])
+    return out
+
+
+def _toy_table(vc: np.ndarray) -> np.ndarray:
+    """The table (1 +/- vc) / 8 of shape (..., d, 8) from vc = vis * cos of
+    shape (..., d, 4): x = 0 keeps the cosine sign, x = 1 flips it; columns
+    follow j = 4x + a."""
+    p = _signed_halves(vc)
+    p += 1
+    p /= 8
+    return p
 
 
 def _toy_tables(alpha_values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The toy table (..., d, 8) and its Jacobian (..., 1, d, 8), from one
-    phase table."""
+    phase table; the x = 1 half of the Jacobian negates the x = 0 half."""
     phases = _toy_phases(alpha_values, theta[..., 0])
     sin = np.sin(phases) * alpha_values[:, None]
-    dp = np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)
-    return _toy_table(VISIBILITY, np.cos(phases)), dp[..., None, :, :]
+    sin *= -VISIBILITY
+    dp = _signed_halves(sin)
+    dp /= 8
+    return _toy_table(VISIBILITY * np.cos(phases)), dp[..., None, :, :]
 
 
 def _toy_fisher(theta: float, alpha: float) -> float:
@@ -190,7 +203,7 @@ def toy_haroche_full() -> Preset:
             d_phase[..., None, :, :] * np.eye(4)[:, None, :],
             (cos / 8)[..., None, :, :],
         ], axis=-3)                                             # (..., 6, d, 4)
-        return _toy_table(vis, cos), np.concatenate([half, -half], axis=-1)
+        return _toy_table(vis * cos), _signed_halves(half)
 
     family = ParametricFamily(ParameterBox(lower, upper), tables=tables)
     theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))

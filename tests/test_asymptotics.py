@@ -22,7 +22,7 @@ from qndmix.asymptotics import (
 from qndmix.errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from qndmix import estimate
 from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily, kl_matrix
-from qndmix.presets import toy_haroche_full, toy_haroche_guerlin
+from qndmix.presets import get_preset, toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_trajectory, substream
 
@@ -344,6 +344,88 @@ def test_pooled_fit_equals_one_fit_per_block(toy, runner, monkeypatch):
         assert np.array_equal(estimate._fit(toy.family, toy.q.log(), block, plan.search_box()).x, x)
 
 
+def cramer_rao_statistics_per_component(plan, x_hat, boundary, evaluations):
+    """The per_component and mixture entries of cramer_rao_experiment from its
+    fit's estimates, boundary flags and evaluation counts, one component per
+    loop iteration: the loop the experiment ran before it took each statistic
+    as one reduction over every component, kept as its reference."""
+    fishers = plan.fisher[:, 0, 0]
+    n = max(plan.n_grid)
+    theta_n = plan.theta_star + plan.h / np.sqrt(n)
+    d = plan.family.n_components
+    per_component = {}
+    for g in range(d):
+        root = np.sqrt(n) * (x_hat[g] - theta_n[0])
+        var = float(root.var(ddof=1))
+        target = 1.0 / fishers[g]
+        ratio = var / target
+        ok = asym.CRAMER_RATIO_BAND[0] <= ratio <= asym.CRAMER_RATIO_BAND[1]
+        per_component[g] = {
+            "fisher": float(fishers[g]), "var": var, "mean": float(root.mean()),
+            "target_var": target, "efficiency_ratio": float(ratio),
+            "boundary_hits": int(boundary[g].sum()), "max_evaluations": int(evaluations[g].max()),
+            "passed": bool(ok),
+        }
+    root = np.sqrt(n) * (x_hat[d] - theta_n[0])
+    second = float(np.mean(root**2))
+    target_second = float(plan.q.q @ (1.0 / fishers))
+    mixture = {
+        "second_moment": second, "target": target_second, "ratio": second / target_second,
+        "boundary_hits": int(boundary[d].sum()), "max_evaluations": int(evaluations[d].max()),
+        "passed": bool(abs(second / target_second - 1.0) <= asym.CRAMER_MIXTURE_RTOL),
+    }
+    return asym._jsonable(per_component), asym._jsonable(mixture)
+
+
+@pytest.mark.parametrize("n_reps", [5, 200])
+@pytest.mark.parametrize("preset", ["toy", "qubit"])
+def test_cramer_rao_statistics_equal_the_per_component_loop(request, preset, n_reps, monkeypatch):
+    """cramer_rao_experiment's per_component and mixture entries equal, bit for
+    bit, those of the per-component loop on the estimates its one fit gave,
+    captured through a spy on _fit_blocks."""
+    pre = request.getfixturevalue(preset)
+    fit_blocks, fits = asym._fit_blocks, []
+
+    def spy(plan, blocks):
+        fits.append(fit_blocks(plan, blocks))
+        return fits[-1]
+
+    monkeypatch.setattr(asym, "_fit_blocks", spy)
+    for seed, h in ((0, 0.0), (1, 1.0)):
+        fits.clear()
+        plan = small_plan(pre, h=np.array([h]), n_grid=(1_000, 10_000), n_reps=n_reps, master_seed=seed)
+        report = cramer_rao_experiment(plan)
+        assert len(fits) == 1
+        per_component, mixture = cramer_rao_statistics_per_component(plan, *fits[0])
+        assert json.dumps(report["per_component"]) == json.dumps(per_component)
+        assert json.dumps(report["mixture"]) == json.dumps(mixture)
+
+
+@pytest.mark.parametrize("n_reps", [30, 200])
+@pytest.mark.parametrize("preset", ["toy_haroche", "qubit_rotation", "toy_haroche_guerlin"])
+def test_collapse_rates_equal_one_fit_per_component(preset, n_reps, monkeypatch):
+    """The fitted rates of mixture_collapse_experiment, from one least-squares
+    fit of every component's mean path, equal bit for bit one np.polyfit per
+    component on the ln r_n its first _log_collapse_ratio call gave."""
+    pre = get_preset(preset)
+    ratios = []
+
+    def spy(*args):
+        ratios.append(_log_collapse_ratio(*args))
+        return ratios[-1]
+
+    monkeypatch.setattr(asym, "_log_collapse_ratio", spy)
+    for seed, grid in ((0, (500, 1_000, 2_000)), (1, (20, 100, 2_000)), (2, (50, 200))):
+        ratios.clear()
+        plan = small_plan(pre, h=np.array([0.0]), n_grid=grid, n_reps=n_reps, master_seed=seed)
+        report = mixture_collapse_experiment(plan)
+        log_r = ratios[0]                                                   # (d, R, K)
+        ns = np.asarray(sorted(grid), dtype=float)
+        d = pre.family.n_components
+        rates = [float(-np.polyfit(ns, log_r[g].mean(axis=0), 1)[0]) for g in range(d)]
+        assert json.dumps([report["per_component"][str(g)]["fitted_rate"] for g in range(d)]) == json.dumps(rates)
+
+
 # ---------------------------------------------------------------------------
 # Stacked LAMN and collapse against the per-component loop
 # ---------------------------------------------------------------------------
@@ -531,6 +613,35 @@ def test_anderson_darling_pinned():
     stat, crit = _anderson_darling_normal(np.sin(np.arange(1.0, 51.0)))
     assert stat == pytest.approx(1.546910023368497, rel=1e-12)
     assert crit == 1.019
+
+
+def reference_log_ndtr_pair(w):
+    """_log_ndtr_pair as it evaluated the asymptotic series on every entry and
+    kept it where |w| > 20: the reference for the series on those alone."""
+    a = np.abs(w)
+    tail = np.array([math.erfc(x) for x in (a / math.sqrt(2)).ravel().tolist()]).reshape(a.shape) / 2
+    body = np.log1p(-tail)
+    x, r = np.minimum(-a, -20.0), 1.0
+    for k in range(23, 0, -2):
+        r = 1 - k * r / (x * x)
+    far = -0.5 * x * x - np.log(-x) - 0.5 * math.log(2 * math.pi) + np.log(r)
+    low = np.log(tail, out=far, where=a <= 20)
+    return np.where(w < 0, low, body), np.where(w > 0, low, body)
+
+
+@pytest.mark.parametrize("scale", [1.0, 15.0, 40.0, 100.0])
+def test_log_ndtr_pair_equals_the_reference(scale):
+    """Entries beyond |w| = 20 mixed with ordinary ones, the edges +-20, 0 and
+    +-38 (where erfc underflows) among them: both halves equal the reference
+    bit for bit, and no numpy warning escapes."""
+    w = np.random.default_rng(int(scale)).standard_normal((8, 150)) * scale
+    w[0, :7] = [20.0, -20.0, 0.0, 38.0, -38.0, 20.000000000000004, -1e3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_ndtr_pair(w)
+    assert 0 < np.count_nonzero(np.abs(w) > 20) < w.size
+    for g, want in zip(got, reference_log_ndtr_pair(w)):
+        assert g.tobytes() == want.tobytes()
 
 
 def test_log_ndtr_matches_scipy():

@@ -114,11 +114,13 @@ def test_loglik_no_underflow_at_large_n(bernoulli_pair, uniform2):
 # Optimizers
 # ---------------------------------------------------------------------------
 
-def _objective(f, slope, curvature):
-    """maximize_scalar objective: values alone on the scan, and values, slopes
-    and curvatures at trial points."""
-    def obj(x, rows=None):
-        return f(x) if rows is None else (f(x), slope(x), curvature(x))
+def _objective(f, slope, hessian):
+    """maximize_scalar objective: values alone on the scan, and values and
+    slopes at trial points, with the curvatures hessian(x) when asked for."""
+    def obj(x, rows=None, curvature=False):
+        if rows is None:
+            return f(x)
+        return (f(x), slope(x), hessian(x)) if curvature else (f(x), slope(x))
     return obj
 
 
@@ -170,7 +172,7 @@ def reference_maximize_scalar(f, lo, hi):
     x = xs[idx]
     a = xs[np.maximum(idx - 1, 0)]
     b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
-    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows))
+    value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows, curvature=True))
     evaluations = np.ones(rows.size, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -slope / curvature
@@ -185,7 +187,7 @@ def reference_maximize_scalar(f, lo, hi):
         x_act, lo_act, hi_act = x[act], a[act], b[act]
         new = x_act + step[act]
         new = np.where((new > lo_act) & (new < hi_act), new, 0.5 * (lo_act + hi_act))
-        v, s, _ = f(new, rows[act])
+        v, s = f(new, rows[act])
         with np.errstate(divide="ignore", invalid="ignore"):
             step[act] = s * (new - x_act) / (slope[act] - s)
         moved[act] = np.abs(new - x_act)
@@ -240,11 +242,13 @@ def test_maximize_scalar_equals_the_reference_loop_on_closed_forms(objective, lo
     _assert_same_maxima(maximize_scalar(f, lo, hi), reference_maximize_scalar(f, lo, hi))
 
 
-def _box_objective(f, slope, curvature):
+def _box_objective(f, slope, hessian):
     """_maximize_box objective on one row: values alone on the scan, shaped
-    (1, m), and values, slopes and curvatures at trial points of shape (k, 2)."""
-    def obj(x, rows=None):
-        return f(x)[None] if rows is None else (f(x), slope(x), curvature(x))
+    (1, m), and values, slopes and curvatures hessian(x) at trial points of
+    shape (k, 2), where _maximize_box always asks for the curvature."""
+    def obj(x, rows=None, curvature=False):
+        assert rows is None or curvature
+        return f(x)[None] if rows is None else (f(x), slope(x), hessian(x))
     return obj
 
 
@@ -292,7 +296,7 @@ def _multi_start_reference(f, n_rows, lower, upper, n_starts=8):
     starts = lower + _halton(n_starts, lower.size) * (upper - lower)
     rows = np.repeat(np.arange(n_rows), n_starts)
     x = np.tile(starts, (n_rows, 1))
-    fx, g, h = f(x, rows)
+    fx, g, h = f(x, rows, curvature=True)
     scale = np.ones(rows.size)
     act = np.arange(rows.size)
     for _ in range(MAX_STEPS):
@@ -305,7 +309,7 @@ def _multi_start_reference(f, n_rows, lower, upper, n_starts=8):
         act, x_new = act[moving], x_new[moving]
         if act.size == 0:
             break
-        f_new, g_new, h_new = f(x_new, rows[act])
+        f_new, g_new, h_new = f(x_new, rows[act], curvature=True)
         rise = f_new > fx[act]
         up = act[rise]
         x[up], fx[up], g[up], h[up] = x_new[rise], f_new[rise], g_new[rise], h_new[rise]
@@ -343,13 +347,53 @@ def test_loglik_rows_curvature_is_the_expected_information():
     fam, x, d = pre.family, pre.theta_star, pre.family.n_components
     c = sample_counts(fam, x, 2, 20, 3)   # a short record keeps the posterior spread
     logq = np.vstack([pre.q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
-    _, _, curvature = loglik_rows(fam, logq, c.counts)(np.tile(x, (d + 1, 1)), np.arange(d + 1))
+    _, _, curvature = loglik_rows(fam, logq, c.counts)(np.tile(x, (d + 1, 1)), np.arange(d + 1), curvature=True)
     info = fisher_information(fam, x)
     terms = log_terms(fam, pre.q, c.counts, x)
     w = np.exp(terms - logsumexp(terms))
     assert curvature.shape == (d + 1, fam.dim, fam.dim)
     np.testing.assert_allclose(curvature[1:], -info, rtol=0, atol=1e-12)
     np.testing.assert_allclose(curvature[0], -np.einsum("a,aij->ij", w, info), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [45, ROW_BLOCK + 1])
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
+def test_trial_points_give_the_same_values_and_slopes_with_or_without_curvature(name, k):
+    """At k trial points, in one block and across two, f(x, rows) returns the
+    values and slopes alone, and their bytes are those that
+    f(x, rows, curvature=True) returns before its curvature."""
+    pre = get_preset(name)
+    fam, q, box = pre.family, pre.q, pre.search_box()
+    rng = np.random.default_rng(k)
+    laws = fam.prob_table(pre.theta_star)[rng.choice(fam.n_components, size=50, p=q.q)]
+    f = loglik_rows(fam, q.log(), sample_count_paths(laws, (10_000,), rng)[:, 0])
+    x, rows = rng.uniform(box.lower[0], box.upper[0], k), rng.integers(0, 50, k)
+    plain, full = f(x, rows), f(x, rows, curvature=True)
+    assert len(plain) == 2 and len(full) == 3 and full[2].shape == (k,)
+    for got, want in zip(plain, full):
+        assert got.shape == (k,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_guerlin"])
+def test_maximize_scalar_asks_for_the_curvature_once(name):
+    """One maximize_scalar call on mle's rows of a record asks its objective
+    for the curvature at exactly one evaluation, the first at trial points."""
+    pre = get_preset(name)
+    fam, q, box = pre.family, pre.q, pre.search_box()
+    d = fam.n_components
+    record = sample_mixture_trajectory(fam, pre.theta_star, q, 10_000, 4)
+    f = loglik_rows(fam, np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)]),
+                    counts(record, n_outcomes=fam.n_outcomes).counts)
+    asked = []
+
+    def counting(x, rows=None, curvature=False):
+        if rows is not None:
+            asked.append(curvature)
+        return f(x, rows, curvature=curvature)
+
+    res = maximize_scalar(counting, float(box.lower[0]), float(box.upper[0]))
+    assert asked[0] and asked.count(True) == 1 and len(asked) > 1
+    assert res.converged.all()
 
 
 def test_loglik_rows_blocks_cover_every_row_once():
@@ -369,12 +413,13 @@ def test_loglik_rows_blocks_cover_every_row_once():
     x = rng.uniform(box.lower[0], box.upper[0], r_max)
     alone = [loglik_rows(fam, logq, cm[r]) for r in range(r_max)]
     scan_alone = np.vstack([f(xs) for f in alone])
-    at_x_alone = [np.concatenate(v) for v in zip(*(f(x[r:r + 1], np.zeros(1, int)) for r, f in enumerate(alone)))]
+    at_x_alone = [np.concatenate(v) for v in zip(*(f(x[r:r + 1], np.zeros(1, int), curvature=True)
+                                                   for r, f in enumerate(alone)))]
     for n_rows in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, r_max):
         f = loglik_rows(fam, logq, cm[:n_rows])
         np.testing.assert_allclose(f(xs), scan_alone[:n_rows], rtol=1e-14, atol=0)
         rows = rng.permutation(n_rows)
-        for got, want in zip(f(x[rows], rows), at_x_alone):
+        for got, want in zip(f(x[rows], rows, curvature=True), at_x_alone):
             assert np.array_equal(got, want[rows])
 
 
