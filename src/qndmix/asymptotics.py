@@ -147,12 +147,15 @@ class ExperimentPlan:
         m.setflags(write=False)
         return m
 
-    def check_hypotheses(self, scalar: bool = False) -> np.ndarray:
+    def check_hypotheses(self, fit_at: Optional[np.ndarray] = None) -> np.ndarray:
         """The Fisher stack at theta*, once the plan meets the hypotheses of the
-        limit theorems; RefusalError otherwise.  An experiment that needs the
-        scalar MLE (scalar=True) refuses D != 1 first; then every component's
-        Fisher information must be non-singular at theta*."""
-        if scalar and self.family.dim != 1:
+        limit theorems; RefusalError otherwise.  An experiment that fits the
+        scalar MLE passes the point its estimates should recover as fit_at,
+        and refuses D != 1 first; then every component's Fisher information
+        must be non-singular at theta*; then fit_at must be interior to the
+        search box, as outside it the estimates pile up on the box edge and
+        the verdict measures the box, not the estimator."""
+        if fit_at is not None and self.family.dim != 1:
             raise RefusalError(
                 f"this experiment covers D = 1 only; the model has D = {self.family.dim}"
             )
@@ -160,6 +163,12 @@ class ExperimentPlan:
         if singular.any():
             raise SingularFisherError(
                 f"Fisher information of component {int(np.argmax(singular))} is singular at theta*"
+            )
+        box = self.search_box()
+        if fit_at is not None and not box.is_interior(fit_at):
+            raise RefusalError(
+                f"the fitted point theta = {fit_at} is not interior to the search box "
+                f"[{box.lower}, {box.upper}]"
             )
         return self.fisher
 
@@ -221,14 +230,8 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
     return x
 
 
@@ -255,8 +258,8 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     d = fam.n_components
     n_max = max(plan.n_grid)
     p_star = fam.prob_table(plan.theta_star)
-    hih = [float(h @ f @ h) for f in fishers]
-    tested = np.array(hih) > 0
+    hih = np.einsum("i,gij,j->g", h, fishers, h)
+    tested = hih > 0
     by_n = {}
 
     for n in plan.n_grid:
@@ -280,9 +283,9 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
 
     per_component: dict = {}
     all_pass = True
-    for g in range(d):
+    for g, hih_g in enumerate(hih.tolist()):
         per_n = {}
-        target_mean, target_var = -0.5 * hih[g], hih[g]
+        target_mean, target_var = -0.5 * hih_g, hih_g
         for n, (mean, var, se, ad, crit) in by_n.items():
             entry = {
                 "n": n,
@@ -301,16 +304,15 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
             per_n[n] = entry
         final = per_n[n_max]
         comp_pass = final["mean_ok"] and final["var_ok"] and final.get("ad_ok", True)
-        per_component[g] = {"fisher_quadratic": hih[g], "by_n": per_n, "passed": comp_pass}
+        per_component[g] = {"fisher_quadratic": hih_g, "by_n": per_n, "passed": comp_pass}
         all_pass = all_pass and comp_pass
 
     # Mixture limit via Lemma-style aggregation: reweight the per-component
     # samples by drawn gammas.
     gammas = _draw_mixture_gammas(plan, TAG_LAMN)
     mixture_samples = samples_at_nmax[gammas, np.arange(reps)]
-    hih_all = np.einsum("i,gij,j->g", h, fishers, h)
-    mix_mean_target = float(q.q @ (-0.5 * hih_all))
-    mix_second = q.q @ (hih_all + 0.25 * hih_all**2)
+    mix_mean_target = float(q.q @ (-0.5 * hih))
+    mix_second = q.q @ (hih + 0.25 * hih**2)
     mix_var_target = float(mix_second - mix_mean_target**2)
     report = {
         "experiment": "lamn",
@@ -457,7 +459,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     max_evaluations, the most objective evaluations one record's refinement
     took.  A component Fisher information singular at theta* is refused.
     """
-    plan.check_hypotheses(scalar=True)
+    plan.check_hypotheses(fit_at=plan.theta_star)
     n_grid = sorted(plan.n_grid)
     p_star = plan.family.prob_table(plan.theta_star)
     blocks = []
@@ -502,7 +504,7 @@ def mle_path(
     non-singular): one path of (n, theta_hat) per trajectory, n ascending.
     Every prefix of every trajectory is fitted in one estimator call.  A
     prefix length outside 1..len(traj) raises DomainError naming it."""
-    plan.check_hypotheses(scalar=True)
+    plan.check_hypotheses(fit_at=plan.theta_star)
     ns = sorted(int(n) for n in n_points)
     for n in ns:
         if n < 1:
@@ -529,7 +531,7 @@ def fig1_experiment(plan: ExperimentPlan) -> tuple[dict, list]:
     prefix lengths of FIG1_SEEDS mixture records of FIG1_N_MAX steps, record k
     on seed master_seed * FIG1_SEEDS + k.  It passes when every final estimate
     lies within FIG1_TOLERANCE of theta*.  Returns the report and the paths."""
-    plan.check_hypotheses(scalar=True)
+    plan.check_hypotheses(fit_at=plan.theta_star)
     target = float(plan.theta_star[0])
     trajs = [
         sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, FIG1_N_MAX, plan.master_seed * FIG1_SEEDS + k)
@@ -566,9 +568,9 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     the variance, and max_evaluations, the most objective evaluations one
     replication's refinement took; the verdict uses neither.
     """
-    fishers = plan.check_hypotheses(scalar=True)[:, 0, 0]
     n = max(plan.n_grid)
     theta_n = plan.theta_star + plan.h / np.sqrt(n)
+    fishers = plan.check_hypotheses(fit_at=theta_n)[:, 0, 0]
     p_n = plan.family.prob_table(theta_n)
     d = plan.family.n_components
     # Row g < d holds component g's replications, drawn on (TAG_CRAMER, g);

@@ -5,10 +5,11 @@ write its JSON report and CSV plot data, and map it to an exit code.
 Exit codes: 0 success, 1 experiment check failed, 2 config error (a field that
 does not convert, a plan out of range, or an output path through an existing
 file, checked before the run; no output directory is made),
-3 refusal (RefusalError from the plan's one hypotheses check: singular
-Fisher information, or an experiment that covers D = 1 only run on a
-multi-parameter model; fig1 runs the check before drawing), 4 any other
-package error, 5 an unexpected exception.
+3 refusal (RefusalError from the plan's one hypotheses check: an
+experiment that covers D = 1 only run on a multi-parameter model, singular
+Fisher information, or a fitted point, theta* or cramer-rao's
+theta* + h/sqrt(n), not interior to the search box; fig1 runs the check
+before drawing), 4 any other package error, 5 an unexpected exception.
 """
 
 from __future__ import annotations

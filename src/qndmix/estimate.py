@@ -10,7 +10,8 @@ components cannot underflow the total.
 
 loglik_rows evaluates it, its score and, on request, its curvature for many
 rows at once.  Both maximizers seed each row's candidates from one shared
-scan of the box, built once per family and box; maximize_scalar (D = 1)
+scan of the box, whose ln p table is built once per family and box (keyed
+on the scan points' values); maximize_scalar (D = 1)
 refines them by bracketed root-finding on the score, _maximize_box (D > 1)
 by projected Fisher scoring.  A trial batch takes p and its Jacobian from one
 ParametricFamily.tables call, and mle takes the posterior and the Fisher
@@ -213,13 +214,14 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     scan point, bracketed by the two scan neighbours, and steps towards a
     root of its slope: one Newton step with the supplied curvature, then
     secant steps.  The sign of the slope moves the bracket ends, and a step
-    that would leave the bracket bisects it instead.  A candidate stops once
+    that would leave the bracket, or that divides by zero, bisects it
+    instead.  A candidate stops once
     its last step or its bracket is below STEP_TOL, so one whose slope points
     out of the box at a box edge stops on that edge.  The candidates of all
     rows still stepping advance together, held in compact arrays that drop
     each candidate as it stops, and _select picks each row's maximum.
     """
-    xs = _linspace(lo, hi)
+    xs = np.linspace(lo, hi, COARSE_POINTS)
     scan = np.atleast_2d(f(xs))
     peak = np.ones(scan.shape, dtype=bool)
     peak[:, 1:] = scan[:, 1:] > scan[:, :-1]
@@ -231,8 +233,7 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     a = xs[np.maximum(idx - 1, 0)]
     b = xs[np.minimum(idx + 1, COARSE_POINTS - 1)]
     value, slope, curvature = (np.array(v, dtype=float) for v in f(x, rows, curvature=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = -slope / curvature
+    step = _divide(-slope, curvature)
     moved = np.full(rows.size, np.inf)
     # The loop holds the live candidates only, in candidate order: live[i] is
     # the candidate index of entry i.  A candidate's x, value and evaluation
@@ -257,20 +258,19 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
         new = x + step
         new = np.where((new > a) & (new < b), new, 0.5 * (a + b))
         v, s = f(new, live_rows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = s * (new - x) / (slope - s)
+        step = _divide(s * (new - x), slope - s)
         moved = np.abs(new - x)
         x, value, slope = new, v, s
     x_hat[live], value_hat[live], evaluations[live] = x, value, n_steps + 1
     return _select(xs[:, None], scan, rows, x_hat[:, None], value_hat, evaluations, live, lo, hi)
 
 
-@functools.cache
-def _linspace(lo: float, hi: float) -> np.ndarray:
-    """The COARSE_POINTS scan points from lo to hi, evenly spaced, read-only."""
-    xs = np.linspace(lo, hi, COARSE_POINTS)
-    xs.setflags(write=False)
-    return xs
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den without a warning: nan where den is 0, a step that the
+    bracket test turns into a bisection."""
+    if np.count_nonzero(den) < den.size:
+        den = np.where(den == 0, np.nan, den)
+    return num / den
 
 
 def _select(scan_x, scan, rows, x, value, evaluations, unstopped, lower, upper) -> Maxima:

@@ -223,7 +223,11 @@ class FilterState:
     @classmethod
     def from_weights(cls, q: Sequence[float]) -> "FilterState":
         q = np.asarray(q, dtype=float)
-        return cls(q=q / q.sum(), step=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = q.sum()  # an overflow gives inf, inf - inf gives nan: both refused
+        if not 0.0 < total < np.inf:
+            raise ConstructionError(f"weights {q} have sum {total}; cannot normalize")
+        return cls(q=q / total, step=0)
 
 
 def canonical_phase(phi: np.ndarray) -> np.ndarray:

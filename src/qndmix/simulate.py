@@ -90,11 +90,10 @@ def sample_trajectory(
         raise DomainError("trajectory length must be non-negative")
     if not 0 <= gamma < fam.n_components:
         raise DomainError(f"component index {gamma} outside 0..{fam.n_components - 1}")
-    t = fam.box.require(theta)
     # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
     u = substream(seed, 1).random(n)
     outcomes = np.zeros(n, dtype=np.intp)
-    for c in np.cumsum(fam.prob_table(t)[gamma][:-1]).tolist():
+    for c in np.cumsum(fam.prob_table(theta)[gamma][:-1]).tolist():
         outcomes += u >= c
     return Trajectory(outcomes=outcomes, gamma=gamma)
 

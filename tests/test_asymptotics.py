@@ -608,6 +608,107 @@ def test_cramer_rao_needs_scalar_parameter():
         mle_path(plan, [traj], [50, 100])
 
 
+OUTSIDE_SEARCH_BOX = r"the fitted point theta = \[0\.6\] is not interior to the search box"
+
+
+def test_fitting_experiments_refuse_a_point_outside_the_search_box():
+    """toy_haroche searches pi/4 +/- 0.052 inside a family box of [pi/8,
+    3pi/8]: theta* = 0.6 is a valid plan, but every estimate of it would sit
+    on the search box edge or on an aliased component."""
+    pre = get_preset("toy_haroche")
+    plan = small_plan(pre, theta_star=np.array([0.6]), h=None)
+    for experiment in (consistency_experiment, cramer_rao_experiment, asym.fig1_experiment):
+        with pytest.raises(RefusalError, match=OUTSIDE_SEARCH_BOX):
+            experiment(plan)
+    traj = sample_trajectory(pre.family, plan.theta_star, 0, 100, seed=0)
+    with pytest.raises(RefusalError, match=OUTSIDE_SEARCH_BOX):
+        mle_path(plan, [traj], [50, 100])
+
+
+def test_cramer_rao_refuses_a_shifted_point_outside_the_search_box():
+    """cramer_rao fits theta* + h/sqrt(n) at the largest n: h = 10 puts it
+    0.1 from pi/4 at n = 1e4, outside the search radius 0.052, and 0.05 from
+    pi/4 at n = 4e4, inside it."""
+    pre = get_preset("toy_haroche")
+    with pytest.raises(RefusalError, match="is not interior to the search box"):
+        cramer_rao_experiment(small_plan(pre, h=np.array([10.0]), n_grid=(10_000,)))
+    report = cramer_rao_experiment(small_plan(pre, h=np.array([10.0]), n_grid=(10_000, 40_000)))
+    assert report["n"] == 40_000
+
+
+def test_search_box_check_comes_after_dimension_and_fisher_checks():
+    """D != 1 is refused first, then a singular Fisher information, then a
+    fitted point outside the search box."""
+    guerlin = toy_haroche_guerlin()
+    away = ParameterBox(np.array([0.9]), np.array([1.0]))
+    with pytest.raises(SingularFisherError):
+        consistency_experiment(small_plan(guerlin, estimation_box=away))
+    full = toy_haroche_full()
+    plan = small_plan(full, h=None, estimation_box=ParameterBox(full.family.box.lower, full.theta_star))
+    with pytest.raises(RefusalError, match="covers D = 1 only"):
+        consistency_experiment(plan)
+
+
+def test_experiments_that_fit_nothing_against_theta_star_run_outside_the_search_box():
+    pre = get_preset("toy_haroche")
+    plan = small_plan(pre, theta_star=np.array([0.6]))
+    for experiment in (lamn_experiment, mixture_collapse_experiment, purification_experiment):
+        assert experiment(plan)["theta_star"] == [0.6]
+    report, fit = asym.estimate_experiment(plan)
+    assert report["theta_true"] == [0.6] and fit.boundary
+
+
+def reference_jsonable(x):
+    """_jsonable as it sent every element of x.tolist() through the scalar
+    isinstance chain again: the reference for its one tolist() per value."""
+    if isinstance(x, dict):
+        return {str(k): reference_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [reference_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return reference_jsonable(x.tolist())
+    if isinstance(x, (np.bool_, bool)):
+        return bool(x)
+    if isinstance(x, (np.floating, float)):
+        return float(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    return x
+
+
+def _leaf_types(x):
+    if isinstance(x, dict):
+        return {k: _leaf_types(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_leaf_types(v) for v in x]
+    return type(x)
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_guerlin"])
+def test_jsonable_equals_the_reference_on_every_report(name, monkeypatch):
+    """Equal dicts, leaf types and JSON bytes on the unconverted report of
+    every Monte-Carlo experiment that runs on the preset (toy_haroche_guerlin
+    refuses lamn, consistency and cramer_rao), captured through a spy."""
+    seen = []
+    convert = asym._jsonable
+    monkeypatch.setattr(asym, "_jsonable", lambda x: seen.append(x) or convert(x))
+    plan = small_plan(get_preset(name))
+    experiments = (lamn_experiment, mixture_collapse_experiment, consistency_experiment,
+                   cramer_rao_experiment, purification_experiment)
+    for experiment in experiments:
+        try:
+            experiment(plan)
+        except SingularFisherError:
+            assert name == "toy_haroche_guerlin"
+    reports = [x for x in seen if isinstance(x, dict) and "experiment" in x]
+    assert len(reports) == (2 if name == "toy_haroche_guerlin" else len(experiments))
+    for raw in reports:
+        got, want = convert(raw), reference_jsonable(raw)
+        assert got == want
+        assert _leaf_types(got) == _leaf_types(want)
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+
 def test_anderson_darling_pinned():
     """Statistic and 1% critical value pinned to SciPy 1.17's anderson(dist="norm")."""
     stat, crit = _anderson_darling_normal(np.sin(np.arange(1.0, 51.0)))

@@ -531,6 +531,35 @@ def test_fig1_refuses_before_drawing(tmp_path, monkeypatch, capsys):
     assert draws == []
 
 
+@pytest.mark.parametrize("experiment,flags", [
+    ("consistency", ("--theta-star", "0.6")),
+    ("cramer-rao", ("--theta-star", "0.6")),
+    ("fig1", ("--theta-star", "0.6")),
+    ("cramer-rao", ("--h", "10")),
+])
+def test_fitting_experiments_refuse_a_point_outside_the_search_box(experiment, flags, tmp_path,
+                                                                  monkeypatch, capsys):
+    """toy_haroche searches pi/4 +/- 0.052: the fitted point 0.6, or pi/4 + 0.1
+    (h = 10 at n = 1e4), is refused before any draw, with no output directory."""
+    draws = []
+    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory",
+                        lambda *a, **k: draws.append(a) or sample_mixture_trajectory(*a, **k))
+    out = tmp_path / "out"
+    assert run_cli(experiment, "--preset", "toy_haroche", *flags, "--out", str(out)) == EXIT_REFUSAL
+    err = capsys.readouterr().err
+    assert err.startswith("refused: the fitted point theta = [")
+    assert "is not interior to the search box [[0.73339816], [0.83739816]]" in err
+    assert draws == [] and not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["lamn", "collapse", "purify", "estimate"])
+def test_experiments_that_fit_nothing_against_theta_star_keep_running(experiment, tmp_path):
+    code = run_cli(experiment, "--preset", "toy_haroche", "--theta-star", "0.6",
+                   "--n-reps", "20", "--out", str(tmp_path))
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert json.loads((tmp_path / "report.json").read_text())["model"] == "toy_haroche"
+
+
 def test_fig1_evaluates_fisher_once(tmp_path, monkeypatch):
     calls = []
     fisher = asymptotics.fisher_information

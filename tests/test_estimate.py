@@ -20,7 +20,6 @@ from qndmix.estimate import (
     _halton,
     _halton_neighbours,
     _maximize_box,
-    _linspace,
     log_terms,
     logsumexp as own_logsumexp,
     loglik,
@@ -162,7 +161,7 @@ def reference_maximize_scalar(f, lo, hi):
     """The loop maximize_scalar had before it kept compact arrays of its live
     candidates: every array is gathered and scattered through the index array
     act at each step.  Kept as the reference its Maxima must equal bit for bit."""
-    xs = _linspace(lo, hi)
+    xs = np.linspace(lo, hi, COARSE_POINTS)
     scan = np.atleast_2d(f(xs))
     padded = np.pad(scan, ((0, 0), (1, 1)), constant_values=-np.inf)
     peak = (scan > padded[:, :-2]) & (scan > padded[:, 2:])
@@ -240,6 +239,19 @@ def test_maximize_scalar_equals_the_reference_loop_on_closed_forms(objective, lo
     """A quadratic, a slope out of the box (zero curvature) and a double bump."""
     f = _objective(*objective)
     _assert_same_maxima(maximize_scalar(f, lo, hi), reference_maximize_scalar(f, lo, hi))
+
+
+def test_a_zero_step_denominator_gives_a_bisection_without_a_warning():
+    """x on [0, 1] has zero curvature and a constant slope, so its Newton step
+    and every secant step divide by 0: each such step is nan, which the
+    bracket test replaces by a bisection, and no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = estimate._divide(np.array([1.0, 0.0, -3.0]), np.array([0.0, 0.0, 2.0]))
+        res = maximize_scalar(_objective(lambda x: x, np.ones_like, np.zeros_like), 0.0, 1.0)
+    np.testing.assert_array_equal(step, [np.nan, np.nan, -1.5])
+    assert res.x[0, 0] == pytest.approx(1.0, abs=STEP_TOL)
+    assert res.converged[0] and res.boundary[0]
 
 
 def _box_objective(f, slope, hessian):
@@ -603,11 +615,6 @@ def test_scan_table_is_built_once_per_box(name, monkeypatch):
     for table in tables:
         assert table.shape == (fam.n_components * COARSE_POINTS, fam.n_outcomes)
         assert table.flags.c_contiguous and not table.flags.writeable
-    if fam.dim == 1:
-        for box in boxes[:2]:
-            points = _linspace(box.lower[0], box.upper[0])
-            assert points is _linspace(box.lower[0], box.upper[0])
-            assert not points.flags.writeable
     assert not _halton(COARSE_POINTS, fam.dim).flags.writeable
     assert not _halton_neighbours(COARSE_POINTS, fam.dim).flags.writeable
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -275,6 +277,17 @@ def test_filter_state_validation():
 def test_filter_state_refuses_non_finite_input(make):
     with pytest.raises(ConstructionError):
         make()
+
+
+@pytest.mark.parametrize("weights", [[-1.0, -1.0], [0.0, 0.0], [1.0, -1.0], [np.inf, 1.0],
+                                     [np.inf, -np.inf], [1e308, 1e308]])
+def test_from_weights_refuses_a_sum_that_is_not_positive_and_finite(weights):
+    """As from_phi refuses such a norm: no weights become the uniform
+    posterior, and no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="cannot normalize"):
+            FilterState.from_weights(weights)
 
 
 def test_filter_step_refuses_theta_of_wrong_length(qubit):
