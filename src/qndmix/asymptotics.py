@@ -6,7 +6,11 @@ the mixture) and return a JSON-serializable report with targets, estimates,
 tolerances and a pass flag; estimate and fig1 fit seeded single records.
 
 Each experiment stream owns one generator, substream(master_seed, *key), on
-which all of its replications are drawn (sample_count_paths):
+which all of its replications are drawn (sample_count_paths).  The streams of
+one component, in lamn, collapse and cramer_rao, draw their n_reps records
+from that component's one outcome law; the mixture streams, cramer_rao's d,
+consistency and purification, from one law per record, that of its drawn
+component:
 
     lamn          (TAG_LAMN, g, n) per component g and grid point n
     collapse      (TAG_COLLAPSE, g)
@@ -77,6 +81,18 @@ FIG1_N_MAX = 10_000
 FIG1_TOLERANCE = 0.02
 
 
+def _integral(value, name: str) -> int:
+    """value as a Python int when it equals one; ConstructionError naming it
+    otherwise."""
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConstructionError(f"{name} {value} is not an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Shared experiment configuration.
@@ -85,9 +101,9 @@ class ExperimentPlan:
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
     and every shifted parameter must stay inside it.  n_grid holds distinct
     integral record lengths of at least 1 (1000.0 is one, 250.5 is refused);
-    n_reps, the replications per stream, is at least 2, so that every sample
-    variance is defined; master_seed is at least 0, as every generator's
-    entropy must be.
+    n_reps, the replications per stream, is integral by the same rule and at
+    least 2, so that every sample variance is defined; master_seed is at
+    least 0, as every generator's entropy must be.
     """
 
     family: ParametricFamily
@@ -112,16 +128,15 @@ class ExperimentPlan:
             raise ConstructionError("h must have the same dimension as theta_star")
         if not box.is_interior(theta):
             raise ConstructionError("theta_star must be interior to the box")
-        if self.n_reps < 2:
-            raise ConstructionError(f"n_reps {self.n_reps} must be at least 2")
+        n_reps = _integral(self.n_reps, "n_reps")
+        if n_reps < 2:
+            raise ConstructionError(f"n_reps {n_reps} must be at least 2")
         if self.master_seed < 0:
             raise ConstructionError(f"master_seed {self.master_seed} must be at least 0")
-        n_grid = tuple(int(n) for n in self.n_grid)
+        n_grid = tuple(_integral(n, "n_grid entry") for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")
-        for k, (n, entry) in enumerate(zip(n_grid, self.n_grid)):
-            if n != entry:
-                raise ConstructionError(f"n_grid entry {entry} is not an integer")
+        for k, n in enumerate(n_grid):
             if n < 1:
                 raise ConstructionError(f"n_grid entry {n} must be at least 1")
             if n in n_grid[:k]:
@@ -135,6 +150,7 @@ class ExperimentPlan:
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "n_reps", n_reps)
 
     def search_box(self) -> ParameterBox:
         return self.estimation_box if self.estimation_box is not None else self.family.box
@@ -225,6 +241,13 @@ def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:
     return a2, float(crit)
 
 
+def _per_component(columns: dict) -> dict:
+    """{g: {name: column[g]}} from columns of one entry per component, each
+    read with one .tolist(), so that the entries are Python scalars."""
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return {g: dict(zip(columns, row)) for g, row in enumerate(rows)}
+
+
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -265,7 +288,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     for n in plan.n_grid:
         theta_n = plan.theta_star + h / np.sqrt(n)
         cm = np.stack([
-            sample_count_paths(p_star[np.full(reps, g)], (n,), substream(plan.master_seed, TAG_LAMN, g, n))[:, 0]
+            sample_count_paths(p_star[g], (n,), substream(plan.master_seed, TAG_LAMN, g, n), size=reps)[:, 0]
             for g in range(d)
         ])                                                                  # (d, R, l)
         lr = logsumexp(log_terms(fam, q, cm, theta_n), axis=-1) - logsumexp(
@@ -391,7 +414,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     p_star = fam.prob_table(plan.theta_star)
     # One record per replication, counted at every n of the grid.
     cm = np.stack([
-        sample_count_paths(p_star[np.full(reps, g)], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g))
+        sample_count_paths(p_star[g], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g), size=reps)
         for g in range(d)
     ])                                                                      # (d, R, K, l)
     own = np.arange(d)
@@ -411,26 +434,17 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         rates_ok = rates >= COLLAPSE_RATE_SLACK * min_kl
     else:
         rates, rates_ok = np.full(d, np.inf), np.full(d, True)
-    per_component = {}
-    all_pass = True
-
-    for g in range(d):
-        comp_pass = (
-            frac_ok[g] >= COLLAPSE_QUANTILE
-            and frac_ok_shift[g] >= COLLAPSE_QUANTILE
-            and rates_ok[g]
-        )
-        per_component[g] = {
-            "min_kl": min_kl[g],
-            "fitted_rate": rates[g],
-            "rate_ok": rates_ok[g],
-            "sqrt_n_r_median": medians[g],
-            "fraction_below_bound": frac_ok[g],
-            "fraction_below_bound_shifted": frac_ok_shift[g],
-            "n_checked": n_max,
-            "passed": bool(comp_pass),
-        }
-        all_pass = all_pass and comp_pass
+    passed = (frac_ok >= COLLAPSE_QUANTILE) & (frac_ok_shift >= COLLAPSE_QUANTILE) & rates_ok
+    per_component = _per_component({
+        "min_kl": min_kl,
+        "fitted_rate": rates,
+        "rate_ok": rates_ok,
+        "sqrt_n_r_median": medians,
+        "fraction_below_bound": frac_ok,
+        "fraction_below_bound_shifted": frac_ok_shift,
+        "n_checked": np.full(d, n_max),
+        "passed": passed,
+    })
 
     report = {
         "experiment": "collapse",
@@ -441,7 +455,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "bound": COLLAPSE_SQRT_N_BOUND,
         "per_component": per_component,
-        "passed": all_pass,
+        "passed": bool(passed.all()),
     }
     return _jsonable(report)
 
@@ -573,15 +587,14 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     fishers = plan.check_hypotheses(fit_at=theta_n)[:, 0, 0]
     p_n = plan.family.prob_table(theta_n)
     d = plan.family.n_components
-    # Row g < d holds component g's replications, drawn on (TAG_CRAMER, g);
-    # row d the mixture's, drawn on (TAG_CRAMER, d).
-    gammas = np.vstack([np.repeat(np.arange(d)[:, None], plan.n_reps, axis=1),
-                        _draw_mixture_gammas(plan, TAG_CRAMER)])
-    laws = p_n[gammas]                                                      # (d + 1, R, l)
+    # Block g < d holds component g's replications, drawn from its one law on
+    # (TAG_CRAMER, g); block d the mixture's, drawn on (TAG_CRAMER, d).
+    gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
     blocks = [
-        sample_count_paths(p, (n,), substream(plan.master_seed, TAG_CRAMER, g))[:, 0]
-        for g, p in enumerate(laws)
+        sample_count_paths(p_n[g], (n,), substream(plan.master_seed, TAG_CRAMER, g), size=plan.n_reps)[:, 0]
+        for g in range(d)
     ]
+    blocks.append(sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))[:, 0])
     x_hat, boundary, evaluations = _fit_blocks(plan, blocks)
     root = np.sqrt(n) * (x_hat - theta_n[0])                                # (d + 1, R)
     var, mean = root[:d].var(axis=1, ddof=1), root[:d].mean(axis=1)
@@ -589,19 +602,16 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     ratio = var / target
     passed = (CRAMER_RATIO_BAND[0] <= ratio) & (ratio <= CRAMER_RATIO_BAND[1])
     hits, max_evals = boundary.sum(axis=1), evaluations.max(axis=1)
-    per_component = {
-        g: {
-            "fisher": fishers[g],
-            "var": var[g],
-            "mean": mean[g],
-            "target_var": target[g],
-            "efficiency_ratio": ratio[g],
-            "boundary_hits": hits[g],
-            "max_evaluations": max_evals[g],
-            "passed": passed[g],
-        }
-        for g in range(d)
-    }
+    per_component = _per_component({
+        "fisher": fishers,
+        "var": var,
+        "mean": mean,
+        "target_var": target,
+        "efficiency_ratio": ratio,
+        "boundary_hits": hits[:d],
+        "max_evaluations": max_evals[:d],
+        "passed": passed,
+    })
 
     second = float(np.mean(root[d] ** 2))
     target_second = float(plan.q.q @ target)

@@ -335,16 +335,23 @@ class MixtureWeights:
 def kl_divergence(fam: ParametricFamily, theta, theta2) -> np.ndarray:
     """Matrix of divergences; entry (a, g) = KL(p_theta(.|a) || p_theta2(.|g))."""
     p = fam.prob_table(theta)
-    return np.sum(p[:, None] * (np.log(p)[:, None] - fam.log_prob_table(theta2)), axis=-1)
+    return _kl(p, np.log(p), fam.log_prob_table(theta2))
+
+
+def _kl(p: np.ndarray, log_p: np.ndarray, log_p2: np.ndarray) -> np.ndarray:
+    return np.sum(p[:, None] * (log_p[:, None] - log_p2), axis=-1)
 
 
 def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
-    """kl_divergence at theta2 = theta, with an exactly zero diagonal.
+    """kl_divergence at theta2 = theta, from one table, with an exactly zero
+    diagonal.
 
     Off-diagonal entries are strictly positive whenever the components are
     pairwise distinguishable at theta.
     """
-    out = kl_divergence(fam, theta, theta)
+    p = fam.prob_table(theta)
+    log_p = np.log(p)
+    out = _kl(p, log_p, log_p)
     np.fill_diagonal(out, 0.0)
     return out
 

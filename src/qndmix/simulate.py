@@ -5,8 +5,9 @@ All randomness flows through numpy's PCG64 generator.  substream keys one
 generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
 trajectory draws on substream(seed, 0) (its component) and substream(seed, 1)
 (its outcomes), and sample_count_paths draws every record of a batch on the one
-generator it is given, one multinomial over all records per grid gap.  A rerun
-with the same seed repeats every draw bit for bit.
+generator it is given, one multinomial over all records per grid gap, from one
+outcome law per record or from one law shared by all of them.  A rerun with
+the same seed repeats every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -110,29 +111,38 @@ def sample_mixture_trajectory(
     return sample_trajectory(fam, theta, gamma, n, seed)
 
 
-def sample_count_paths(p, n_grid: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+def sample_count_paths(
+    p, n_grid: Sequence[int], rng: np.random.Generator, size: Optional[int] = None
+) -> np.ndarray:
     """Cumulative outcome counts of R i.i.d. records after each n of an
     ascending grid, shape (R, K, l).
 
-    Record r has outcome law p[r] (p of shape (R, l)), normalized here.  All
-    records are drawn on the one generator rng, gap-major: for each grid gap in
-    order, one multinomial over all R rows.  This is the same in distribution
-    as counting the prefixes of one sampled record.
+    Record r has outcome law p[r] (p of shape (R, l)); with size=R, every
+    record has the one law p (p of shape (l,)).  Laws are normalized here.
+    All records are drawn on the one generator rng, gap-major: for each grid
+    gap in order, one multinomial over all R rows.  The one-law form draws the
+    same counts, and leaves rng in the same state, as the (R, l) form on R
+    copies of that law.  This is the same in distribution as counting the
+    prefixes of one sampled record.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
+    if size is None and p.ndim != 2:
         raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
+    if size is not None and p.ndim != 1:
+        raise DomainError(f"one outcome law for size={size} records must have shape (outcomes,), not {p.shape}")
     # The few grid gaps are Python ints: a numpy array costs more to set up
     # than the arithmetic on it.
     grid = [int(n) for n in n_grid]
     gaps = [n - m for m, n in zip([0, *grid], grid)]
     if any(gap < 0 for gap in gaps):
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
-    p = p / p.sum(axis=1, keepdims=True)
-    out = np.empty((len(p), len(gaps), p.shape[1]), dtype=np.int64)
+    p = p / p.sum(axis=-1, keepdims=True)
+    out = np.empty((len(p) if size is None else size, len(gaps), p.shape[-1]), dtype=np.int64)
     for k, gap in enumerate(gaps):
-        out[:, k] = rng.multinomial(gap, p)
-    return np.cumsum(out, axis=1, out=out)
+        out[:, k] = rng.multinomial(gap, p, size=size)
+        if k:
+            out[:, k] += out[:, k - 1]
+    return out
 
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:

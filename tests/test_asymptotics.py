@@ -77,6 +77,8 @@ def test_plan_rejects_mismatched_weights(qubit):
     ((), "must not be empty"),
     ((100, 250.5), "entry 250.5 is not an integer"),
     ((np.float64(99.999),), "entry 99.999 is not an integer"),
+    ((100, float("nan")), "entry nan is not an integer"),
+    ((float("inf"),), "entry inf is not an integer"),
 ])
 def test_plan_rejects_bad_grid(toy, grid, entry):
     """An empty grid, a grid point below 1, a repeated one and a non-integral
@@ -98,6 +100,23 @@ def test_plan_rejects_fewer_than_two_replications(toy, n_reps):
     value named, before any experiment runs."""
     with pytest.raises(ConstructionError, match=f"n_reps {n_reps} must be at least 2"):
         small_plan(toy, n_reps=n_reps)
+
+
+@pytest.mark.parametrize("n_reps", [2.5, np.float64(60.5), 1.5, float("nan"), float("inf"), None])
+def test_plan_rejects_a_non_integral_replication_count(toy, n_reps):
+    """A replication count that is not an integer is refused, the value
+    named, before any experiment runs on it."""
+    with pytest.raises(ConstructionError, match=f"n_reps {n_reps} is not an integer"):
+        small_plan(toy, n_reps=n_reps)
+
+
+def test_plan_takes_an_integral_replication_count(toy):
+    """numpy integers and integral floats are replication counts, held as
+    ints, as n_grid entries are."""
+    for n_reps, want in ((100.0, 100), (np.int64(50), 50), (np.float64(7.0), 7)):
+        plan = small_plan(toy, n_reps=n_reps)
+        assert plan.n_reps == want and type(plan.n_reps) is int
+    assert lamn_experiment(small_plan(toy, h=np.array([0.5]), n_reps=10.0))["n_reps"] == 10
 
 
 def test_plan_search_box_default(qubit, toy):
@@ -239,10 +258,30 @@ def test_collapse_report(qubit):
     json.dumps(report)
 
 
+def test_collapse_verdict_needs_every_gate(qubit, monkeypatch):
+    """A component passes only when both fractions clear COLLAPSE_QUANTILE
+    and its fitted rate clears the slack: a rate gate no rate can meet fails
+    every component, and so the run, with the fractions unchanged."""
+    plan = small_plan(qubit, n_grid=(200, 400, 800))
+    report = mixture_collapse_experiment(plan)
+    monkeypatch.setattr(asym, "COLLAPSE_RATE_SLACK", 1e9)
+    strict = mixture_collapse_experiment(plan)
+    assert report["passed"] and not strict["passed"]
+    for g, entry in strict["per_component"].items():
+        assert entry["rate_ok"] is False and entry["passed"] is False
+        assert entry["fraction_below_bound"] == report["per_component"][g]["fraction_below_bound"]
+    for entry in report["per_component"].values():
+        assert entry["passed"] is (
+            entry["fraction_below_bound"] >= asym.COLLAPSE_QUANTILE
+            and entry["fraction_below_bound_shifted"] >= asym.COLLAPSE_QUANTILE
+            and entry["rate_ok"]
+        )
+
+
 def test_collapse_refuses_a_one_point_grid(qubit, monkeypatch):
     """A decay rate needs two record lengths: a one-point grid is refused
     before any record is drawn."""
-    monkeypatch.setattr(asym, "sample_count_paths", lambda *a: pytest.fail("drew records"))
+    monkeypatch.setattr(asym, "sample_count_paths", lambda *a, **k: pytest.fail("drew records"))
     with pytest.raises(DomainError, match=r"n_grid \(800,\)"):
         mixture_collapse_experiment(small_plan(qubit, n_grid=(800,)))
 
@@ -429,6 +468,31 @@ def test_collapse_rates_equal_one_fit_per_component(preset, n_reps, monkeypatch)
 # ---------------------------------------------------------------------------
 # Stacked LAMN and collapse against the per-component loop
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_reps", [5, 150])
+@pytest.mark.parametrize("preset", ["toy_haroche", "qubit_rotation"])
+@pytest.mark.parametrize("runner,kw", [
+    (lamn_experiment, {"h": np.array([0.5])}),
+    (mixture_collapse_experiment, {"h": np.array([0.5]), "n_grid": (200, 500, 2_000)}),
+    (cramer_rao_experiment, {"h": np.array([0.0]), "n_grid": (1_000, 10_000)}),
+])
+def test_one_law_blocks_equal_the_tiled_draws(runner, kw, preset, n_reps, monkeypatch):
+    """Each component block is drawn from its one outcome law, once per
+    component (and grid point, for lamn), and gives the same report, byte for
+    byte, as drawing it from n_reps tiled copies of the law."""
+    plan = small_plan(get_preset(preset), n_reps=n_reps, **kw)
+    report = json.dumps(runner(plan))
+    sizes = []
+
+    def tiled(p, n_grid, rng, size=None):
+        sizes.append(size)
+        return sample_count_paths(p if size is None else np.tile(p, (size, 1)), n_grid, rng)
+
+    monkeypatch.setattr(asym, "sample_count_paths", tiled)
+    assert report == json.dumps(runner(plan))
+    blocks = plan.family.n_components * (len(plan.n_grid) if runner is lamn_experiment else 1)
+    assert sizes.count(n_reps) == blocks
+
 
 def lamn_per_component(plan):
     """LAMN as one pass per component and grid point: the reference for the

@@ -136,7 +136,7 @@ def test_config_error_creates_no_output_directory(argv, tmp_path):
 def test_output_path_through_a_file_is_config_error(below, tmp_path, monkeypatch, capsys):
     """An --out that names an existing file, or a path below one, exits 2
     before any draw and leaves the file as it was."""
-    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a: pytest.fail("drew records"))
+    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a, **k: pytest.fail("drew records"))
     blocker = tmp_path / "taken"
     blocker.write_bytes(b"keep me\n")
     out = blocker / below if below else blocker
@@ -150,7 +150,7 @@ def test_output_path_through_a_file_is_config_error(below, tmp_path, monkeypatch
 def test_one_point_collapse_grid_is_config_error(tmp_path, monkeypatch, capsys):
     """No decay rate can be fitted through one record length: exit 2 before
     any draw, and no output directory."""
-    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a: pytest.fail("drew records"))
+    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a, **k: pytest.fail("drew records"))
     out = tmp_path / "out"
     assert run_cli("collapse", "--n-grid", "1000", "--out", str(out)) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(

@@ -12,6 +12,7 @@ from qndmix.model import (
     kl_divergence,
     kl_matrix,
 )
+from qndmix.presets import get_preset
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,22 @@ def test_kl_matrix_matches_pairwise(bernoulli_pair):
     pairwise = kl_divergence(bernoulli_pair, [0.6], [0.6])
     assert m[0, 1] == pairwise[0, 1] and m[1, 0] == pairwise[1, 0]
     assert m[0, 1] > 0 and m[1, 0] > 0
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_full"])
+def test_kl_matrix_reads_one_table(name, monkeypatch):
+    """kl_matrix evaluates the table once and equals kl_divergence(theta,
+    theta) bit for bit off its zero diagonal."""
+    pre = get_preset(name)
+    fam = pre.family
+    want = kl_divergence(fam, pre.theta_star, pre.theta_star)
+    calls, prob_table = [], fam.prob_table
+    monkeypatch.setattr(fam, "prob_table", lambda theta: calls.append(theta) or prob_table(theta))
+    got = kl_matrix(fam, pre.theta_star)
+    assert len(calls) == 1
+    off = ~np.eye(fam.n_components, dtype=bool)
+    assert got[off].tobytes() == want[off].tobytes()
+    assert np.all(np.diag(got) == 0.0)
 
 
 def test_fisher_bernoulli_closed_form(bernoulli_pair):

@@ -196,6 +196,36 @@ def test_count_paths_equal_the_reference_draws(name, n_records, grid):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("grid", [
+    (700,), (20, 50, 100), (0, 40, 40, 1_000), np.array([3, 9]), (np.int64(5), 11), (),
+])
+@pytest.mark.parametrize("n_records", [45, 1, 0])
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
+def test_one_law_form_equals_the_tiled_reference(name, n_records, grid):
+    """One unnormalized outcome law with size=R draws, bit for bit, the
+    reference's counts for R tiled copies of that law, and leaves the
+    generator in the same state, for every component of the table."""
+    pre = get_preset(name)
+    table = pre.family.prob_table(pre.theta_star)
+    for g, law in enumerate(table * 1.3):
+        got_rng, want_rng = substream(g, 9), substream(g, 9)
+        got = sample_count_paths(law, grid, got_rng, size=n_records)
+        want = reference_sample_count_paths(np.tile(law, (n_records, 1)), grid, want_rng)
+        assert got.shape == want.shape == (n_records, len(grid), pre.family.n_outcomes)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_count_paths_refuse_a_law_shape_that_does_not_match_size(toy):
+    """size=R needs one law of shape (l,); without size the laws are (R, l)."""
+    table = toy.family.prob_table(toy.theta_star)
+    with pytest.raises(DomainError, match=r"shape \(records, outcomes\), not \(8,\)"):
+        sample_count_paths(table[0], (50,), substream(1))
+    with pytest.raises(DomainError, match=r"size=5 records must have shape \(outcomes,\), not \(8, 8\)"):
+        sample_count_paths(table, (50,), substream(1), size=5)
+
+
 def test_trajectory_is_immutable(bernoulli_pair):
     traj = sample_trajectory(bernoulli_pair, [0.4], 0, 5, seed=0)
     with pytest.raises(ValueError):
