@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError
+from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError, _integral
 from .estimate import EstimationReport, _fit, log_terms, logsumexp, mle
 from .model import (
     MixtureWeights,
@@ -81,18 +81,6 @@ FIG1_N_MAX = 10_000
 FIG1_TOLERANCE = 0.02
 
 
-def _integral(value, name: str) -> int:
-    """value as a Python int when it equals one; ConstructionError naming it
-    otherwise."""
-    try:
-        n = int(value)
-        if n == value:
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConstructionError(f"{name} {value} is not an integer")
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Shared experiment configuration.
@@ -128,12 +116,12 @@ class ExperimentPlan:
             raise ConstructionError("h must have the same dimension as theta_star")
         if not box.is_interior(theta):
             raise ConstructionError("theta_star must be interior to the box")
-        n_reps = _integral(self.n_reps, "n_reps")
+        n_reps = _integral(self.n_reps, "n_reps", ConstructionError)
         if n_reps < 2:
             raise ConstructionError(f"n_reps {n_reps} must be at least 2")
         if self.master_seed < 0:
             raise ConstructionError(f"master_seed {self.master_seed} must be at least 0")
-        n_grid = tuple(_integral(n, "n_grid entry") for n in self.n_grid)
+        n_grid = tuple(_integral(n, "n_grid entry", ConstructionError) for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")
         for k, n in enumerate(n_grid):

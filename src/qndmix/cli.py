@@ -200,7 +200,9 @@ def run(config: RunConfig) -> int:
     write report.json (and CSVs) under output_dir; return the exit code."""
     plan = build_plan(config)
     out = Path(config.output_dir)
-    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    # An existing directory has no file on its path; only another out needs the walk.
+    blocker = None if out.is_dir() else next(
+        (p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise ConfigError(f"field 'output_dir': {str(blocker)!r} exists and is not a directory")
     experiment = {

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument
+rule that raises from it."""
 
 
 class QndmixError(Exception):
@@ -27,3 +28,15 @@ class SingularFisherError(RefusalError):
 
 class ConfigError(QndmixError, ValueError):
     """A run configuration is malformed or references unknown entities."""
+
+
+def _integral(value, name: str, error: type) -> int:
+    """value as a Python int when it equals one (100.0 and np.int64(100) are
+    100); error naming the value otherwise (2.5, nan, inf, None, "3")."""
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} {value} is not an integer")

@@ -21,6 +21,7 @@ stack at theta_hat from one more.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import weakref
 from dataclasses import dataclass
@@ -78,8 +79,12 @@ class LogLikelihood:
 @dataclass
 class EstimationReport:
     """MLE output: the mixture argmax, per-component argmaxes and diagnostics.
-    converged is the mixture row's: every candidate stopped within MAX_STEPS
-    steps."""
+
+    theta_hat (D,), theta_hat_per_component (d, D), posterior_at_hat (d,) and
+    fisher_at_hat (d, D, D) are float arrays.  optimizer_trace lists the
+    mixture row's (theta, loglik) pairs, scan points first, theta as a list
+    of D floats and loglik as a float.  converged is the mixture row's: every
+    candidate stopped within MAX_STEPS steps."""
 
     theta_hat: np.ndarray
     theta_hat_per_component: np.ndarray
@@ -94,13 +99,11 @@ class EstimationReport:
 
     def to_dict(self) -> dict:
         return {
-            "theta_hat": [float(x) for x in np.atleast_1d(self.theta_hat)],
-            "theta_hat_per_component": [
-                [float(x) for x in np.atleast_1d(row)] for row in self.theta_hat_per_component
-            ],
+            "theta_hat": self.theta_hat.tolist(),
+            "theta_hat_per_component": self.theta_hat_per_component.tolist(),
             "loglik_at_max": float(self.loglik_at_max),
             "n": int(self.n),
-            "posterior_at_hat": [float(x) for x in self.posterior_at_hat],
+            "posterior_at_hat": self.posterior_at_hat.tolist(),
             "fisher_at_hat": self.fisher_at_hat.tolist(),
             "converged": bool(self.converged),
             "boundary": bool(self.boundary),
@@ -108,16 +111,22 @@ class EstimationReport:
         }
 
     def trace_to_csv(self, path) -> None:
-        """One CSV row per (theta, loglik) of optimizer_trace, in one write."""
+        """One CSV row per (theta, loglik) of optimizer_trace, in one write;
+        theta may be a sequence of floats or an array."""
         header = [f"theta_{k}" for k in range(np.atleast_1d(self.theta_hat).size)] + ["loglik"]
-        rows = [[*theta.tolist(), value] for theta, value in self.optimizer_trace]
+        rows = [[*theta, value] for theta, value in self.optimizer_trace]
         _write_in_place(path, _csv_text(header, rows))
 
 
 def _csv_text(header, rows) -> str:
-    """RFC-4180-style CSV: '.' decimals, floats to 17 significant digits, CRLF line ends."""
-    cells = [header] + [[f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows]
-    return "".join(",".join(row) + "\r\n" for row in cells)
+    """RFC-4180-style CSV: '.' decimals, floats to 17 significant digits, CRLF line ends.
+
+    The table's format string holds '%.17g' for each float cell (np.float64
+    included) and '%s' for any other (str(x): ints, the header's names), and
+    one % pass over all cells fills it."""
+    table = [header, *rows]
+    formats = [["%.17g" if isinstance(x, float) else "%s" for x in row] for row in table]
+    return "\r\n".join(map(",".join, formats)) % tuple(itertools.chain.from_iterable(table)) + "\r\n"
 
 
 def _write_in_place(path, text: str) -> None:
@@ -526,7 +535,7 @@ def mle(
         theta_hat_per_component=res.x[1:],
         loglik_at_max=float(res.value[0]),
         n=counts.n,
-        optimizer_trace=[(np.array(x), v) for x, v in res.trace(0)],
+        optimizer_trace=res.trace(0),
         fisher_at_hat=_fisher_from_tables(p, dp),
         posterior_at_hat=posterior,
         converged=bool(res.converged[0]),

@@ -59,6 +59,8 @@ class ParameterBox:
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        # require's edges with its 1e-12 slack, computed once for every call.
+        object.__setattr__(self, "_slack_edges", (lower - 1e-12, upper + 1e-12))
 
     @property
     def dimension(self) -> int:
@@ -68,22 +70,25 @@ class ParameterBox:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         if t.shape != self.lower.shape:
             return False
-        return bool(np.all(t >= self.lower - atol) & np.all(t <= self.upper + atol))
+        return bool(((t >= self.lower - atol) & (t <= self.upper + atol)).all())
 
     def is_interior(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        return t.shape == self.lower.shape and bool(np.all(t > self.lower) and np.all(t < self.upper))
+        return t.shape == self.lower.shape and bool(((t > self.lower) & (t < self.upper)).all())
 
     def require(self, theta) -> np.ndarray:
         """Return theta as an array of shape (..., D): one point, or a stack of
-        points whose rows are checked one by one.  DomainError names the first
-        row outside the box."""
+        points, checked against the box widened by 1e-12 in one comparison
+        pass over the whole stack.  Only when that pass fails are the rows
+        looked at one by one: DomainError names the first row outside the box
+        (a NaN coordinate is outside)."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         if t.shape[-1:] != self.lower.shape:
             raise DomainError(f"theta {t} outside parameter box [{self.lower}, {self.upper}]")
-        inside = np.all((t >= self.lower - 1e-12) & (t <= self.upper + 1e-12), axis=-1)
-        if not np.all(inside):
-            row = tuple(np.argwhere(~inside)[0].tolist())
+        lo, hi = self._slack_edges
+        inside = (t >= lo) & (t <= hi)
+        if not inside.all():
+            row = tuple(np.argwhere(~inside.all(axis=-1))[0].tolist())
             where = f" at stack index {row}" if row else ""
             raise DomainError(
                 f"theta {t[row]}{where} outside parameter box [{self.lower}, {self.upper}]"

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, _integral
 from .model import MixtureWeights, ParametricFamily
 
 __all__ = [
@@ -86,15 +86,23 @@ def sample_trajectory(
     n: int,
     seed: int,
 ) -> Trajectory:
-    """n i.i.d. outcomes from p_theta(.|gamma); deterministic given the seed."""
+    """n i.i.d. outcomes from p_theta(.|gamma); deterministic given the seed.
+
+    n and gamma are integral (100.0 and np.int64(100) count as 100).  Each
+    outcome is the number of inner CDF entries at or below its uniform draw,
+    counted in the narrowest unsigned type that holds l - 1 (uint8 for up to
+    256 outcomes); Trajectory holds the record as int64."""
+    n = _integral(n, "trajectory length", DomainError)
+    gamma = _integral(gamma, "component index", DomainError)
     if n < 0:
         raise DomainError("trajectory length must be non-negative")
     if not 0 <= gamma < fam.n_components:
         raise DomainError(f"component index {gamma} outside 0..{fam.n_components - 1}")
     # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
     u = substream(seed, 1).random(n)
-    outcomes = np.zeros(n, dtype=np.intp)
-    for c in np.cumsum(fam.prob_table(theta)[gamma][:-1]).tolist():
+    cdf = np.cumsum(fam.prob_table(theta)[gamma][:-1]).tolist()
+    outcomes = np.zeros(n, dtype=np.min_scalar_type(len(cdf)))
+    for c in cdf:
         outcomes += u >= c
     return Trajectory(outcomes=outcomes, gamma=gamma)
 
@@ -124,15 +132,22 @@ def sample_count_paths(
     same counts, and leaves rng in the same state, as the (R, l) form on R
     copies of that law.  This is the same in distribution as counting the
     prefixes of one sampled record.
+
+    size and the grid entries are integral (100.0 counts as 100), and size
+    is at least 0; DomainError names a value that is not.
     """
     p = np.asarray(p, dtype=float)
     if size is None and p.ndim != 2:
         raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
-    if size is not None and p.ndim != 1:
-        raise DomainError(f"one outcome law for size={size} records must have shape (outcomes,), not {p.shape}")
+    if size is not None:
+        size = _integral(size, "size", DomainError)
+        if size < 0:
+            raise DomainError(f"size {size} must be at least 0")
+        if p.ndim != 1:
+            raise DomainError(f"one outcome law for size={size} records must have shape (outcomes,), not {p.shape}")
     # The few grid gaps are Python ints: a numpy array costs more to set up
     # than the arithmetic on it.
-    grid = [int(n) for n in n_grid]
+    grid = [_integral(n, "record length", DomainError) for n in n_grid]
     gaps = [n - m for m, n in zip([0, *grid], grid)]
     if any(gap < 0 for gap in gaps):
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
@@ -147,15 +162,16 @@ def sample_count_paths(
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:
     """Exact counts of outcomes 0..n_outcomes-1 in the first n_prefix steps
-    of a trajectory; DomainError names the first other outcome there."""
-    n = len(traj) if n_prefix is None else int(n_prefix)
+    of a trajectory (an integral n_prefix, 100.0 counting as 100); DomainError
+    names the first other outcome there."""
+    n = len(traj) if n_prefix is None else _integral(n_prefix, "prefix length", DomainError)
     if n < 0:
         raise DomainError(f"prefix length {n} must be at least 0")
     if n > len(traj):
         raise DomainError(f"prefix length {n} exceeds trajectory length {len(traj)}")
     prefix = traj.outcomes[:n]
-    bad = (prefix < 0) | (prefix >= n_outcomes)
-    if bad.any():
-        k = int(np.argmax(bad))
+    # The range test reads the prefix's extremes; the mask only finds the step.
+    if n and (prefix.min() < 0 or prefix.max() >= n_outcomes):
+        k = int(np.argmax((prefix < 0) | (prefix >= n_outcomes)))
         raise DomainError(f"outcome index {prefix[k]} at step {k + 1} outside 0..{n_outcomes - 1}")
     return CountVector(n=n, counts=np.bincount(prefix, minlength=n_outcomes))

@@ -132,7 +132,7 @@ def test_config_error_creates_no_output_directory(argv, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
 def test_output_path_through_a_file_is_config_error(below, tmp_path, monkeypatch, capsys):
     """An --out that names an existing file, or a path below one, exits 2
     before any draw and leaves the file as it was."""

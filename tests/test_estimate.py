@@ -518,6 +518,83 @@ def test_trace_csv_matches_the_csv_writer_bytes(name, tmp_path):
     assert b",-inf\r\n" in got
 
 
+def reference_csv_text(header, rows) -> str:
+    """estimate._csv_text as it was before its one % pass: each cell formatted
+    on its own."""
+    cells = [header] + [[f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows]
+    return "".join(",".join(row) + "\r\n" for row in cells)
+
+
+def _csv_writer_text(header, rows) -> str:
+    """The reference's cells through csv.writer (RFC 4180 quoting, CRLF line ends)."""
+    import csv
+    import io
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    for row in [header, *rows]:
+        writer.writerow([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["n", "theta_hat"], [[1, 0.5], [10_000, np.float64(0.1)], [np.int64(7), -0.0], [2**70, 1e-300]]),
+    (["theta_0", "loglik"], [[np.inf, -np.inf], [np.nan, 0.1 + 0.2], [np.float64(-np.inf), np.float64(np.nan)]]),
+    (["theta_0", "theta_1", "loglik"], [[0.25, np.float64(1 / 3), -1e17], [1, 2, 3]]),
+    (["n", "theta_hat"], []),
+    ([], []),
+    (["a"], [[], ["x"], [True]]),
+])
+def test_csv_text_equals_the_reference_bytes(header, rows):
+    """Floats (np.float64, ±inf, nan and -0 included) to 17 significant
+    digits, ints and other cells as str: the per-cell reference's text, which
+    is also what csv.writer writes."""
+    text = estimate._csv_text(header, rows)
+    assert text == reference_csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
+def reference_to_dict(report) -> dict:
+    """EstimationReport.to_dict as it was before it read each array with one
+    .tolist(): one float() per entry."""
+    return {
+        "theta_hat": [float(x) for x in np.atleast_1d(report.theta_hat)],
+        "theta_hat_per_component": [
+            [float(x) for x in np.atleast_1d(row)] for row in report.theta_hat_per_component
+        ],
+        "loglik_at_max": float(report.loglik_at_max),
+        "n": int(report.n),
+        "posterior_at_hat": [float(x) for x in report.posterior_at_hat],
+        "fisher_at_hat": report.fisher_at_hat.tolist(),
+        "converged": bool(report.converged),
+        "boundary": bool(report.boundary),
+        "tie": bool(report.tie),
+    }
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_full"])
+def test_report_dict_and_trace_keep_python_floats(name):
+    """to_dict gives the reference's dict, leaf types and JSON bytes, and the
+    trace holds (list of D floats, float) pairs."""
+    import json
+
+    pre = get_preset(name)
+    traj = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, 3)
+    report = mle(pre.family, pre.q, counts(traj, n_outcomes=pre.family.n_outcomes),
+                 box=pre.search_box())
+    got, want = report.to_dict(), reference_to_dict(report)
+    assert got == want
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+    def leaves(x):
+        return [y for v in x for y in leaves(v)] if isinstance(x, list) else [x]
+
+    for key in ("theta_hat", "theta_hat_per_component", "posterior_at_hat"):
+        assert {type(x) for x in leaves(got[key])} == {float}
+    for theta, value in report.optimizer_trace:
+        assert type(theta) is list and len(theta) == pre.family.dim
+        assert {type(x) for x in theta} == {float} and type(value) is float
+
+
 def _two_param_family():
     """d=2, l=3 family with a 2-D parameter; gradients by hand."""
 

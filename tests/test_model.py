@@ -50,6 +50,87 @@ def test_box_require_checks_every_row_of_a_stack():
         box.require(np.full((3, 1), 0.5))   # rows must end in the box dimension
 
 
+def reference_require(box, theta):
+    """ParameterBox.require as it was before its one-pass check: the edges
+    widened by 1e-12 at each call and the rows tested one by one."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if t.shape[-1:] != box.lower.shape:
+        raise DomainError(f"theta {t} outside parameter box [{box.lower}, {box.upper}]")
+    inside = np.all((t >= box.lower - 1e-12) & (t <= box.upper + 1e-12), axis=-1)
+    if not np.all(inside):
+        row = tuple(np.argwhere(~inside)[0].tolist())
+        where = f" at stack index {row}" if row else ""
+        raise DomainError(f"theta {t[row]}{where} outside parameter box [{box.lower}, {box.upper}]")
+    return t
+
+
+def reference_contains(box, theta, atol=0.0):
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if t.shape != box.lower.shape:
+        return False
+    return bool(np.all(t >= box.lower - atol) & np.all(t <= box.upper + atol))
+
+
+def reference_is_interior(box, theta):
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    return t.shape == box.lower.shape and bool(np.all(t > box.lower) and np.all(t < box.upper))
+
+
+def _require_outcome(require, theta):
+    """The array require returns, or the message of the DomainError it raises."""
+    try:
+        return require(theta)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _edge_values(lo, hi):
+    """Each edge, 1e-12 and 2e-12 to either side of it, the midpoint, nan and ±inf."""
+    steps = (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)
+    return [lo + s for s in steps] + [hi + s for s in steps] + [0.5 * (lo + hi), np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("lower, upper", [([0.7333981633974482], [0.8373981633974482]),
+                                          ([0.2, -1.0], [0.8, 3.0])])
+def test_box_checks_equal_the_reference_checks(lower, upper):
+    """require, contains and is_interior accept and refuse the points the
+    row-by-row reference does, with the same returned array or message: every
+    edge ±1e-12 and ±2e-12, nan and ±inf in every coordinate, (m, D) and
+    (a, b, D) stacks with one row outside at each place, and a wrong last axis."""
+    box = ParameterBox(np.array(lower), np.array(upper))
+    dim = len(lower)
+    axes = [_edge_values(lo, hi) for lo, hi in zip(lower, upper)]
+    points = np.array(np.meshgrid(*axes, indexing="ij")).reshape(dim, -1).T
+    refused = 0
+    for theta in [*points, *points.tolist()]:
+        got, want = _require_outcome(box.require, theta), _require_outcome(lambda t: reference_require(box, t), theta)
+        if isinstance(want, str):
+            refused += 1
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+        for atol in (0.0, 1e-12):
+            assert box.contains(theta, atol=atol) == reference_contains(box, theta, atol=atol)
+        assert box.is_interior(theta) == reference_is_interior(box, theta)
+    assert 0 < refused < len(points) * 2
+    inside = points[[reference_contains(box, t, atol=1e-12) for t in points]]
+    outside = points[[not reference_contains(box, t, atol=1e-12) for t in points]]
+    assert len(inside) % 3 == 0   # reshaped to (3, b, D) stacks below
+    for bad in outside[:: max(1, len(outside) // 7)]:
+        for k in range(len(inside)):
+            stack = inside.copy()
+            stack[k] = bad
+            for shaped in (stack, stack.reshape(3, -1, dim)):
+                assert _require_outcome(box.require, shaped) == _require_outcome(
+                    lambda t: reference_require(box, t), shaped)
+    np.testing.assert_array_equal(box.require(inside), reference_require(box, inside))
+    for wrong in (np.full(dim + 1, 0.5), np.full((3, dim + 1), 0.5), np.zeros((2, 0))):
+        assert _require_outcome(box.require, wrong) == _require_outcome(lambda t: reference_require(box, t), wrong)
+        assert isinstance(_require_outcome(box.require, wrong), str)
+        assert box.contains(wrong) is reference_contains(box, wrong) is False
+        assert box.is_interior(wrong) is reference_is_interior(box, wrong) is False
+
+
 def test_weights_validation():
     with pytest.raises(ConstructionError):
         MixtureWeights(np.array([0.5, 0.5, 0.1]))

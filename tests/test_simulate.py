@@ -12,7 +12,7 @@ from qndmix.simulate import (
     sample_trajectory,
     substream,
 )
-from qndmix.model import MixtureWeights
+from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily
 from qndmix.presets import get_preset
 
 
@@ -224,6 +224,122 @@ def test_count_paths_refuse_a_law_shape_that_does_not_match_size(toy):
         sample_count_paths(table[0], (50,), substream(1))
     with pytest.raises(DomainError, match=r"size=5 records must have shape \(outcomes,\), not \(8, 8\)"):
         sample_count_paths(table, (50,), substream(1), size=5)
+
+
+@pytest.mark.parametrize("size, message", [
+    (-1, "size -1 must be at least 0"),
+    (2.5, "size 2.5 is not an integer"),
+    (np.nan, "size nan is not an integer"),
+    ("5", "size 5 is not an integer"),
+])
+def test_count_paths_refuse_a_size_that_is_not_a_count(toy, size, message):
+    p = toy.family.prob_table(toy.theta_star)[0]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sample_count_paths(p, (50,), substream(1), size=size)
+
+
+def test_count_paths_refuse_a_record_length_that_is_not_an_integer(toy):
+    table = toy.family.prob_table(toy.theta_star)
+    with pytest.raises(DomainError, match=r"^record length 2.5 is not an integer$"):
+        sample_count_paths(table, (1, 2.5), substream(1))
+    with pytest.raises(DomainError, match=r"^record length 2.5 is not an integer$"):
+        sample_count_paths(table[0], (2.5,), substream(1), size=3)
+
+
+def test_count_paths_take_integral_sizes_and_lengths(toy):
+    """100.0 and np.int64 count as ints: the same draws as the ints, and size=0
+    draws nothing."""
+    p = toy.family.prob_table(toy.theta_star)[1]
+    want = sample_count_paths(p, (50, 80), substream(1), size=4)
+    for size, grid in ((4.0, (50.0, 80)), (np.int64(4), (np.int64(50), np.float64(80.0)))):
+        got = sample_count_paths(p, grid, substream(1), size=size)
+        assert got.shape == (4, 2, 8)
+        np.testing.assert_array_equal(got, want)
+    assert sample_count_paths(p, (50,), substream(1), size=0).shape == (0, 1, 8)
+
+
+def test_trajectory_arguments_must_be_integers(toy):
+    """A trajectory length or component index that is not integral is named;
+    an integral float or np.int64 draws what the int draws."""
+    fam, theta = toy.family, toy.theta_star
+    for n, gamma, message in ((2.5, 0, "trajectory length 2.5"), (np.nan, 0, "trajectory length nan"),
+                              (10, 0.5, "component index 0.5"), (10, None, "component index None")):
+        with pytest.raises(DomainError, match=f"^{message} is not an integer$"):
+            sample_trajectory(fam, theta, gamma, n, seed=0)
+    want = sample_trajectory(fam, theta, 1, 100, seed=4)
+    for n, gamma in ((100.0, 1.0), (np.int64(100), np.int64(1))):
+        got = sample_trajectory(fam, theta, gamma, n, seed=4)
+        np.testing.assert_array_equal(got.outcomes, want.outcomes)
+        assert type(got.gamma) is int and got.gamma == 1
+
+
+def test_prefix_length_must_be_an_integer(toy):
+    traj = sample_trajectory(toy.family, toy.theta_star, 0, 20, seed=1)
+    for n_prefix in (2.5, np.nan, "3"):
+        with pytest.raises(DomainError, match=f"^prefix length {n_prefix} is not an integer$"):
+            counts(traj, n_prefix, n_outcomes=8)
+    want = counts(traj, 10, n_outcomes=8)
+    for n_prefix in (10.0, np.int64(10)):
+        got = counts(traj, n_prefix, n_outcomes=8)
+        assert got.n == 10
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+
+@pytest.mark.parametrize("outcomes, message", [
+    ([0, 8, -3], "outcome index 8 at step 2"),
+    ([3, -2, 8], "outcome index -2 at step 2"),
+    ([7, 7, 7, 12], "outcome index 12 at step 4"),
+    ([-1], "outcome index -1 at step 1"),
+    ([0, 1, 2**40], "outcome index 1099511627776 at step 3"),
+])
+def test_counts_name_the_first_outcome_outside_the_alphabet(outcomes, message):
+    """Below 0, at l or above: the first such outcome and its step are named;
+    a prefix that stops before it is counted, an empty one included."""
+    traj = Trajectory(outcomes=outcomes, gamma=0)
+    with pytest.raises(DomainError, match=f"^{message} outside 0..7$"):
+        counts(traj, n_outcomes=8)
+    step = int(message.rsplit(" ", 1)[1])
+    for n_prefix in range(step):
+        good = counts(traj, n_prefix, n_outcomes=8)
+        np.testing.assert_array_equal(good.counts, np.bincount(outcomes[:n_prefix], minlength=8))
+    assert counts(Trajectory(outcomes=[], gamma=0), n_outcomes=8).n == 0
+
+
+def reference_sample_trajectory(fam, theta, gamma, n, seed):
+    """sample_trajectory's outcomes as they were drawn before the byte-wide
+    accumulator: the same inverse CDF, counted in np.intp."""
+    u = substream(seed, 1).random(n)
+    outcomes = np.zeros(n, dtype=np.intp)
+    for c in np.cumsum(fam.prob_table(theta)[gamma][:-1]).tolist():
+        outcomes += u >= c
+    return outcomes
+
+
+def _softmax_family(n_outcomes):
+    """Two components over n_outcomes outcomes, smooth in one parameter."""
+    def probs(t):
+        j = np.arange(n_outcomes)
+        g = np.stack([np.sin(t * (1 + j / n_outcomes)), np.cos(2 * t + j / 7.0)], axis=-2)
+        e = np.exp(g)
+        return e / e.sum(axis=-1, keepdims=True)
+    return ParametricFamily(box=ParameterBox(np.array([0.1]), np.array([1.3])), probs=probs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10_000])
+def test_byte_wide_draw_equals_the_reference_draw(n):
+    """qubit_rotation (l = 2), toy_haroche (l = 8) and a 257-outcome family,
+    the fewest outcomes that need a uint16 accumulator: the outcomes the intp
+    reference draws, as int64."""
+    cases = [(get_preset(name).family, get_preset(name).theta_star) for name in ("qubit_rotation", "toy_haroche")]
+    cases.append((_softmax_family(257), np.array([0.7])))
+    for fam, theta in cases:
+        for gamma in range(fam.n_components):
+            for seed in (0, 17):
+                traj = sample_trajectory(fam, theta, gamma, n, seed)
+                want = reference_sample_trajectory(fam, theta, gamma, n, seed)
+                assert traj.outcomes.dtype == np.int64 and len(traj) == n
+                np.testing.assert_array_equal(traj.outcomes, want)
+    assert fam.n_outcomes == 257 and (n < 10_000 or traj.outcomes.max() == 256)
 
 
 def test_trajectory_is_immutable(bernoulli_pair):
