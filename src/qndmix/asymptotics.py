@@ -2,8 +2,10 @@
 
 The Monte-Carlo experiments draw seeded replications, compare empirical
 moments against their analytic targets (per hidden component first, then on
-the mixture) and return a JSON-serializable report with targets, estimates,
-tolerances and a pass flag; estimate and fig1 fit seeded single records.
+the mixture) and return a report with targets, estimates, tolerances and a
+pass flag; estimate and fig1 fit seeded single records.  Every report is built
+of JSON values: string keys, lists, and Python str, int, float and bool
+leaves, each array read with one .tolist().
 
 Each experiment stream owns one generator, substream(master_seed, *key), on
 which all of its replications are drawn (sample_count_paths).  The streams of
@@ -90,8 +92,9 @@ class ExperimentPlan:
     and every shifted parameter must stay inside it.  n_grid holds distinct
     integral record lengths of at least 1 (1000.0 is one, 250.5 is refused);
     n_reps, the replications per stream, is integral by the same rule and at
-    least 2, so that every sample variance is defined; master_seed is at
-    least 0, as every generator's entropy must be.
+    least 2, so that every sample variance is defined; master_seed is
+    integral by the same rule and at least 0, as every generator's entropy
+    must be.  Each is stored as a Python int, as the reports hold it.
     """
 
     family: ParametricFamily
@@ -119,8 +122,9 @@ class ExperimentPlan:
         n_reps = _integral(self.n_reps, "n_reps", ConstructionError)
         if n_reps < 2:
             raise ConstructionError(f"n_reps {n_reps} must be at least 2")
-        if self.master_seed < 0:
-            raise ConstructionError(f"master_seed {self.master_seed} must be at least 0")
+        master_seed = _integral(self.master_seed, "master_seed", ConstructionError)
+        if master_seed < 0:
+            raise ConstructionError(f"master_seed {master_seed} must be at least 0")
         n_grid = tuple(_integral(n, "n_grid entry", ConstructionError) for n in self.n_grid)
         if not n_grid:
             raise ConstructionError("n_grid must not be empty")
@@ -139,6 +143,7 @@ class ExperimentPlan:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "n_reps", n_reps)
+        object.__setattr__(self, "master_seed", master_seed)
 
     def search_box(self) -> ParameterBox:
         return self.estimation_box if self.estimation_box is not None else self.family.box
@@ -183,8 +188,7 @@ class ExperimentPlan:
 
 def _draw_mixture_gammas(plan: ExperimentPlan, *tags: int) -> np.ndarray:
     """Hidden component of each replication, drawn from q on (TAG_MIXGAMMA, *tags)."""
-    rng = substream(plan.master_seed, TAG_MIXGAMMA, *tags)
-    return rng.choice(plan.q.size, size=plan.n_reps, p=plan.q.q)
+    return plan.q.draw(substream(plan.master_seed, TAG_MIXGAMMA, *tags), plan.n_reps)
 
 
 def _fit_blocks(plan: ExperimentPlan, blocks: list) -> tuple:
@@ -230,20 +234,10 @@ def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _per_component(columns: dict) -> dict:
-    """{g: {name: column[g]}} from columns of one entry per component, each
-    read with one .tolist(), so that the entries are Python scalars."""
+    """{str(g): {name: column[g]}} from columns of one entry per component,
+    each read with one .tolist(), so that the entries are Python scalars."""
     rows = zip(*(column.tolist() for column in columns.values()))
-    return {g: dict(zip(columns, row)) for g, row in enumerate(rows)}
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.ndarray, np.generic)):
-        return x.tolist()
-    return x
+    return {str(g): dict(zip(columns, row)) for g, row in enumerate(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +306,10 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
                 entry["ad_statistic"] = ad[g]
                 entry["ad_critical_1pct"] = crit
                 entry["ad_ok"] = bool(ad[g] < crit)
-            per_n[n] = entry
-        final = per_n[n_max]
+            per_n[str(n)] = entry
+        final = per_n[str(n_max)]
         comp_pass = final["mean_ok"] and final["var_ok"] and final.get("ad_ok", True)
-        per_component[g] = {"fisher_quadratic": hih_g, "by_n": per_n, "passed": comp_pass}
+        per_component[str(g)] = {"fisher_quadratic": hih_g, "by_n": per_n, "passed": comp_pass}
         all_pass = all_pass and comp_pass
 
     # Mixture limit via Lemma-style aggregation: reweight the per-component
@@ -325,11 +319,11 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     mix_mean_target = float(q.q @ (-0.5 * hih))
     mix_second = q.q @ (hih + 0.25 * hih**2)
     mix_var_target = float(mix_second - mix_mean_target**2)
-    report = {
+    return {
         "experiment": "lamn",
-        "theta_star": plan.theta_star,
-        "h": h,
-        "n_grid": plan.n_grid,
+        "theta_star": plan.theta_star.tolist(),
+        "h": h.tolist(),
+        "n_grid": list(plan.n_grid),
         "n_reps": reps,
         "master_seed": plan.master_seed,
         "per_component": per_component,
@@ -341,7 +335,6 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         },
         "passed": all_pass,
     }
-    return _jsonable(report)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +427,10 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "passed": passed,
     })
 
-    report = {
+    return {
         "experiment": "collapse",
-        "theta_star": plan.theta_star,
-        "h": plan.h,
+        "theta_star": plan.theta_star.tolist(),
+        "h": plan.h.tolist(),
         "n_grid": n_grid,
         "n_reps": reps,
         "master_seed": plan.master_seed,
@@ -445,7 +438,6 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "per_component": per_component,
         "passed": bool(passed.all()),
     }
-    return _jsonable(report)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
         errors = np.abs(x_hat[k] - plan.theta_star[0])
         med = float(np.median(errors))
         medians.append(med)
-        by_n[n] = {
+        by_n[str(n)] = {
             "median_abs_error": med,
             "q90_abs_error": float(np.quantile(errors, 0.9)),
             "max_abs_error": float(errors.max()),
@@ -484,9 +476,9 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
             "max_evaluations": int(evaluations[k].max()),
         }
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    report = {
+    return {
         "experiment": "consistency",
-        "theta_star": plan.theta_star,
+        "theta_star": plan.theta_star.tolist(),
         "n_grid": n_grid,
         "n_reps": plan.n_reps,
         "master_seed": plan.master_seed,
@@ -494,7 +486,6 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
         "median_decreasing": decreasing,
         "passed": decreasing,
     }
-    return _jsonable(report)
 
 
 def mle_path(
@@ -606,10 +597,10 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     mix_ok = abs(second / target_second - 1.0) <= CRAMER_MIXTURE_RTOL
     all_pass = bool(passed.all()) and mix_ok
 
-    report = {
+    return {
         "experiment": "cramer_rao",
-        "theta_star": plan.theta_star,
-        "h": plan.h,
+        "theta_star": plan.theta_star.tolist(),
+        "h": plan.h.tolist(),
         "n": n,
         "n_reps": plan.n_reps,
         "master_seed": plan.master_seed,
@@ -618,14 +609,13 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "second_moment": second,
             "target": target_second,
             "ratio": second / target_second,
-            "boundary_hits": hits[d],
-            "max_evaluations": max_evals[d],
-            "passed": bool(mix_ok),
+            "boundary_hits": int(hits[d]),
+            "max_evaluations": int(max_evals[d]),
+            "passed": mix_ok,
         },
-        "efficiency_band": CRAMER_RATIO_BAND,
+        "efficiency_band": list(CRAMER_RATIO_BAND),
         "passed": all_pass,
     }
-    return _jsonable(report)
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +640,20 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     terms = log_terms(fam, q, cm, plan.theta_star)                         # (R, K, d)
     post = np.exp(terms - logsumexp(terms, axis=-1)[..., None])
     purified = post[np.arange(plan.n_reps), :, gammas] > PURIFY_LEVEL      # (R, K)
-    fractions = {n: float(purified[:, k].mean()) for k, n in enumerate(n_grid)}
+    fractions = {str(n): float(purified[:, k].mean()) for k, n in enumerate(n_grid)}
     argmax_counts = np.bincount(post[:, -1].argmax(axis=-1), minlength=fam.n_components)
     empirical = argmax_counts / plan.n_reps
     tv = 0.5 * float(np.abs(empirical - q.q).sum())
-    frac_ok = fractions[n_max] >= PURIFY_FRACTION
+    frac_ok = fractions[str(n_max)] >= PURIFY_FRACTION
     tv_ok = tv <= PURIFY_TV_BOUND
-    report = {
+    return {
         "experiment": "purification",
-        "theta_star": plan.theta_star,
+        "theta_star": plan.theta_star.tolist(),
         "n_grid": n_grid,
         "n_reps": plan.n_reps,
         "master_seed": plan.master_seed,
         "fraction_purified": fractions,
-        "argmax_distribution": empirical,
+        "argmax_distribution": empirical.tolist(),
         "tv_distance_to_q": tv,
-        "passed": bool(frac_ok and tv_ok),
+        "passed": frac_ok and tv_ok,
     }
-    return _jsonable(report)

@@ -10,11 +10,12 @@ components cannot underflow the total.
 
 loglik_rows evaluates it, its score and, on request, its curvature for many
 rows at once.  Both maximizers seed each row's candidates from one shared
-scan of the box, whose ln p table is built once per family and box (keyed
-on the scan points' values); maximize_scalar (D = 1)
+scan of the box, whose tables (ln p, p and its Jacobian) are built once per
+family and box (keyed on the scan points' values); maximize_scalar (D = 1)
 refines them by bracketed root-finding on the score, _maximize_box (D > 1)
-by projected Fisher scoring.  A trial batch takes p and its Jacobian from one
-ParametricFamily.tables call, and mle takes the posterior and the Fisher
+by projected Fisher scoring.  The first trial batch, at scan points, gathers
+p and its Jacobian from the scan's tables; every later one takes them from
+one ParametricFamily.tables call, and mle takes the posterior and the Fisher
 stack at theta_hat from one more.
 """
 
@@ -216,7 +217,10 @@ def maximize_scalar(f: Callable, lo: float, hi: float) -> Maxima:
     ``f(x, rows)`` evaluates row rows[i] at x[i] and returns two vectors, the
     values and the slopes; ``f(x, rows, curvature=True)`` adds a third, a
     negative curvature (an expected Hessian will do).  Only the first
-    evaluation asks for the curvature, which sets the first step.
+    evaluation asks for the curvature, which sets the first step.  That
+    evaluation is at scan points, the points of the f(x) call before it,
+    which a loglik_rows objective does not evaluate again: it gathers their
+    tables from its scan.
 
     A shared scan of COARSE_POINTS points picks each row's candidates: the
     scan argmax and every strict local maximum.  Each candidate starts at its
@@ -324,6 +328,12 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     asks for the curvature at its first evaluation only, _maximize_box at
     every one.
 
+    The objective remembers the _ScanTable of its last scan until its next
+    trial call.  When every point of that call is a scan point (the first
+    step of both maximizers), it gathers their p and Jacobian from that
+    table, whose points the box check passed when it was built; any other
+    trial call evaluates fam.tables, with its box check.
+
     logq is (R, d) and counts (R, l); either may have a single row shared by
     all.  Log-weights 0 on one component and -inf elsewhere give that
     component's likelihood.  Each row is normalized by its own n_r, so rows
@@ -339,11 +349,15 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     logq = np.broadcast_to(logq, (n_rows, logq.shape[1]))
     counts = np.broadcast_to(counts, (n_rows, counts.shape[1]))
     n = counts.sum(axis=1)
+    # The scan table of the last scan, until the next trial call.
+    scanned = None
 
     def scan(x: np.ndarray) -> np.ndarray:
         # Component-major terms (d, m, rows): the sum over components runs
         # elementwise over d contiguous (m, rows) slabs.
-        logp = _scan_table(fam, x)
+        nonlocal scanned
+        scanned = _scan_table(fam, x)
+        logp = scanned.logp
         d, m = fam.n_components, len(x)
         out = np.empty((n_rows, m))
         for b in _blocks(n_rows):
@@ -352,9 +366,7 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
             out[b] = (logsumexp(terms, axis=0) / n[b]).T
         return out
 
-    def at_points(x: np.ndarray, rows: np.ndarray, curvature: bool) -> tuple:
-        t = x.reshape(len(x), -1)
-        p, dp = fam.tables(t)                                      # (k, d, l), (k, D, d, l)
+    def at_points(x: np.ndarray, rows: np.ndarray, curvature: bool, p: np.ndarray, dp: np.ndarray) -> tuple:
         c = counts[rows]
         terms = np.einsum("kdl,kl->kd", np.log(p), c) + logq[rows]
         total = logsumexp(terms, axis=-1)
@@ -368,30 +380,61 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
         return value, slope, h.reshape(x.shape + x.shape[1:])
 
     def f(x: np.ndarray, rows: Optional[np.ndarray] = None, curvature: bool = False):
+        nonlocal scanned
         if rows is None:
             return scan(x)
+        t = x.reshape(len(x), -1)
+        table, scanned = scanned, None
+        at = None if table is None else table.find(t)
         if len(x) <= ROW_BLOCK:
-            return at_points(x, rows, curvature)
-        parts = [at_points(x[b], rows[b], curvature) for b in _blocks(len(x))]
+            tables = fam.tables(t) if at is None else (table.p[at], table.dp[at])
+            return at_points(x, rows, curvature, *tables)
+        parts = []
+        for b in _blocks(len(x)):
+            tables = fam.tables(t[b]) if at is None else (table.p[at[b]], table.dp[at[b]])
+            parts.append(at_points(x[b], rows[b], curvature, *tables))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     return f
 
 
-_SCAN_TABLES = weakref.WeakKeyDictionary()  # family -> {scan points: table}
+_SCAN_TABLES = weakref.WeakKeyDictionary()  # family -> {scan points: _ScanTable}
 
 
-def _scan_table(fam: ParametricFamily, x: np.ndarray) -> np.ndarray:
-    """ln p at the m scan points x as a read-only, component-major (d·m, l)
-    table, built on the first scan of x.  It stays C-contiguous, the layout
-    that fixes how the scan's matrix product rounds each value."""
+class _ScanTable:
+    """A family's tables at m scan points, from one fam.tables call (so one
+    box check), all read-only: the points x (m, D); logp, ln p as a
+    component-major (d·m, l) table, C-contiguous, the layout that fixes how
+    the scan's matrix product rounds each value; and p (m, d, l) and its
+    Jacobian dp (m, D, d, l), which a trial call at scan points gathers in
+    place of a second evaluation.  Both rules of every preset are pointwise,
+    so a gathered table equals fam.tables at those points bit for bit."""
+
+    def __init__(self, fam: ParametricFamily, x: np.ndarray):
+        self.x = x
+        self.p, self.dp = fam.tables(x)
+        self.logp = np.swapaxes(np.log(self.p), 0, 1).reshape(-1, fam.n_outcomes)
+        # Scan points in order of their first coordinate, for find.
+        self._order = np.argsort(x[:, 0], kind="stable")
+        self._first = x[self._order, 0]
+        for a in (x, self.p, self.dp, self.logp):
+            a.setflags(write=False)
+
+    def find(self, t: np.ndarray) -> Optional[np.ndarray]:
+        """The scan indices of the k points t (k, D) when every one is a scan
+        point, else None (a NaN coordinate matches nothing): one searchsorted
+        on the first coordinate, then one equality test on the whole points."""
+        at = self._order[np.minimum(np.searchsorted(self._first, t[:, 0]), len(self.x) - 1)]
+        return at if np.array_equal(self.x[at], t) else None
+
+
+def _scan_table(fam: ParametricFamily, x: np.ndarray) -> _ScanTable:
+    """The _ScanTable of fam at the m scan points x (m scalars or (m, D)),
+    built on the first scan of x and kept for the family's lifetime."""
     tables = _SCAN_TABLES.setdefault(fam, {})
     key = (x.shape, x.tobytes())
     if key not in tables:
-        logp = np.swapaxes(fam.log_prob_table(x.reshape(len(x), -1)), 0, 1)  # (d, m, l)
-        table = logp.reshape(-1, fam.n_outcomes)
-        table.setflags(write=False)
-        tables[key] = table
+        tables[key] = _ScanTable(fam, x.reshape(len(x), -1).copy())
     return tables[key]
 
 

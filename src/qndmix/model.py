@@ -300,7 +300,11 @@ class ParametricFamily:
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Strictly positive weights on the component simplex."""
+    """Strictly positive weights on the component simplex.
+
+    cdf, the normalized cumulative weights q.cumsum() / q.sum(), is computed
+    once, at construction, and is read-only; draw samples components from it
+    by inverse cdf."""
 
     q: np.ndarray
 
@@ -316,6 +320,17 @@ class MixtureWeights:
             raise ConstructionError(f"weights sum to {q.sum()}, not 1")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
+        cdf = q.cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        object.__setattr__(self, "cdf", cdf)
+
+    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Component indices drawn from q on rng: one np.int64 for size None,
+        an int64 array of that size otherwise.  The values, and rng's state
+        after the draw, are those of rng.choice(self.size, size, p=self.q),
+        which validates p and then takes this same inverse-cdf draw."""
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
     @classmethod
     def normalized(cls, weights: Sequence[float]) -> "MixtureWeights":

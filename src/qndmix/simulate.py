@@ -73,10 +73,20 @@ class CountVector:
         object.__setattr__(self, "counts", c)
 
 
+def _record_seed(seed) -> int:
+    """A record's seed as a Python int: integral (4.0 and np.int64(4) are 4)
+    and at least 0, as every generator's entropy must be; DomainError names
+    any other value (None, which would draw from OS entropy, 2.5, -1)."""
+    seed = _integral(seed, "seed", DomainError)
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be at least 0")
+    return seed
+
+
 def sample_component(q: MixtureWeights, seed: int) -> int:
-    """Draw the hidden component index from the mixture weights."""
-    rng = substream(seed, 0)
-    return int(rng.choice(q.size, p=q.q))
+    """Draw the hidden component index from the mixture weights, by inverse
+    cdf (MixtureWeights.draw) on substream(seed, 0)."""
+    return int(q.draw(substream(_record_seed(seed), 0)))
 
 
 def sample_trajectory(
@@ -88,12 +98,14 @@ def sample_trajectory(
 ) -> Trajectory:
     """n i.i.d. outcomes from p_theta(.|gamma); deterministic given the seed.
 
-    n and gamma are integral (100.0 and np.int64(100) count as 100).  Each
+    n, gamma and seed are integral (100.0 and np.int64(100) count as 100),
+    and the seed is at least 0 (_record_seed).  Each
     outcome is the number of inner CDF entries at or below its uniform draw,
     counted in the narrowest unsigned type that holds l - 1 (uint8 for up to
     256 outcomes); Trajectory holds the record as int64."""
     n = _integral(n, "trajectory length", DomainError)
     gamma = _integral(gamma, "component index", DomainError)
+    seed = _record_seed(seed)
     if n < 0:
         raise DomainError("trajectory length must be non-negative")
     if not 0 <= gamma < fam.n_components:
@@ -128,13 +140,19 @@ def sample_count_paths(
     Record r has outcome law p[r] (p of shape (R, l)); with size=R, every
     record has the one law p (p of shape (l,)).  Laws are normalized here.
     All records are drawn on the one generator rng, gap-major: for each grid
-    gap in order, one multinomial over all R rows.  The one-law form draws the
-    same counts, and leaves rng in the same state, as the (R, l) form on R
-    copies of that law.  This is the same in distribution as counting the
-    prefixes of one sampled record.
+    gap in order, one multinomial over all R rows.  A one-entry grid returns
+    that multinomial's own (R, l) array as an (R, 1, l) view.  The one-law
+    form draws the same counts, and leaves rng in the same state, as the
+    (R, l) form on R copies of that law.  This is the same in distribution
+    as counting the prefixes of one sampled record.
 
     size and the grid entries are integral (100.0 counts as 100), and size
-    is at least 0; DomainError names a value that is not.
+    is at least 0; DomainError names a value that is not.  Every law must be
+    non-negative with a finite positive sum: DomainError names the first
+    record whose law is not, and that law.  A valid law costs one test on
+    the row sums the normalization computes (each in (0, inf)); a negative
+    or NaN entry in a row of finite positive sum is found when the
+    multinomial refuses it.
     """
     p = np.asarray(p, dtype=float)
     if size is None and p.ndim != 2:
@@ -149,15 +167,37 @@ def sample_count_paths(
     # than the arithmetic on it.
     grid = [_integral(n, "record length", DomainError) for n in n_grid]
     gaps = [n - m for m, n in zip([0, *grid], grid)]
-    if any(gap < 0 for gap in gaps):
+    if min(gaps, default=0) < 0:
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
-    p = p / p.sum(axis=-1, keepdims=True)
-    out = np.empty((len(p) if size is None else size, len(gaps), p.shape[-1]), dtype=np.int64)
-    for k, gap in enumerate(gaps):
-        out[:, k] = rng.multinomial(gap, p, size=size)
-        if k:
-            out[:, k] += out[:, k - 1]
+    total = p.sum(axis=-1, keepdims=True)
+    if total.size and not (0 < total.min() and total.max() < np.inf):
+        _refuse_laws(p)
+    laws = p / total
+    try:
+        if len(gaps) == 1:
+            return rng.multinomial(gaps[0], laws, size=size)[:, None]
+        out = np.empty((len(p) if size is None else size, len(gaps), p.shape[-1]), dtype=np.int64)
+        for k, gap in enumerate(gaps):
+            out[:, k] = rng.multinomial(gap, laws, size=size)
+            if k:
+                out[:, k] += out[:, k - 1]
+    except ValueError:
+        _refuse_laws(p)
+        raise
     return out
+
+
+def _refuse_laws(p: np.ndarray) -> None:
+    """DomainError naming the first record of p (one law (l,) or laws (R, l))
+    whose law has a negative or NaN entry, or a sum that is not finite and
+    positive; nothing when every law is valid."""
+    laws = np.atleast_2d(p)
+    total = laws.sum(axis=-1)
+    bad = ~(laws >= 0).all(axis=-1) | ~((total > 0) & (total < np.inf))
+    if bad.any():
+        r = int(np.argmax(bad))
+        where = "the outcome law" if p.ndim == 1 else f"the outcome law of record {r}"
+        raise DomainError(f"{where}, {laws[r]}, must be non-negative with a finite positive sum")
 
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:

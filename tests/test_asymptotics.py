@@ -53,6 +53,28 @@ def test_plan_rejects_boundary_theta(qubit):
         small_plan(qubit, theta_star=np.array([qubit.family.box.lower[0]]))
 
 
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "master_seed 2.5 is not an integer"),
+    (np.nan, "master_seed nan is not an integer"),
+    (None, "master_seed None is not an integer"),
+    ("3", "master_seed 3 is not an integer"),
+    (-1, "master_seed -1 must be at least 0"),
+])
+def test_plan_master_seed_must_be_a_count(qubit, seed, message):
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
+        small_plan(qubit, master_seed=seed)
+
+
+def test_plan_stores_the_master_seed_as_an_int(qubit):
+    """4.0, np.int64(4) and True are stored as the Python ints 4, 4 and 1,
+    and the report holds that int."""
+    for seed, want in ((4.0, 4), (np.int64(4), 4), (True, 1)):
+        plan = small_plan(qubit, master_seed=seed, n_reps=5)
+        assert type(plan.master_seed) is int and plan.master_seed == want
+        report = purification_experiment(plan)
+        assert json.dumps(report["master_seed"]) == str(want)
+
+
 def test_plan_rejects_theta_of_the_wrong_length(qubit):
     """A theta_star with D + 1 entries is refused as a length mismatch, not as
     a shift leaving the box."""
@@ -413,7 +435,7 @@ def cramer_rao_statistics_per_component(plan, x_hat, boundary, evaluations):
         "boundary_hits": int(boundary[d].sum()), "max_evaluations": int(evaluations[d].max()),
         "passed": bool(abs(second / target_second - 1.0) <= asym.CRAMER_MIXTURE_RTOL),
     }
-    return asym._jsonable(per_component), asym._jsonable(mixture)
+    return reference_jsonable(per_component), reference_jsonable(mixture)
 
 
 @pytest.mark.parametrize("n_reps", [5, 200])
@@ -543,7 +565,7 @@ def lamn_per_component(plan):
     hih_all = np.einsum("i,gij,j->g", h, fishers, h)
     mix_mean_target = float(plan.q.q @ (-0.5 * hih_all))
     mix_second = plan.q.q @ (hih_all + 0.25 * hih_all**2)
-    return asym._jsonable({
+    return reference_jsonable({
         "experiment": "lamn", "theta_star": plan.theta_star, "h": h, "n_grid": plan.n_grid,
         "n_reps": plan.n_reps, "master_seed": plan.master_seed, "per_component": per_component,
         "mixture": {
@@ -595,7 +617,7 @@ def collapse_per_component(plan):
             "fraction_below_bound_shifted": frac_ok_shift, "n_checked": n_max, "passed": bool(comp_pass),
         }
         all_pass = all_pass and comp_pass
-    return asym._jsonable({
+    return reference_jsonable({
         "experiment": "collapse", "theta_star": plan.theta_star, "h": plan.h, "n_grid": n_grid,
         "n_reps": plan.n_reps, "master_seed": plan.master_seed, "bound": asym.COLLAPSE_SQRT_N_BOUND,
         "per_component": per_component, "passed": all_pass,
@@ -748,29 +770,51 @@ def _leaf_types(x):
     return type(x)
 
 
+def _json_values(x) -> bool:
+    """True when x is made only of JSON values: dicts with str keys, lists,
+    and leaves whose exact type is str, int, float or bool (no numpy scalar,
+    array or tuple)."""
+    if type(x) is dict:
+        return all(type(k) is str and _json_values(v) for k, v in x.items())
+    if type(x) is list:
+        return all(_json_values(v) for v in x)
+    return type(x) in (str, int, float, bool)
+
+
+# The benchmark's plan of each Monte-Carlo experiment (consistency, which it
+# does not run, at cramer_rao's size).
+BENCHMARK_PLANS = [
+    (lamn_experiment, dict(h=np.array([1.0]), n_grid=(10_000,), n_reps=150)),
+    (mixture_collapse_experiment, dict(h=None, n_grid=(500, 1_000, 2_000), n_reps=30)),
+    (consistency_experiment, dict(h=None, n_grid=(1_000, 10_000), n_reps=5)),
+    (cramer_rao_experiment, dict(h=None, n_grid=(10_000,), n_reps=5)),
+    (purification_experiment, dict(h=None, n_grid=(100, 250, 500), n_reps=150)),
+]
+
+
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_guerlin"])
-def test_jsonable_equals_the_reference_on_every_report(name, monkeypatch):
-    """Equal dicts, leaf types and JSON bytes on the unconverted report of
-    every Monte-Carlo experiment that runs on the preset (toy_haroche_guerlin
-    refuses lamn, consistency and cramer_rao), captured through a spy."""
-    seen = []
-    convert = asym._jsonable
-    monkeypatch.setattr(asym, "_jsonable", lambda x: seen.append(x) or convert(x))
-    plan = small_plan(get_preset(name))
-    experiments = (lamn_experiment, mixture_collapse_experiment, consistency_experiment,
-                   cramer_rao_experiment, purification_experiment)
-    for experiment in experiments:
-        try:
-            experiment(plan)
-        except SingularFisherError:
-            assert name == "toy_haroche_guerlin"
-    reports = [x for x in seen if isinstance(x, dict) and "experiment" in x]
-    assert len(reports) == (2 if name == "toy_haroche_guerlin" else len(experiments))
-    for raw in reports:
-        got, want = convert(raw), reference_jsonable(raw)
-        assert got == want
-        assert _leaf_types(got) == _leaf_types(want)
-        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+def test_every_report_is_json_values(name):
+    """Every Monte-Carlo report, at the benchmark's plans, is its own JSON:
+    string keys and JSON-native leaves only, json.loads(json.dumps(r)) == r,
+    and the parent's conversion (reference_jsonable) leaves it unchanged in
+    values, leaf types and JSON bytes, so that it equals the report that
+    conversion made.  toy_haroche_guerlin refuses lamn, consistency and
+    cramer_rao."""
+    pre = get_preset(name)
+    reports = []
+    for experiment, kw in BENCHMARK_PLANS:
+        for seed in (11_000, 11_001):
+            try:
+                reports.append(experiment(small_plan(pre, master_seed=seed, **kw)))
+            except SingularFisherError:
+                assert name == "toy_haroche_guerlin"
+    assert len(reports) == 2 * (2 if name == "toy_haroche_guerlin" else len(BENCHMARK_PLANS))
+    for report in reports:
+        assert _json_values(report)
+        assert json.loads(json.dumps(report)) == report
+        converted = reference_jsonable(report)
+        assert converted == report and _leaf_types(converted) == _leaf_types(report)
+        assert json.dumps(converted, indent=2) == json.dumps(report, indent=2)
 
 
 def test_anderson_darling_pinned():

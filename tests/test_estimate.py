@@ -665,13 +665,13 @@ def test_halton_neighbours_are_the_nearest_others(dim):
 def test_scan_table_is_built_once_per_box(name, monkeypatch):
     """Only the first mle on a family and box evaluates the COARSE_POINTS-row
     scan table; another box gets a table of its own.  Every cached scan array
-    is read-only, the Halton points and their neighbour indices are built
-    once per (COARSE_POINTS, D), and a cached scan gives the report of a
-    fresh one."""
+    (the points, ln p, p and its Jacobian) is read-only, the Halton points
+    and their neighbour indices are built once per (COARSE_POINTS, D), and a
+    cached scan gives the report of a fresh one."""
     pre = PRESETS[name]()  # a new instance, with no scan table yet
     fam = pre.family
-    probs, stacks = fam._probs, []
-    monkeypatch.setattr(fam, "_probs", lambda t: stacks.append(t.shape[:-1]) or probs(t))
+    rule, stacks = fam._tables, []  # every preset has a joint rule
+    monkeypatch.setattr(fam, "_tables", lambda t: stacks.append(t.shape[:-1]) or rule(t))
     c = counts(sample_mixture_trajectory(fam, pre.theta_star, pre.q, 2_000, 3),
                n_outcomes=fam.n_outcomes)
     half = ParameterBox(fam.box.lower, 0.5 * (fam.box.lower + fam.box.upper))
@@ -689,11 +689,70 @@ def test_scan_table_is_built_once_per_box(name, monkeypatch):
     assert _halton_neighbours.cache_info().misses == (fam.dim > 1)
     tables = list(_SCAN_TABLES[fam].values())
     assert len(tables) == 2
+    d, l = fam.n_components, fam.n_outcomes
     for table in tables:
-        assert table.shape == (fam.n_components * COARSE_POINTS, fam.n_outcomes)
-        assert table.flags.c_contiguous and not table.flags.writeable
+        assert table.logp.shape == (d * COARSE_POINTS, l) and table.logp.flags.c_contiguous
+        assert table.x.shape == (COARSE_POINTS, fam.dim)
+        assert table.p.shape == (COARSE_POINTS, d, l)
+        assert table.dp.shape == (COARSE_POINTS, fam.dim, d, l)
+        assert not any(a.flags.writeable for a in (table.x, table.logp, table.p, table.dp))
     assert not _halton(COARSE_POINTS, fam.dim).flags.writeable
     assert not _halton_neighbours(COARSE_POINTS, fam.dim).flags.writeable
+
+
+def _scan_points(fam, box):
+    """The scan points maximize_scalar (D = 1) or _maximize_box (D > 1) uses on box."""
+    if fam.dim == 1:
+        return np.linspace(box.lower[0], box.upper[0], COARSE_POINTS)
+    return box.lower + _halton(COARSE_POINTS, fam.dim) * (box.upper - box.lower)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_first_step_gathers_the_scan_tables_bit_for_bit(name, monkeypatch):
+    """A trial call right after a scan, at scan points only (the first step of
+    both maximizers), gathers p and its Jacobian from the scan table without
+    calling the rule: they equal fam.tables at those points bit for bit, and
+    its values, slopes and curvatures those of the same call on an objective
+    that never scanned.  The call after it, and a trial call with one point
+    off the scan, call the rule; a point outside the box or NaN is refused
+    even right after a scan."""
+    pre = PRESETS[name]()
+    fam, box = pre.family, pre.search_box()
+    d = fam.n_components
+    c = counts(sample_mixture_trajectory(fam, pre.theta_star, pre.q, 3_000, 2), n_outcomes=fam.n_outcomes)
+    logq = np.vstack([pre.q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
+    xs = _scan_points(fam, box)
+    idx = np.array([0, 5, 5, 17, COARSE_POINTS - 1, 30, 2])
+    rows = np.arange(len(idx)) % (d + 1)
+    table = estimate._scan_table(fam, xs)
+    p, dp = fam.tables(xs[idx].reshape(len(idx), -1))
+    assert table.p[idx].tobytes() == p.tobytes() and table.dp[idx].tobytes() == dp.tobytes()
+
+    rule, calls = fam._tables, []
+    monkeypatch.setattr(fam, "_tables", lambda t: calls.append(len(t)) or rule(t))
+    f, fresh = loglik_rows(fam, logq, c.counts), loglik_rows(fam, logq, c.counts)
+    f(xs)
+    got = f(xs[idx], rows, curvature=True)
+    assert calls == []
+    want = fresh(xs[idx], rows, curvature=True)
+    assert calls == [len(idx)]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    again = f(xs[idx], rows)
+    assert calls == [len(idx)] * 2
+    for a, b in zip(again, want):
+        assert a.tobytes() == b.tobytes()
+    off = xs[idx].copy()
+    off[3] = 0.5 * (xs[0] + xs[1])
+    f(xs)
+    f(off, rows)
+    assert calls == [len(idx)] * 3
+    for bad in (box.upper + 1.0, np.full(fam.dim, np.nan)):
+        points = xs[idx].copy()
+        points[1] = bad if fam.dim > 1 else bad[0]
+        f(xs)
+        with pytest.raises(DomainError, match="outside parameter box"):
+            f(points, rows)
 
 
 def test_mle_finds_narrow_collision_peak():

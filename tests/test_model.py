@@ -152,6 +152,43 @@ def test_weights_are_immutable():
         q.q[0] = 0.9
 
 
+@pytest.mark.parametrize("name", ["toy_haroche", "toy_haroche_guerlin", "toy_haroche_full", "qubit_rotation"])
+def test_weights_draw_equals_generator_choice(name):
+    """The inverse-cdf draw from the stored cdf equals rng.choice(d, size,
+    p=q), the draw it replaces: the same values and dtype, and the generator
+    left in the same state, at every size.  The cdf is read-only."""
+    q = get_preset(name).q
+    assert not q.cdf.flags.writeable
+    for seed in range(200):
+        for size in (None, 0, 1, 5, 150, 2000):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = q.draw(got_rng, size), want_rng.choice(q.size, size, p=q.q)
+            if size is None:
+                assert int(got) == want
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class _Uniforms:
+    """A stand-in generator whose random(size) returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None):
+        return self.values if size is not None else float(self.values[0])
+
+
+def test_weights_draw_at_a_cdf_entry_takes_the_next_component():
+    """A uniform equal to cdf[k] draws component k + 1, as choice's
+    searchsorted(side="right") does; 0 draws component 0."""
+    q = MixtureWeights(np.array([0.25, 0.5, 0.25]))
+    np.testing.assert_array_equal(q.draw(_Uniforms([0.0, *q.cdf[:-1]]), 3), [0, 1, 2])
+    assert q.draw(_Uniforms([0.25]), None) == 1
+
+
 # ---------------------------------------------------------------------------
 # Family construction gates
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,44 @@ def test_mixture_trajectory_component_law(bernoulli_pair):
     # Same seed, forced component: identical outcome stream.
     forced = sample_trajectory(bernoulli_pair, [0.4], traj.gamma, 30, seed=17)
     np.testing.assert_array_equal(traj.outcomes, forced.outcomes)
+
+
+def reference_sample_component(q, seed):
+    """sample_component as it drew through Generator.choice, which validates
+    p on every call: the reference for the draw from the stored cdf."""
+    return int(substream(seed, 0).choice(q.size, p=q.q))
+
+
+@pytest.mark.parametrize("name", ["toy_haroche", "toy_haroche_guerlin", "toy_haroche_full", "qubit_rotation"])
+def test_component_draw_equals_the_reference_draw(name):
+    q = get_preset(name).q
+    for seed in range(200):
+        got = sample_component(q, seed)
+        assert type(got) is int and got == reference_sample_component(q, seed)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed None is not an integer"),
+    (2.5, "seed 2.5 is not an integer"),
+    (np.nan, "seed nan is not an integer"),
+    ("3", "seed 3 is not an integer"),
+    (-1, "seed -1 must be at least 0"),
+])
+def test_record_seeds_must_be_counts(bernoulli_pair, seed, message):
+    """A record seed that is not an integer of at least 0 is named, rather
+    than drawn from OS entropy (None) or refused by numpy; an integral float
+    or np.int64 draws what the int draws."""
+    q = MixtureWeights.normalized([3.0, 1.0])
+    for draw in (lambda: sample_component(q, seed),
+                 lambda: sample_trajectory(bernoulli_pair, [0.4], 0, 30, seed),
+                 lambda: sample_mixture_trajectory(bernoulli_pair, [0.4], q, 30, seed)):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            draw()
+    want = sample_mixture_trajectory(bernoulli_pair, [0.4], q, 30, 4)
+    for same in (4.0, np.int64(4)):
+        got = sample_mixture_trajectory(bernoulli_pair, [0.4], q, 30, same)
+        assert got.gamma == want.gamma
+        np.testing.assert_array_equal(got.outcomes, want.outcomes)
 
 
 def test_counts_and_prefixes(bernoulli_pair):
@@ -175,7 +215,7 @@ def reference_sample_count_paths(p, n_grid, rng):
 @pytest.mark.parametrize("grid", [
     (700,), (20, 50, 100), (0, 40, 40, 1_000), np.array([3, 9]), (np.int64(5), 11), (),
 ])
-@pytest.mark.parametrize("n_records", [45, 1, 0])
+@pytest.mark.parametrize("n_records", [45, 5, 1, 0])
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
 def test_count_paths_equal_the_reference_draws(name, n_records, grid):
     """Unnormalized outcome laws over one gap, several, a zero gap, an array
@@ -199,7 +239,7 @@ def test_count_paths_equal_the_reference_draws(name, n_records, grid):
 @pytest.mark.parametrize("grid", [
     (700,), (20, 50, 100), (0, 40, 40, 1_000), np.array([3, 9]), (np.int64(5), 11), (),
 ])
-@pytest.mark.parametrize("n_records", [45, 1, 0])
+@pytest.mark.parametrize("n_records", [45, 5, 1, 0])
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
 def test_one_law_form_equals_the_tiled_reference(name, n_records, grid):
     """One unnormalized outcome law with size=R draws, bit for bit, the
@@ -215,6 +255,29 @@ def test_one_law_form_equals_the_tiled_reference(name, n_records, grid):
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ([0.5, -0.25, 0.75], r"\[ 0\.5  -0\.25  0\.75\]"),
+    ([0.5, np.nan, 0.5], r"\[0\.5 nan 0\.5\]"),
+    ([0.0, 0.0, 0.0], r"\[0\. 0\. 0\.\]"),
+    ([0.5, np.inf, 0.5], r"\[0\.5 inf 0\.5\]"),
+    ([-0.5, 0.25, 0.0], r"\[-0\.5   0\.25  0\.  \]"),
+])
+@pytest.mark.parametrize("grid", [(50,), (20, 50)])
+def test_count_paths_refuse_an_invalid_law(bad, shown, grid):
+    """A law with a negative, NaN or infinite entry, or with a sum that is not
+    positive, is refused with DomainError naming its record and the law, in
+    both forms and on one gap or several, without a numpy warning; a valid
+    record before it does not hide it."""
+    laws = np.array([[0.2, 0.3, 0.5], [1.0, 1.0, 2.0], bad, [0.1, 0.1, 0.8]])
+    rule = "must be non-negative with a finite positive sum$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^the outcome law of record 2, {shown}, {rule}"):
+            sample_count_paths(laws, grid, substream(1))
+        with pytest.raises(DomainError, match=f"^the outcome law, {shown}, {rule}"):
+            sample_count_paths(np.array(bad), grid, substream(1), size=3)
 
 
 def test_count_paths_refuse_a_law_shape_that_does_not_match_size(toy):
