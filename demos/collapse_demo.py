@@ -16,6 +16,7 @@ import argparse
 import numpy as np
 
 from qndmix.asymptotics import _log_collapse_ratio
+from qndmix.estimate import log_terms
 from qndmix.model import kl_matrix
 from qndmix.presets import toy_haroche
 from qndmix.simulate import counts, sample_trajectory
@@ -33,7 +34,7 @@ def main():
     for g in range(8):
         traj = sample_trajectory(pre.family, pre.theta_star, g, max(ns), seed=args.seed + g)
         cm = np.stack([counts(traj, n_prefix=n, n_outcomes=8).counts for n in ns])
-        log_r = _log_collapse_ratio(pre.family, pre.q, cm, pre.theta_star, g)
+        log_r = _log_collapse_ratio(log_terms(pre.family, pre.q, cm, pre.theta_star), g)
         rate = -np.polyfit(ns, log_r, 1)[0]
         min_kl = float(np.min(np.delete(kl[g], g)))
         vals = "  ".join(f"{x:9.1f}" for x in log_r)

@@ -37,13 +37,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError, _integral
-from .estimate import EstimationReport, _fit, log_terms, logsumexp, mle
+from .estimate import EstimationReport, _fit, _log_terms, log_terms, logsumexp, mle
 from .model import (
     MixtureWeights,
     ParameterBox,
     ParametricFamily,
-    fisher_information,
-    kl_matrix,
+    _fisher_from_tables,
+    _kl_matrix,
+    fisher_information,  # noqa: F401  (perfbench's tracer test wraps asymptotics.fisher_information)
 )
 from .simulate import Trajectory, counts, sample_count_paths, sample_mixture_trajectory, substream
 
@@ -95,6 +96,11 @@ class ExperimentPlan:
     least 2, so that every sample variance is defined; master_seed is
     integral by the same rule and at least 0, as every generator's entropy
     must be.  Each is stored as a Python int, as the reports hold it.
+
+    The family is evaluated at theta* once per plan (star): the Fisher stack,
+    the outcome laws the experiments draw from at theta*, ln p there and the
+    KL matrix there all come from that one table and its Jacobian.  A
+    shifted law theta* + h/sqrt(n) is evaluated by the family, at h = 0 too.
     """
 
     family: ParametricFamily
@@ -149,10 +155,21 @@ class ExperimentPlan:
         return self.estimation_box if self.estimation_box is not None else self.family.box
 
     @cached_property
+    def star(self) -> tuple:
+        """(p, dp, ln p) at theta*: the table (d, l) and its Jacobian
+        (D, d, l) from one family.tables call per plan, with the table's
+        logarithm; all read-only."""
+        p, dp = self.family.tables(self.theta_star)
+        star = (p, dp, np.log(p))
+        for a in star:
+            a.setflags(write=False)
+        return star
+
+    @cached_property
     def fisher(self) -> np.ndarray:
         """Every component's Fisher information at theta*, shape (d, D, D),
-        evaluated once per plan and read-only."""
-        m = fisher_information(self.family, self.theta_star)
+        from star's table and Jacobian, read-only."""
+        m = _fisher_from_tables(*self.star[:2])
         m.setflags(write=False)
         return m
 
@@ -207,7 +224,7 @@ def _log_ndtr_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evaluated on those entries alone."""
     a = np.abs(w)
     z = (a / math.sqrt(2)).ravel().tolist()
-    tail = np.array([math.erfc(x) for x in z]).reshape(a.shape) / 2
+    tail = np.fromiter(map(math.erfc, z), float, len(z)).reshape(a.shape) / 2
     body = np.log1p(-tail)
     far = a > 20
     low = np.log(tail, out=np.empty_like(tail), where=~far)           # ln Phi(-|w|)
@@ -257,12 +274,15 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     Per n, each component's replications are drawn on their own stream and
     stacked; one likelihood pass at each of theta_n and theta* and one
     moment and Anderson-Darling pass then cover every component at once.
+    The laws, ln p at theta* and the Fisher stack come from the plan's one
+    table at theta* (ExperimentPlan.star); from estimate.SLAB_ROWS rows on,
+    the log-sums over the components run component-major (logsumexp).
     """
     fishers = plan.check_hypotheses()
     fam, q, h, reps = plan.family, plan.q, plan.h, plan.n_reps
     d = fam.n_components
     n_max = max(plan.n_grid)
-    p_star = fam.prob_table(plan.theta_star)
+    p_star, _, log_p_star = plan.star
     hih = np.einsum("i,gij,j->g", h, fishers, h)
     tested = hih > 0
     by_n = {}
@@ -274,7 +294,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
             for g in range(d)
         ])                                                                  # (d, R, l)
         lr = logsumexp(log_terms(fam, q, cm, theta_n), axis=-1) - logsumexp(
-            log_terms(fam, q, cm, plan.theta_star), axis=-1
+            _log_terms(q, cm, log_p_star), axis=-1
         )                                                                   # (d, R)
         mean, var = lr.mean(axis=1), lr.var(axis=1, ddof=1)
         ad_rows = np.flatnonzero(tested & (var > 0))
@@ -341,12 +361,11 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
 # Mixture collapse
 # ---------------------------------------------------------------------------
 
-def _log_collapse_ratio(
-    fam: ParametricFamily, q: MixtureWeights, counts_matrix: np.ndarray, theta, gamma
-) -> np.ndarray:
-    """ln r_n with r_n = P_theta / (q(gamma) P_{theta|gamma}) - 1, exactly, for
-    count rows of any leading shape.  gamma is one own component for every row,
-    or an integer array with one own component per index of the leading axis.
+def _log_collapse_ratio(terms: np.ndarray, gamma) -> np.ndarray:
+    """ln r_n with r_n = P_theta / (q(gamma) P_{theta|gamma}) - 1, exactly, from
+    the log terms (estimate.log_terms, shape (..., d)) of count rows of any
+    leading shape.  gamma is one own component for every row, or an integer
+    array with one own component per index of the leading axis.
 
     ln r_n is the log-sum of the other components' log terms minus the own
     term, evaluated in the log domain so exponentially small values keep full
@@ -354,7 +373,6 @@ def _log_collapse_ratio(
     log-sum adds the same d - 1 terms in the same order whatever gamma is; with
     one component there are none, and ln r_n is -inf.
     """
-    terms = log_terms(fam, q, counts_matrix, theta)
     d = terms.shape[-1]
     if d == 1:
         return np.full(terms.shape[:-1], -np.inf)
@@ -384,7 +402,10 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     Each component's records are drawn on their own stream and stacked, and
     ln r_n of every component is evaluated in one pass at theta* and one at
     the shifted parameter; one least-squares fit gives every component's
-    decay rate.
+    decay rate.  The laws, ln p and the KL matrix at theta* come from the
+    plan's one table there (ExperimentPlan.star), and from
+    estimate.SLAB_ROWS rows on, the log-sums over the other components run
+    component-major (logsumexp).
     """
     check_collapse_grid(plan.n_grid)
     fam, q, reps = plan.family, plan.q, plan.n_reps
@@ -392,22 +413,22 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     n_grid = sorted(plan.n_grid)
     n_max = n_grid[-1]
     theta_n = plan.theta_star + plan.h / np.sqrt(n_max)
-    p_star = fam.prob_table(plan.theta_star)
+    p_star, _, log_p_star = plan.star
     # One record per replication, counted at every n of the grid.
     cm = np.stack([
         sample_count_paths(p_star[g], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g), size=reps)
         for g in range(d)
     ])                                                                      # (d, R, K, l)
     own = np.arange(d)
-    log_r = _log_collapse_ratio(fam, q, cm, plan.theta_star, own)           # (d, R, K)
-    log_r_shift = _log_collapse_ratio(fam, q, cm[:, :, -1], theta_n, own)   # (d, R)
+    log_r = _log_collapse_ratio(_log_terms(q, cm, log_p_star), own)             # (d, R, K)
+    log_r_shift = _log_collapse_ratio(log_terms(fam, q, cm[:, :, -1], theta_n), own)  # (d, R)
 
     sqrt_n_r = np.sqrt(n_max) * np.exp(log_r[..., -1])
     sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
     frac_ok = np.mean(sqrt_n_r < COLLAPSE_SQRT_N_BOUND, axis=1)
     frac_ok_shift = np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND, axis=1)
     medians = np.median(sqrt_n_r, axis=1)
-    min_kl = np.where(np.eye(d, dtype=bool), np.inf, kl_matrix(fam, plan.theta_star)).min(axis=1)
+    min_kl = np.where(np.eye(d, dtype=bool), np.inf, _kl_matrix(p_star, log_p_star)).min(axis=1)
     if d > 1:
         # ln r_n ~ -rate * n: the least-squares slopes of every component's
         # mean path, from one fit.
@@ -455,7 +476,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
     """
     plan.check_hypotheses(fit_at=plan.theta_star)
     n_grid = sorted(plan.n_grid)
-    p_star = plan.family.prob_table(plan.theta_star)
+    p_star = plan.star[0]
     blocks = []
     for n in n_grid:
         gammas = _draw_mixture_gammas(plan, TAG_CONSIST, n)
@@ -629,15 +650,18 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     by exchangeability they equal the step-by-step Bayes filter, the loop the
     tests keep as their reference.  Reports the fraction of runs with
     q_n(gamma) > 0.99 at each n and the total-variation distance between the
-    law of argmax q_n at the largest n and the mixture weights q.
+    law of argmax q_n at the largest n and the mixture weights q.  The laws
+    and ln p come from the plan's one table at theta* (ExperimentPlan.star),
+    and from estimate.SLAB_ROWS rows on, the posteriors' log-sum over the
+    components runs component-major (logsumexp).
     """
     fam, q = plan.family, plan.q
     n_grid = sorted(plan.n_grid)
     n_max = n_grid[-1]
     gammas = _draw_mixture_gammas(plan, TAG_PURIFY)
-    p_star = fam.prob_table(plan.theta_star)
+    p_star, _, log_p_star = plan.star
     cm = sample_count_paths(p_star[gammas], n_grid, substream(plan.master_seed, TAG_PURIFY))
-    terms = log_terms(fam, q, cm, plan.theta_star)                         # (R, K, d)
+    terms = _log_terms(q, cm, log_p_star)                                  # (R, K, d)
     post = np.exp(terms - logsumexp(terms, axis=-1)[..., None])
     purified = post[np.arange(plan.n_reps), :, gammas] > PURIFY_LEVEL      # (R, K)
     fractions = {str(n): float(purified[:, k].mean()) for k, n in enumerate(n_grid)}

@@ -6,7 +6,10 @@ record only through its outcome counts:
     ell_n(theta) = (1/n) ln sum_alpha q(alpha) exp(sum_j N_n(j) ln p_theta(j|alpha))
 
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
-components cannot underflow the total.
+components cannot underflow the total.  logsumexp is the package's one
+log-sum; over a contiguous last axis of many rows it runs its elementwise
+steps component-major, in contiguous slabs, and sums the rows as the
+row-wise path does, so every result is the row-wise one bit for bit.
 
 loglik_rows evaluates it, its score and, on request, its curvature for many
 rows at once.  Both maximizers seed each row's candidates from one shared
@@ -51,6 +54,9 @@ COARSE_POINTS = 64
 # loglik_rows evaluates at most this many count rows (scan) or trial points at
 # once, so that every elementwise temporary of a block stays in cache.
 ROW_BLOCK = 1024
+# logsumexp runs its elementwise steps component-major from this many rows
+# on; below it the row-wise path is as fast (measured crossover: 64-128 rows).
+SLAB_ROWS = 128
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
@@ -150,7 +156,12 @@ def _write_in_place(path, text: str) -> None:
 def log_terms(fam: ParametricFamily, q: MixtureWeights, counts: np.ndarray, theta) -> np.ndarray:
     """Per-component log terms ln q(alpha) + sum_j N(j) ln p_theta(j|alpha) of
     every count row: counts of shape (..., l) give terms of shape (..., d)."""
-    return q.log() + counts @ fam.log_prob_table(theta).T
+    return _log_terms(q, counts, fam.log_prob_table(theta))
+
+
+def _log_terms(q: MixtureWeights, counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """log_terms from log_p, the (d, l) table ln p_theta(j|alpha) at theta."""
+    return q.log() + counts @ log_p.T
 
 
 def loglik(
@@ -451,7 +462,23 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
 
     Shifted entries at or below EXP_FLOOR count as 0, and exp is evaluated at
     the floor instead: each such entry would add less than 1e-304 to the sum,
-    and exp's underflowing path is many times slower than its normal one."""
+    and exp's underflowing path is many times slower than its normal one.
+
+    A reduction over a contiguous last axis of at least SLAB_ROWS rows runs
+    on one contiguous copy with that axis leading, so that the max, tie, floor
+    and exp steps run elementwise over its d slabs instead of one short row at
+    a time; those steps are exact in any order.  The sum alone goes back to
+    rows: numpy adds a row-major copy of the exponentials, as it adds the
+    row-wise path's own array, so the result is the same bit for bit.  Fewer
+    rows, and a last axis that is not the fastest one, take the row-wise path.
+    """
+    slabs = (
+        axis is not None and a.ndim > 1 and axis % a.ndim == a.ndim - 1
+        and a.strides[-1] == a.itemsize and a.size >= SLAB_ROWS * a.shape[-1]
+    )
+    if slabs:
+        shape = a.shape[:-1]
+        a, axis = np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1), 0
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     ties = top.sum(axis=axis, keepdims=True).astype(float)
@@ -460,8 +487,9 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     np.maximum(e, EXP_FLOOR, out=e)
     np.exp(e, out=e)
     e *= live
-    s = e.sum(axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
+    s = np.ascontiguousarray(e.T).sum(axis=-1)[None] if slabs else e.sum(axis=axis, keepdims=True)
+    out = np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
+    return out.reshape(shape) if slabs else out
 
 
 @functools.cache
@@ -571,7 +599,7 @@ def mle(
     theta_hat = res.x[0]
 
     p, dp = fam.tables(theta_hat)
-    terms = q.log() + counts.counts @ np.log(p).T
+    terms = _log_terms(q, counts.counts, np.log(p))
     posterior = np.exp(terms - logsumexp(terms))
     return EstimationReport(
         theta_hat=theta_hat,

@@ -370,7 +370,11 @@ def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
     pairwise distinguishable at theta.
     """
     p = fam.prob_table(theta)
-    log_p = np.log(p)
+    return _kl_matrix(p, np.log(p))
+
+
+def _kl_matrix(p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """kl_matrix from one point's table p (d, l) and its logarithm."""
     out = _kl(p, log_p, log_p)
     np.fill_diagonal(out, 0.0)
     return out

@@ -40,6 +40,22 @@ def reference_quantum_jacobian(sys, t):
     return np.abs(den) ** 2 * (2.0 * np.imag(num / den))
 
 
+def reference_logsumexp(a, axis=None):
+    """estimate.logsumexp as it was before its component-major path: every
+    reduction row by row, over the axis in place.  The reference the
+    component-major path must reproduce bit for bit."""
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    ties = top.sum(axis=axis, keepdims=True).astype(float)
+    e = np.subtract(a, np.maximum(a_max, -np.finfo(float).max))
+    live = (e > -700.0) & ~top
+    np.maximum(e, -700.0, out=e)
+    np.exp(e, out=e)
+    e *= live
+    s = e.sum(axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
+
+
 def sample_counts(fam, theta, gamma, n, seed):
     """Outcome counts of an n-step record from component gamma at theta, drawn
     directly by sample_count_paths on substream(seed, 1)."""

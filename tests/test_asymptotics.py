@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -26,7 +27,7 @@ from qndmix.presets import get_preset, toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_trajectory, substream
 
-from conftest import sample_counts
+from conftest import reference_logsumexp, sample_counts
 
 
 def small_plan(preset, **kw):
@@ -184,7 +185,7 @@ def test_collapse_ratio_matches_direct(bernoulli_pair):
         per = np.array([q.q[a] * np.prod(table[a] ** cm[0]) for a in range(2)])
         for g in range(2):
             direct = per.sum() / per[g] - 1.0
-            got = math.exp(_log_collapse_ratio(bernoulli_pair, q, cm, theta, g)[0])
+            got = math.exp(_log_collapse_ratio(estimate.log_terms(bernoulli_pair, q, cm, theta), g)[0])
             assert got == pytest.approx(direct, rel=1e-10)
 
 
@@ -197,7 +198,7 @@ def one_component_family():
 
 def test_collapse_ratio_single_component():
     q1 = MixtureWeights(np.array([1.0]))
-    out = _log_collapse_ratio(one_component_family(), q1, np.array([[2, 3]]), [0.5], 0)
+    out = _log_collapse_ratio(estimate.log_terms(one_component_family(), q1, np.array([[2, 3]]), [0.5]), 0)
     assert out[0] == -np.inf  # nothing to collapse
 
 
@@ -210,10 +211,10 @@ def test_collapse_ratio_per_row_components(toy):
     cm = np.stack([
         sample_count_paths(p[np.full(500, g)], (20, 50, 100), np.random.default_rng(g)) for g in range(8)
     ])
-    stacked = _log_collapse_ratio(toy.family, toy.q, cm, toy.theta_star, np.arange(8))
+    stacked = _log_collapse_ratio(estimate.log_terms(toy.family, toy.q, cm, toy.theta_star), np.arange(8))
     assert stacked.shape == (8, 500, 3)
     for g in range(8):
-        alone = _log_collapse_ratio(toy.family, toy.q, cm[g], toy.theta_star, g)
+        alone = _log_collapse_ratio(estimate.log_terms(toy.family, toy.q, cm[g], toy.theta_star), g)
         assert np.array_equal(stacked[g], alone)
         assert np.array_equal(alone, log_collapse_ratio_deleting(toy.family, toy.q, cm[g], toy.theta_star, g))
 
@@ -222,7 +223,7 @@ def test_collapse_ratio_handles_extreme_counts(bernoulli_pair, uniform2):
     """At n = 5000 the ratio underflows any direct computation but keeps full
     relative precision in the log domain."""
     cm = sample_counts(bernoulli_pair, [0.7], 0, 5_000, 8).counts[None, :]
-    lr = _log_collapse_ratio(bernoulli_pair, uniform2, cm, [0.7], 0)[0]
+    lr = _log_collapse_ratio(estimate.log_terms(bernoulli_pair, uniform2, cm, [0.7]), 0)[0]
     assert lr < -100.0 and np.isfinite(lr)
 
 
@@ -644,6 +645,27 @@ def test_stacked_pass_equals_per_component_loop(request, runner, reference, grid
     for seed in (0, 3):
         plan = small_plan(pre, h=np.array([h]), n_grid=grid, n_reps=50, master_seed=seed)
         assert json.dumps(runner(plan)) == json.dumps(reference(plan))
+
+
+@pytest.mark.parametrize("seed", [11000, 11001, 11002])
+@pytest.mark.parametrize("preset", ["toy_haroche", "qubit_rotation"])
+@pytest.mark.parametrize("runner,kw", [
+    (lamn_experiment, dict(h=np.array([1.0]), n_grid=(10_000,), n_reps=150)),
+    (purification_experiment, dict(n_grid=(100, 250, 500), n_reps=150)),
+    (mixture_collapse_experiment, dict(n_grid=(500, 1_000, 2_000), n_reps=30)),
+    (cramer_rao_experiment, dict(h=np.array([0.0]), n_grid=(10_000,), n_reps=150)),
+])
+def test_reports_equal_the_row_wise_logsumexp_reports(runner, kw, preset, seed, monkeypatch):
+    """At the benchmark's sizes (cramer_rao with 150 replications, so that its
+    trial batches pass SLAB_ROWS), every report equals, as JSON bytes, the
+    one the row-wise reference logsumexp gives."""
+    pre = get_preset(preset)
+    plan = ExperimentPlan(family=pre.family, q=pre.q, theta_star=pre.theta_star, master_seed=seed,
+                          estimation_box=pre.estimation_box, **kw)
+    report = json.dumps(runner(plan))
+    monkeypatch.setattr(asym, "logsumexp", reference_logsumexp)
+    monkeypatch.setattr(estimate, "logsumexp", reference_logsumexp)
+    assert report == json.dumps(runner(dataclasses.replace(plan)))
 
 
 def test_anderson_darling_rows_equal_each_row_alone():

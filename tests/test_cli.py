@@ -28,6 +28,7 @@ from qndmix.cli import (
 from qndmix import asymptotics, cli
 from qndmix.errors import ConfigError, DomainError, RefusalError
 from qndmix.estimate import loglik
+from qndmix.model import ParametricFamily
 from qndmix.presets import PRESETS
 from qndmix.simulate import counts, sample_mixture_trajectory
 
@@ -560,15 +561,47 @@ def test_experiments_that_fit_nothing_against_theta_star_keep_running(experiment
     assert json.loads((tmp_path / "report.json").read_text())["model"] == "toy_haroche"
 
 
-def test_fig1_evaluates_fisher_once(tmp_path, monkeypatch):
-    calls = []
-    fisher = asymptotics.fisher_information
-    monkeypatch.setattr(asymptotics, "fisher_information",
-                        lambda *a: calls.append(a) or fisher(*a))
-    code = run_cli("fig1", "--preset", "qubit_rotation", "--out", str(tmp_path))
+@pytest.mark.parametrize("command, flags, shifted_at_star", [
+    ("lamn", ("--n-reps", "20", "--n-grid", "200,400"), 0),
+    ("lamn", ("--n-reps", "20", "--n-grid", "200,400", "--h", "0"), 2),
+    ("collapse", ("--n-reps", "20"), 1),
+    ("collapse", ("--n-reps", "20", "--h", "0.5"), 0),
+    ("purify", ("--n-reps", "20"), 0),
+    ("cramer-rao", ("--n-reps", "20", "--n-grid", "1000"), 1),
+    ("cramer-rao", ("--n-reps", "20", "--n-grid", "1000", "--h", "0.5"), 0),
+    ("fig1", (), 0),
+])
+def test_each_experiment_evaluates_the_family_once_at_theta_star(
+    command, flags, shifted_at_star, tmp_path, monkeypatch
+):
+    """One run evaluates the family's rule at theta* once for what it needs
+    there: the Fisher stack, the outcome laws, ln p and the KL matrix all come
+    from the plan's one table (ExperimentPlan.star).  A shifted law
+    theta* + h/sqrt(n) is evaluated on its own, so at h = 0 it lands on theta*
+    once per n (lamn) or once (collapse, cramer-rao).  fig1 draws each record
+    with sample_mixture_trajectory, which takes theta* and evaluates the rule
+    there once more per record."""
+    pre = PRESETS["qubit_rotation"]()
+    at_star, records = [], []
+
+    def rule(t):
+        at_star.append(int(np.all(t == pre.theta_star, axis=-1).sum()))
+        return pre.family.tables(t)
+
+    def draw(*args):
+        records.append(args)
+        return sample_mixture_trajectory(*args)
+
+    spied = dataclasses.replace(pre, family=ParametricFamily(pre.family.box, tables=rule))
+    at_star.clear()
+    monkeypatch.setattr(cli, "get_preset", lambda name: spied)
+    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory", draw)
+    code = run_cli(command, "--preset", "qubit_rotation", *flags, "--out", str(tmp_path))
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-    assert len(calls) == 1
-    assert len(list(tmp_path.glob("fig1_seed*.csv"))) == cli.FIG1_SEEDS
+    assert sum(at_star) == 1 + shifted_at_star + len(records)
+    if command == "fig1":
+        assert len(records) == cli.FIG1_SEEDS
+        assert len(list(tmp_path.glob("fig1_seed*.csv"))) == cli.FIG1_SEEDS
 
 
 def test_h_takes_a_comma_list(tmp_path, capsys):

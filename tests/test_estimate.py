@@ -37,7 +37,7 @@ from qndmix.model import (
 from qndmix.presets import PRESETS, get_preset, toy_haroche_guerlin
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_mixture_trajectory
 
-from conftest import sample_counts
+from conftest import reference_logsumexp, sample_counts
 
 
 def brute_force_prob(fam, q, theta, seq):
@@ -797,18 +797,76 @@ def test_logsumexp_matches_scipy():
             )
 
 
-def test_logsumexp_of_empty_slices_is_minus_inf():
-    """A slice of -inf entries gives -inf, with no NaN and no warning."""
-    a = np.full((3, 5), -np.inf)
+@pytest.mark.parametrize("n_rows", [3, 130])
+def test_logsumexp_of_empty_slices_is_minus_inf(n_rows):
+    """A slice of -inf entries gives -inf, with no NaN and no warning, on
+    the row-wise path and, from SLAB_ROWS rows on, the component-major one."""
+    a = np.full((n_rows, 5), -np.inf)
     a[1, 2] = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = own_logsumexp(a, axis=-1)
         cols = own_logsumexp(a, axis=0)
         everything = own_logsumexp(np.full(4, -np.inf))
-    np.testing.assert_array_equal(rows, [-np.inf, 0.5, -np.inf])
+    want = np.full(n_rows, -np.inf)
+    want[1] = 0.5
+    np.testing.assert_array_equal(rows, want)
     np.testing.assert_array_equal(cols, [-np.inf, -np.inf, 0.5, -np.inf, -np.inf])
     assert everything == -np.inf
+
+
+def _logsumexp_inputs(kind, shape, rng):
+    """Last-axis inputs of one kind: entries of one scale, so that every
+    term counts and another summation order rounds differently (narrow); a
+    spread of about 1e4; rows of -inf entries only, tied maxima, or rows
+    partially -inf."""
+    a = rng.normal(scale=3.0 if kind == "narrow" else 1e4, size=shape)
+    rows = a.reshape(-1, shape[-1])
+    if kind == "empty":
+        rows[::3] = -np.inf
+    elif kind == "tied":
+        rows[::2, -1] = rows[::2, 0] = rows[::2].max(axis=1) + 1.0
+    elif kind == "partial":
+        rows[::2, shape[-1] // 2:] = -np.inf
+    return a
+
+
+@pytest.mark.parametrize("kind", ["narrow", "spread", "empty", "tied", "partial"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16, 130])
+@pytest.mark.parametrize("lead", [(127,), (128,), (5000,), (1, 127), (8, 16), (50, 100)])
+def test_logsumexp_matches_the_row_wise_reference(lead, d, kind):
+    """On both sides of the SLAB_ROWS switch, in 2-D and 3-D, logsumexp over
+    the last axis (named -1 or by its index) equals the row-wise reference
+    bit for bit, with no warning."""
+    assert estimate.SLAB_ROWS == 128
+    a = _logsumexp_inputs(kind, lead + (d,), np.random.default_rng(d))
+    want = reference_logsumexp(a, axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis in (-1, a.ndim - 1):
+            got = own_logsumexp(a, axis=axis)
+            assert got.shape == lead
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided_rows", "swapped_outer", "reversed_last"])
+@pytest.mark.parametrize("d", [2, 8, 9, 130])
+def test_logsumexp_matches_the_row_wise_reference_on_any_layout(layout, d):
+    """Views whose rows are not packed, or whose last axis is not the fastest
+    one, give the row-wise reference's bits too.  numpy adds an F-ordered
+    array's rows in another order than a C-ordered one's, and on narrow
+    inputs the bits differ from d = 8."""
+    base = _logsumexp_inputs("narrow", (300, 2 * d), np.random.default_rng(d))
+    a = {
+        "fortran": np.asfortranarray(base[:, :d]),
+        "strided_rows": base[:, :d],
+        "swapped_outer": base[:, :d].reshape(20, 15, d).swapaxes(0, 1),
+        "reversed_last": base[:, d - 1::-1],
+    }[layout]
+    want = reference_logsumexp(a, axis=-1)
+    got = own_logsumexp(a, axis=-1)
+    assert got.shape == a.shape[:-1]
+    assert got.tobytes() == want.tobytes()
 
 
 # theta_hat of `qndmix estimate --seed 7` at n = 1e4 per preset, and the value
