@@ -250,6 +250,16 @@ def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:
     return a2, float(crit)
 
 
+def _component_counts(plan: ExperimentPlan, laws, n_grid, tag: int, *key: int) -> np.ndarray:
+    """Count paths of n_reps records per component, shape (d, R, K, l):
+    component g's drawn from its one outcome law laws[g] on
+    substream(master_seed, tag, g, *key)."""
+    return np.stack([
+        sample_count_paths(p, n_grid, substream(plan.master_seed, tag, g, *key), size=plan.n_reps)
+        for g, p in enumerate(laws)
+    ])
+
+
 def _per_component(columns: dict) -> dict:
     """{str(g): {name: column[g]}} from columns of one entry per component,
     each read with one .tolist(), so that the entries are Python scalars."""
@@ -280,63 +290,56 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     """
     fishers = plan.check_hypotheses()
     fam, q, h, reps = plan.family, plan.q, plan.h, plan.n_reps
-    d = fam.n_components
     n_max = max(plan.n_grid)
     p_star, _, log_p_star = plan.star
     hih = np.einsum("i,gij,j->g", h, fishers, h)
     tested = hih > 0
+    target_mean = -0.5 * hih
     by_n = {}
 
     for n in plan.n_grid:
         theta_n = plan.theta_star + h / np.sqrt(n)
-        cm = np.stack([
-            sample_count_paths(p_star[g], (n,), substream(plan.master_seed, TAG_LAMN, g, n), size=reps)[:, 0]
-            for g in range(d)
-        ])                                                                  # (d, R, l)
+        cm = _component_counts(plan, p_star, (n,), TAG_LAMN, n)[:, :, 0]      # (d, R, l)
         lr = logsumexp(log_terms(fam, q, cm, theta_n), axis=-1) - logsumexp(
             _log_terms(q, cm, log_p_star), axis=-1
         )                                                                   # (d, R)
         mean, var = lr.mean(axis=1), lr.var(axis=1, ddof=1)
+        se = np.sqrt(var / reps)
+        mean_ok = np.abs(mean - target_mean) <= LAMN_MEAN_SIGMAS * se
+        var_ok = np.where(tested, np.abs(var / np.where(tested, hih, 1.0) - 1.0) <= LAMN_VAR_RTOL, var == 0.0)
         ad_rows = np.flatnonzero(tested & (var > 0))
         rows = lr[ad_rows]
         stats, crit = _anderson_darling_normal(
             (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, ddof=1, keepdims=True)
         )
-        by_n[n] = (mean, var, np.sqrt(var / reps), dict(zip(ad_rows.tolist(), stats.tolist())), crit)
+        ad_ok = np.ones_like(tested)
+        ad_ok[ad_rows] = stats < crit
+        entries = _per_component({
+            "n": np.full(hih.shape, n),
+            "mean": mean,
+            "var": var,
+            "target_mean": target_mean,
+            "target_var": hih,
+            "mean_se": se,
+            "mean_ok": mean_ok,
+            "var_ok": var_ok,
+        })
+        for g, stat, ok in zip(ad_rows.tolist(), stats.tolist(), ad_ok[ad_rows].tolist()):
+            entries[str(g)].update(ad_statistic=stat, ad_critical_1pct=crit, ad_ok=ok)
+        by_n[str(n)] = entries
         if n == n_max:
-            samples_at_nmax = lr
+            samples_at_nmax, passed = lr, mean_ok & var_ok & ad_ok
 
-    per_component: dict = {}
-    all_pass = True
-    for g, hih_g in enumerate(hih.tolist()):
-        per_n = {}
-        target_mean, target_var = -0.5 * hih_g, hih_g
-        for n, (mean, var, se, ad, crit) in by_n.items():
-            entry = {
-                "n": n,
-                "mean": float(mean[g]),
-                "var": float(var[g]),
-                "target_mean": target_mean,
-                "target_var": target_var,
-                "mean_se": float(se[g]),
-                "mean_ok": bool(abs(mean[g] - target_mean) <= LAMN_MEAN_SIGMAS * se[g]),
-                "var_ok": bool(abs(var[g] / target_var - 1.0) <= LAMN_VAR_RTOL) if tested[g] else bool(var[g] == 0.0),
-            }
-            if g in ad:
-                entry["ad_statistic"] = ad[g]
-                entry["ad_critical_1pct"] = crit
-                entry["ad_ok"] = bool(ad[g] < crit)
-            per_n[str(n)] = entry
-        final = per_n[str(n_max)]
-        comp_pass = final["mean_ok"] and final["var_ok"] and final.get("ad_ok", True)
-        per_component[str(g)] = {"fisher_quadratic": hih_g, "by_n": per_n, "passed": comp_pass}
-        all_pass = all_pass and comp_pass
+    per_component = {
+        g: {"fisher_quadratic": quad, "by_n": {n: entries[g] for n, entries in by_n.items()}, "passed": ok}
+        for g, quad, ok in zip(by_n[str(n_max)], hih.tolist(), passed.tolist())
+    }
 
     # Mixture limit via Lemma-style aggregation: reweight the per-component
     # samples by drawn gammas.
     gammas = _draw_mixture_gammas(plan, TAG_LAMN)
     mixture_samples = samples_at_nmax[gammas, np.arange(reps)]
-    mix_mean_target = float(q.q @ (-0.5 * hih))
+    mix_mean_target = float(q.q @ target_mean)
     mix_second = q.q @ (hih + 0.25 * hih**2)
     mix_var_target = float(mix_second - mix_mean_target**2)
     return {
@@ -353,7 +356,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
             "target_mean": mix_mean_target,
             "target_var": mix_var_target,
         },
-        "passed": all_pass,
+        "passed": bool(passed.all()),
     }
 
 
@@ -415,10 +418,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     theta_n = plan.theta_star + plan.h / np.sqrt(n_max)
     p_star, _, log_p_star = plan.star
     # One record per replication, counted at every n of the grid.
-    cm = np.stack([
-        sample_count_paths(p_star[g], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g), size=reps)
-        for g in range(d)
-    ])                                                                      # (d, R, K, l)
+    cm = _component_counts(plan, p_star, n_grid, TAG_COLLAPSE)             # (d, R, K, l)
     own = np.arange(d)
     log_r = _log_collapse_ratio(_log_terms(q, cm, log_p_star), own)             # (d, R, K)
     log_r_shift = _log_collapse_ratio(log_terms(fam, q, cm[:, :, -1], theta_n), own)  # (d, R)
@@ -591,10 +591,9 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
     # (TAG_CRAMER, g); block d the mixture's, drawn on (TAG_CRAMER, d).
     gammas = _draw_mixture_gammas(plan, TAG_CRAMER)
     blocks = [
-        sample_count_paths(p_n[g], (n,), substream(plan.master_seed, TAG_CRAMER, g), size=plan.n_reps)[:, 0]
-        for g in range(d)
+        *_component_counts(plan, p_n, (n,), TAG_CRAMER)[:, :, 0],
+        sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))[:, 0],
     ]
-    blocks.append(sample_count_paths(p_n[gammas], (n,), substream(plan.master_seed, TAG_CRAMER, d))[:, 0])
     x_hat, boundary, evaluations = _fit_blocks(plan, blocks)
     root = np.sqrt(n) * (x_hat - theta_n[0])                                # (d + 1, R)
     var, mean = root[:d].var(axis=1, ddof=1), root[:d].mean(axis=1)

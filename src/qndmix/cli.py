@@ -28,18 +28,12 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from . import asymptotics
 from .asymptotics import (
     FIG1_N_MAX,  # noqa: F401  (perfbench reads cli.FIG1_N_MAX and cli.FIG1_SEEDS)
     FIG1_SEEDS,  # noqa: F401
     ExperimentPlan,
     check_collapse_grid,
-    consistency_experiment,
-    cramer_rao_experiment,
-    estimate_experiment,
-    fig1_experiment,
-    lamn_experiment,
-    mixture_collapse_experiment,
-    purification_experiment,
 )
 from .errors import ConfigError, QndmixError, RefusalError
 from .estimate import _csv_text, _write_in_place, mle  # noqa: F401  (perfbench's tracer test wraps cli.mle)
@@ -47,7 +41,19 @@ from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("estimate", "lamn", "collapse", "consistency", "cramer-rao", "purify", "fig1")
+# Each subcommand: the name of its experiment in qndmix.asymptotics, and its
+# default n_grid, which holds only record lengths that the experiment reads
+# (estimate and cramer-rao read max(n_grid), fig1 no entry).
+SUBCOMMANDS = {
+    "estimate": ("estimate_experiment", (10_000,)),
+    "lamn": ("lamn_experiment", (1_000, 5_000, 10_000)),
+    "collapse": ("mixture_collapse_experiment", (500, 1_000, 2_000)),
+    "consistency": ("consistency_experiment", (1_000, 5_000, 10_000)),
+    "cramer-rao": ("cramer_rao_experiment", (10_000,)),
+    "purify": ("purification_experiment", (100, 250, 500)),
+    "fig1": ("fig1_experiment", (10_000,)),
+}
+EXPERIMENTS = tuple(SUBCOMMANDS)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -166,7 +172,7 @@ def build_plan(config: RunConfig) -> ExperimentPlan:
             q=q,
             theta_star=preset.theta_star if config.theta_star is None else config.theta_star,
             h=h,
-            n_grid=_default_n_grid(config) if config.n_grid is None else config.n_grid,
+            n_grid=SUBCOMMANDS[config.experiment][1] if config.n_grid is None else config.n_grid,
             n_reps=config.n_reps,
             master_seed=config.seed,
             estimation_box=preset.estimation_box,
@@ -176,14 +182,6 @@ def build_plan(config: RunConfig) -> ExperimentPlan:
     except QndmixError as exc:
         raise ConfigError(str(exc)) from exc
     return plan
-
-
-def _default_n_grid(config: RunConfig) -> tuple:
-    if config.experiment == "purify":
-        return (100, 250, 500)
-    if config.experiment == "collapse":
-        return (500, 1_000, 2_000)
-    return (1_000, 5_000, 10_000)
 
 
 def write_json(report: dict, path: Path) -> None:
@@ -196,8 +194,9 @@ def write_csv(rows, header, path: Path) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Run the experiment that the subcommand names, looked up at each call;
-    write report.json (and CSVs) under output_dir; return the exit code."""
+    """Run the experiment that the subcommand names, looked up on asymptotics
+    at each call, so that a binding replaced there takes effect; write
+    report.json (and CSVs) under output_dir; return the exit code."""
     plan = build_plan(config)
     out = Path(config.output_dir)
     # An existing directory has no file on its path; only another out needs the walk.
@@ -205,17 +204,8 @@ def run(config: RunConfig) -> int:
         (p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise ConfigError(f"field 'output_dir': {str(blocker)!r} exists and is not a directory")
-    experiment = {
-        "estimate": estimate_experiment,
-        "lamn": lamn_experiment,
-        "collapse": mixture_collapse_experiment,
-        "consistency": consistency_experiment,
-        "cramer-rao": cramer_rao_experiment,
-        "purify": purification_experiment,
-        "fig1": fig1_experiment,
-    }[config.experiment]
     try:
-        report = experiment(plan)
+        report = getattr(asymptotics, SUBCOMMANDS[config.experiment][0])(plan)
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL

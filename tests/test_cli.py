@@ -238,8 +238,22 @@ def test_run_config_validation():
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_default_grid_of_each_subcommand(experiment):
     plan = build_plan(RunConfig(model="qubit_rotation", experiment=experiment))
-    expected = {"purify": (100, 250, 500), "collapse": (500, 1_000, 2_000)}
-    assert tuple(plan.n_grid) == expected.get(experiment, (1_000, 5_000, 10_000))
+    expected = {"purify": (100, 250, 500), "collapse": (500, 1_000, 2_000),
+                "lamn": (1_000, 5_000, 10_000), "consistency": (1_000, 5_000, 10_000)}
+    assert tuple(plan.n_grid) == expected.get(experiment, (10_000,))
+
+
+@pytest.mark.parametrize("h, codes", [("20", (EXIT_OK, EXIT_CHECK_FAILED)), ("40", (EXIT_CONFIG,))],
+                         ids=["h20_runs", "h40_leaves_the_box"])
+def test_default_grid_checks_only_the_n_the_experiment_reads(h, codes, tmp_path, capsys):
+    """cramer-rao reads max(n_grid) alone, so its default grid is (10000,):
+    theta* + 20/sqrt(1000) would leave qubit_rotation's box, theta* + 0.2
+    does not; theta* + 0.4 does, and is still a config error."""
+    code = run_cli("cramer-rao", "--preset", "qubit_rotation", "--h", h, "--n-reps", "20",
+                   "--out", str(tmp_path))
+    assert code in codes
+    if code == EXIT_CONFIG:
+        assert capsys.readouterr().err == "config error: theta_star + h/sqrt(10000) leaves the box\n"
 
 
 def test_every_flag_sets_the_run_config_field_of_its_name():
@@ -654,7 +668,7 @@ def test_errors_are_not_check_failures(exc, code, prefix, tmp_path, monkeypatch,
     def broken(plan):
         raise exc
 
-    monkeypatch.setattr(cli, "purification_experiment", broken)
+    monkeypatch.setattr(asymptotics, "purification_experiment", broken)
     assert run_cli("purify", "--preset", "qubit_rotation", "--out", str(tmp_path)) == code
     err = capsys.readouterr().err
     if prefix:
