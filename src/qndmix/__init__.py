@@ -39,7 +39,6 @@ from .model import (
     ParametricFamily,
     check_identifiability,
     fisher_information,
-    kl_divergence,
     kl_matrix,
 )
 from .presets import PRESETS, Preset, get_preset, poisson_like_weights
@@ -94,7 +93,6 @@ __all__ = [
     "fisher_information",
     "get_preset",
     "hermitian_expm",
-    "kl_divergence",
     "kl_matrix",
     "lamn_experiment",
     "loglik",

@@ -1,11 +1,12 @@
-"""The experiments of every subcommand, each deciding its own verdict.
+"""The experiments of every subcommand.
 
 The Monte-Carlo experiments draw seeded replications, compare empirical
 moments against their analytic targets (per hidden component first, then on
-the mixture) and return a report with targets, estimates, tolerances and a
-pass flag; estimate and fig1 fit seeded single records.  Every report is built
-of JSON values: string keys, lists, and Python str, int, float and bool
-leaves, each array read with one .tolist().
+the mixture) and return a report with targets, estimates and tolerances;
+estimate and fig1 fit seeded single records.  Each lists its checks as named
+gates, which _verdict alone turns into the report's passed.  Every report is
+built of JSON values: string keys, lists, and Python str, int, float and
+bool leaves, each array read with one .tolist().
 
 Each experiment stream owns one generator, substream(master_seed, *key), on
 which all of its replications are drawn (sample_count_paths).  The streams of
@@ -267,6 +268,25 @@ def _per_component(columns: dict) -> dict:
     return {str(g): dict(zip(columns, row)) for g, row in enumerate(rows)}
 
 
+def _gates(name: str, statistic, bound, passed, at=None) -> list:
+    """Gates {name, statistic, bound, passed}: statistic and bound are the sides
+    of the comparison that gave passed (a list bound is a band [lo, hi], True a
+    flag).  A bool passed gives one gate, an array one per entry k, named
+    name.format(at[k]) (at: 0, 1, ...), each array read with one .tolist()."""
+    if not isinstance(passed, np.ndarray):
+        return [{"name": name, "statistic": statistic, "bound": bound, "passed": passed}]
+    columns = [c.tolist() if isinstance(c, np.ndarray) else [c] * len(passed) for c in (statistic, bound, passed)]
+    return [{"name": name.format(g), "statistic": s, "bound": b, "passed": p}
+            for g, s, b, p in zip(range(len(passed)) if at is None else at, *columns)]
+
+
+def _verdict(report: dict, gates: list) -> dict:
+    """The report with passed (every gate passed) and the gates appended: the one verdict rule."""
+    report["passed"] = all(gate["passed"] for gate in gates)
+    report["gates"] = gates
+    return report
+
+
 # ---------------------------------------------------------------------------
 # LAMN
 # ---------------------------------------------------------------------------
@@ -305,8 +325,10 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         )                                                                   # (d, R)
         mean, var = lr.mean(axis=1), lr.var(axis=1, ddof=1)
         se = np.sqrt(var / reps)
-        mean_ok = np.abs(mean - target_mean) <= LAMN_MEAN_SIGMAS * se
-        var_ok = np.where(tested, np.abs(var / np.where(tested, hih, 1.0) - 1.0) <= LAMN_VAR_RTOL, var == 0.0)
+        mean_dev = np.abs(mean - target_mean)
+        mean_ok = mean_dev <= LAMN_MEAN_SIGMAS * se
+        var_dev = np.abs(var / np.where(tested, hih, 1.0) - 1.0)
+        var_ok = np.where(tested, var_dev <= LAMN_VAR_RTOL, var == 0.0)
         ad_rows = np.flatnonzero(tested & (var > 0))
         rows = lr[ad_rows]
         stats, crit = _anderson_darling_normal(
@@ -329,6 +351,12 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
         by_n[str(n)] = entries
         if n == n_max:
             samples_at_nmax, passed = lr, mean_ok & var_ok & ad_ok
+            gates = [
+                *_gates("lamn.component.{}.mean", mean_dev, LAMN_MEAN_SIGMAS * se, mean_ok),
+                *_gates("lamn.component.{}.var", np.where(tested, var_dev, var),
+                        np.where(tested, LAMN_VAR_RTOL, 0.0), var_ok),
+                *_gates("lamn.component.{}.ad_statistic", stats, crit, ad_ok[ad_rows], at=ad_rows.tolist()),
+            ]
 
     per_component = {
         g: {"fisher_quadratic": quad, "by_n": {n: entries[g] for n, entries in by_n.items()}, "passed": ok}
@@ -342,7 +370,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     mix_mean_target = float(q.q @ target_mean)
     mix_second = q.q @ (hih + 0.25 * hih**2)
     mix_var_target = float(mix_second - mix_mean_target**2)
-    return {
+    return _verdict({
         "experiment": "lamn",
         "theta_star": plan.theta_star.tolist(),
         "h": h.tolist(),
@@ -356,8 +384,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
             "target_mean": mix_mean_target,
             "target_var": mix_var_target,
         },
-        "passed": bool(passed.all()),
-    }
+    }, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +463,8 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         rates_ok = rates >= COLLAPSE_RATE_SLACK * min_kl
     else:
         rates, rates_ok = np.full(d, np.inf), np.full(d, True)
-    passed = (frac_ok >= COLLAPSE_QUANTILE) & (frac_ok_shift >= COLLAPSE_QUANTILE) & rates_ok
+    frac_gate, frac_gate_shift = frac_ok >= COLLAPSE_QUANTILE, frac_ok_shift >= COLLAPSE_QUANTILE
+    passed = frac_gate & frac_gate_shift & rates_ok
     per_component = _per_component({
         "min_kl": min_kl,
         "fitted_rate": rates,
@@ -448,7 +476,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "passed": passed,
     })
 
-    return {
+    return _verdict({
         "experiment": "collapse",
         "theta_star": plan.theta_star.tolist(),
         "h": plan.h.tolist(),
@@ -457,8 +485,12 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "bound": COLLAPSE_SQRT_N_BOUND,
         "per_component": per_component,
-        "passed": bool(passed.all()),
-    }
+    }, [
+        *_gates("collapse.component.{}.fraction_below_bound", frac_ok, COLLAPSE_QUANTILE, frac_gate),
+        *_gates("collapse.component.{}.fraction_below_bound_shifted", frac_ok_shift, COLLAPSE_QUANTILE,
+                frac_gate_shift),
+        *_gates("collapse.component.{}.fitted_rate", rates, COLLAPSE_RATE_SLACK * min_kl, rates_ok),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +529,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
             "max_evaluations": int(evaluations[k].max()),
         }
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    return {
+    return _verdict({
         "experiment": "consistency",
         "theta_star": plan.theta_star.tolist(),
         "n_grid": n_grid,
@@ -505,8 +537,7 @@ def consistency_experiment(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "by_n": by_n,
         "median_decreasing": decreasing,
-        "passed": decreasing,
-    }
+    }, _gates("consistency.median_decreasing", decreasing, True, decreasing))
 
 
 def mle_path(
@@ -535,9 +566,10 @@ def estimate_experiment(plan: ExperimentPlan) -> tuple[dict, EstimationReport]:
     report and the EstimationReport, whose optimizer trace is the CSV."""
     traj = sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, max(plan.n_grid), plan.master_seed)
     fit = mle(plan.family, plan.q, counts(traj, n_outcomes=plan.family.n_outcomes), box=plan.search_box())
+    converged = bool(fit.converged)
     report = {**fit.to_dict(), "experiment": "estimate", "gamma_true": int(traj.gamma),
-              "theta_true": [float(x) for x in plan.theta_star], "passed": bool(fit.converged)}
-    return report, fit
+              "theta_true": [float(x) for x in plan.theta_star]}
+    return _verdict(report, _gates("estimate.converged", converged, True, converged)), fit
 
 
 def fig1_experiment(plan: ExperimentPlan) -> tuple[dict, list]:
@@ -552,17 +584,17 @@ def fig1_experiment(plan: ExperimentPlan) -> tuple[dict, list]:
         for k in range(FIG1_SEEDS)
     ]
     paths = mle_path(plan, trajs, {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX})
-    final_errors = [abs(path[-1][1] - target) for path in paths]
+    final_errors = np.array([abs(path[-1][1] - target) for path in paths])
     report = {
         "experiment": "fig1",
         "theta_star": target,
         "n_max": FIG1_N_MAX,
         "seeds": FIG1_SEEDS,
-        "final_abs_errors": final_errors,
+        "final_abs_errors": final_errors.tolist(),
         "tolerance": FIG1_TOLERANCE,
-        "passed": all(e < FIG1_TOLERANCE for e in final_errors),
     }
-    return report, paths
+    gates = _gates("fig1.seed.{}.final_abs_error", final_errors, FIG1_TOLERANCE, final_errors < FIG1_TOLERANCE)
+    return _verdict(report, gates), paths
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +646,10 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
 
     second = float(np.mean(root[d] ** 2))
     target_second = float(plan.q.q @ target)
-    mix_ok = abs(second / target_second - 1.0) <= CRAMER_MIXTURE_RTOL
-    all_pass = bool(passed.all()) and mix_ok
+    mix_dev = abs(second / target_second - 1.0)
+    mix_ok = mix_dev <= CRAMER_MIXTURE_RTOL
 
-    return {
+    return _verdict({
         "experiment": "cramer_rao",
         "theta_star": plan.theta_star.tolist(),
         "h": plan.h.tolist(),
@@ -634,8 +666,10 @@ def cramer_rao_experiment(plan: ExperimentPlan) -> dict:
             "passed": mix_ok,
         },
         "efficiency_band": list(CRAMER_RATIO_BAND),
-        "passed": all_pass,
-    }
+    }, [
+        *_gates("cramer_rao.component.{}.efficiency_ratio", ratio, list(CRAMER_RATIO_BAND), passed),
+        *_gates("cramer_rao.mixture.ratio", mix_dev, CRAMER_MIXTURE_RTOL, mix_ok),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +701,8 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     argmax_counts = np.bincount(post[:, -1].argmax(axis=-1), minlength=fam.n_components)
     empirical = argmax_counts / plan.n_reps
     tv = 0.5 * float(np.abs(empirical - q.q).sum())
-    frac_ok = fractions[str(n_max)] >= PURIFY_FRACTION
-    tv_ok = tv <= PURIFY_TV_BOUND
-    return {
+    frac = fractions[str(n_max)]
+    return _verdict({
         "experiment": "purification",
         "theta_star": plan.theta_star.tolist(),
         "n_grid": n_grid,
@@ -678,5 +711,7 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
         "fraction_purified": fractions,
         "argmax_distribution": empirical.tolist(),
         "tv_distance_to_q": tv,
-        "passed": frac_ok and tv_ok,
-    }
+    }, [
+        *_gates("purification.fraction_purified", frac, PURIFY_FRACTION, frac >= PURIFY_FRACTION),
+        *_gates("purification.tv_distance_to_q", tv, PURIFY_TV_BOUND, tv <= PURIFY_TV_BOUND),
+    ])

@@ -2,12 +2,12 @@
 the config file's, run the subcommand's experiment (which decides the verdict),
 write its JSON report and CSV plot data, and map it to an exit code.
 
-Exit codes: 0 success, 1 experiment check failed, 2 config error (a field that
-does not convert, a plan out of range, or an output path through an existing
-file, checked before the run; no output directory is made),
-3 refusal (RefusalError from the plan's one hypotheses check: an
-experiment that covers D = 1 only run on a multi-parameter model, singular
-Fisher information, or a fitted point, theta* or cramer-rao's
+Exit codes: 0 success, 1 experiment check failed (its failing gates named on
+stderr), 2 config error (a field that does not convert, a plan out of range,
+or an output path through an existing file, checked before the run; no output
+directory is made), 3 refusal (RefusalError from the plan's one hypotheses
+check: an experiment that covers D = 1 only run on a multi-parameter model,
+singular Fisher information, or a fitted point, theta* or cramer-rao's
 theta* + h/sqrt(n), not interior to the search box; fig1 runs the check
 before drawing), 4 any other package error, 5 an unexpected exception.
 """
@@ -41,17 +41,19 @@ from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
 
 SCHEMA_VERSION = 1
-# Each subcommand: the name of its experiment in qndmix.asymptotics, and its
+# Each subcommand: the name of its experiment in qndmix.asymptotics, its
 # default n_grid, which holds only record lengths that the experiment reads
-# (estimate and cramer-rao read max(n_grid), fig1 no entry).
+# (estimate and cramer-rao read max(n_grid), fig1 no entry), and its default
+# shift h in every coordinate, or None for an experiment that never reads h,
+# whose plan is built without one.
 SUBCOMMANDS = {
-    "estimate": ("estimate_experiment", (10_000,)),
-    "lamn": ("lamn_experiment", (1_000, 5_000, 10_000)),
-    "collapse": ("mixture_collapse_experiment", (500, 1_000, 2_000)),
-    "consistency": ("consistency_experiment", (1_000, 5_000, 10_000)),
-    "cramer-rao": ("cramer_rao_experiment", (10_000,)),
-    "purify": ("purification_experiment", (100, 250, 500)),
-    "fig1": ("fig1_experiment", (10_000,)),
+    "estimate": ("estimate_experiment", (10_000,), None),
+    "lamn": ("lamn_experiment", (1_000, 5_000, 10_000), 1.0),  # at h = 0 the LAMN law has nothing to test
+    "collapse": ("mixture_collapse_experiment", (500, 1_000, 2_000), 0.0),
+    "consistency": ("consistency_experiment", (1_000, 5_000, 10_000), None),
+    "cramer-rao": ("cramer_rao_experiment", (10_000,), 0.0),
+    "purify": ("purification_experiment", (100, 250, 500), None),
+    "fig1": ("fig1_experiment", (10_000,), None),
 }
 EXPERIMENTS = tuple(SUBCOMMANDS)
 
@@ -159,20 +161,24 @@ def load_config(path) -> dict:
 
 
 def build_plan(config: RunConfig) -> ExperimentPlan:
-    """The run's plan, with the preset's value where a field is unset;
-    ConfigError when ExperimentPlan refuses a range."""
+    """The run's plan, with the preset's value where a field is unset, and h
+    only for an experiment that reads it; ConfigError when ExperimentPlan
+    refuses a range."""
     preset = get_preset(config.model)
     q = parse_weights(config.q, preset.family.n_components) if config.q is not None else preset.q
+    _, default_grid, default_h = SUBCOMMANDS[config.experiment]
     h = config.h
-    if h is None and config.experiment == "lamn":
-        h = [1.0] * preset.family.dim   # at h = 0 the LAMN law has nothing to test
+    if default_h is None:
+        h = None
+    elif h is None:
+        h = [default_h] * preset.family.dim
     try:
         plan = ExperimentPlan(
             family=preset.family,
             q=q,
             theta_star=preset.theta_star if config.theta_star is None else config.theta_star,
             h=h,
-            n_grid=SUBCOMMANDS[config.experiment][1] if config.n_grid is None else config.n_grid,
+            n_grid=default_grid if config.n_grid is None else config.n_grid,
             n_reps=config.n_reps,
             master_seed=config.seed,
             estimation_box=preset.estimation_box,
@@ -220,8 +226,11 @@ def run(config: RunConfig) -> int:
     report["model"] = config.model
     report["schema_version"] = SCHEMA_VERSION
     write_json(report, out / "report.json")
-    print(f"wrote {out / 'report.json'} (passed={report.get('passed')})")
-    return EXIT_OK if report.get("passed", True) else EXIT_CHECK_FAILED
+    print(f"wrote {out / 'report.json'} (passed={report['passed']})")
+    if report["passed"]:
+        return EXIT_OK
+    print(f"failed gates: {', '.join(g['name'] for g in report['gates'] if not g['passed'])}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 @functools.cache
@@ -240,7 +249,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-grid", dest="n_grid", help="comma-separated record lengths")
     parser.add_argument("--n-reps", dest="n_reps", help="Monte-Carlo replications")
     parser.add_argument("--h", dest="h",
-                        help="comma-separated local shift h (theta* + h/sqrt(n)); lamn: 1")
+                        help="comma-separated local shift h (theta* + h/sqrt(n)) of lamn (default 1), "
+                        "collapse and cramer-rao (default 0); the others do not read it")
     parser.add_argument("--theta-star", dest="theta_star", help="comma-separated true parameter")
     parser.add_argument("--q", dest="q", help="weights: 'poissonlike(RATE)' or comma-separated")
     return parser

@@ -25,7 +25,6 @@ __all__ = [
     "ParametricFamily",
     "MixtureWeights",
     "IdentifiabilityReport",
-    "kl_divergence",
     "fisher_information",
     "kl_matrix",
     "check_identifiability",
@@ -352,18 +351,9 @@ class MixtureWeights:
 # Information functionals
 # ---------------------------------------------------------------------------
 
-def kl_divergence(fam: ParametricFamily, theta, theta2) -> np.ndarray:
-    """Matrix of divergences; entry (a, g) = KL(p_theta(.|a) || p_theta2(.|g))."""
-    p = fam.prob_table(theta)
-    return _kl(p, np.log(p), fam.log_prob_table(theta2))
-
-
-def _kl(p: np.ndarray, log_p: np.ndarray, log_p2: np.ndarray) -> np.ndarray:
-    return np.sum(p[:, None] * (log_p[:, None] - log_p2), axis=-1)
-
-
 def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
-    """kl_divergence at theta2 = theta, from one table, with an exactly zero
+    """Matrix of divergences at one point theta, entry (a, g) =
+    KL(p_theta(.|a) || p_theta(.|g)), from one table, with an exactly zero
     diagonal.
 
     Off-diagonal entries are strictly positive whenever the components are
@@ -375,7 +365,7 @@ def kl_matrix(fam: ParametricFamily, theta) -> np.ndarray:
 
 def _kl_matrix(p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """kl_matrix from one point's table p (d, l) and its logarithm."""
-    out = _kl(p, log_p, log_p)
+    out = np.sum(p[:, None] * (log_p[:, None] - log_p), axis=-1)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -94,6 +94,19 @@ def make_random_family(rng):
     )
 
 
+def without_gates(report: dict) -> dict:
+    """The report without its gates list: what a report held before the
+    verdicts were named, for comparison with references that build none."""
+    return {k: v for k, v in report.items() if k != "gates"}
+
+
+def failed_gates_stderr(report: dict) -> str:
+    """What the CLI writes to stderr after a run that wrote the report: the
+    names of the failed gates on one line when it did not pass, else nothing."""
+    failed = [gate["name"] for gate in report["gates"] if not gate["passed"]]
+    return "" if report["passed"] else f"failed gates: {', '.join(failed)}\n"
+
+
 @pytest.fixture(scope="session")
 def toy():
     return toy_haroche()

@@ -32,6 +32,8 @@ from qndmix.model import ParametricFamily
 from qndmix.presets import PRESETS
 from qndmix.simulate import counts, sample_mixture_trajectory
 
+from conftest import failed_gates_stderr
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -86,8 +88,8 @@ def test_comma_separated_q_runs(tmp_path, capsys):
     code = run_cli("purify", "--preset", "qubit_rotation", "--q", "0.3,0.7", "--n-reps", "40",
                    "--out", str(tmp_path))
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-    assert capsys.readouterr().err == ""
-    assert (tmp_path / "report.json").exists()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert capsys.readouterr().err == failed_gates_stderr(report)
 
 
 @pytest.mark.parametrize("q,message", [
@@ -254,6 +256,48 @@ def test_default_grid_checks_only_the_n_the_experiment_reads(h, codes, tmp_path,
     assert code in codes
     if code == EXIT_CONFIG:
         assert capsys.readouterr().err == "config error: theta_star + h/sqrt(10000) leaves the box\n"
+
+
+@pytest.mark.parametrize("experiment, h, flags", [
+    ("purify", "20", ["--n-reps", "40"]),
+    ("consistency", "20", ["--n-reps", "4"]),
+    ("estimate", "40", []),
+    ("fig1", "40", []),
+])
+def test_h_is_not_read_by_the_experiments_that_ignore_it(experiment, h, flags, tmp_path, capsys):
+    """purify, consistency, estimate and fig1 never read h: a shift that would
+    leave qubit_rotation's box at their grids runs, and writes the report of
+    the same run without --h."""
+    argv = [experiment, "--preset", "qubit_rotation", *flags]
+    code = run_cli(*argv, "--out", str(tmp_path / "plain"))
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert run_cli(*argv, "--h", h, "--out", str(tmp_path / "shifted")) == code
+    assert capsys.readouterr().err == err
+    assert (tmp_path / "shifted" / "report.json").read_bytes() == (tmp_path / "plain" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("experiment, h, n", [("lamn", "20", 1000), ("collapse", "40", 500)])
+def test_h_still_checked_where_an_experiment_reads_it(experiment, h, n, tmp_path, capsys):
+    """lamn and collapse read h: a shift that leaves the box at a grid entry
+    they read is still a config error (cramer-rao's case is
+    test_default_grid_checks_only_the_n_the_experiment_reads)."""
+    code = run_cli(experiment, "--preset", "qubit_rotation", "--h", h, "--out", str(tmp_path / "x"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: theta_star + h/sqrt({n}) leaves the box\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment, h", [("lamn", [1.0]), ("collapse", [0.0]), ("cramer-rao", [0.0]),
+                                           ("purify", None), ("consistency", None)])
+def test_default_shift_of_each_subcommand(experiment, h):
+    """The shift each plan gets without --h: lamn 1, collapse and cramer-rao
+    0, and none (the plan's zero) where the experiment never reads it, even
+    when a shift is given."""
+    plain = build_plan(RunConfig(model="qubit_rotation", experiment=experiment))
+    shifted = build_plan(RunConfig(model="qubit_rotation", experiment=experiment, h=[0.3]))
+    assert plain.h.tolist() == ([0.0] if h is None else h)
+    assert shifted.h.tolist() == ([0.0] if h is None else [0.3])
 
 
 def test_every_flag_sets_the_run_config_field_of_its_name():
@@ -722,11 +766,13 @@ def test_single_record_experiments_are_the_cli_reports(experiment, seed, preset,
             assert (tmp_path / "path.csv").read_bytes() == (tmp_path / f"fig1_seed{k}.csv").read_bytes()
 
 
-def test_fig1_gate_fails_on_biased_estimates(tmp_path, monkeypatch):
+def test_fig1_gate_fails_on_biased_estimates(tmp_path, monkeypatch, capsys):
     """fig1 at seed 1 passes; with every estimate shifted by +0.05, each
-    final error leaves the 0.02 band and the subcommand exits 1."""
+    final error leaves the 0.02 band, each of the ten seeds' gates fails,
+    stderr names them all, and the subcommand exits 1."""
     argv = ["fig1", "--preset", "toy_haroche", "--seed", "1"]
     assert run_cli(*argv, "--out", str(tmp_path / "plain")) == EXIT_OK
+    assert capsys.readouterr().err == ""
     fit = asymptotics._fit
 
     def biased(*args):
@@ -738,6 +784,9 @@ def test_fig1_gate_fails_on_biased_estimates(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "biased" / "report.json").read_text())
     assert report["passed"] is False
     assert min(report["final_abs_errors"]) > report["tolerance"] == 0.02
+    names = [f"fig1.seed.{k}.final_abs_error" for k in range(10)]
+    assert [gate["name"] for gate in report["gates"] if not gate["passed"]] == names
+    assert capsys.readouterr().err == f"failed gates: {', '.join(names)}\n"
 
 
 def test_json_report_is_stable_bytes(tmp_path):

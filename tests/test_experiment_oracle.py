@@ -24,6 +24,8 @@ from qndmix.estimate import _log_terms, log_terms, logsumexp
 from qndmix.presets import get_preset
 from qndmix.simulate import sample_count_paths, substream
 
+from conftest import without_gates
+
 
 def reference_lamn_counts(plan, laws, n):
     """lamn's draw at one n: component g's records on (TAG_LAMN, g, n), (d, R, l)."""
@@ -143,7 +145,8 @@ CASES = [
 @pytest.mark.parametrize("h, n_grid", CASES)
 def test_lamn_report_matches_the_reference_bytes(h, n_grid, preset, seed):
     plan = plan_of(preset, seed, h, n_grid)
-    assert json.dumps(lamn_experiment(plan), indent=2) == json.dumps(reference_lamn(plan), indent=2)
+    report = without_gates(lamn_experiment(plan))
+    assert json.dumps(report, indent=2) == json.dumps(reference_lamn(plan), indent=2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

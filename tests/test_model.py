@@ -9,7 +9,6 @@ from qndmix.model import (
     ParametricFamily,
     check_identifiability,
     fisher_information,
-    kl_divergence,
     kl_matrix,
 )
 from qndmix.presets import get_preset
@@ -349,45 +348,46 @@ def test_prob_accessors(bernoulli_pair):
 # Information functionals
 # ---------------------------------------------------------------------------
 
+def reference_kl_divergence(fam, theta, theta2):
+    """Matrix of divergences, entry (a, g) = KL(p_theta(.|a) || p_theta2(.|g)),
+    from one table at each point: the reference kl_matrix must equal at
+    theta2 = theta."""
+    p = fam.prob_table(theta)
+    return np.sum(p[:, None] * (np.log(p)[:, None] - fam.log_prob_table(theta2)), axis=-1)
+
+
 def test_kl_frozen_value(bernoulli_pair):
-    # [DERIVED] KL((0.6,0.4) || (0.5,0.5)) = 0.6 ln(6/5) + 0.4 ln(4/5).
-    got = kl_divergence(bernoulli_pair, [0.6], [0.5])[0, 0]
-    assert got == pytest.approx(0.020135513550688863, abs=1e-14)
-
-
-def test_kl_zero_iff_equal(bernoulli_pair):
-    assert kl_divergence(bernoulli_pair, [0.6], [0.6])[0, 0] == 0.0
-    # Component 1 at 2*theta emits the same distribution as component 0 at theta.
-    assert kl_divergence(bernoulli_pair, [0.3], [0.6])[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert kl_divergence(bernoulli_pair, [0.3], [0.5])[0, 1] > 0.0
+    # [DERIVED] At theta = 0.6 the components emit (0.6, 0.4) and (0.3, 0.7):
+    # KL(0 || 1) = 0.6 ln 2 + 0.4 ln(4/7), KL(1 || 0) = 0.3 ln(1/2) + 0.7 ln(7/4).
+    m = kl_matrix(bernoulli_pair, [0.6])
+    assert m[0, 1] == pytest.approx(0.19204199316179807, abs=1e-14)
+    assert m[1, 0] == pytest.approx(0.18378689738681223, abs=1e-14)
 
 
 def test_kl_nonnegative_grid(bernoulli_pair):
-    for t1 in (0.25, 0.5, 0.75):
-        for t2 in (0.25, 0.5, 0.75):
-            m = kl_divergence(bernoulli_pair, [t1], [t2])
-            assert m.shape == (2, 2)
-            assert np.all(m >= -1e-15)
-            if t1 == t2:
-                assert np.all(np.diag(m) == 0.0)
+    for t in (0.25, 0.5, 0.75):
+        m = kl_matrix(bernoulli_pair, [t])
+        assert m.shape == (2, 2)
+        assert np.all(m >= -1e-15)
+        assert np.all(np.diag(m) == 0.0)
 
 
 def test_kl_matrix_matches_pairwise(bernoulli_pair):
     m = kl_matrix(bernoulli_pair, [0.6])
     assert m.shape == (2, 2)
     assert m[0, 0] == 0.0 and m[1, 1] == 0.0
-    pairwise = kl_divergence(bernoulli_pair, [0.6], [0.6])
+    pairwise = reference_kl_divergence(bernoulli_pair, [0.6], [0.6])
     assert m[0, 1] == pairwise[0, 1] and m[1, 0] == pairwise[1, 0]
     assert m[0, 1] > 0 and m[1, 0] > 0
 
 
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation", "toy_haroche_full"])
 def test_kl_matrix_reads_one_table(name, monkeypatch):
-    """kl_matrix evaluates the table once and equals kl_divergence(theta,
-    theta) bit for bit off its zero diagonal."""
+    """kl_matrix evaluates the table once and equals the reference divergence
+    at (theta, theta) bit for bit off its zero diagonal."""
     pre = get_preset(name)
     fam = pre.family
-    want = kl_divergence(fam, pre.theta_star, pre.theta_star)
+    want = reference_kl_divergence(fam, pre.theta_star, pre.theta_star)
     calls, prob_table = [], fam.prob_table
     monkeypatch.setattr(fam, "prob_table", lambda theta: calls.append(theta) or prob_table(theta))
     got = kl_matrix(fam, pre.theta_star)

@@ -2,11 +2,14 @@
 its hypotheses call for, and the parser and the experiments read the table."""
 
 import inspect
+import json
 
 import pytest
 
 from qndmix import asymptotics, cli
 from qndmix.presets import PRESETS
+
+from conftest import failed_gates_stderr
 
 # Presets whose plan meets the hypotheses of every subcommand.
 REGULAR = ("toy_haroche", "qubit_rotation")
@@ -26,7 +29,9 @@ def test_exit_code_of_every_subcommand_on_every_preset(subcommand, preset, tmp_p
         assert err.startswith("refused:")
     else:
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), err
-        assert err == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == (cli.EXIT_OK if report["passed"] else cli.EXIT_CHECK_FAILED)
+        assert err == failed_gates_stderr(report)
 
 
 def test_the_parser_offers_the_table_subcommands():
@@ -35,8 +40,9 @@ def test_the_parser_offers_the_table_subcommands():
 
 
 def test_every_table_entry_names_an_experiment():
-    for subcommand, (name, n_grid) in cli.SUBCOMMANDS.items():
+    for subcommand, (name, n_grid, h) in cli.SUBCOMMANDS.items():
         assert name in asymptotics.__all__, subcommand
         assert inspect.isfunction(getattr(asymptotics, name)), subcommand
         assert not hasattr(cli, name), subcommand
         assert n_grid and all(isinstance(n, int) and n >= 1 for n in n_grid), subcommand
+        assert h is None or type(h) is float, subcommand
