@@ -11,9 +11,9 @@ bool leaves, each array read with one .tolist().
 Each experiment stream owns one generator, substream(master_seed, *key), on
 which all of its replications are drawn (sample_count_paths).  The streams of
 one component, in lamn, collapse and cramer_rao, draw their n_reps records
-from that component's one outcome law; the mixture streams, cramer_rao's d,
-consistency and purification, from one law per record, that of its drawn
-component:
+from that component's one outcome law, every component's in one call; the
+mixture streams, cramer_rao's d, consistency and purification, from one law
+per record, that of its drawn component:
 
     lamn          (TAG_LAMN, g, n) per component g and grid point n
     collapse      (TAG_COLLAPSE, g)
@@ -47,7 +47,15 @@ from .model import (
     _kl_matrix,
     fisher_information,  # noqa: F401  (perfbench's tracer test wraps asymptotics.fisher_information)
 )
-from .simulate import Trajectory, counts, sample_count_paths, sample_mixture_trajectory, substream
+from .simulate import (
+    Trajectory,
+    _draw_record,
+    counts,
+    sample_component,
+    sample_count_paths,
+    sample_mixture_trajectory,
+    substream,
+)
 
 __all__ = [
     "ExperimentPlan",
@@ -99,9 +107,10 @@ class ExperimentPlan:
     must be.  Each is stored as a Python int, as the reports hold it.
 
     The family is evaluated at theta* once per plan (star): the Fisher stack,
-    the outcome laws the experiments draw from at theta*, ln p there and the
-    KL matrix there all come from that one table and its Jacobian.  A
-    shifted law theta* + h/sqrt(n) is evaluated by the family, at h = 0 too.
+    the outcome laws the experiments draw from at theta*, ln p there, the KL
+    matrix there and the records of fig1 all come from that one table and
+    its Jacobian.  A shifted law theta* + h/sqrt(n) is evaluated by the
+    family, at h = 0 too.
     """
 
     family: ParametricFamily
@@ -252,13 +261,11 @@ def _anderson_darling_normal(x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _component_counts(plan: ExperimentPlan, laws, n_grid, tag: int, *key: int) -> np.ndarray:
-    """Count paths of n_reps records per component, shape (d, R, K, l):
-    component g's drawn from its one outcome law laws[g] on
-    substream(master_seed, tag, g, *key)."""
-    return np.stack([
-        sample_count_paths(p, n_grid, substream(plan.master_seed, tag, g, *key), size=plan.n_reps)
-        for g, p in enumerate(laws)
-    ])
+    """Count paths of n_reps records per component, shape (d, R, K, l), from
+    one sample_count_paths call: component g's drawn from its one outcome
+    law laws[g] on substream(master_seed, tag, g, *key)."""
+    streams = [substream(plan.master_seed, tag, g, *key) for g in range(len(laws))]
+    return sample_count_paths(laws, n_grid, streams, size=plan.n_reps)
 
 
 def _per_component(columns: dict) -> dict:
@@ -427,7 +434,9 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     Along records from component gamma, the ratio of the mixture likelihood to
     q(gamma) times the component likelihood tends to 1 exponentially fast, at
     rate at least min_{a != gamma} KL(gamma | a) at theta*.  Checked at both
-    theta* and the shifted theta* + h/sqrt(n).
+    theta* and the shifted theta* + h/sqrt(n).  With one component there is
+    no other component to collapse away from: its entry has no min_kl,
+    fitted_rate or rate_ok, and no rate is gated.
 
     Each component's records are drawn on their own stream and stacked, and
     ln r_n of every component is evaluated in one pass at theta* and one at
@@ -455,20 +464,22 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     frac_ok = np.mean(sqrt_n_r < COLLAPSE_SQRT_N_BOUND, axis=1)
     frac_ok_shift = np.mean(sqrt_n_r_shift < COLLAPSE_SQRT_N_BOUND, axis=1)
     medians = np.median(sqrt_n_r, axis=1)
-    min_kl = np.where(np.eye(d, dtype=bool), np.inf, _kl_matrix(p_star, log_p_star)).min(axis=1)
+    frac_gate, frac_gate_shift = frac_ok >= COLLAPSE_QUANTILE, frac_ok_shift >= COLLAPSE_QUANTILE
+    passed = frac_gate & frac_gate_shift
+    # A single component has no other to collapse away from: no divergence,
+    # no rate and no rate gate.
+    rate_columns, rate_gates = {}, []
     if d > 1:
+        min_kl = np.where(np.eye(d, dtype=bool), np.inf, _kl_matrix(p_star, log_p_star)).min(axis=1)
         # ln r_n ~ -rate * n: the least-squares slopes of every component's
         # mean path, from one fit.
         rates = -np.polyfit(np.asarray(n_grid, dtype=float), log_r.mean(axis=1).T, 1)[0]
         rates_ok = rates >= COLLAPSE_RATE_SLACK * min_kl
-    else:
-        rates, rates_ok = np.full(d, np.inf), np.full(d, True)
-    frac_gate, frac_gate_shift = frac_ok >= COLLAPSE_QUANTILE, frac_ok_shift >= COLLAPSE_QUANTILE
-    passed = frac_gate & frac_gate_shift & rates_ok
+        passed &= rates_ok
+        rate_columns = {"min_kl": min_kl, "fitted_rate": rates, "rate_ok": rates_ok}
+        rate_gates = _gates("collapse.component.{}.fitted_rate", rates, COLLAPSE_RATE_SLACK * min_kl, rates_ok)
     per_component = _per_component({
-        "min_kl": min_kl,
-        "fitted_rate": rates,
-        "rate_ok": rates_ok,
+        **rate_columns,
         "sqrt_n_r_median": medians,
         "fraction_below_bound": frac_ok,
         "fraction_below_bound_shifted": frac_ok_shift,
@@ -489,7 +500,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
         *_gates("collapse.component.{}.fraction_below_bound", frac_ok, COLLAPSE_QUANTILE, frac_gate),
         *_gates("collapse.component.{}.fraction_below_bound_shifted", frac_ok_shift, COLLAPSE_QUANTILE,
                 frac_gate_shift),
-        *_gates("collapse.component.{}.fitted_rate", rates, COLLAPSE_RATE_SLACK * min_kl, rates_ok),
+        *rate_gates,
     ])
 
 
@@ -579,10 +590,10 @@ def fig1_experiment(plan: ExperimentPlan) -> tuple[dict, list]:
     lies within FIG1_TOLERANCE of theta*.  Returns the report and the paths."""
     plan.check_hypotheses(fit_at=plan.theta_star)
     target = float(plan.theta_star[0])
-    trajs = [
-        sample_mixture_trajectory(plan.family, plan.theta_star, plan.q, FIG1_N_MAX, plan.master_seed * FIG1_SEEDS + k)
-        for k in range(FIG1_SEEDS)
-    ]
+    # The records sample_mixture_trajectory draws on these seeds, from the
+    # plan's table at theta* rather than one evaluation per record.
+    seeds = [plan.master_seed * FIG1_SEEDS + k for k in range(FIG1_SEEDS)]
+    trajs = [_draw_record(plan.star[0], sample_component(plan.q, seed), FIG1_N_MAX, seed) for seed in seeds]
     paths = mle_path(plan, trajs, {int(round(x)) for x in np.geomspace(100, FIG1_N_MAX, 25)} | {FIG1_N_MAX})
     final_errors = np.array([abs(path[-1][1] - target) for path in paths])
     report = {

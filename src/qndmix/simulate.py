@@ -4,10 +4,12 @@ mixture laws, plus outcome counting.
 All randomness flows through numpy's PCG64 generator.  substream keys one
 generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
 trajectory draws on substream(seed, 0) (its component) and substream(seed, 1)
-(its outcomes), and sample_count_paths draws every record of a batch on the one
-generator it is given, one multinomial over all records per grid gap, from one
-outcome law per record or from one law shared by all of them.  A rerun with
-the same seed repeats every draw bit for bit.
+(its outcomes).  sample_count_paths draws a batch of records per generator,
+one multinomial over all records of the batch per grid gap: one batch with
+one outcome law per record, or, in its stacked form, one batch per row of a
+(d, l) law table, each on its own generator and all of its records with
+that row's law, the table checked once.  A rerun with the same seed repeats
+every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +101,8 @@ def sample_trajectory(
     """n i.i.d. outcomes from p_theta(.|gamma); deterministic given the seed.
 
     n, gamma and seed are integral (100.0 and np.int64(100) count as 100),
-    and the seed is at least 0 (_record_seed).  Each
-    outcome is the number of inner CDF entries at or below its uniform draw,
-    counted in the narrowest unsigned type that holds l - 1 (uint8 for up to
-    256 outcomes); Trajectory holds the record as int64."""
+    and the seed is at least 0 (_record_seed).  The record is drawn from
+    the family's table at theta by _draw_record."""
     n = _integral(n, "trajectory length", DomainError)
     gamma = _integral(gamma, "component index", DomainError)
     seed = _record_seed(seed)
@@ -110,13 +110,7 @@ def sample_trajectory(
         raise DomainError("trajectory length must be non-negative")
     if not 0 <= gamma < fam.n_components:
         raise DomainError(f"component index {gamma} outside 0..{fam.n_components - 1}")
-    # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
-    u = substream(seed, 1).random(n)
-    cdf = np.cumsum(fam.prob_table(theta)[gamma][:-1]).tolist()
-    outcomes = np.zeros(n, dtype=np.min_scalar_type(len(cdf)))
-    for c in cdf:
-        outcomes += u >= c
-    return Trajectory(outcomes=outcomes, gamma=gamma)
+    return _draw_record(fam.prob_table(theta), gamma, n, seed)
 
 
 def sample_mixture_trajectory(
@@ -131,38 +125,64 @@ def sample_mixture_trajectory(
     return sample_trajectory(fam, theta, gamma, n, seed)
 
 
-def sample_count_paths(
-    p, n_grid: Sequence[int], rng: np.random.Generator, size: Optional[int] = None
-) -> np.ndarray:
-    """Cumulative outcome counts of R i.i.d. records after each n of an
-    ascending grid, shape (R, K, l).
+def _draw_record(p: np.ndarray, gamma: int, n: int, seed: int) -> Trajectory:
+    """The record of n outcomes of component gamma that sample_trajectory
+    draws on seed, from p, the family's (d, l) table at theta, for checked
+    arguments.  Each outcome is the number of inner CDF entries at or below
+    its uniform draw on substream(seed, 1), counted in the narrowest unsigned
+    type that holds l - 1 (uint8 for up to 256 outcomes); Trajectory holds
+    the record as int64."""
+    # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
+    u = substream(seed, 1).random(n)
+    cdf = np.cumsum(p[gamma][:-1]).tolist()
+    outcomes = np.zeros(n, dtype=np.min_scalar_type(len(cdf)))
+    for c in cdf:
+        outcomes += u >= c
+    return Trajectory(outcomes=outcomes, gamma=gamma)
 
-    Record r has outcome law p[r] (p of shape (R, l)); with size=R, every
-    record has the one law p (p of shape (l,)).  Laws are normalized here.
-    All records are drawn on the one generator rng, gap-major: for each grid
-    gap in order, one multinomial over all R rows.  A one-entry grid returns
-    that multinomial's own (R, l) array as an (R, 1, l) view.  The one-law
-    form draws the same counts, and leaves rng in the same state, as the
-    (R, l) form on R copies of that law.  This is the same in distribution
-    as counting the prefixes of one sampled record.
+
+def sample_count_paths(
+    p, n_grid: Sequence[int], rng: np.random.Generator | Sequence[np.random.Generator], size: Optional[int] = None
+) -> np.ndarray:
+    """Cumulative outcome counts of i.i.d. records after each n of an
+    ascending grid, in one of two forms.
+
+    Without size, record r has outcome law p[r] (p of shape (R, l)), and all
+    R records are drawn on the one generator rng: shape (R, K, l).  A
+    one-entry grid returns the multinomial's own (R, l) array as an
+    (R, 1, l) view.
+
+    With size=R, the stacked form: p is a (d, l) table of d laws and rng a
+    sequence of d generators, and block g holds R records of law p[g] drawn
+    on rng[g]: shape (d, R, K, l).  Each block draws the same counts, and
+    leaves its generator in the same state, as the first form on R copies
+    of its law.
+
+    Laws are checked and normalized once per call.  Each generator draws
+    gap-major: for each grid gap in order, one multinomial over all R rows.
+    This is the same in distribution as counting the prefixes of one
+    sampled record.
 
     size and the grid entries are integral (100.0 counts as 100), and size
     is at least 0; DomainError names a value that is not.  Every law must be
     non-negative with a finite positive sum: DomainError names the first
-    record whose law is not, and that law.  A valid law costs one test on
-    the row sums the normalization computes (each in (0, inf)); a negative
-    or NaN entry in a row of finite positive sum is found when the
-    multinomial refuses it.
+    law that is not, and that law.  A valid law costs one test on the row
+    sums the normalization computes (each in (0, inf)); a negative or NaN
+    entry in a row of finite positive sum is found when the multinomial
+    refuses it.
     """
     p = np.asarray(p, dtype=float)
-    if size is None and p.ndim != 2:
-        raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
-    if size is not None:
+    if size is None:
+        if p.ndim != 2:
+            raise DomainError(f"outcome laws must have shape (records, outcomes), not {p.shape}")
+    else:
         size = _integral(size, "size", DomainError)
         if size < 0:
             raise DomainError(f"size {size} must be at least 0")
-        if p.ndim != 1:
-            raise DomainError(f"one outcome law for size={size} records must have shape (outcomes,), not {p.shape}")
+        rng = list(rng)
+        if p.ndim != 2 or len(p) != len(rng):
+            raise DomainError(f"{len(rng)} generators for size={size} records need outcome laws of shape "
+                              f"({len(rng)}, outcomes), not {p.shape}")
     # The few grid gaps are Python ints: a numpy array costs more to set up
     # than the arithmetic on it.
     grid = [_integral(n, "record length", DomainError) for n in n_grid]
@@ -171,33 +191,38 @@ def sample_count_paths(
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
     total = p.sum(axis=-1, keepdims=True)
     if total.size and not (0 < total.min() and total.max() < np.inf):
-        _refuse_laws(p)
+        _refuse_laws(p, size is None)
     laws = p / total
     try:
-        if len(gaps) == 1:
-            return rng.multinomial(gaps[0], laws, size=size)[:, None]
-        out = np.empty((len(p) if size is None else size, len(gaps), p.shape[-1]), dtype=np.int64)
-        for k, gap in enumerate(gaps):
-            out[:, k] = rng.multinomial(gap, laws, size=size)
-            if k:
-                out[:, k] += out[:, k - 1]
+        if size is None and len(gaps) == 1:
+            return rng.multinomial(gaps[0], laws)[:, None]
+        # Blocks of rows, each with its generator: the one block of
+        # per-record laws, or one block per law of the stacked table.
+        blocks = [(rng, laws)] if size is None else list(zip(rng, laws))
+        rows = len(p) if size is None else size
+        out = np.empty((len(blocks), rows, len(gaps), p.shape[-1]), dtype=np.int64)
+        for b, (stream, law) in enumerate(blocks):
+            for k, gap in enumerate(gaps):
+                out[b, :, k] = stream.multinomial(gap, law, size=size)
+                if k:
+                    out[b, :, k] += out[b, :, k - 1]
     except ValueError:
-        _refuse_laws(p)
+        _refuse_laws(p, size is None)
         raise
-    return out
+    return out[0] if size is None else out
 
 
-def _refuse_laws(p: np.ndarray) -> None:
-    """DomainError naming the first record of p (one law (l,) or laws (R, l))
-    whose law has a negative or NaN entry, or a sum that is not finite and
-    positive; nothing when every law is valid."""
-    laws = np.atleast_2d(p)
-    total = laws.sum(axis=-1)
-    bad = ~(laws >= 0).all(axis=-1) | ~((total > 0) & (total < np.inf))
+def _refuse_laws(p: np.ndarray, per_record: bool) -> None:
+    """DomainError naming the first law of p, the laws (R, l) of its records
+    or the (d, l) table of the stacked form, that has a negative or NaN
+    entry, or a sum that is not finite and positive, by its record when
+    per_record; nothing when every law is valid."""
+    total = p.sum(axis=-1)
+    bad = ~(p >= 0).all(axis=-1) | ~((total > 0) & (total < np.inf))
     if bad.any():
         r = int(np.argmax(bad))
-        where = "the outcome law" if p.ndim == 1 else f"the outcome law of record {r}"
-        raise DomainError(f"{where}, {laws[r]}, must be non-negative with a finite positive sum")
+        where = f"the outcome law of record {r}" if per_record else "the outcome law"
+        raise DomainError(f"{where}, {p[r]}, must be non-negative with a finite positive sum")
 
 
 def counts(traj: Trajectory, n_prefix: Optional[int] = None, *, n_outcomes: int) -> CountVector:

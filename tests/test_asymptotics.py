@@ -22,10 +22,17 @@ from qndmix.asymptotics import (
 )
 from qndmix.errors import ConstructionError, DomainError, RefusalError, SingularFisherError
 from qndmix import estimate
-from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily, kl_matrix
+from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily, fisher_information, kl_matrix
 from qndmix.presets import get_preset, toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
-from qndmix.simulate import CountVector, counts, sample_count_paths, sample_trajectory, substream
+from qndmix.simulate import (
+    CountVector,
+    counts,
+    sample_count_paths,
+    sample_mixture_trajectory,
+    sample_trajectory,
+    substream,
+)
 
 from conftest import reference_logsumexp, sample_counts, without_gates
 
@@ -504,21 +511,60 @@ def test_collapse_rates_equal_one_fit_per_component(preset, n_reps, monkeypatch)
     (cramer_rao_experiment, {"h": np.array([0.0]), "n_grid": (1_000, 10_000)}),
 ])
 def test_one_law_blocks_equal_the_tiled_draws(runner, kw, preset, n_reps, monkeypatch):
-    """Each component block is drawn from its one outcome law, once per
-    component (and grid point, for lamn), and gives the same report, byte for
-    byte, as drawing it from n_reps tiled copies of the law."""
+    """Every component block is drawn from its one outcome law, all d of them
+    in one stacked call (per grid point, for lamn), and gives the same report,
+    byte for byte, as drawing each block from n_reps tiled copies of its law
+    on its own generator."""
     plan = small_plan(get_preset(preset), n_reps=n_reps, **kw)
     report = json.dumps(runner(plan))
-    sizes = []
+    stacked = []
 
     def tiled(p, n_grid, rng, size=None):
-        sizes.append(size)
-        return sample_count_paths(p if size is None else np.tile(p, (size, 1)), n_grid, rng)
+        if size is None:
+            return sample_count_paths(p, n_grid, rng)
+        stacked.append((np.shape(p), len(rng), size))
+        return np.stack([sample_count_paths(np.tile(law, (size, 1)), n_grid, r) for law, r in zip(p, rng)])
 
     monkeypatch.setattr(asym, "sample_count_paths", tiled)
     assert report == json.dumps(runner(plan))
-    blocks = plan.family.n_components * (len(plan.n_grid) if runner is lamn_experiment else 1)
-    assert sizes.count(n_reps) == blocks
+    d, l = plan.family.n_components, plan.family.n_outcomes
+    calls = len(plan.n_grid) if runner is lamn_experiment else 1
+    assert stacked == [((d, l), d, n_reps)] * calls
+
+
+def test_star_is_one_read_only_evaluation_per_plan(monkeypatch):
+    """A plan evaluates the family's rule once at theta* (star), whose arrays
+    are read-only and equal a fresh evaluation, and lamn then evaluates it
+    once at each shifted point; fig1 draws its records from star's table,
+    the records sample_mixture_trajectory draws on the same seeds."""
+    pre = get_preset("qubit_rotation")
+    calls = []
+    fam = ParametricFamily(pre.family.box, tables=lambda t: calls.append(np.copy(t)) or pre.family.tables(t))
+    calls.clear()
+    plan = ExperimentPlan(family=fam, q=pre.q, theta_star=pre.theta_star, h=np.array([0.5]),
+                          n_grid=(100, 400), n_reps=4, master_seed=3)
+    p, dp, log_p = plan.star
+    fresh_p, fresh_dp = pre.family.tables(pre.theta_star)
+    assert (p.tobytes(), dp.tobytes(), log_p.tobytes()) == (
+        fresh_p.tobytes(), fresh_dp.tobytes(), np.log(fresh_p).tobytes())
+    assert plan.fisher.tobytes() == fisher_information(pre.family, pre.theta_star).tobytes()
+    for a in (p, dp, log_p, plan.fisher):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    lamn_experiment(plan)
+    assert [t.tobytes() for t in calls] == [
+        t.tobytes() for t in (pre.theta_star, *(pre.theta_star + plan.h / np.sqrt(n) for n in plan.n_grid))]
+
+    calls.clear()
+    fitted = []
+    monkeypatch.setattr(asym, "mle_path", lambda plan, trajs, grid: fitted.extend(trajs) or [
+        [(asym.FIG1_N_MAX, float(plan.theta_star[0]))] for _ in trajs])
+    asym.fig1_experiment(plan)
+    assert calls == [] and len(fitted) == asym.FIG1_SEEDS
+    for k, traj in enumerate(fitted):
+        want = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, asym.FIG1_N_MAX, 3 * asym.FIG1_SEEDS + k)
+        assert (traj.gamma, traj.outcomes.tobytes()) == (want.gamma, want.outcomes.tobytes())
 
 
 def lamn_per_component(plan):
@@ -609,15 +655,15 @@ def collapse_per_component(plan):
         sqrt_n_r_shift = np.sqrt(n_max) * np.exp(log_r_shift)
         frac_ok = float(np.mean(sqrt_n_r < asym.COLLAPSE_SQRT_N_BOUND))
         frac_ok_shift = float(np.mean(sqrt_n_r_shift < asym.COLLAPSE_SQRT_N_BOUND))
-        min_kl = float(np.min(np.delete(kl[g], g))) if d > 1 else np.inf
+        entry, rate_ok = {}, True
         if d > 1:
+            min_kl = float(np.min(np.delete(kl[g], g)))
             rate = float(-np.polyfit(np.asarray(n_grid, dtype=float), log_r.mean(axis=0), 1)[0])
             rate_ok = rate >= asym.COLLAPSE_RATE_SLACK * min_kl
-        else:
-            rate, rate_ok = np.inf, True
+            entry = {"min_kl": min_kl, "fitted_rate": rate, "rate_ok": bool(rate_ok)}
         comp_pass = frac_ok >= asym.COLLAPSE_QUANTILE and frac_ok_shift >= asym.COLLAPSE_QUANTILE and rate_ok
         per_component[g] = {
-            "min_kl": min_kl, "fitted_rate": rate, "rate_ok": bool(rate_ok),
+            **entry,
             "sqrt_n_r_median": float(np.median(sqrt_n_r)), "fraction_below_bound": frac_ok,
             "fraction_below_bound_shifted": frac_ok_shift, "n_checked": n_max, "passed": bool(comp_pass),
         }
@@ -686,7 +732,8 @@ def test_anderson_darling_rows_equal_each_row_alone():
 def test_stacked_edge_cases_raise_no_warning(toy, runner, reference):
     """h = 0 (every ln LR is 0, no Anderson-Darling row) and a one-component
     family (no other component, so ln r_n = -inf) give the reference report
-    without a numpy warning."""
+    without a numpy warning, and as JSON values with no NaN or infinity: a
+    one-component collapse report has no divergence, rate or rate gate."""
     single = ExperimentPlan(
         family=one_component_family(), q=MixtureWeights(np.array([1.0])),
         theta_star=np.array([0.5]), h=np.array([1.0]), n_grid=(200, 500), n_reps=40,
@@ -696,12 +743,16 @@ def test_stacked_edge_cases_raise_no_warning(toy, runner, reference):
         zero, one = (runner(plan) for plan in (small_plan(toy, h=np.array([0.0])), single))
         assert json.dumps(without_gates(zero)) == json.dumps(reference(small_plan(toy, h=np.array([0.0]))))
         assert json.dumps(without_gates(one)) == json.dumps(reference(single))
+    for report in (zero, one):
+        json.dumps(report, allow_nan=False)
+        assert _json_values(report)
     if runner is lamn_experiment:
         for comp in zero["per_component"].values():
             for entry in comp["by_n"].values():
                 assert entry["var"] == 0.0 and not any(k.startswith("ad_") for k in entry)
     else:
-        assert one["per_component"]["0"]["fitted_rate"] == math.inf
+        assert not {"min_kl", "fitted_rate", "rate_ok"} & set(one["per_component"]["0"])
+        assert not any(gate["name"].endswith(".fitted_rate") for gate in one["gates"])
         assert one["per_component"]["0"]["sqrt_n_r_median"] == 0.0
 
 

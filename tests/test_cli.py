@@ -30,7 +30,7 @@ from qndmix.errors import ConfigError, DomainError, RefusalError
 from qndmix.estimate import loglik
 from qndmix.model import ParametricFamily
 from qndmix.presets import PRESETS
-from qndmix.simulate import counts, sample_mixture_trajectory
+from qndmix.simulate import _draw_record, counts, sample_mixture_trajectory
 
 from conftest import failed_gates_stderr
 
@@ -581,8 +581,7 @@ def test_singular_fisher_preset_is_refused_by_consistency_and_fig1(tmp_path, cap
 
 def test_fig1_refuses_before_drawing(tmp_path, monkeypatch, capsys):
     draws = []
-    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory",
-                        lambda *a, **k: draws.append(a) or sample_mixture_trajectory(*a, **k))
+    monkeypatch.setattr(asymptotics, "_draw_record", lambda *a, **k: draws.append(a) or _draw_record(*a, **k))
     code = run_cli("fig1", "--preset", "toy_haroche_guerlin", "--out", str(tmp_path))
     assert code == EXIT_REFUSAL
     assert capsys.readouterr().err.startswith(
@@ -601,8 +600,7 @@ def test_fitting_experiments_refuse_a_point_outside_the_search_box(experiment, f
     """toy_haroche searches pi/4 +/- 0.052: the fitted point 0.6, or pi/4 + 0.1
     (h = 10 at n = 1e4), is refused before any draw, with no output directory."""
     draws = []
-    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory",
-                        lambda *a, **k: draws.append(a) or sample_mixture_trajectory(*a, **k))
+    monkeypatch.setattr(asymptotics, "_draw_record", lambda *a, **k: draws.append(a) or _draw_record(*a, **k))
     out = tmp_path / "out"
     assert run_cli(experiment, "--preset", "toy_haroche", *flags, "--out", str(out)) == EXIT_REFUSAL
     err = capsys.readouterr().err
@@ -633,12 +631,11 @@ def test_each_experiment_evaluates_the_family_once_at_theta_star(
     command, flags, shifted_at_star, tmp_path, monkeypatch
 ):
     """One run evaluates the family's rule at theta* once for what it needs
-    there: the Fisher stack, the outcome laws, ln p and the KL matrix all come
-    from the plan's one table (ExperimentPlan.star).  A shifted law
-    theta* + h/sqrt(n) is evaluated on its own, so at h = 0 it lands on theta*
-    once per n (lamn) or once (collapse, cramer-rao).  fig1 draws each record
-    with sample_mixture_trajectory, which takes theta* and evaluates the rule
-    there once more per record."""
+    there: the Fisher stack, the outcome laws, ln p, the KL matrix and the
+    table fig1 draws each of its records from all come from the plan's one
+    table (ExperimentPlan.star).  A shifted law theta* + h/sqrt(n) is
+    evaluated on its own, so at h = 0 it lands on theta* once per n (lamn)
+    or once (collapse, cramer-rao)."""
     pre = PRESETS["qubit_rotation"]()
     at_star, records = [], []
 
@@ -648,15 +645,15 @@ def test_each_experiment_evaluates_the_family_once_at_theta_star(
 
     def draw(*args):
         records.append(args)
-        return sample_mixture_trajectory(*args)
+        return _draw_record(*args)
 
     spied = dataclasses.replace(pre, family=ParametricFamily(pre.family.box, tables=rule))
     at_star.clear()
     monkeypatch.setattr(cli, "get_preset", lambda name: spied)
-    monkeypatch.setattr(asymptotics, "sample_mixture_trajectory", draw)
+    monkeypatch.setattr(asymptotics, "_draw_record", draw)
     code = run_cli(command, "--preset", "qubit_rotation", *flags, "--out", str(tmp_path))
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-    assert sum(at_star) == 1 + shifted_at_star + len(records)
+    assert sum(at_star) == 1 + shifted_at_star
     if command == "fig1":
         assert len(records) == cli.FIG1_SEEDS
         assert len(list(tmp_path.glob("fig1_seed*.csv"))) == cli.FIG1_SEEDS

@@ -30,7 +30,8 @@ from conftest import without_gates
 def reference_lamn_counts(plan, laws, n):
     """lamn's draw at one n: component g's records on (TAG_LAMN, g, n), (d, R, l)."""
     return np.stack([
-        sample_count_paths(laws[g], (n,), substream(plan.master_seed, TAG_LAMN, g, n), size=plan.n_reps)[:, 0]
+        sample_count_paths(laws[g:g + 1], (n,), [substream(plan.master_seed, TAG_LAMN, g, n)],
+                           size=plan.n_reps)[0, :, 0]
         for g in range(plan.family.n_components)
     ])
 
@@ -38,7 +39,8 @@ def reference_lamn_counts(plan, laws, n):
 def reference_collapse_counts(plan, laws, n_grid):
     """collapse's draw: component g's records on (TAG_COLLAPSE, g), (d, R, K, l)."""
     return np.stack([
-        sample_count_paths(laws[g], n_grid, substream(plan.master_seed, TAG_COLLAPSE, g), size=plan.n_reps)
+        sample_count_paths(laws[g:g + 1], n_grid, [substream(plan.master_seed, TAG_COLLAPSE, g)],
+                           size=plan.n_reps)[0]
         for g in range(plan.family.n_components)
     ])
 
@@ -46,7 +48,8 @@ def reference_collapse_counts(plan, laws, n_grid):
 def reference_cramer_blocks(plan, laws, n):
     """cramer_rao's component blocks: component g's records on (TAG_CRAMER, g)."""
     return [
-        sample_count_paths(laws[g], (n,), substream(plan.master_seed, TAG_CRAMER, g), size=plan.n_reps)[:, 0]
+        sample_count_paths(laws[g:g + 1], (n,), [substream(plan.master_seed, TAG_CRAMER, g)],
+                           size=plan.n_reps)[0, :, 0]
         for g in range(plan.family.n_components)
     ]
 

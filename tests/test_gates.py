@@ -120,6 +120,7 @@ def parent_verdict(report: dict) -> dict:
 @pytest.mark.parametrize("experiment, kw", PLANS, ids=[e.__name__ for e, _ in PLANS])
 def test_passed_is_the_conjunction_of_the_named_gates(experiment, kw, preset, seed):
     report = run(experiment, kw, preset, seed)
+    json.dumps(report, allow_nan=False)  # strict JSON: no NaN or infinity anywhere
     assert list(report)[-2:] == ["passed", "gates"]
     gates = report["gates"]
     assert gates and report["passed"] is all(gate["passed"] for gate in gates)

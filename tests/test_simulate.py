@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -242,19 +243,22 @@ def test_count_paths_equal_the_reference_draws(name, n_records, grid):
 @pytest.mark.parametrize("n_records", [45, 5, 1, 0])
 @pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
 def test_one_law_form_equals_the_tiled_reference(name, n_records, grid):
-    """One unnormalized outcome law with size=R draws, bit for bit, the
-    reference's counts for R tiled copies of that law, and leaves the
-    generator in the same state, for every component of the table."""
+    """The stacked form, d unnormalized outcome laws on d generators with
+    size=R, draws in block g, bit for bit, the reference's counts for R
+    tiled copies of law g on generator g, and leaves every generator in the
+    same state."""
     pre = get_preset(name)
-    table = pre.family.prob_table(pre.theta_star)
-    for g, law in enumerate(table * 1.3):
-        got_rng, want_rng = substream(g, 9), substream(g, 9)
-        got = sample_count_paths(law, grid, got_rng, size=n_records)
-        want = reference_sample_count_paths(np.tile(law, (n_records, 1)), grid, want_rng)
-        assert got.shape == want.shape == (n_records, len(grid), pre.family.n_outcomes)
+    table = pre.family.prob_table(pre.theta_star) * np.linspace(1.0, 1.7, pre.family.n_components)[:, None]
+    d = len(table)
+    for seed in range(2):
+        got_rngs, want_rngs = ([substream(seed, 9, g) for g in range(d)] for _ in range(2))
+        got = sample_count_paths(table, grid, got_rngs, size=n_records)
+        want = np.stack([reference_sample_count_paths(np.tile(law, (n_records, 1)), grid, r)
+                         for law, r in zip(table, want_rngs)])
+        assert got.shape == want.shape == (d, n_records, len(grid), pre.family.n_outcomes)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert [r.bit_generator.state for r in got_rngs] == [r.bit_generator.state for r in want_rngs]
 
 
 @pytest.mark.parametrize("bad, shown", [
@@ -267,9 +271,9 @@ def test_one_law_form_equals_the_tiled_reference(name, n_records, grid):
 @pytest.mark.parametrize("grid", [(50,), (20, 50)])
 def test_count_paths_refuse_an_invalid_law(bad, shown, grid):
     """A law with a negative, NaN or infinite entry, or with a sum that is not
-    positive, is refused with DomainError naming its record and the law, in
-    both forms and on one gap or several, without a numpy warning; a valid
-    record before it does not hide it."""
+    positive, is refused with DomainError naming the law (and its record, in
+    the per-record form), in both forms and on one gap or several, without
+    a numpy warning; a valid law before it does not hide it."""
     laws = np.array([[0.2, 0.3, 0.5], [1.0, 1.0, 2.0], bad, [0.1, 0.1, 0.8]])
     rule = "must be non-negative with a finite positive sum$"
     with warnings.catch_warnings():
@@ -277,16 +281,19 @@ def test_count_paths_refuse_an_invalid_law(bad, shown, grid):
         with pytest.raises(DomainError, match=f"^the outcome law of record 2, {shown}, {rule}"):
             sample_count_paths(laws, grid, substream(1))
         with pytest.raises(DomainError, match=f"^the outcome law, {shown}, {rule}"):
-            sample_count_paths(np.array(bad), grid, substream(1), size=3)
+            sample_count_paths(laws, grid, [substream(1, g) for g in range(len(laws))], size=3)
 
 
 def test_count_paths_refuse_a_law_shape_that_does_not_match_size(toy):
-    """size=R needs one law of shape (l,); without size the laws are (R, l)."""
+    """size=R needs one law of shape (l,) per generator, a (d, l) table for d
+    generators; without size the laws are (R, l)."""
     table = toy.family.prob_table(toy.theta_star)
     with pytest.raises(DomainError, match=r"shape \(records, outcomes\), not \(8,\)"):
         sample_count_paths(table[0], (50,), substream(1))
-    with pytest.raises(DomainError, match=r"size=5 records must have shape \(outcomes,\), not \(8, 8\)"):
-        sample_count_paths(table, (50,), substream(1), size=5)
+    for laws in (table[:7], table[0]):
+        with pytest.raises(DomainError, match=r"^8 generators for size=5 records need outcome laws of shape "
+                                              rf"\(8, outcomes\), not {re.escape(str(laws.shape))}$"):
+            sample_count_paths(laws, (50,), [substream(1, g) for g in range(8)], size=5)
 
 
 @pytest.mark.parametrize("size, message", [
@@ -296,9 +303,9 @@ def test_count_paths_refuse_a_law_shape_that_does_not_match_size(toy):
     ("5", "size 5 is not an integer"),
 ])
 def test_count_paths_refuse_a_size_that_is_not_a_count(toy, size, message):
-    p = toy.family.prob_table(toy.theta_star)[0]
+    p = toy.family.prob_table(toy.theta_star)[:1]
     with pytest.raises(DomainError, match=f"^{message}$"):
-        sample_count_paths(p, (50,), substream(1), size=size)
+        sample_count_paths(p, (50,), [substream(1)], size=size)
 
 
 def test_count_paths_refuse_a_record_length_that_is_not_an_integer(toy):
@@ -306,19 +313,19 @@ def test_count_paths_refuse_a_record_length_that_is_not_an_integer(toy):
     with pytest.raises(DomainError, match=r"^record length 2.5 is not an integer$"):
         sample_count_paths(table, (1, 2.5), substream(1))
     with pytest.raises(DomainError, match=r"^record length 2.5 is not an integer$"):
-        sample_count_paths(table[0], (2.5,), substream(1), size=3)
+        sample_count_paths(table[:1], (2.5,), [substream(1)], size=3)
 
 
 def test_count_paths_take_integral_sizes_and_lengths(toy):
     """100.0 and np.int64 count as ints: the same draws as the ints, and size=0
     draws nothing."""
-    p = toy.family.prob_table(toy.theta_star)[1]
-    want = sample_count_paths(p, (50, 80), substream(1), size=4)
+    p = toy.family.prob_table(toy.theta_star)[1:2]
+    want = sample_count_paths(p, (50, 80), [substream(1)], size=4)
     for size, grid in ((4.0, (50.0, 80)), (np.int64(4), (np.int64(50), np.float64(80.0)))):
-        got = sample_count_paths(p, grid, substream(1), size=size)
-        assert got.shape == (4, 2, 8)
+        got = sample_count_paths(p, grid, [substream(1)], size=size)
+        assert got.shape == (1, 4, 2, 8)
         np.testing.assert_array_equal(got, want)
-    assert sample_count_paths(p, (50,), substream(1), size=0).shape == (0, 1, 8)
+    assert sample_count_paths(p, (50,), [substream(1)], size=0).shape == (1, 0, 1, 8)
 
 
 def test_trajectory_arguments_must_be_integers(toy):
