@@ -406,17 +406,26 @@ def _log_collapse_ratio(terms: np.ndarray, gamma) -> np.ndarray:
 
     ln r_n is the log-sum of the other components' log terms minus the own
     term, evaluated in the log domain so exponentially small values keep full
-    relative precision.  The other components are gathered by index, so each
-    log-sum adds the same d - 1 terms in the same order whatever gamma is; with
-    one component there are none, and ln r_n is -inf.
+    relative precision.  Each leading block (all rows, for one own component)
+    copies its other components by two slices around its own index, so each
+    log-sum adds the same d - 1 terms in the same order whatever gamma is, and
+    reads its own term in place; with one component there are none, and
+    ln r_n is -inf.
     """
     d = terms.shape[-1]
     if d == 1:
         return np.full(terms.shape[:-1], -np.inf)
-    own = np.reshape(gamma, np.shape(gamma) + (1,) * (terms.ndim - np.ndim(gamma)))
-    rest = np.arange(d - 1)
-    others = np.take_along_axis(terms, rest + (rest >= own), axis=-1)
-    return logsumexp(others, axis=-1) - np.take_along_axis(terms, own, axis=-1)[..., 0]
+    one = np.ndim(gamma) == 0
+    if one:
+        terms, gamma = terms[None], [gamma]
+    others = np.empty(terms.shape[:-1] + (d - 1,))
+    own = np.empty(terms.shape[:-1])
+    for b, g in enumerate(gamma):
+        others[b, ..., :g] = terms[b, ..., :g]
+        others[b, ..., g:] = terms[b, ..., g + 1:]
+        own[b] = terms[b, ..., g]
+    log_r = logsumexp(others, axis=-1) - own
+    return log_r[0] if one else log_r
 
 
 def check_collapse_grid(n_grid) -> None:

@@ -8,8 +8,9 @@ record only through its outcome counts:
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.  logsumexp is the package's one
 log-sum; over a contiguous last axis of many rows it runs its elementwise
-steps component-major, in contiguous slabs, and sums the rows as the
-row-wise path does, so every result is the row-wise one bit for bit.
+steps component-major, in contiguous slabs, and adds the slabs in the order
+the row-wise path adds each row, so every result is the row-wise one bit for
+bit.
 
 loglik_rows evaluates it, its score and, on request, its curvature for many
 rows at once.  Both maximizers seed each row's candidates from one shared
@@ -57,6 +58,9 @@ ROW_BLOCK = 1024
 # logsumexp runs its elementwise steps component-major from this many rows
 # on; below it the row-wise path is as fast (measured crossover: 64-128 rows).
 SLAB_ROWS = 128
+# numpy's pairwise sum adds a run of up to this many entries with eight
+# running sums, and splits a longer run in two.
+PAIRWISE_BLOCK = 128
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
@@ -467,10 +471,12 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     A reduction over a contiguous last axis of at least SLAB_ROWS rows runs
     on one contiguous copy with that axis leading, so that the max, tie, floor
     and exp steps run elementwise over its d slabs instead of one short row at
-    a time; those steps are exact in any order.  The sum alone goes back to
-    rows: numpy adds a row-major copy of the exponentials, as it adds the
-    row-wise path's own array, so the result is the same bit for bit.  Fewer
-    rows, and a last axis that is not the fastest one, take the row-wise path.
+    a time; those steps are exact in any order.  The sum is not: _slab_sum
+    adds the slabs in the order numpy's row sum adds a row's entries (one
+    after another below 8, eight running sums up to PAIRWISE_BLOCK, a
+    row-major copy beyond), so the result is the row-wise one bit for bit.
+    Fewer rows, and a last axis that is not the fastest one, take the
+    row-wise path.
     """
     slabs = (
         axis is not None and a.ndim > 1 and axis % a.ndim == a.ndim - 1
@@ -487,9 +493,33 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     np.maximum(e, EXP_FLOOR, out=e)
     np.exp(e, out=e)
     e *= live
-    s = np.ascontiguousarray(e.T).sum(axis=-1)[None] if slabs else e.sum(axis=axis, keepdims=True)
+    s = _slab_sum(e)[None] if slabs else e.sum(axis=axis, keepdims=True)
     out = np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
     return out.reshape(shape) if slabs else out
+
+
+def _slab_sum(e: np.ndarray) -> np.ndarray:
+    """The sums over the d slabs of e (d, rows), bit for bit numpy's sums of
+    the rows of e.T: below 8 slabs one after another; up to PAIRWISE_BLOCK,
+    slab j starts the j-th of eight running sums, which take every eighth
+    slab after it and are combined ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))
+    before the remaining slabs are added in order; beyond it, where numpy
+    splits a row, a row-major copy is summed.  Overwrites e.
+    """
+    d = len(e)
+    if d > PAIRWISE_BLOCK:
+        return np.ascontiguousarray(e.T).sum(axis=-1)
+    tail = 1
+    if d >= 8:
+        tail = d - d % 8
+        for start in range(8, tail, 8):
+            e[:8] += e[start:start + 8]
+        e[0:8:2] += e[1:8:2]
+        e[0:8:4] += e[2:8:4]
+        e[0] += e[4]
+    for slab in e[tail:]:
+        e[0] += slab
+    return e[0]
 
 
 @functools.cache

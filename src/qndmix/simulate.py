@@ -1,15 +1,17 @@
 """Seeded generation of measurement records under the per-component and
 mixture laws, plus outcome counting.
 
-All randomness flows through numpy's PCG64 generator.  substream keys one
-generator by (master_seed, stream tags...) via numpy's SeedSequence; a seeded
-trajectory draws on substream(seed, 0) (its component) and substream(seed, 1)
-(its outcomes).  sample_count_paths draws a batch of records per generator,
-one multinomial over all records of the batch per grid gap: one batch with
-one outcome law per record, or, in its stacked form, one batch per row of a
-(d, l) law table, each on its own generator and all of its records with
-that row's law, the table checked once.  A rerun with the same seed repeats
-every draw bit for bit.
+All randomness flows through numpy's PCG64 generator.  substream is the one
+way to build one: it keys a generator by (master_seed, stream tags...) as
+numpy's SeedSequence(entropy=master_seed, spawn_key=tags) does, from the
+words that SeedSequence would assemble, and refuses a seed or tag that is not
+an integer of at least 0.  A seeded trajectory draws on substream(seed, 0)
+(its component) and substream(seed, 1) (its outcomes).  sample_count_paths
+draws a batch of records per generator, one multinomial over all records of
+the batch per grid gap: one batch with one outcome law per record, or, in its
+stacked form, one batch per row of a (d, l) law table, each on its own
+generator and all of its records with that row's law, the table checked
+once.  A rerun with the same seed repeats every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +36,46 @@ __all__ = [
 ]
 
 
-def substream(seed: int, *indices: int) -> np.random.Generator:
-    """Independent generator for (master seed, stream index...)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(indices)))
+# numpy's SeedSequence pads the seed's words to this many when a key follows.
+_POOL_WORDS = 4
+
+
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 generator that default_rng(SeedSequence(entropy=seed,
+    spawn_key=key)) builds, bit for bit, seeded from the uint32 words that
+    SeedSequence assembles: each value's 32-bit words, least significant
+    first, the seed's zero-padded to _POOL_WORDS when a key follows.
+    Assembling them here skips numpy's per-call coercion of the key.
+
+    The seed and every key entry are integral (4.0 and np.int64(4) are 4)
+    and at least 0; DomainError names any other value (None, which would
+    draw from OS entropy, 2.5, -1), so no value can wrap into a word.
+    """
+    words = _words(_natural(seed, "seed"))
+    if key:
+        words += [0] * (_POOL_WORDS - len(words))
+        for k in key:
+            words += _words(_natural(k, "stream key"))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
+def _natural(value, name: str) -> int:
+    """value as a Python int at least 0 (_integral's rule); DomainError
+    naming it otherwise."""
+    n = _integral(value, name, DomainError)
+    if n < 0:
+        raise DomainError(f"{name} {n} must be at least 0")
+    return n
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of n >= 0, least significant first; 0 is one word."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
 
 
 @dataclass(frozen=True)
@@ -75,20 +114,10 @@ class CountVector:
         object.__setattr__(self, "counts", c)
 
 
-def _record_seed(seed) -> int:
-    """A record's seed as a Python int: integral (4.0 and np.int64(4) are 4)
-    and at least 0, as every generator's entropy must be; DomainError names
-    any other value (None, which would draw from OS entropy, 2.5, -1)."""
-    seed = _integral(seed, "seed", DomainError)
-    if seed < 0:
-        raise DomainError(f"seed {seed} must be at least 0")
-    return seed
-
-
 def sample_component(q: MixtureWeights, seed: int) -> int:
     """Draw the hidden component index from the mixture weights, by inverse
     cdf (MixtureWeights.draw) on substream(seed, 0)."""
-    return int(q.draw(substream(_record_seed(seed), 0)))
+    return int(q.draw(substream(seed, 0)))
 
 
 def sample_trajectory(
@@ -101,11 +130,11 @@ def sample_trajectory(
     """n i.i.d. outcomes from p_theta(.|gamma); deterministic given the seed.
 
     n, gamma and seed are integral (100.0 and np.int64(100) count as 100),
-    and the seed is at least 0 (_record_seed).  The record is drawn from
+    and the seed is at least 0 (_natural).  The record is drawn from
     the family's table at theta by _draw_record."""
     n = _integral(n, "trajectory length", DomainError)
     gamma = _integral(gamma, "component index", DomainError)
-    seed = _record_seed(seed)
+    seed = _natural(seed, "seed")
     if n < 0:
         raise DomainError("trajectory length must be non-negative")
     if not 0 <= gamma < fam.n_components:

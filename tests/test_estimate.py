@@ -832,12 +832,14 @@ def _logsumexp_inputs(kind, shape, rng):
 
 
 @pytest.mark.parametrize("kind", ["narrow", "spread", "empty", "tied", "partial"])
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16, 130])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130])
 @pytest.mark.parametrize("lead", [(127,), (128,), (5000,), (1, 127), (8, 16), (50, 100)])
 def test_logsumexp_matches_the_row_wise_reference(lead, d, kind):
     """On both sides of the SLAB_ROWS switch, in 2-D and 3-D, logsumexp over
     the last axis (named -1 or by its index) equals the row-wise reference
-    bit for bit, with no warning."""
+    bit for bit, with no warning.  The d cover each branch of the slab sum:
+    one slab after another (below 8), eight running sums with and without a
+    remainder (8 to PAIRWISE_BLOCK) and the row-major copy beyond."""
     assert estimate.SLAB_ROWS == 128
     a = _logsumexp_inputs(kind, lead + (d,), np.random.default_rng(d))
     want = reference_logsumexp(a, axis=-1)

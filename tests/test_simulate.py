@@ -35,6 +35,44 @@ def test_substream_independent_of_call_order():
         np.testing.assert_array_equal(in_order[i], shuffled[i])
 
 
+@pytest.mark.parametrize("key", [(), (0,), (3,), (5, 2, 10_000), (7, 2**33), (1, 2, 3, 4, 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5])
+def test_substream_keys_as_seed_sequence(seed, key):
+    """substream assembles the words SeedSequence(entropy=seed, spawn_key=key)
+    assembles, so its generator starts in that generator's state: seeds of
+    one to five words, with and without the pool padding, and keys of
+    several entries, one of them two words long."""
+    want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    got = substream(seed, *key)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.integers(2**63, size=4).tolist() == want.integers(2**63, size=4).tolist()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("args, message", [
+    ((None,), "seed None is not an integer"),
+    ((-1,), "seed -1 must be at least 0"),
+    ((1.5,), "seed 1.5 is not an integer"),
+    ((1, -2), "stream key -2 must be at least 0"),
+    ((1, 2.5), "stream key 2.5 is not an integer"),
+    ((1, 2, None), "stream key None is not an integer"),
+    ((1, "3"), "stream key 3 is not an integer"),
+])
+def test_substream_refuses_a_value_that_is_not_a_count(args, message):
+    """A seed or key entry that is not an integer of at least 0 is named,
+    rather than drawn from OS entropy (None), wrapped into a word, or refused
+    by numpy with a bare ValueError or TypeError."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        substream(*args)
+
+
+def test_substream_takes_integral_values():
+    """An integral float or numpy integer keys what the int keys."""
+    want = substream(4, 2, 3).bit_generator.state
+    for args in ((4.0, 2, 3), (np.int64(4), np.uint32(2), 3.0), (4, 2.0, np.int8(3))):
+        assert substream(*args).bit_generator.state == want
+
+
 def test_sample_trajectory_deterministic(bernoulli_pair):
     t1 = sample_trajectory(bernoulli_pair, [0.4], 0, 50, seed=3)
     t2 = sample_trajectory(bernoulli_pair, [0.4], 0, 50, seed=3)
