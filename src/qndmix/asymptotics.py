@@ -312,8 +312,7 @@ def lamn_experiment(plan: ExperimentPlan) -> dict:
     stacked; one likelihood pass at each of theta_n and theta* and one
     moment and Anderson-Darling pass then cover every component at once.
     The laws, ln p at theta* and the Fisher stack come from the plan's one
-    table at theta* (ExperimentPlan.star); from estimate.SLAB_ROWS rows on,
-    the log-sums over the components run component-major (logsumexp).
+    table at theta* (ExperimentPlan.star).
     """
     fishers = plan.check_hypotheses()
     fam, q, h, reps = plan.family, plan.q, plan.h, plan.n_reps
@@ -451,9 +450,7 @@ def mixture_collapse_experiment(plan: ExperimentPlan) -> dict:
     ln r_n of every component is evaluated in one pass at theta* and one at
     the shifted parameter; one least-squares fit gives every component's
     decay rate.  The laws, ln p and the KL matrix at theta* come from the
-    plan's one table there (ExperimentPlan.star), and from
-    estimate.SLAB_ROWS rows on, the log-sums over the other components run
-    component-major (logsumexp).
+    plan's one table there (ExperimentPlan.star).
     """
     check_collapse_grid(plan.n_grid)
     fam, q, reps = plan.family, plan.q, plan.n_reps
@@ -704,9 +701,7 @@ def purification_experiment(plan: ExperimentPlan) -> dict:
     tests keep as their reference.  Reports the fraction of runs with
     q_n(gamma) > 0.99 at each n and the total-variation distance between the
     law of argmax q_n at the largest n and the mixture weights q.  The laws
-    and ln p come from the plan's one table at theta* (ExperimentPlan.star),
-    and from estimate.SLAB_ROWS rows on, the posteriors' log-sum over the
-    components runs component-major (logsumexp).
+    and ln p come from the plan's one table at theta* (ExperimentPlan.star).
     """
     fam, q = plan.family, plan.q
     n_grid = sorted(plan.n_grid)

@@ -144,7 +144,7 @@ def load_config(path) -> dict:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file {path} not found") from None
-    except yaml.YAMLError as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be a mapping")

@@ -7,10 +7,9 @@ record only through its outcome counts:
 
 and is evaluated with a max-shifted log-sum so that exponentially collapsed
 components cannot underflow the total.  logsumexp is the package's one
-log-sum; over a contiguous last axis of many rows it runs its elementwise
-steps component-major, in contiguous slabs, and adds the slabs in the order
-the row-wise path adds each row, so every result is the row-wise one bit for
-bit.
+log-sum; over a contiguous last axis of many rows it runs component-major, in
+contiguous slabs.  Only this module knows that layout and the summation
+order it implies.
 
 loglik_rows evaluates it, its score and, on request, its curvature for many
 rows at once.  Both maximizers seed each row's candidates from one shared
@@ -58,9 +57,6 @@ ROW_BLOCK = 1024
 # logsumexp runs its elementwise steps component-major from this many rows
 # on; below it the row-wise path is as fast (measured crossover: 64-128 rows).
 SLAB_ROWS = 128
-# numpy's pairwise sum adds a run of up to this many entries with eight
-# running sums, and splits a longer run in two.
-PAIRWISE_BLOCK = 128
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
@@ -355,9 +351,10 @@ def loglik_rows(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray) -> 
     of different record lengths share one objective.
 
     Both forms run in blocks of at most ROW_BLOCK count rows (the scan) or
-    trial points.  A trial point's arithmetic does not depend on the blocks;
-    a scan row's depends on them only through the rounding of the matrix
-    product, which may vary with the row's place in it.
+    trial points.  A row's or a point's arithmetic depends on its block only
+    through rounding: the scan's matrix product may round a row by its place
+    in it, and the log-sum of a block of SLAB_ROWS trial points or more adds
+    the components in slab order (logsumexp).
     """
     logq, counts = np.atleast_2d(logq), np.atleast_2d(counts).astype(float)
     n_rows = max(len(logq), len(counts))
@@ -461,22 +458,22 @@ def _blocks(size: int) -> list:
 def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     """ln sum exp(a) over one axis, or over all of them by default; a slice of
     -inf entries gives -inf.  As scipy.special.logsumexp does, the maxima are
-    left out of the shifted sum and added back through log1p, so the two agree
-    bit for bit unless the result lies within about 1e-280 of zero.
+    left out of the shifted sum and added back through log1p, so on the
+    row-wise path the two agree bit for bit unless the result lies within
+    about 1e-280 of zero.
 
     Shifted entries at or below EXP_FLOOR count as 0, and exp is evaluated at
     the floor instead: each such entry would add less than 1e-304 to the sum,
     and exp's underflowing path is many times slower than its normal one.
 
     A reduction over a contiguous last axis of at least SLAB_ROWS rows runs
-    on one contiguous copy with that axis leading, so that the max, tie, floor
-    and exp steps run elementwise over its d slabs instead of one short row at
-    a time; those steps are exact in any order.  The sum is not: _slab_sum
-    adds the slabs in the order numpy's row sum adds a row's entries (one
-    after another below 8, eight running sums up to PAIRWISE_BLOCK, a
-    row-major copy beyond), so the result is the row-wise one bit for bit.
-    Fewer rows, and a last axis that is not the fastest one, take the
-    row-wise path.
+    on one contiguous copy with that axis leading, so that every step runs
+    elementwise over its d slabs instead of one short row at a time; numpy's
+    axis-0 sum adds the slabs one after another.  Fewer rows, and a last axis
+    that is not the fastest one, take the row-wise path, whose row sum adds
+    d >= 8 entries in another order.  The two orders may differ in the last
+    ulp; either keeps the result within 2 eps (|max a| + ln d + 1) of the
+    exact log-sum, the bound the tests hold it to.
     """
     slabs = (
         axis is not None and a.ndim > 1 and axis % a.ndim == a.ndim - 1
@@ -493,33 +490,9 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     np.maximum(e, EXP_FLOOR, out=e)
     np.exp(e, out=e)
     e *= live
-    s = _slab_sum(e)[None] if slabs else e.sum(axis=axis, keepdims=True)
+    s = e.sum(axis=axis, keepdims=True)
     out = np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
     return out.reshape(shape) if slabs else out
-
-
-def _slab_sum(e: np.ndarray) -> np.ndarray:
-    """The sums over the d slabs of e (d, rows), bit for bit numpy's sums of
-    the rows of e.T: below 8 slabs one after another; up to PAIRWISE_BLOCK,
-    slab j starts the j-th of eight running sums, which take every eighth
-    slab after it and are combined ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))
-    before the remaining slabs are added in order; beyond it, where numpy
-    splits a row, a row-major copy is summed.  Overwrites e.
-    """
-    d = len(e)
-    if d > PAIRWISE_BLOCK:
-        return np.ascontiguousarray(e.T).sum(axis=-1)
-    tail = 1
-    if d >= 8:
-        tail = d - d % 8
-        for start in range(8, tail, 8):
-            e[:8] += e[start:start + 8]
-        e[0:8:2] += e[1:8:2]
-        e[0:8:4] += e[2:8:4]
-        e[0] += e[4]
-    for slab in e[tail:]:
-        e[0] += slab
-    return e[0]
 
 
 @functools.cache

@@ -177,9 +177,7 @@ def sample_count_paths(
     ascending grid, in one of two forms.
 
     Without size, record r has outcome law p[r] (p of shape (R, l)), and all
-    R records are drawn on the one generator rng: shape (R, K, l).  A
-    one-entry grid returns the multinomial's own (R, l) array as an
-    (R, 1, l) view.
+    R records are drawn on the one generator rng: shape (R, K, l).
 
     With size=R, the stacked form: p is a (d, l) table of d laws and rng a
     sequence of d generators, and block g holds R records of law p[g] drawn
@@ -223,8 +221,6 @@ def sample_count_paths(
         _refuse_laws(p, size is None)
     laws = p / total
     try:
-        if size is None and len(gaps) == 1:
-            return rng.multinomial(gaps[0], laws)[:, None]
         # Blocks of rows, each with its generator: the one block of
         # per-record laws, or one block per law of the stacked table.
         blocks = [(rng, laws)] if size is None else list(zip(rng, laws))

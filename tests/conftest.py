@@ -42,8 +42,9 @@ def reference_quantum_jacobian(sys, t):
 
 def reference_logsumexp(a, axis=None):
     """estimate.logsumexp as it was before its component-major path: every
-    reduction row by row, over the axis in place.  The reference the
-    component-major path must reproduce bit for bit."""
+    reduction row by row, over the axis in place.  The reference for report
+    bytes: an experiment's report must not change when its log-sums run
+    through this instead of the component-major path."""
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     ties = top.sum(axis=axis, keepdims=True).astype(float)

@@ -127,9 +127,12 @@ def test_theta_star_outside_box_is_config_error(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("collapse", "--n-grid", "500,500"),
     ("purify", "--preset", "qubit_rotation", "--theta-star", "9.0"),
+    ("purify", "--config", "."),
 ])
-def test_config_error_creates_no_output_directory(argv, tmp_path):
-    """The plan is built and checked before the output directory is made."""
+def test_config_error_creates_no_output_directory(argv, tmp_path, monkeypatch):
+    """The plan is built and checked before the output directory is made;
+    a config file that cannot be read (here a directory) is refused first."""
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert run_cli(*argv, "--n-reps", "4", "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
@@ -176,6 +179,12 @@ def test_config_file_schema_version(tmp_path):
         load_config(cfg)
     cfg.write_text("- schema_version: 1\n")
     with pytest.raises(ConfigError, match="top level must be a mapping"):
+        load_config(cfg)
+    # A file that cannot be read: a directory, or bytes that are not UTF-8.
+    with pytest.raises(ConfigError, match="Is a directory"):
+        load_config(tmp_path)
+    cfg.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match=r"run\.yaml: 'utf-8' codec can't decode"):
         load_config(cfg)
 
 

@@ -37,7 +37,7 @@ from qndmix.model import (
 from qndmix.presets import PRESETS, get_preset, toy_haroche_guerlin
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_mixture_trajectory
 
-from conftest import reference_logsumexp, sample_counts
+from conftest import sample_counts
 
 
 def brute_force_prob(fam, q, theta, seq):
@@ -831,33 +831,51 @@ def _logsumexp_inputs(kind, shape, rng):
     return a
 
 
+def _assert_logsumexp_accurate(a, *results):
+    """Each result is ln sum exp(a) over the last axis to within 2 eps
+    (|max a| + ln d + 1) per row, eps = 2^-52, against a reference whose
+    shifted sum math.fsum adds exactly; a row of -inf entries gives exactly
+    -inf."""
+    rows = a.reshape(-1, a.shape[-1])
+    top = rows.max(axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    sums = np.array(list(map(math.fsum, np.exp(rows - shift[:, None]).tolist())))
+    with np.errstate(divide="ignore"):
+        exact = np.log(sums) + shift
+    empty = np.isneginf(exact)
+    bound = 2 * 2.0 ** -52 * (np.abs(top[~empty]) + math.log(a.shape[-1]) + 1)
+    for got in results:
+        got = got.reshape(-1)
+        np.testing.assert_array_equal(got[empty], -np.inf)
+        assert np.all(np.abs(got[~empty] - exact[~empty]) <= bound)
+
+
 @pytest.mark.parametrize("kind", ["narrow", "spread", "empty", "tied", "partial"])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 130])
 @pytest.mark.parametrize("lead", [(127,), (128,), (5000,), (1, 127), (8, 16), (50, 100)])
-def test_logsumexp_matches_the_row_wise_reference(lead, d, kind):
+def test_logsumexp_is_accurate(lead, d, kind):
     """On both sides of the SLAB_ROWS switch, in 2-D and 3-D, logsumexp over
-    the last axis (named -1 or by its index) equals the row-wise reference
-    bit for bit, with no warning.  The d cover each branch of the slab sum:
-    one slab after another (below 8), eight running sums with and without a
-    remainder (8 to PAIRWISE_BLOCK) and the row-major copy beyond."""
+    the last axis (named -1 or by its index) is within a few ulp of an exact
+    log-sum, with no warning.  The d run from 1 to past numpy's 8-entry
+    unrolled sum and its 128-entry pairwise block, so that both the slab
+    path's in-order sum and the row-wise path's pairwise one meet the bound."""
     assert estimate.SLAB_ROWS == 128
     a = _logsumexp_inputs(kind, lead + (d,), np.random.default_rng(d))
-    want = reference_logsumexp(a, axis=-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for axis in (-1, a.ndim - 1):
-            got = own_logsumexp(a, axis=axis)
-            assert got.shape == lead
-            assert got.tobytes() == want.tobytes()
+        results = [own_logsumexp(a, axis=axis) for axis in (-1, a.ndim - 1)]
+    for got in results:
+        assert got.shape == lead
+    _assert_logsumexp_accurate(a, *results)
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided_rows", "swapped_outer", "reversed_last"])
 @pytest.mark.parametrize("d", [2, 8, 9, 130])
-def test_logsumexp_matches_the_row_wise_reference_on_any_layout(layout, d):
+def test_logsumexp_is_accurate_on_any_layout(layout, d):
     """Views whose rows are not packed, or whose last axis is not the fastest
-    one, give the row-wise reference's bits too.  numpy adds an F-ordered
-    array's rows in another order than a C-ordered one's, and on narrow
-    inputs the bits differ from d = 8."""
+    one, are within the same few ulp of an exact log-sum: each layout may
+    take the slab path or the row-wise one, and numpy adds an F-ordered
+    array's rows in another order than a C-ordered one's."""
     base = _logsumexp_inputs("narrow", (300, 2 * d), np.random.default_rng(d))
     a = {
         "fortran": np.asfortranarray(base[:, :d]),
@@ -865,10 +883,9 @@ def test_logsumexp_matches_the_row_wise_reference_on_any_layout(layout, d):
         "swapped_outer": base[:, :d].reshape(20, 15, d).swapaxes(0, 1),
         "reversed_last": base[:, d - 1::-1],
     }[layout]
-    want = reference_logsumexp(a, axis=-1)
     got = own_logsumexp(a, axis=-1)
     assert got.shape == a.shape[:-1]
-    assert got.tobytes() == want.tobytes()
+    _assert_logsumexp_accurate(a, got)
 
 
 # theta_hat of `qndmix estimate --seed 7` at n = 1e4 per preset, and the value
