@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import asymptotics
 from .asymptotics import (
@@ -140,6 +139,12 @@ def parse_weights(spec, d: int) -> MixtureWeights:
 
 
 def load_config(path) -> dict:
+    """The RunConfig fields of a YAML config file, its schema_version checked
+    and removed; ConfigError for a file that cannot be read or parsed, or
+    whose fields are not RunConfig's.  PyYAML is imported here, the only
+    place that reads YAML, so a run without --config does not load it."""
+    import yaml
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:

@@ -60,6 +60,8 @@ SLAB_ROWS = 128
 TIE_TOL = 1e-12
 # Below about -708 numpy's exp leaves its vectorized path; exp(-700) is 9.9e-305.
 EXP_FLOOR = -700.0
+# logsumexp shifts by max(max a, LOWEST_FLOAT), so that a slice of -inf gives -inf.
+LOWEST_FLOAT = -np.finfo(float).max
 # Refinement, for every D: a candidate stops once its last step (for D = 1, or
 # its bracket) is below STEP_TOL; it is unconverged after MAX_STEPS steps.
 STEP_TOL = 1e-8
@@ -67,6 +69,9 @@ MAX_STEPS = 60
 # Projected Fisher scoring (D > 1): the pseudo-inverse's relative cutoff
 # leaves out the near-flat directions of a rank-deficient information.
 PINV_RCOND = 1e-8
+# Its peak test compares a scan point with its max(D, PEAK_NEIGHBOURS)
+# nearest scan neighbours: D of them seldom surround a point at D = 2.
+PEAK_NEIGHBOURS = 6
 
 
 @dataclass(frozen=True)
@@ -474,6 +479,9 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     d >= 8 entries in another order.  The two orders may differ in the last
     ulp; either keeps the result within 2 eps (|max a| + ln d + 1) of the
     exact log-sum, the bound the tests hold it to.
+
+    The reductions are np.maximum.reduce and np.add.reduce, which the .max
+    and .sum methods wrap: the same bits without the methods' Python layer.
     """
     slabs = (
         axis is not None and a.ndim > 1 and axis % a.ndim == a.ndim - 1
@@ -482,17 +490,18 @@ def logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     if slabs:
         shape = a.shape[:-1]
         a, axis = np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1), 0
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     top = a == a_max
-    ties = top.sum(axis=axis, keepdims=True).astype(float)
-    e = np.subtract(a, np.maximum(a_max, -np.finfo(float).max))
+    ties = np.add.reduce(top, axis=axis, dtype=float, keepdims=True)
+    e = np.subtract(a, np.maximum(a_max, LOWEST_FLOAT))
     live = (e > EXP_FLOOR) & ~top
     np.maximum(e, EXP_FLOOR, out=e)
     np.exp(e, out=e)
     e *= live
-    s = e.sum(axis=axis, keepdims=True)
-    out = np.squeeze(np.log1p(s / ties) + np.log(ties) + a_max, axis=axis)
-    return out.reshape(shape) if slabs else out
+    out = np.log1p(np.add.reduce(e, axis=axis, keepdims=True) / ties)
+    out += np.log(ties)
+    out += a_max
+    return out.reshape(shape) if slabs else np.squeeze(out, axis=axis)
 
 
 @functools.cache
@@ -517,9 +526,11 @@ def _halton(n: int, dim: int) -> np.ndarray:
 
 @functools.cache
 def _halton_neighbours(n: int, dim: int) -> np.ndarray:
-    """The dim nearest others of each of the first n Halton points, nearest first, read-only."""
+    """The max(dim, PEAK_NEIGHBOURS) nearest others of each of the first n
+    Halton points, nearest first, read-only."""
     unit = _halton(n, dim)
-    neighbours = np.argsort(np.sum((unit[:, None] - unit) ** 2, axis=-1), axis=1, kind="stable")[:, 1:dim + 1]
+    k = max(dim, PEAK_NEIGHBOURS)
+    neighbours = np.argsort(np.sum((unit[:, None] - unit) ** 2, axis=-1), axis=1, kind="stable")[:, 1:k + 1]
     neighbours.setflags(write=False)
     return neighbours
 
@@ -529,13 +540,14 @@ def _maximize_box(f: Callable, lower: np.ndarray, upper: np.ndarray) -> Maxima:
     objective, the D-dimensional twin of maximize_scalar.
 
     A shared scan of COARSE_POINTS Halton points of the box picks each row's
-    candidates: the scan argmax and every scan point above its D nearest scan
-    neighbours, distances scaled by the box.  All candidates of all rows step
-    together, and only those still stepping are evaluated.  A candidate steps
-    by its curvature's pseudo-inverse times its slope, on the coordinates no
-    outward slope holds at a box edge, clipped to the box and halved while the
-    value does not rise; it stops once the step is below STEP_TOL, unstopped
-    after MAX_STEPS steps.  _select picks each row's maximum.
+    candidates: the scan argmax and every scan point above its
+    max(D, PEAK_NEIGHBOURS) nearest scan neighbours, distances scaled by the
+    box.  All candidates of all rows step together, and only those still
+    stepping are evaluated.  A candidate steps by its curvature's
+    pseudo-inverse times its slope, on the coordinates no outward slope holds
+    at a box edge, clipped to the box and halved while the value does not
+    rise; it stops once the step is below STEP_TOL, unstopped after MAX_STEPS
+    steps.  _select picks each row's maximum.
     """
     dim = lower.size
     unit = _halton(COARSE_POINTS, dim)

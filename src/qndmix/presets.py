@@ -47,6 +47,9 @@ __all__ = [
 VISIBILITY = 0.674  # experimentally measured contrast of the toy model
 PHOTON_COMPONENTS = 8
 TOY_BOX = (math.pi / 8, 3 * math.pi / 8)
+# The phase offsets (2-a)*pi/4 of the toy outcomes a = 0..3, read-only.
+TOY_OFFSETS = (2 - np.arange(4)) * math.pi / 4
+TOY_OFFSETS.setflags(write=False)
 
 # The toy distributions depend on (theta, alpha) only through alpha*theta, so
 # components alpha != alpha' collide exactly wherever alpha*theta = alpha'*theta'
@@ -93,31 +96,34 @@ def poisson_like_weights(rate: float = 3.46, d: int = PHOTON_COMPONENTS) -> Mixt
     return MixtureWeights.normalized(w)
 
 
-def _toy_phases(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Phases alpha*theta + (2-a)*pi/4 as an (..., n_alpha, 4) array for theta
-    of shape (...)."""
-    a = np.arange(4)
-    return theta[..., None, None] * alpha[:, None] + (2 - a) * math.pi / 4
+def _toy_table(vcos: np.ndarray) -> np.ndarray:
+    """The table (1 +/- vcos) / 8 of shape (..., d, 8) from vcos = vis * cos
+    of shape (..., d, 4): x = 0 keeps the cosine sign, x = 1 flips it;
+    columns follow j = 4x + a.  One concatenate of the two signed halves,
+    then in place: (-vcos) + 1 is 1 - vcos bit for bit."""
+    p = np.concatenate([vcos, -vcos], axis=-1)
+    p += 1
+    p /= 8
+    return p
 
 
-def _toy_table(vis, cos: np.ndarray) -> np.ndarray:
-    """The table (1 +/- vis * cos) / 8 of shape (..., d, 8) from cos of shape
-    (..., d, 4): x = 0 keeps the cosine sign, x = 1 flips it; columns follow
-    j = 4x + a."""
-    return np.concatenate([(1 + vis * cos) / 8, (1 - vis * cos) / 8], axis=-1)
-
-
-def _toy_tables(alpha_values: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The toy table (..., d, 8) and its Jacobian (..., 1, d, 8), from one
-    phase table."""
-    phases = _toy_phases(alpha_values, theta[..., 0])
-    sin = np.sin(phases) * alpha_values[:, None]
-    dp = np.concatenate([-VISIBILITY * sin / 8, VISIBILITY * sin / 8], axis=-1)
-    return _toy_table(VISIBILITY, np.cos(phases)), dp[..., None, :, :]
+def _toy_tables(alpha: np.ndarray, offsets: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The toy table (..., d, 8) and its Jacobian (..., 1, d, 8) from one
+    phase table alpha*theta + (2-a)*pi/4, with alpha and the offsets given as
+    (d, 4) tables so that every step runs over whole contiguous rows.  The
+    Jacobian's x = 0 half is -h and its x = 1 half h = vis * alpha * sin / 8,
+    computed once in place: (-vis) * s / 8 is -(vis * s / 8) bit for bit."""
+    phases = theta[..., 0, None, None] * alpha
+    phases += offsets
+    h = np.sin(phases)
+    h *= alpha
+    h *= VISIBILITY
+    h /= 8
+    return _toy_table(VISIBILITY * np.cos(phases)), np.concatenate([-h, h], axis=-1)[..., None, :, :]
 
 
 def _toy_fisher(theta: float, alpha: float) -> float:
-    phases = alpha * theta + (2 - np.arange(4)) * math.pi / 4
+    phases = alpha * theta + TOY_OFFSETS
     num = np.sin(phases) ** 2
     den = 1.0 - VISIBILITY**2 * np.cos(phases) ** 2
     return float(np.sum(alpha**2 * (VISIBILITY**2 / 4) * num / den))
@@ -127,9 +133,10 @@ def _toy_preset(
     name: str, alpha_values: np.ndarray, estimation_box: Optional[ParameterBox] = None
 ) -> Preset:
     """Single-parameter toy model on the box [pi/8, 3pi/8] with theta* = pi/4."""
+    alpha, offsets = (a.copy() for a in np.broadcast_arrays(alpha_values[:, None], TOY_OFFSETS))
     family = ParametricFamily(
         ParameterBox(np.array([TOY_BOX[0]]), np.array([TOY_BOX[1]])),
-        tables=lambda t: _toy_tables(alpha_values, t),
+        tables=lambda t: _toy_tables(alpha, offsets, t),
     )
     return Preset(
         name=name,
@@ -175,9 +182,8 @@ def toy_haroche_full() -> Preset:
     The box is centered at the measured visibility 0.674.
     """
     alpha_values = np.arange(1, PHOTON_COMPONENTS + 1, dtype=float)
-    phase_center = (2 - np.arange(4)) * math.pi / 4
-    lower = np.concatenate(([TOY_BOX[0]], phase_center - 0.3, [VISIBILITY - 0.15]))
-    upper = np.concatenate(([TOY_BOX[1]], phase_center + 0.3, [VISIBILITY + 0.15]))
+    lower = np.concatenate(([TOY_BOX[0]], TOY_OFFSETS - 0.3, [VISIBILITY - 0.15]))
+    upper = np.concatenate(([TOY_BOX[1]], TOY_OFFSETS + 0.3, [VISIBILITY + 0.15]))
 
     def tables(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta4, phases, vis = t[..., 0, None, None], t[..., None, 1:5], t[..., 5, None, None]
@@ -190,10 +196,10 @@ def toy_haroche_full() -> Preset:
             d_phase[..., None, :, :] * np.eye(4)[:, None, :],
             (cos / 8)[..., None, :, :],
         ], axis=-3)                                             # (..., 6, d, 4)
-        return _toy_table(vis, cos), np.concatenate([half, -half], axis=-1)
+        return _toy_table(vis * cos), np.concatenate([half, -half], axis=-1)
 
     family = ParametricFamily(ParameterBox(lower, upper), tables=tables)
-    theta_star = np.concatenate(([math.pi / 4], phase_center, [VISIBILITY]))
+    theta_star = np.concatenate(([math.pi / 4], TOY_OFFSETS, [VISIBILITY]))
     return Preset(
         name="toy_haroche_full",
         family=family,

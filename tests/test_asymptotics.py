@@ -915,17 +915,25 @@ def reference_log_ndtr_pair(w):
     return np.where(w < 0, low, body), np.where(w > 0, low, body)
 
 
-@pytest.mark.parametrize("scale", [1.0, 15.0, 40.0, 100.0])
-def test_log_ndtr_pair_equals_the_reference(scale):
+@pytest.mark.parametrize(
+    "scale, far",
+    [(1.0, True), (15.0, True), (40.0, True), (100.0, True), (3.0, False)],
+    ids=["1.0", "15.0", "40.0", "100.0", "3.0-none-beyond-20"],
+)
+def test_log_ndtr_pair_equals_the_reference(scale, far):
     """Entries beyond |w| = 20 mixed with ordinary ones, the edges +-20, 0 and
-    +-38 (where erfc underflows) among them: both halves equal the reference
-    bit for bit, and no numpy warning escapes."""
+    +-38 (where erfc underflows) among them, and one case with no entry
+    beyond 20 (the edges +-20 and 0 alone), where the series does not run:
+    both halves equal the reference bit for bit, and no numpy warning
+    escapes."""
     w = np.random.default_rng(int(scale)).standard_normal((8, 150)) * scale
-    w[0, :7] = [20.0, -20.0, 0.0, 38.0, -38.0, 20.000000000000004, -1e3]
+    edges = [20.0, -20.0, 0.0, 38.0, -38.0, 20.000000000000004, -1e3] if far else [20.0, -20.0, 0.0]
+    w[0, :len(edges)] = edges
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _log_ndtr_pair(w)
-    assert 0 < np.count_nonzero(np.abs(w) > 20) < w.size
+    n_far = np.count_nonzero(np.abs(w) > 20)
+    assert 0 < n_far < w.size if far else n_far == 0
     for g, want in zip(got, reference_log_ndtr_pair(w)):
         assert g.tobytes() == want.tobytes()
 

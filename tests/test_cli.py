@@ -460,6 +460,13 @@ def test_import_leaves_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_yaml():
+    """Only a --config run reads YAML, so importing the CLI loads no PyYAML."""
+    proc = _run_python("import sys, qndmix.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _package_modules() -> list:
     """The package and each of its submodules."""
     import importlib

@@ -34,10 +34,17 @@ from qndmix.model import (
     ParametricFamily,
     fisher_information,
 )
-from qndmix.presets import PRESETS, get_preset, toy_haroche_guerlin
+from qndmix.presets import (
+    PRESETS,
+    TOY_ESTIMATION_RADIUS,
+    VISIBILITY,
+    get_preset,
+    poisson_like_weights,
+    toy_haroche_guerlin,
+)
 from qndmix.simulate import CountVector, counts, sample_count_paths, sample_mixture_trajectory
 
-from conftest import sample_counts
+from conftest import reference_logsumexp, sample_counts
 
 
 def brute_force_prob(fam, q, theta, seq):
@@ -331,14 +338,18 @@ def _multi_start_reference(f, n_rows, lower, upper, n_starts=8):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_maximize_box_reaches_the_multi_start_maximum(seed):
-    """On the D = 6 preset at n = 1e4 and on the D = 2 family, the scan-seeded
-    search reaches every row's value of the 8-start reference (to 1e-12),
-    and every candidate stops."""
+    """On the D = 6 preset and the D = 2 toy_haroche_vis family, each on a
+    mixture record of n = 1e4, and on the D = 2 two-parameter family, the
+    scan-seeded search reaches every row's value of the 8-start reference
+    (to 1e-12), and every candidate stops."""
     pre = get_preset("toy_haroche_full")
     traj = sample_mixture_trajectory(pre.family, pre.theta_star, pre.q, 10_000, seed)
+    vis, vis_star = _toy_haroche_vis(), np.array([math.pi / 4, VISIBILITY])
+    vis_traj = sample_mixture_trajectory(vis, vis_star, poisson_like_weights(), 10_000, seed)
     two = _two_param_family()
     cases = [
         (pre.family, pre.q, counts(traj, n_outcomes=pre.family.n_outcomes), pre.search_box()),
+        (vis, poisson_like_weights(), counts(vis_traj, n_outcomes=8), vis.box),
         (two, MixtureWeights.normalized([0.8, 0.2]), sample_counts(two, [0.32, 0.15], 0, 10_000, seed), two.box),
     ]
     for fam, q, c, box in cases:
@@ -614,6 +625,26 @@ def _two_param_family():
     )
 
 
+def _toy_haroche_vis():
+    """The toy_haroche model with its visibility as a second parameter:
+    theta = (theta, v), p(x, a | alpha) = (1 +/- v cos(alpha theta + (2-a) pi/4)) / 8,
+    on the box (pi/4, 0.674) +/- (0.052, 0.15); the Jacobian by hand, with
+    dp/dv = +/- cos / 8."""
+    alpha = np.arange(1.0, 9.0)
+
+    def tables(t):
+        theta, v = t[..., 0, None, None], t[..., 1, None, None]
+        phases = alpha[:, None] * theta + (2 - np.arange(4)) * math.pi / 4
+        cos = np.cos(phases)
+        half = np.stack([-v * alpha[:, None] * np.sin(phases) / 8, np.broadcast_to(cos / 8, phases.shape)], axis=-3)
+        p = np.concatenate([(1 + v * cos) / 8, (1 - v * cos) / 8], axis=-1)
+        return p, np.concatenate([half, -half], axis=-1)
+
+    center = np.array([math.pi / 4, VISIBILITY])
+    radius = np.array([TOY_ESTIMATION_RADIUS, 0.15])
+    return ParametricFamily(box=ParameterBox(center - radius, center + radius), tables=tables)
+
+
 def test_mle_multidimensional():
     fam = _two_param_family()
     q = MixtureWeights.normalized([0.8, 0.2])
@@ -648,14 +679,15 @@ def test_halton_matches_scipy():
 
 @pytest.mark.parametrize("dim", [2, 6])
 def test_halton_neighbours_are_the_nearest_others(dim):
-    """Row i lists the dim scan points nearest to point i, itself left out,
-    nearest first."""
+    """Row i lists the max(dim, 6) scan points nearest to point i, itself
+    left out, nearest first."""
     unit = _halton(COARSE_POINTS, dim)
     neighbours = _halton_neighbours(COARSE_POINTS, dim)
-    assert neighbours.shape == (COARSE_POINTS, dim)
+    k = max(dim, 6)
+    assert neighbours.shape == (COARSE_POINTS, k)
     dist = np.sum((unit[:, None] - unit) ** 2, axis=-1)
     for i, row in enumerate(neighbours):
-        assert i not in row and len(set(row)) == dim
+        assert i not in row and len(set(row)) == k
         rest = np.setdiff1d(np.arange(COARSE_POINTS), np.r_[i, row])
         assert np.all(np.diff(dist[i, row]) >= 0)
         assert dist[i, row].max() <= dist[i, rest].min()
@@ -858,15 +890,25 @@ def test_logsumexp_is_accurate(lead, d, kind):
     the last axis (named -1 or by its index) is within a few ulp of an exact
     log-sum, with no warning.  The d run from 1 to past numpy's 8-entry
     unrolled sum and its 128-entry pairwise block, so that both the slab
-    path's in-order sum and the row-wise path's pairwise one meet the bound."""
+    path's in-order sum and the row-wise path's pairwise one meet the bound.
+
+    The row-wise path, taken by fewer than SLAB_ROWS rows and by the scan's
+    axis-0 reduction of a component-major array, equals
+    conftest.reference_logsumexp bit for bit: report bytes rest on it."""
     assert estimate.SLAB_ROWS == 128
     a = _logsumexp_inputs(kind, lead + (d,), np.random.default_rng(d))
+    major = np.ascontiguousarray(np.moveaxis(a, -1, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = [own_logsumexp(a, axis=axis) for axis in (-1, a.ndim - 1)]
+        scanned = own_logsumexp(major, axis=0)
     for got in results:
         assert got.shape == lead
     _assert_logsumexp_accurate(a, *results)
+    assert scanned.tobytes() == reference_logsumexp(major, axis=0).tobytes()
+    if math.prod(lead) < estimate.SLAB_ROWS:
+        for got in results:
+            assert got.tobytes() == reference_logsumexp(a, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided_rows", "swapped_outer", "reversed_last"])
@@ -886,6 +928,8 @@ def test_logsumexp_is_accurate_on_any_layout(layout, d):
     got = own_logsumexp(a, axis=-1)
     assert got.shape == a.shape[:-1]
     _assert_logsumexp_accurate(a, got)
+    if layout in ("fortran", "reversed_last"):  # the row-wise path
+        assert got.tobytes() == reference_logsumexp(a, axis=-1).tobytes()
 
 
 # theta_hat of `qndmix estimate --seed 7` at n = 1e4 per preset, and the value
