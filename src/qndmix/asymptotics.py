@@ -48,6 +48,7 @@ from .model import (
     fisher_information,  # noqa: F401  (perfbench's tracer test wraps asymptotics.fisher_information)
 )
 from .simulate import (
+    MAX_RECORD_LENGTH,
     Trajectory,
     _draw_record,
     counts,
@@ -100,7 +101,8 @@ class ExperimentPlan:
     h is the local parameter shift (zero by default): replications under the
     shifted law use theta* + h/sqrt(n).  theta* must be interior to the box
     and every shifted parameter must stay inside it.  n_grid holds distinct
-    integral record lengths of at least 1 (1000.0 is one, 250.5 is refused);
+    integral record lengths from 1 to MAX_RECORD_LENGTH = 2**53, the largest
+    count float64 holds exactly (1000.0 is one, 250.5 is refused);
     n_reps, the replications per stream, is integral by the same rule and at
     least 2, so that every sample variance is defined; master_seed is
     integral by the same rule and at least 0, as every generator's entropy
@@ -147,9 +149,12 @@ class ExperimentPlan:
         for k, n in enumerate(n_grid):
             if n < 1:
                 raise ConstructionError(f"n_grid entry {n} must be at least 1")
+            if n > MAX_RECORD_LENGTH:
+                raise ConstructionError(f"n_grid entry {n} exceeds 2**53, the largest count "
+                                        f"float64 holds exactly")
             if n in n_grid[:k]:
                 raise ConstructionError(f"n_grid entry {n} appears more than once")
-            if not box.contains(theta + h / np.sqrt(n), atol=1e-12):
+            if not box.contains(theta + h / np.sqrt(n)):
                 raise ConstructionError(f"theta_star + h/sqrt({n}) leaves the box")
         if self.q.size != self.family.n_components:
             raise ConstructionError("q does not match the number of components")

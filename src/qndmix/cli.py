@@ -4,12 +4,13 @@ write its JSON report and CSV plot data, and map it to an exit code.
 
 Exit codes: 0 success, 1 experiment check failed (its failing gates named on
 stderr), 2 config error (a field that does not convert, a plan out of range,
-or an output path through an existing file, checked before the run; no output
-directory is made), 3 refusal (RefusalError from the plan's one hypotheses
-check: an experiment that covers D = 1 only run on a multi-parameter model,
-singular Fisher information, or a fitted point, theta* or cramer-rao's
-theta* + h/sqrt(n), not interior to the search box; fig1 runs the check
-before drawing), 4 any other package error, 5 an unexpected exception.
+such as a record length above 2**53, or an output path through an existing
+file, checked before the run; no output directory is made), 3 refusal
+(RefusalError from the plan's one hypotheses check: an experiment that covers
+D = 1 only run on a multi-parameter model, singular Fisher information, or a
+fitted point, theta* or cramer-rao's theta* + h/sqrt(n), not interior to the
+search box; fig1 runs the check before drawing), 4 any other package error or
+a run out of memory, 5 an unexpected exception.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QndmixError as exc:
+    except (QndmixError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

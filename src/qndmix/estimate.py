@@ -591,11 +591,11 @@ def _fit(fam: ParametricFamily, logq: np.ndarray, counts: np.ndarray, box: Param
 
 
 def mle(
-    fam: ParametricFamily, q: MixtureWeights, counts: CountVector, box=None
+    fam: ParametricFamily, q: MixtureWeights, counts: CountVector, box: ParameterBox
 ) -> EstimationReport:
-    """Maximum-likelihood estimation of theta over the box (by default the
-    family box; a sub-box may restrict the search, e.g. to an
-    identifiability-valid neighborhood of the true parameter).
+    """Maximum-likelihood estimation of theta over box, the family box or a
+    sub-box of it (e.g. an identifiability-valid neighborhood of the true
+    parameter).
 
     The mixture likelihood and the d single-component likelihoods are the
     rows of one loglik_rows objective, maximized by _fit.  The report carries
@@ -605,12 +605,11 @@ def mle(
     """
     if counts.n < 1:
         raise DomainError("MLE needs at least one observation")
-    search = fam.box if box is None else box
-    if not (fam.box.contains(search.lower, atol=1e-12) and fam.box.contains(search.upper, atol=1e-12)):
+    if not (fam.box.contains(box.lower) and fam.box.contains(box.upper)):
         raise DomainError("search box must lie inside the family box")
     d = fam.n_components
     logq = np.vstack([q.log(), np.where(np.eye(d, dtype=bool), 0.0, -np.inf)])
-    res = _fit(fam, logq, counts.counts, search)
+    res = _fit(fam, logq, counts.counts, box)
     theta_hat = res.x[0]
 
     p, dp = fam.tables(theta_hat)

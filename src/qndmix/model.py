@@ -58,18 +58,20 @@ class ParameterBox:
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        # require's edges with its 1e-12 slack, computed once for every call.
+        # The edges with a 1e-12 slack, computed once for contains and require.
         object.__setattr__(self, "_slack_edges", (lower - 1e-12, upper + 1e-12))
 
     @property
     def dimension(self) -> int:
         return self.lower.size
 
-    def contains(self, theta, atol: float = 0.0) -> bool:
+    def contains(self, theta) -> bool:
+        """Whether theta, one point, lies in the box widened by require's 1e-12."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         if t.shape != self.lower.shape:
             return False
-        return bool(((t >= self.lower - atol) & (t <= self.upper + atol)).all())
+        lo, hi = self._slack_edges
+        return bool(((t >= lo) & (t <= hi)).all())
 
     def is_interior(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))

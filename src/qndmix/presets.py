@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError
+from .errors import ConfigError
 from .model import MixtureWeights, ParameterBox, ParametricFamily
 from .quantum import QndSystem, as_family
 
@@ -212,37 +212,27 @@ def toy_haroche_full() -> Preset:
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def qubit_rotation(d: int = 2, box: tuple[float, float] = (0.5, 0.95)) -> Preset:
-    """Qubit-probe rotation model: H_alpha = (alpha/2) sigma_x, alpha = 1..d.
+def qubit_rotation() -> Preset:
+    """Qubit-probe rotation model: H_alpha = (alpha/2) sigma_x, alpha = 1, 2,
+    on the box (0.5, 0.95).
 
     The outcome law depends on (theta, alpha) only through alpha*theta, so the
-    same collision argument as for the toy model applies: the default box
-    keeps upper/lower below 2, which rules out cross-component twins for
-    d = 2.  The closed box must also avoid theta = k pi/alpha, where
-    p(0|alpha) = cos^2(theta*alpha/2) or p(1|alpha) = sin^2(theta*alpha/2)
-    is zero; such a combination (e.g. d = 4 with the default box, which holds
-    pi/4) raises ConstructionError.
+    same collision argument as for the toy model applies: upper/lower stays
+    below 2, which rules out cross-component twins.  The closed box also
+    avoids theta = k pi/alpha, where p(0|alpha) = cos^2(theta*alpha/2) or
+    p(1|alpha) = sin^2(theta*alpha/2) is zero.
     """
-    for alpha in range(1, d + 1):
-        k = math.ceil(box[0] * alpha / math.pi)
-        if k * math.pi / alpha <= box[1]:
-            raise ConstructionError(
-                f"outcome probability p(j={1 - k % 2}|alpha={alpha - 1}) of component "
-                f"a{alpha} is 0 at theta = {k}*pi/{alpha}, inside the box {box}"
-            )
     sys = QndSystem(
-        generators=((np.arange(d) + 1) / 2.0)[:, None, None, None] * _SIGMA_X,
+        generators=np.array([0.5, 1.0])[:, None, None, None] * _SIGMA_X,
         probe=np.array([1.0, 0.0], dtype=complex),
     )
-    pbox = ParameterBox(np.array([box[0]]), np.array([box[1]]))
-    family = as_family(sys, pbox)
-    theta_star = np.array([0.5 * (box[0] + box[1])])
+    family = as_family(sys, ParameterBox(np.array([0.5]), np.array([0.95])))
     return Preset(
         name="qubit_rotation",
         family=family,
-        q=MixtureWeights.normalized(np.ones(d)),
-        theta_star=theta_star,
-        component_values=tuple(range(1, d + 1)),
+        q=MixtureWeights.normalized(np.ones(2)),
+        theta_star=np.array([0.5 * (0.5 + 0.95)]),
+        component_values=(1, 2),
         fisher_closed_form=lambda theta, c: float((c + 1) ** 2),
         system=sys,
     )

@@ -3,7 +3,7 @@
 A QndSystem couples a d-level system to an l-level probe through a
 block-diagonal unitary sum_alpha |e_alpha><e_alpha| (x) U_alpha(theta), with
 U_alpha(theta) = exp(-i sum_k theta_k G_{alpha,k}) for fixed Hermitian
-generators G.  Measuring the probe in a fixed orthonormal basis yields outcome
+generators G.  Measuring the probe in its canonical basis e_j yields outcome
 distributions p_theta(j|alpha) that define a ParametricFamily, whose joint
 rule builds U_alpha(theta) psi once for p and its Jacobian; the filter is
 its log_terms kernel on cumulative outcome counts, plus summed probe phases.
@@ -80,13 +80,13 @@ class QndSystem:
     generators has shape (d, D, l, l): generators[alpha, k] is the Hermitian
     matrix G_{alpha,k}, and H_alpha(theta) = sum_k theta_k G_{alpha,k}.  They
     are checked here and stored as (G + G^dag)/2, so every H_alpha(theta) is
-    exactly Hermitian and no evaluation checks it again.  probe_basis stores
-    the measurement basis as columns; the default is the canonical basis.
+    exactly Hermitian and no evaluation checks it again.  The probe is
+    measured in its canonical basis: outcome j is e_j.  A measurement in
+    another orthonormal basis B is the system (B^dag G B, B^dag psi).
     """
 
     generators: np.ndarray
     probe: np.ndarray
-    probe_basis: Optional[np.ndarray] = None
 
     def __post_init__(self):
         g = np.array(self.generators, dtype=complex)
@@ -104,17 +104,6 @@ class QndSystem:
             raise ConstructionError(f"probe vector has norm {np.linalg.norm(psi)}, not 1")
         psi.setflags(write=False)
         object.__setattr__(self, "probe", psi)
-        basis = self.probe_basis
-        if basis is None:
-            basis = np.eye(self.probe_dim, dtype=complex)
-        else:
-            basis = np.asarray(basis, dtype=complex)
-            if basis.shape != (self.probe_dim, self.probe_dim):
-                raise ConstructionError("probe_basis must be l x l with basis vectors as columns")
-            if np.max(np.abs(basis.conj().T @ basis - np.eye(self.probe_dim))) > 1e-12:
-                raise ConstructionError("probe_basis is not orthonormal within 1e-12")
-        basis.setflags(write=False)
-        object.__setattr__(self, "probe_basis", basis)
 
     @property
     def system_dim(self) -> int:
@@ -140,9 +129,9 @@ def _unitaries(sys: QndSystem, theta) -> np.ndarray:
 
 
 def _amplitudes(sys: QndSystem, theta) -> np.ndarray:
-    """Probe amplitudes <psi_j, U_alpha psi> of every component alpha and
+    """Probe amplitudes <e_j, U_alpha psi> of every component alpha and
     outcome j, shape (..., d, l) for theta of shape (..., D)."""
-    return (_unitaries(sys, theta) @ sys.probe) @ sys.probe_basis.conj()
+    return _unitaries(sys, theta) @ sys.probe
 
 
 def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
@@ -152,9 +141,9 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
     The family constructor's checks are the positivity gate: an outcome with
     probability 0 or 1 at one of its sample points names the offending
     (theta, alpha, j) in the error.  The family's one rule is a joint rule:
-    it builds U_alpha(theta) psi once for the table p = |<psi_j, U psi>|^2,
+    it builds U_alpha(theta) psi once for the table p = |<e_j, U psi>|^2,
     which alone serves prob_table, and the Jacobian
-    dp(j|alpha)/dtheta_k = p * 2 Im(<psi_j, G_{alpha,k} U psi> / <psi_j, U psi>),
+    dp(j|alpha)/dtheta_k = p * 2 Im(<e_j, G_{alpha,k} U psi> / <e_j, U psi>),
     which holds when each H_alpha(theta) commutes with its generators, so
     that dU = -i G U; the family's finite-difference consistency check
     refuses generators that break this.
@@ -165,10 +154,9 @@ def as_family(sys: QndSystem, box: ParameterBox) -> ParametricFamily:
         )
 
     def tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        upsi = _unitaries(sys, theta) @ sys.probe                               # (..., d, l)
-        amps = upsi @ sys.probe_basis.conj()                                    # <psi_j, U psi>
+        amps = _amplitudes(sys, theta)                                          # (..., d, l)
         p = np.abs(amps) ** 2
-        num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
+        num = np.einsum("akij,...aj->...kai", sys.generators, amps)
         return p, p[..., None, :, :] * (2.0 * np.imag(num / amps[..., None, :, :]))
 
     return ParametricFamily(box, tables=tables)
@@ -276,7 +264,7 @@ def filter_trajectory(model: QndSystem | ParametricFamily, initial: FilterState,
     cumulative counts, here one cumsum of log-likelihood ratios to the
     component most probable at the end: small sums, so a loop's precision.
     A tracked phi (QndSystem only) has modulus sqrt(q) and the phase of phi_0
-    times the running product of the unit phasors of <psi_{o_i}, U_alpha psi>.
+    times the running product of the unit phasors of <e_{o_i}, U_alpha psi>.
     An outcome outside the alphabet (DomainError) or impossible under the
     current posterior (InferenceError) is refused with its step."""
     if np.ndim(theta) > 1:

@@ -39,6 +39,10 @@ __all__ = [
 # numpy's SeedSequence pads the seed's words to this many when a key follows.
 _POOL_WORDS = 4
 
+# The longest record sample_count_paths and ExperimentPlan take: 2**53 is the
+# largest count that float64 holds exactly, and no int64 sum of counts wraps.
+MAX_RECORD_LENGTH = 2**53
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """The PCG64 generator that default_rng(SeedSequence(entropy=seed,
@@ -190,8 +194,9 @@ def sample_count_paths(
     This is the same in distribution as counting the prefixes of one
     sampled record.
 
-    size and the grid entries are integral (100.0 counts as 100), and size
-    is at least 0; DomainError names a value that is not.  Every law must be
+    size and the grid entries are integral (100.0 counts as 100), size is
+    at least 0 and no grid entry exceeds MAX_RECORD_LENGTH; DomainError
+    names a value that is not.  Every law must be
     non-negative with a finite positive sum: DomainError names the first
     law that is not, and that law.  A valid law costs one test on the row
     sums the normalization computes (each in (0, inf)); a negative or NaN
@@ -216,6 +221,8 @@ def sample_count_paths(
     gaps = [n - m for m, n in zip([0, *grid], grid)]
     if min(gaps, default=0) < 0:
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
+    if grid and grid[-1] > MAX_RECORD_LENGTH:
+        raise DomainError(f"record length {grid[-1]} exceeds 2**53, the largest count float64 holds exactly")
     total = p.sum(axis=-1, keepdims=True)
     if total.size and not (0 < total.min() and total.max() < np.inf):
         _refuse_laws(p, size is None)

@@ -35,8 +35,8 @@ def reference_quantum_jacobian(sys, t):
     """The Jacobian rule as_family had before its joint rule, kept as the
     reference the joint rule must reproduce bit for bit."""
     upsi = _unitaries(sys, t) @ sys.probe
-    den = (upsi @ sys.probe_basis.conj())[..., None, :, :]
-    num = np.einsum("akij,...aj->...kai", sys.generators, upsi) @ sys.probe_basis.conj()
+    den = upsi[..., None, :, :]
+    num = np.einsum("akij,...aj->...kai", sys.generators, upsi)
     return np.abs(den) ** 2 * (2.0 * np.imag(num / den))
 
 

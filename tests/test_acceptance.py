@@ -133,7 +133,7 @@ def test_criterion_2_exhaustive_oracle():
         c = CountVector(n=6, counts=np.array([k, 6 - k]))
         vals = logsumexp(logp_grid @ c.counts + np.log(q.q)[None, :], axis=1)
         brute_hat = grid[int(np.argmax(vals))]
-        package_hat = mle(fam, q, c).theta_hat[0]
+        package_hat = mle(fam, q, c, fam.box).theta_hat[0]
         worst_gap = max(worst_gap, abs(package_hat - brute_hat))
     if worst_gap > 1e-4:
         ok = False

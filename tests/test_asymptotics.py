@@ -103,6 +103,8 @@ def test_plan_rejects_mismatched_weights(qubit):
 @pytest.mark.parametrize("grid,entry", [
     ((0, 100), "entry 0 must be at least 1"),
     ((-5, 100), "entry -5 must be at least 1"),
+    ((100, 2**53 + 1), r"entry 9007199254740993 exceeds 2\*\*53"),
+    ((2**63,), r"entry 9223372036854775808 exceeds 2\*\*53"),
     ((500, 100, 500), "entry 500 appears more than once"),
     ((), "must not be empty"),
     ((100, 250.5), "entry 250.5 is not an integer"),
@@ -111,8 +113,9 @@ def test_plan_rejects_mismatched_weights(qubit):
     ((float("inf"),), "entry inf is not an integer"),
 ])
 def test_plan_rejects_bad_grid(toy, grid, entry):
-    """An empty grid, a grid point below 1, a repeated one and a non-integral
-    one are refused, the point named, before any experiment runs on them."""
+    """An empty grid, a grid point below 1 or above 2**53, a repeated one and a
+    non-integral one are refused, the point named, before any experiment runs
+    on them."""
     with pytest.raises(ConstructionError, match=f"n_grid {entry}"):
         small_plan(toy, n_grid=grid)
 
@@ -248,7 +251,7 @@ def test_scalar_mle_batch_matches_single(qubit):
     from qndmix.estimate import mle
 
     for r in range(6):
-        single = mle(qubit.family, qubit.q, CountVector(n=800, counts=cm[r]))
+        single = mle(qubit.family, qubit.q, CountVector(n=800, counts=cm[r]), plan.search_box())
         assert batch[r] == pytest.approx(single.theta_hat[0], abs=1e-6)
 
 

@@ -164,6 +164,35 @@ def test_one_point_collapse_grid_is_config_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_record_length_above_2_to_53_is_config_error(experiment, tmp_path, monkeypatch, capsys):
+    """A record length whose counts float64 cannot hold exactly exits 2 on
+    every subcommand, before any draw, and makes no output directory."""
+    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a, **k: pytest.fail("drew records"))
+    monkeypatch.setattr(asymptotics, "_draw_record", lambda *a, **k: pytest.fail("drew a record"))
+    n = 2**53 + 1
+    out = tmp_path / "out"
+    grid = f"1000,{n}" if experiment == "collapse" else str(n)
+    assert run_cli(experiment, "--n-grid", grid, "--n-reps", "2", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: n_grid entry {n} exceeds 2**53, the largest count float64 holds exactly\n")
+    assert not out.exists()
+
+
+def test_out_of_memory_is_a_package_error(tmp_path, monkeypatch, capsys):
+    """A run that asks for more memory than there is exits 4 with its message
+    and no traceback, and makes no output directory."""
+    def out_of_memory(plan):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+    monkeypatch.setattr(asymptotics, "estimate_experiment", out_of_memory)
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--out", str(out)) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 8.00 TiB for an array with shape (1099511627776,)\n")
+    assert not out.exists()
+
+
 def test_config_file_schema_version(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("model: qubit_rotation\n")

@@ -452,7 +452,7 @@ def test_loglik_rows_blocks_cover_every_row_once():
 
 def test_mle_recovers_theta(bernoulli_pair, uniform2):
     c = sample_counts(bernoulli_pair, [0.55], 0, 100_000, 21)
-    report = mle(bernoulli_pair, uniform2, c)
+    report = mle(bernoulli_pair, uniform2, c, bernoulli_pair.box)
     assert report.theta_hat[0] == pytest.approx(0.55, abs=0.01)
     assert report.converged and not report.boundary
     assert report.posterior_at_hat.sum() == pytest.approx(1.0, abs=1e-12)
@@ -473,12 +473,12 @@ def test_mle_respects_search_box(bernoulli_pair, uniform2):
 
 def test_mle_empty_record(bernoulli_pair, uniform2):
     with pytest.raises(DomainError):
-        mle(bernoulli_pair, uniform2, CountVector(n=0, counts=np.zeros(2, dtype=int)))
+        mle(bernoulli_pair, uniform2, CountVector(n=0, counts=np.zeros(2, dtype=int)), bernoulli_pair.box)
 
 
 def test_mle_report_serialization(bernoulli_pair, uniform2, tmp_path):
     c = sample_counts(bernoulli_pair, [0.5], 1, 2_000, 13)
-    report = mle(bernoulli_pair, uniform2, c)
+    report = mle(bernoulli_pair, uniform2, c, bernoulli_pair.box)
     d = report.to_dict()
     assert set(d) >= {
         "theta_hat", "theta_hat_per_component", "loglik_at_max", "n",
@@ -650,7 +650,7 @@ def test_mle_multidimensional():
     q = MixtureWeights.normalized([0.8, 0.2])
     truth = np.array([0.32, 0.15])
     c = sample_counts(fam, truth, 0, 50_000, 6)
-    report = mle(fam, q, c)
+    report = mle(fam, q, c, fam.box)
     assert report.converged and not report.tie and not report.boundary
     np.testing.assert_allclose(report.theta_hat, truth, atol=0.02)
     assert report.theta_hat_per_component.shape == (2, 2)
@@ -804,7 +804,7 @@ def test_mle_finds_narrow_collision_peak():
 def test_mle_matches_fine_grid(bernoulli_pair, uniform2):
     """Score-root refinement lands on the same maximum a dense scan finds."""
     c = sample_counts(bernoulli_pair, [0.4], 1, 5_000, 30)
-    report = mle(bernoulli_pair, uniform2, c)
+    report = mle(bernoulli_pair, uniform2, c, bernoulli_pair.box)
     grid = np.linspace(0.2, 0.8, 20_001)
     vals = [loglik(bernoulli_pair, uniform2, c, [x]).value for x in grid]
     assert report.theta_hat[0] == pytest.approx(grid[int(np.argmax(vals))], abs=5e-5)

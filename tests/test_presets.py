@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qndmix.errors import ConfigError, ConstructionError, DomainError
-from qndmix.model import ParametricFamily, check_identifiability, fisher_information, kl_matrix
+from qndmix.model import ParameterBox, ParametricFamily, check_identifiability, fisher_information, kl_matrix
 from qndmix.presets import (
     PRESETS,
     VISIBILITY,
@@ -16,7 +16,7 @@ from qndmix.presets import (
     toy_haroche_full,
     toy_haroche_guerlin,
 )
-from qndmix.quantum import _amplitudes
+from qndmix.quantum import QndSystem, _amplitudes, as_family
 
 from conftest import reference_quantum_jacobian
 
@@ -162,9 +162,13 @@ def test_qubit_preset(qubit):
 
 
 def test_qubit_custom_box():
-    pre = qubit_rotation(d=3, box=(0.3, 1.0))
-    assert pre.theta_star[0] == pytest.approx(0.65)
-    assert fisher_information(pre.family, [0.65])[2, 0, 0] == pytest.approx(9.0, abs=1e-9)
+    """The preset's rotation system with d = 3 on the box (0.3, 1.0), which
+    holds no zero of the law, has Fisher information alpha^2 there too."""
+    sys = QndSystem(generators=np.array([0.5, 1.0, 1.5])[:, None, None, None] * np.array([[0, 1], [1, 0]]),
+                    probe=np.array([1.0, 0.0]))
+    fam = as_family(sys, ParameterBox(np.array([0.3]), np.array([1.0])))
+    assert fam.n_components == 3
+    assert fisher_information(fam, [0.65])[2, 0, 0] == pytest.approx(9.0, abs=1e-9)
 
 
 def test_full_variant_consistent_with_toy(toy):

@@ -99,17 +99,6 @@ def test_system_rejects_unnormalized_probe():
         QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 0.0, 0.0]))
 
 
-def test_system_rejects_non_orthonormal_basis():
-    with pytest.raises(ConstructionError):
-        QndSystem(
-            generators=SIGMA_X[None, None],
-            probe=np.array([1.0, 0.0]),
-            probe_basis=np.array([[1.0, 1.0], [0.0, 1.0]]),
-        )
-    with pytest.raises(ConstructionError, match="probe_basis must be l x l"):
-        QndSystem(generators=SIGMA_X[None, None], probe=np.array([1.0, 0.0]), probe_basis=np.eye(3))
-
-
 def test_system_dimensions_come_from_generators():
     gens = np.stack([np.stack([SIGMA_X, SIGMA_Z])] * 3)            # (d, D, l, l) = (3, 2, 2, 2)
     sys = QndSystem(generators=gens, probe=np.array([1.0, 0.0]))
@@ -194,26 +183,11 @@ def test_as_family_analytic_score_matches_fd():
     np.testing.assert_allclose(analytic[0], fd, atol=1e-7)
 
 
-def test_as_family_positivity_gate_names_offender():
+def test_as_family_positivity_gate_names_offender(qubit):
     # A box centered on pi/2 drives p(0|alpha=2) = cos^2(theta) through zero;
     # the gate must refuse with a located diagnostic.
     with pytest.raises(ConstructionError, match=r"p\(j="):
-        qubit_rotation(d=2, box=(np.pi / 2 - 0.2, np.pi / 2 + 0.2))
-
-
-def test_qubit_rotation_refuses_a_box_holding_a_zero_of_the_law():
-    """At theta = k pi/alpha an outcome of component alpha has probability 0:
-    d = 4 on the default box holds pi/4, where cos^2(2 theta) vanishes; d = 2
-    on it holds no such point (nor does d = 3 on (0.3, 1.0), tested below)."""
-    with pytest.raises(ConstructionError,
-                       match=r"p\(j=0\|alpha=3\) of component a4 is 0 at theta = 1\*pi/4"):
-        qubit_rotation(d=4)
-    assert qubit_rotation(d=2).family.n_components == 2
-
-
-def test_qubit_d3_valid_on_smaller_box():
-    pre = qubit_rotation(d=3, box=(0.3, 1.0))
-    assert pre.family.n_components == 3
+        as_family(qubit.system, ParameterBox(np.array([np.pi / 2 - 0.2]), np.array([np.pi / 2 + 0.2])))
 
 
 def test_nearly_hermitian_generators_are_checked_once():
@@ -234,22 +208,26 @@ def test_nearly_hermitian_generators_are_checked_once():
 
 def test_exactly_hermitian_generators_are_stored_unchanged():
     gens = ((np.arange(3) + 1) / 2.0)[:, None, None, None] * SIGMA_X
-    assert qubit_rotation(d=3, box=(0.3, 1.0)).system.generators.tobytes() == gens.tobytes()
+    assert QndSystem(generators=gens, probe=np.array([1.0, 0.0])).generators.tobytes() == gens.tobytes()
 
 
 def test_custom_probe_basis_changes_statistics():
+    """Measuring in an orthonormal basis B, here the Hadamard basis, is the
+    system (B^dag G B, B^dag psi) measured in the canonical basis: its table
+    is |B^dag U psi|^2 within 1e-12, its Jacobian the central difference of
+    that table within 1e-8, and it differs from the canonical measurement of
+    (G, psi)."""
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    sys = QndSystem(
-        generators=0.5 * SIGMA_X[None, None],
-        probe=np.array([1.0, 0.0]),
-        probe_basis=hadamard.astype(complex),
-    )
-    p = as_family(sys, ParameterBox(np.array([0.5]), np.array([1.0]))).prob_table([0.8])[0]
-    # In the Hadamard basis the outcome law is (1 +/- cos) ... derived directly:
-    u = hermitian_expm(0.8 * 0.5 * SIGMA_X)
-    amp = hadamard.conj().T @ (u @ np.array([1.0, 0.0]))
-    np.testing.assert_allclose(p, np.abs(amp) ** 2, atol=1e-14)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    gens, psi = 0.5 * SIGMA_X[None, None], np.array([1.0, 0.0])
+    sys = QndSystem(generators=hadamard.T @ gens @ hadamard, probe=hadamard.T @ psi)
+    fam = as_family(sys, ParameterBox(np.array([0.5]), np.array([1.0])))
+    p, dp = fam.tables([0.8])
+    amp = lambda theta: hadamard.T @ (hermitian_expm(theta * gens[0, 0]) @ psi)
+    np.testing.assert_allclose(p[0], np.abs(amp(0.8)) ** 2, rtol=0, atol=1e-12)
+    fd = (np.abs(amp(0.8 + 1e-6)) ** 2 - np.abs(amp(0.8 - 1e-6)) ** 2) / 2e-6
+    np.testing.assert_allclose(dp[0, 0], fd, rtol=0, atol=1e-8)
+    canonical = np.abs(hermitian_expm(0.8 * gens[0, 0]) @ psi) ** 2
+    assert np.abs(p[0] - canonical).max() > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +522,7 @@ def test_quantum_filter_path_matches_per_component_unitaries(qubit):
     phi0 = np.sqrt(qubit.q.q).astype(complex)
     path = filter_trajectory(sys, FilterState.from_phi(phi0), qubit.theta_star, traj.outcomes)
     amps = np.stack([
-        sys.probe_basis.conj().T @ (quantum._unitaries(sys, qubit.theta_star)[a] @ sys.probe)
+        quantum._unitaries(sys, qubit.theta_star)[a] @ sys.probe
         for a in range(sys.system_dim)
     ])
     phi = phi0

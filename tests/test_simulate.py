@@ -354,6 +354,17 @@ def test_count_paths_refuse_a_record_length_that_is_not_an_integer(toy):
         sample_count_paths(table[:1], (2.5,), [substream(1)], size=3)
 
 
+def test_count_paths_refuse_a_record_length_above_2_to_53(toy):
+    """Counts up to 2**53 are exact in float64 and cannot wrap int64; a longer
+    record is refused in either form."""
+    table = toy.family.prob_table(toy.theta_star)
+    assert sample_count_paths(table[:1], (10, 2**53), substream(1))[0, -1].sum() == 2**53
+    with pytest.raises(DomainError, match=r"^record length 9007199254740993 exceeds 2\*\*53, "):
+        sample_count_paths(table, (1, 2**53 + 1), substream(1))
+    with pytest.raises(DomainError, match=r"^record length 9223372036854775808 exceeds 2\*\*53, "):
+        sample_count_paths(table[:1], (2**63,), [substream(1)], size=3)
+
+
 def test_count_paths_take_integral_sizes_and_lengths(toy):
     """100.0 and np.int64 count as ints: the same draws as the ints, and size=0
     draws nothing."""
