@@ -150,7 +150,7 @@ class ExperimentPlan:
             if n < 1:
                 raise ConstructionError(f"n_grid entry {n} must be at least 1")
             if n > MAX_RECORD_LENGTH:
-                raise ConstructionError(f"n_grid entry {n} exceeds 2**53, the largest count "
+                raise ConstructionError(f"n_grid entry {n} exceeds {MAX_RECORD_LENGTH}, the largest count "
                                         f"float64 holds exactly")
             if n in n_grid[:k]:
                 raise ConstructionError(f"n_grid entry {n} appears more than once")

@@ -222,7 +222,8 @@ def sample_count_paths(
     if min(gaps, default=0) < 0:
         raise DomainError(f"record lengths {tuple(n_grid)} must be non-negative and ascending")
     if grid and grid[-1] > MAX_RECORD_LENGTH:
-        raise DomainError(f"record length {grid[-1]} exceeds 2**53, the largest count float64 holds exactly")
+        raise DomainError(f"record length {grid[-1]} exceeds {MAX_RECORD_LENGTH}, the largest count float64 "
+                          f"holds exactly")
     total = p.sum(axis=-1, keepdims=True)
     if total.size and not (0 < total.min() and total.max() < np.inf):
         _refuse_laws(p, size is None)

@@ -103,8 +103,8 @@ def test_plan_rejects_mismatched_weights(qubit):
 @pytest.mark.parametrize("grid,entry", [
     ((0, 100), "entry 0 must be at least 1"),
     ((-5, 100), "entry -5 must be at least 1"),
-    ((100, 2**53 + 1), r"entry 9007199254740993 exceeds 2\*\*53"),
-    ((2**63,), r"entry 9223372036854775808 exceeds 2\*\*53"),
+    ((100, 2**53 + 1), r"entry 9007199254740993 exceeds 9007199254740992"),
+    ((2**63,), r"entry 9223372036854775808 exceeds 9007199254740992"),
     ((500, 100, 500), "entry 500 appears more than once"),
     ((), "must not be empty"),
     ((100, 250.5), "entry 250.5 is not an integer"),

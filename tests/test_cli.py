@@ -175,7 +175,7 @@ def test_record_length_above_2_to_53_is_config_error(experiment, tmp_path, monke
     grid = f"1000,{n}" if experiment == "collapse" else str(n)
     assert run_cli(experiment, "--n-grid", grid, "--n-reps", "2", "--out", str(out)) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"config error: n_grid entry {n} exceeds 2**53, the largest count float64 holds exactly\n")
+        f"config error: n_grid entry {n} exceeds 9007199254740992, the largest count float64 holds exactly\n")
     assert not out.exists()
 
 

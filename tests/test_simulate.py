@@ -359,9 +359,9 @@ def test_count_paths_refuse_a_record_length_above_2_to_53(toy):
     record is refused in either form."""
     table = toy.family.prob_table(toy.theta_star)
     assert sample_count_paths(table[:1], (10, 2**53), substream(1))[0, -1].sum() == 2**53
-    with pytest.raises(DomainError, match=r"^record length 9007199254740993 exceeds 2\*\*53, "):
+    with pytest.raises(DomainError, match=r"^record length 9007199254740993 exceeds 9007199254740992, "):
         sample_count_paths(table, (1, 2**53 + 1), substream(1))
-    with pytest.raises(DomainError, match=r"^record length 9223372036854775808 exceeds 2\*\*53, "):
+    with pytest.raises(DomainError, match=r"^record length 9223372036854775808 exceeds 9007199254740992, "):
         sample_count_paths(table[:1], (2**63,), [substream(1)], size=3)
 
 

@@ -2,16 +2,15 @@
 and compare two such runs byte for byte.
 
     python tools/compare_cli_outputs.py run SOURCE_TREE OUT_DIR
-        [--subcommands estimate,lamn] [--presets qubit_rotation] [--seeds 0,1,2]
     python tools/compare_cli_outputs.py diff DIR_A DIR_B
 
 `run` starts one process per run, `python -m qndmix.cli SUBCOMMAND --preset
 PRESET --seed SEED` at the CLI's default sizes, with SOURCE_TREE/src first on
-PYTHONPATH; by default every subcommand on every preset at seeds 0-2, 84
-runs.  Run (s, p, k) is kept in OUT_DIR/s/p/seedk: `out/` holds what the CLI
-wrote (report.json and the CSVs), `stdout` the standard output with the
-output directory replaced by <OUT>, `stderr` the standard error and
-`exit_code` the exit code.
+PYTHONPATH: every subcommand on every preset at seeds 0-2, 84 runs.  Run
+(s, p, k) is kept in OUT_DIR/s/p/seedk: `out/` holds what the CLI wrote
+(report.json and the CSVs), `stdout` the standard output with the output
+directory replaced by <OUT>, `stderr` the standard error and `exit_code` the
+exit code.
 
 `diff` prints the first difference between two such directories, a file
 that only one side has or the first line where a file differs, and exits 1;
@@ -80,25 +79,18 @@ def first_difference(a, b) -> str | None:
     return None
 
 
-def _names(text: str) -> tuple:
-    return tuple(x for x in text.split(",") if x)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
     run_parser = commands.add_parser("run", help="run the CLI of a source tree into a directory")
     run_parser.add_argument("source_tree")
     run_parser.add_argument("out_dir")
-    run_parser.add_argument("--subcommands", type=_names, default=SUBCOMMANDS)
-    run_parser.add_argument("--presets", type=_names, default=PRESETS)
-    run_parser.add_argument("--seeds", type=lambda s: tuple(int(x) for x in _names(s)), default=SEEDS)
     diff_parser = commands.add_parser("diff", help="print the first difference of two run directories")
     diff_parser.add_argument("a")
     diff_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "run":
-        run(args.source_tree, args.out_dir, args.subcommands, args.presets, args.seeds)
+        run(args.source_tree, args.out_dir)
         return 0
     difference = first_difference(args.a, args.b)
     if difference is None:
