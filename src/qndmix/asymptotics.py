@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, RefusalError, SingularFisherError, _integral
-from .estimate import EstimationReport, _fit, _log_terms, log_terms, logsumexp, mle
+from .estimate import COARSE_POINTS, EstimationReport, _fit, _log_terms, log_terms, logsumexp, mle
 from .model import (
     MixtureWeights,
     ParameterBox,
@@ -104,9 +104,11 @@ class ExperimentPlan:
     integral record lengths from 1 to MAX_RECORD_LENGTH = 2**53, the largest
     count float64 holds exactly (1000.0 is one, 250.5 is refused);
     n_reps, the replications per stream, is integral by the same rule and at
-    least 2, so that every sample variance is defined; master_seed is
-    integral by the same rule and at least 0, as every generator's entropy
-    must be.  Each is stored as a Python int, as the reports hold it.
+    least 2, so that every sample variance is defined, and small enough that
+    numpy can describe the largest array an experiment makes from the plan
+    (at most np.iinfo(np.intp).max bytes); master_seed is integral by the
+    same rule and at least 0, as every generator's entropy must be.  Each is
+    stored as a Python int, as the reports hold it.
 
     The family is evaluated at theta* once per plan (star): the Fisher stack,
     the outcome laws the experiments draw from at theta*, ln p there, the KL
@@ -158,6 +160,15 @@ class ExperimentPlan:
                 raise ConstructionError(f"theta_star + h/sqrt({n}) leaves the box")
         if self.q.size != self.family.n_components:
             raise ConstructionError("q does not match the number of components")
+        # The largest array an experiment makes from the plan, of 8-byte
+        # entries: collapse's counts (d, R, K, l) and log terms (d, R, K, d),
+        # or the count rows and scan values of the (d + 1) R rows cramer_rao
+        # fits or the K R rows consistency fits.
+        d, l, k = self.family.n_components, self.family.n_outcomes, len(n_grid)
+        largest = 8 * n_reps * max(d * k * max(l, d), max(d + 1, k) * max(l, COARSE_POINTS))
+        if largest > np.iinfo(np.intp).max:
+            raise ConstructionError(f"n_reps {n_reps} needs an array of {largest} bytes, more than numpy can "
+                                    f"describe ({np.iinfo(np.intp).max})")
         theta.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)

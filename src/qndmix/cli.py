@@ -4,8 +4,9 @@ write its JSON report and CSV plot data, and map it to an exit code.
 
 Exit codes: 0 success, 1 experiment check failed (its failing gates named on
 stderr), 2 config error (a field that does not convert, a plan out of range,
-such as a record length above 2**53, or an output path through an existing
-file, checked before the run; no output directory is made), 3 refusal
+such as a record length above 2**53 or an n_reps whose arrays numpy cannot
+describe, or an output path through an existing file, checked before the
+run; no output directory is made), 3 refusal
 (RefusalError from the plan's one hypotheses check: an experiment that covers
 D = 1 only run on a multi-parameter model, singular Fisher information, or a
 fitted point, theta* or cramer-rao's theta* + h/sqrt(n), not interior to the

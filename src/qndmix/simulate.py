@@ -6,12 +6,15 @@ way to build one: it keys a generator by (master_seed, stream tags...) as
 numpy's SeedSequence(entropy=master_seed, spawn_key=tags) does, from the
 words that SeedSequence would assemble, and refuses a seed or tag that is not
 an integer of at least 0.  A seeded trajectory draws on substream(seed, 0)
-(its component) and substream(seed, 1) (its outcomes).  sample_count_paths
-draws a batch of records per generator, one multinomial over all records of
-the batch per grid gap: one batch with one outcome law per record, or, in its
-stacked form, one batch per row of a (d, l) law table, each on its own
-generator and all of its records with that row's law, the table checked
-once.  A rerun with the same seed repeats every draw bit for bit.
+(its component) and substream(seed, 1) (its outcomes), and holds those
+outcomes in the narrowest unsigned type that holds the alphabet, one byte
+each for up to 256 outcomes; counts reads them as they are.
+sample_count_paths draws a batch of records per generator, one multinomial
+over all records of the batch per grid gap: one batch with one outcome law
+per record, or, in its stacked form, one batch per row of a (d, l) law
+table, each on its own generator and all of its records with that row's
+law, the table checked once.  A rerun with the same seed repeats every draw
+bit for bit.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ def _words(n: int) -> list:
 class Trajectory:
     """A finite outcome record plus the hidden component that generated it.
 
+    An unsigned array of outcomes that numpy indexes with as it is (uint8,
+    uint16 or uint32), such as the sampler's byte-wide draw, is held as it
+    is; anything else is read as int64, where a negative outcome stays
+    negative for counts to name.  An array held without a copy is made
+    read-only.
+
     gamma is the simulation truth: estimators never see it, diagnostics may.
     """
 
@@ -93,7 +102,10 @@ class Trajectory:
     gamma: int
 
     def __post_init__(self):
-        outcomes = np.asarray(self.outcomes, dtype=np.int64)
+        outcomes = self.outcomes
+        if not (isinstance(outcomes, np.ndarray) and outcomes.dtype.kind == "u"
+                and np.can_cast(outcomes.dtype, np.intp)):
+            outcomes = np.asarray(outcomes, dtype=np.int64)
         outcomes.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -163,8 +175,8 @@ def _draw_record(p: np.ndarray, gamma: int, n: int, seed: int) -> Trajectory:
     draws on seed, from p, the family's (d, l) table at theta, for checked
     arguments.  Each outcome is the number of inner CDF entries at or below
     its uniform draw on substream(seed, 1), counted in the narrowest unsigned
-    type that holds l - 1 (uint8 for up to 256 outcomes); Trajectory holds
-    the record as int64."""
+    type that holds l - 1 (uint8 for up to 256 outcomes, uint16 from 257), the
+    type the Trajectory keeps."""
     # Inverse CDF, searchsorted(cdf, u, side="right"): a pass per inner entry.
     u = substream(seed, 1).random(n)
     cdf = np.cumsum(p[gamma][:-1]).tolist()

@@ -27,6 +27,7 @@ from qndmix.presets import get_preset, toy_haroche_full, toy_haroche_guerlin
 from qndmix.quantum import FilterState, filter_trajectory
 from qndmix.simulate import (
     CountVector,
+    Trajectory,
     counts,
     sample_count_paths,
     sample_mixture_trajectory,
@@ -125,6 +126,54 @@ def test_plan_takes_integral_grid_entries(toy):
     plan = small_plan(toy, n_grid=(np.int64(200), 500.0, np.float64(1000.0)))
     assert plan.n_grid == (200, 500, 1000)
     assert all(type(n) is int for n in plan.n_grid)
+
+
+def _flat_family(d, l):
+    """d components, each uniform over l outcomes at every theta: a family of
+    any size that costs nothing to evaluate."""
+    return ParametricFamily(ParameterBox(np.array([0.0]), np.array([1.0])),
+                            probs=lambda t: np.full(np.shape(t)[:-1] + (d, l), 1.0 / l))
+
+
+TEN_ENTRIES = tuple(range(100, 1_001, 100))
+
+
+@pytest.mark.parametrize("shape, grid, per_rep", [
+    # toy_haroche, d = l = 8, one entry: cramer_rao fits (8 + 1) R rows and
+    # scans each at 64 points, 9 * 64 * 8 bytes per replication.
+    ((8, 8), (10_000,), 4_608),
+    # Ten entries: consistency fits 10 R rows, 10 * 64 * 8; collapse's counts
+    # (8, R, 10, 8) are as large.
+    ((8, 8), TEN_ENTRIES, 5_120),
+    # qubit_rotation, d = l = 2: cramer_rao's 3 R scan rows, 3 * 64 * 8.
+    ((2, 2), (10_000,), 1_536),
+    ((2, 2), TEN_ENTRIES, 5_120),
+    # 3 components over 100 outcomes, two entries: collapse's counts
+    # (3, R, 2, 100), 600 * 8, beat cramer_rao's 4 R rows of 100 counts.
+    ((3, 100), (200, 500), 4_800),
+    # 100 components over 2 outcomes: collapse's log terms (100, R, 1, 100),
+    # 10_000 * 8, beat cramer_rao's 101 R scan rows of 64.
+    ((100, 2), (10_000,), 80_000),
+])
+def test_plan_rejects_replications_beyond_numpy_arrays(shape, grid, per_rep):
+    """n_reps is refused, named, once the largest array an experiment would
+    make from the plan needs more bytes than numpy can describe; one fewer
+    replication is a plan.  Building a plan allocates nothing of that size."""
+    d, l = shape
+    fam = _flat_family(d, l)
+    limit = np.iinfo(np.intp).max
+    most = limit // per_rep
+
+    def plan(n_reps):
+        return ExperimentPlan(family=fam, q=MixtureWeights(np.full(d, 1.0 / d)), theta_star=np.array([0.5]),
+                              n_grid=grid, n_reps=n_reps)
+
+    assert plan(most).n_reps == most
+    for n_reps in (most + 1, 2**62):
+        with pytest.raises(ConstructionError, match=(
+                f"^n_reps {n_reps} needs an array of {n_reps * per_rep} bytes, more than numpy can "
+                f"describe \\({limit}\\)$")):
+            plan(n_reps)
 
 
 @pytest.mark.parametrize("n_reps", [1, 0, -3])
@@ -986,6 +1035,60 @@ def test_mle_path_monotone_grid(qubit):
         assert [n for n, _ in path] == [100, 500, 2000]
         assert abs(path[-1][1] - qubit.theta_star[0]) < 0.1
         assert mle_path(plan, [traj], [100, 500, 2000]) == [path]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.int64])
+def test_mle_path_fits_the_per_prefix_count_stack(qubit, monkeypatch, dtype):
+    """The count rows mle_path fits are the per-prefix counts stacked record
+    by record, int64 and C-ordered, for unsorted, repeated and unit prefix
+    lengths, records longer than the longest prefix and records of every
+    integer type a Trajectory takes; the paths are the fits of that stack."""
+    plan = small_plan(qubit, h=np.array([0.0]))
+    trajs = [sample_trajectory(qubit.family, qubit.theta_star, g, 2_500, seed=5 + g) for g in (0, 1, 1)]
+    trajs = [Trajectory(outcomes=traj.outcomes.astype(dtype), gamma=traj.gamma) for traj in trajs]
+    points = [2000, 1, 500, 100, 500]
+    ns = sorted(points)
+    want = np.stack([counts(traj, n, n_outcomes=2).counts for traj in trajs for n in ns])
+    fitted = []
+    fit = asym._fit
+    monkeypatch.setattr(asym, "_fit", lambda fam, logq, cm, box: fitted.append(cm.copy()) or fit(fam, logq, cm, box))
+    paths = mle_path(plan, trajs, points)
+    (got,) = fitted
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    x_hat = fit(plan.family, plan.q.log(), want, plan.search_box()).x.reshape(len(trajs), len(ns))
+    assert paths == [list(zip(ns, path.tolist())) for path in x_hat]
+
+
+def _qubit_record(length, bad_steps=()):
+    """A qubit_rotation record of length outcomes, byte-wide, with outcome 2,
+    outside the alphabet, at each of bad_steps (counted from 1)."""
+    outcomes = np.arange(length, dtype=np.uint8) % 2
+    outcomes[[k - 1 for k in bad_steps]] = 2
+    return Trajectory(outcomes=outcomes, gamma=0)
+
+
+@pytest.mark.parametrize("records, points, message", [
+    # The outcome range is checked first, on the longest prefix that fits.
+    ([(100, (30,))], [50, 101], "outcome index 2 at step 30 outside 0..1"),
+    ([(100, (30, 40))], [20, 50, 101], "outcome index 2 at step 30 outside 0..1"),
+    # An outcome beyond that prefix is not reached: the length error wins.
+    ([(100, (75,))], [50, 101], "prefix length 101 exceeds trajectory length 100"),
+    ([(100, (30,))], [101, 5000], "prefix length 101 exceeds trajectory length 100"),
+    # The smallest prefix longer than the record is named.
+    ([(100, ())], [50, 101, 5000], "prefix length 101 exceeds trajectory length 100"),
+    # Records are checked in order.
+    ([(100, ()), (200, (10,))], [50, 150], "prefix length 150 exceeds trajectory length 100"),
+    ([(200, ()), (100, (10,))], [50, 150], "outcome index 2 at step 10 outside 0..1"),
+    ([(200, (180,)), (100, ())], [50, 150, 200], "outcome index 2 at step 180 outside 0..1"),
+])
+def test_mle_path_refusal_precedence(qubit, records, points, message):
+    """Each record in turn: the outcomes of its longest fitting prefix, then
+    its smallest prefix longer than the record."""
+    plan = small_plan(qubit, h=np.array([0.0]))
+    trajs = [_qubit_record(length, bad) for length, bad in records]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        mle_path(plan, trajs, points)
 
 
 @pytest.mark.parametrize("n", [0, -3, 101, 5000])

@@ -179,6 +179,24 @@ def test_record_length_above_2_to_53_is_config_error(experiment, tmp_path, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["lamn", "collapse", "consistency", "cramer-rao", "purify"])
+def test_replications_beyond_numpy_arrays_are_config_error(experiment, tmp_path, monkeypatch, capsys):
+    """--n-reps 2**62 asks for arrays larger than numpy can describe: every
+    subcommand that draws replications exits 2 before any draw, names
+    n_reps, and makes no output directory.  On toy_haroche (d = l = 8) each
+    default grid has at most 3 entries, so the largest array is cramer_rao's
+    9 R fitted rows scanned at 64 points, 9 * 64 * 8 = 4608 bytes a
+    replication."""
+    monkeypatch.setattr(asymptotics, "sample_count_paths", lambda *a, **k: pytest.fail("drew records"))
+    monkeypatch.setattr(asymptotics, "substream", lambda *a, **k: pytest.fail("made a generator"))
+    out = tmp_path / "out"
+    assert run_cli(experiment, "--n-reps", str(2**62), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: n_reps {2**62} needs an array of {4608 * 2**62} bytes, more than numpy can describe "
+        f"(9223372036854775807)\n")
+    assert not out.exists()
+
+
 def test_out_of_memory_is_a_package_error(tmp_path, monkeypatch, capsys):
     """A run that asks for more memory than there is exits 4 with its message
     and no traceback, and makes no output directory."""

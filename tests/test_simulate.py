@@ -17,6 +17,7 @@ from qndmix.simulate import (
 )
 from qndmix.model import MixtureWeights, ParameterBox, ParametricFamily
 from qndmix.presets import get_preset
+from qndmix.quantum import FilterState, filter_trajectory
 
 
 def test_substream_reproducible_and_distinct():
@@ -448,7 +449,7 @@ def _softmax_family(n_outcomes):
 def test_byte_wide_draw_equals_the_reference_draw(n):
     """qubit_rotation (l = 2), toy_haroche (l = 8) and a 257-outcome family,
     the fewest outcomes that need a uint16 accumulator: the outcomes the intp
-    reference draws, as int64."""
+    reference draws, held in the narrowest unsigned type of l - 1."""
     cases = [(get_preset(name).family, get_preset(name).theta_star) for name in ("qubit_rotation", "toy_haroche")]
     cases.append((_softmax_family(257), np.array([0.7])))
     for fam, theta in cases:
@@ -456,9 +457,62 @@ def test_byte_wide_draw_equals_the_reference_draw(n):
             for seed in (0, 17):
                 traj = sample_trajectory(fam, theta, gamma, n, seed)
                 want = reference_sample_trajectory(fam, theta, gamma, n, seed)
-                assert traj.outcomes.dtype == np.int64 and len(traj) == n
+                assert traj.outcomes.dtype == np.min_scalar_type(fam.n_outcomes - 1) and len(traj) == n
                 np.testing.assert_array_equal(traj.outcomes, want)
     assert fam.n_outcomes == 257 and (n < 10_000 or traj.outcomes.max() == 256)
+
+
+def test_trajectory_keeps_unsigned_outcomes_and_reads_the_rest_as_int64():
+    """An unsigned array that casts safely to intp (uint8, uint16, uint32) is
+    held as it is, the caller's array made read-only; a list, a uint64 array,
+    or a signed or float array, is read as int64, and an int64 array without
+    a copy.  The 257-outcome family draws uint16."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        outcomes = np.array([0, 3, 1], dtype=dtype)
+        traj = Trajectory(outcomes=outcomes, gamma=0)
+        assert traj.outcomes is outcomes and not outcomes.flags.writeable
+    wide = np.array([0, 3, 1], dtype=np.int64)
+    assert Trajectory(outcomes=wide, gamma=0).outcomes is wide and not wide.flags.writeable
+    for outcomes in ([0, 3, -1], np.array([0, 3, 1], dtype=np.uint64), np.array([0, 3, -1], dtype=np.int8),
+                     np.array([0, 3, 1], dtype=np.int32), np.array([0.0, 3.0, 1.0])):
+        traj = Trajectory(outcomes=outcomes, gamma=0)
+        assert traj.outcomes.dtype == np.int64 and not traj.outcomes.flags.writeable
+        np.testing.assert_array_equal(traj.outcomes, outcomes)
+    assert sample_trajectory(_softmax_family(257), [0.7], 0, 20, seed=3).outcomes.dtype == np.uint16
+    assert sample_trajectory(_softmax_family(256), [0.7], 0, 20, seed=3).outcomes.dtype == np.uint8
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+@pytest.mark.parametrize("name", ["toy_haroche", "qubit_rotation"])
+def test_counts_and_filter_read_an_unsigned_record_as_its_int64_copy(name, dtype):
+    """counts, its refusal, and the filter, with and without phi, give the same
+    on a byte-wide record, or its copy of any unsigned type, as on its int64
+    copy."""
+    pre = get_preset(name)
+    fam, l = pre.family, pre.family.n_outcomes
+    drawn = sample_mixture_trajectory(fam, pre.theta_star, pre.q, 500, seed=9)
+    assert drawn.outcomes.dtype == np.uint8
+    narrow = Trajectory(outcomes=drawn.outcomes.astype(dtype), gamma=drawn.gamma)
+    wide = Trajectory(outcomes=drawn.outcomes.astype(np.int64), gamma=drawn.gamma)
+    for n in (None, 0, 1, 77, 500):
+        a, b = counts(narrow, n, n_outcomes=l), counts(wide, n, n_outcomes=l)
+        assert a.n == b.n and a.counts.dtype == b.counts.dtype == np.int64
+        np.testing.assert_array_equal(a.counts, b.counts)
+    bad = narrow.outcomes.copy()
+    bad[41] = l
+    for outcomes in (bad, bad.astype(np.int64)):
+        with pytest.raises(DomainError, match=f"^outcome index {l} at step 42 outside 0..{l - 1}$"):
+            counts(Trajectory(outcomes=outcomes, gamma=0), n_outcomes=l)
+    starts = [(fam, FilterState.from_weights(pre.q.q))]
+    if pre.system is not None:
+        starts.append((pre.system, FilterState.from_phi(np.sqrt(pre.q.q))))
+    for model, start in starts:
+        a = filter_trajectory(model, start, pre.theta_star, narrow.outcomes)
+        b = filter_trajectory(model, start, pre.theta_star, wide.outcomes)
+        np.testing.assert_array_equal(a.q, b.q)
+        assert (a.phi is None) == (start.phi is None)
+        if a.phi is not None:
+            np.testing.assert_array_equal(a.phi, b.phi)
 
 
 def test_trajectory_is_immutable(bernoulli_pair):
@@ -470,7 +524,8 @@ def test_trajectory_is_immutable(bernoulli_pair):
 @pytest.mark.parametrize("name", ["toy_haroche", "toy_haroche_guerlin", "qubit_rotation"])
 def test_outcomes_follow_the_inverse_cdf(name):
     """Each outcome is searchsorted(cdf, u, side="right") of its uniform draw
-    u on substream(seed, 1), with the cdf's last entry set to 1."""
+    u on substream(seed, 1), with the cdf's last entry set to 1, held one
+    byte per outcome."""
     pre = get_preset(name)
     table = pre.family.prob_table(pre.theta_star)
     for seed in range(50):
@@ -479,5 +534,5 @@ def test_outcomes_follow_the_inverse_cdf(name):
         cdf = np.cumsum(table[gamma])
         cdf[-1] = 1.0
         expected = np.searchsorted(cdf, substream(seed, 1).random(2_000), side="right")
-        assert traj.outcomes.dtype == expected.dtype
+        assert traj.outcomes.dtype == np.uint8
         np.testing.assert_array_equal(traj.outcomes, expected)

@@ -1,7 +1,9 @@
 """Run the qndmix CLI of one source tree over subcommands x presets x seeds,
-and compare two such runs byte for byte.
+or its experiments at the acceptance settings, and compare two such runs
+byte for byte.
 
     python tools/compare_cli_outputs.py run SOURCE_TREE OUT_DIR
+    python tools/compare_cli_outputs.py acceptance SOURCE_TREE OUT_DIR
     python tools/compare_cli_outputs.py diff DIR_A DIR_B
 
 `run` starts one process per run, `python -m qndmix.cli SUBCOMMAND --preset
@@ -11,6 +13,12 @@ PYTHONPATH: every subcommand on every preset at seeds 0-2, 84 runs.  Run
 (report.json and the CSVs), `stdout` the standard output with the output
 directory replaced by <OUT>, `stderr` the standard error and `exit_code` the
 exit code.
+
+`acceptance` runs, in one process with SOURCE_TREE/src first on PYTHONPATH,
+each experiment of SETTINGS in SOURCE_TREE/demos/gate_calibration.py on the
+two D = 1 presets at master seed 0, and keeps each of the 14 reports as
+indented JSON, the CLI's layout without the CLI's model and schema_version
+keys, in OUT_DIR/preset/experiment/report.json.
 
 `diff` prints the first difference between two such directories, a file
 that only one side has or the first line where a file differs, and exits 1;
@@ -29,14 +37,43 @@ SUBCOMMANDS = ("estimate", "lamn", "collapse", "consistency", "cramer-rao", "pur
 PRESETS = ("toy_haroche", "toy_haroche_guerlin", "toy_haroche_full", "qubit_rotation")
 SEEDS = (0, 1, 2)
 OUT_PLACEHOLDER = "<OUT>"
+# The acceptance runs, as a script run by the source tree's Python path:
+# argv is the gate_calibration.py to read SETTINGS from and the output
+# directory.
+ACCEPTANCE_SCRIPT = """
+import importlib.util, json, sys
+from pathlib import Path
+from qndmix.asymptotics import ExperimentPlan
+from qndmix.presets import get_preset
+
+spec = importlib.util.spec_from_file_location("gate_calibration", sys.argv[1])
+demo = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(demo)
+out = Path(sys.argv[2])
+for preset in ("toy_haroche", "qubit_rotation"):
+    pre = get_preset(preset)
+    for experiment, kw in demo.SETTINGS:
+        plan = ExperimentPlan(family=pre.family, q=pre.q, theta_star=pre.theta_star, master_seed=0,
+                              estimation_box=pre.estimation_box, **kw)
+        report = experiment(plan)
+        path = out / preset / experiment.__name__ / "report.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(report[0] if isinstance(report, tuple) else report, indent=2) + "\\n")
+"""
+
+
+def _tree_env(source_tree) -> dict:
+    """The environment with source_tree/src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(source_tree).resolve() / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def run(source_tree, out_dir, subcommands=SUBCOMMANDS, presets=PRESETS, seeds=SEEDS) -> None:
     """Every run of subcommands x presets x seeds of the CLI in source_tree,
     saved under out_dir as the module docstring lays out."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(source_tree).resolve() / "src"), env.get("PYTHONPATH")]))
+    env = _tree_env(source_tree)
     for sub in subcommands:
         for preset in presets:
             for seed in seeds:
@@ -51,6 +88,15 @@ def run(source_tree, out_dir, subcommands=SUBCOMMANDS, presets=PRESETS, seeds=SE
                 (run_dir / "stdout").write_text(proc.stdout.replace(str(cli_out), OUT_PLACEHOLDER))
                 (run_dir / "stderr").write_text(proc.stderr)
                 (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
+
+
+def acceptance(source_tree, out_dir) -> None:
+    """The report of each acceptance setting of source_tree, saved under
+    out_dir as the module docstring lays out; CalledProcessError when the run
+    fails."""
+    demo = Path(source_tree).resolve() / "demos" / "gate_calibration.py"
+    subprocess.run([sys.executable, "-c", ACCEPTANCE_SCRIPT, str(demo), str(Path(out_dir).resolve())],
+                   env=_tree_env(source_tree), check=True)
 
 
 def _files(root: Path) -> set:
@@ -85,12 +131,18 @@ def main(argv=None) -> int:
     run_parser = commands.add_parser("run", help="run the CLI of a source tree into a directory")
     run_parser.add_argument("source_tree")
     run_parser.add_argument("out_dir")
+    acceptance_parser = commands.add_parser("acceptance", help="write a source tree's acceptance-size reports")
+    acceptance_parser.add_argument("source_tree")
+    acceptance_parser.add_argument("out_dir")
     diff_parser = commands.add_parser("diff", help="print the first difference of two run directories")
     diff_parser.add_argument("a")
     diff_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.source_tree, args.out_dir)
+        return 0
+    if args.command == "acceptance":
+        acceptance(args.source_tree, args.out_dir)
         return 0
     difference = first_difference(args.a, args.b)
     if difference is None:
