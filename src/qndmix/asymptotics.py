@@ -580,10 +580,15 @@ def mle_path(
 ) -> list[list[tuple[int, float]]]:
     """Mixture MLE along growing prefixes of each trajectory (D = 1, Fisher
     non-singular): one path of (n, theta_hat) per trajectory, n ascending.
-    Every prefix of every trajectory is fitted in one estimator call.  A
-    prefix length outside 1..len(traj) raises DomainError naming it."""
+    Every prefix of every trajectory is fitted in one estimator call.  No
+    trajectories, no prefix lengths, or a prefix length outside 1..len(traj)
+    raises DomainError naming it."""
     plan.check_hypotheses(fit_at=plan.theta_star)
+    if not trajs:
+        raise DomainError("no trajectories to fit")
     ns = sorted(int(n) for n in n_points)
+    if not ns:
+        raise DomainError("no prefix lengths to fit")
     for n in ns:
         if n < 1:
             raise DomainError(f"prefix length {n} must be at least 1")

@@ -1,9 +1,9 @@
-"""Command line: parse the flags into the RunConfig fields of their names, over
-the config file's, run the subcommand's experiment (which decides the verdict),
-write its JSON report and CSV plot data, and map it to an exit code.
+"""Command line: parse the flags into the RunConfig fields of their names, run
+the subcommand's experiment (which decides the verdict), write its JSON report
+and CSV plot data, and map it to an exit code.
 
 Exit codes: 0 success, 1 experiment check failed (its failing gates named on
-stderr), 2 config error (a field that does not convert, a plan out of range,
+stderr), 2 config error (a flag value that does not convert, a plan out of range,
 such as a record length above 2**53 or an n_reps whose arrays numpy cannot
 describe, or an output path through an existing file, checked before the
 run; no output directory is made), 3 refusal
@@ -41,6 +41,7 @@ from .estimate import _csv_text, _write_in_place, mle  # noqa: F401  (perfbench'
 from .model import MixtureWeights
 from .presets import PRESETS, get_preset, poisson_like_weights
 
+# The version of report.json's layout.
 SCHEMA_VERSION = 1
 # Each subcommand: the name of its experiment in qndmix.asymptotics, its
 # default n_grid, which holds only record lengths that the experiment reads
@@ -68,15 +69,15 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class RunConfig:
-    """One run's settings, each field converted here whatever its source:
-    theta_star, h and n_grid take a comma string, a list, or a scalar as one
-    entry; n_reps, seed and grid entries are integers.  ExperimentPlan checks
-    the ranges."""
+    """One run's settings, each field given as its flag's text and converted
+    here: theta_star, h and n_grid from comma lists; n_reps, seed and grid
+    entries to integers.  q stays text until build_plan knows the number of
+    components.  ExperimentPlan checks the ranges."""
 
-    model: str
     experiment: str
+    model: str = "toy_haroche"
     theta_star: Optional[list] = None
-    q: Optional[object] = None
+    q: Optional[str] = None
     h: Optional[list] = None
     n_grid: Optional[list] = None
     n_reps: int = 2000
@@ -84,7 +85,7 @@ class RunConfig:
     output_dir: str = "qndmix_out"
 
     def __post_init__(self):
-        if not (isinstance(self.model, str) and self.model in PRESETS):
+        if self.model not in PRESETS:
             raise ConfigError(
                 f"field 'model': unknown preset {self.model!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"
@@ -93,7 +94,7 @@ class RunConfig:
             raise ConfigError(
                 f"field 'experiment': {self.experiment!r} is not one of {EXPERIMENTS}"
             )
-        if not (isinstance(self.output_dir, str) and self.output_dir):
+        if not self.output_dir:
             raise ConfigError(f"field 'output_dir': cannot parse {self.output_dir!r}")
         for name, kind in (("theta_star", float), ("h", float), ("n_grid", int)):
             if getattr(self, name) is not None:
@@ -103,25 +104,21 @@ class RunConfig:
 
 
 def _parse(name: str, value, kind, many: bool = False):
-    """value as a kind, or (many) a list of kind from a comma string, a list or
-    one scalar; ConfigError on a bool, a float for an int, or no conversion."""
-    items = value if many and isinstance(value, list) else [value]
-    if many and isinstance(value, str):
-        items = value.split(",")
+    """A flag's text as a kind, or (many) as a list of kind, one entry per
+    comma-separated item; ConfigError when an entry does not convert, so an
+    int refuses '2.5', 'true' and '', and a float refuses ''."""
     try:
-        if any(isinstance(x, bool) or (kind is int and isinstance(x, float)) for x in items):
-            raise TypeError
-        entries = [kind(x) for x in items]
-    except (TypeError, ValueError, OverflowError):
+        entries = [kind(x) for x in (value.split(",") if many else [value])]
+    except ValueError:
         raise ConfigError(f"field '{name}': cannot parse {value!r}") from None
     return entries if many else entries[0]
 
 
-def parse_weights(spec, d: int) -> MixtureWeights:
-    """Weights from a list, a comma-separated string or the rule
-    'poissonlike(RATE)' with a positive, finite RATE."""
+def parse_weights(spec: str, d: int) -> MixtureWeights:
+    """Weights from a comma-separated string or the rule 'poissonlike(RATE)'
+    with a positive, finite RATE."""
     weights = MixtureWeights.normalized
-    m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip()) if isinstance(spec, str) else None
+    m = re.fullmatch(r"poissonlike\(([^)]+)\)", spec.strip())
     if not m:
         spec = _parse("q", spec, float, many=True)
     else:
@@ -138,33 +135,6 @@ def parse_weights(spec, d: int) -> MixtureWeights:
             return weights(spec)
     except Exception as exc:
         raise ConfigError(f"field 'q': {exc}") from exc
-
-
-def load_config(path) -> dict:
-    """The RunConfig fields of a YAML config file, its schema_version checked
-    and removed; ConfigError for a file that cannot be read or parsed, or
-    whose fields are not RunConfig's.  PyYAML is imported here, the only
-    place that reads YAML, so a run without --config does not load it."""
-    import yaml
-
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} not found") from None
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path}: top level must be a mapping")
-    version = raw.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config file {path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    allowed = set(RunConfig.__dataclass_fields__)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown fields {sorted(unknown)}")
-    return raw
 
 
 def build_plan(config: RunConfig) -> ExperimentPlan:
@@ -249,7 +219,6 @@ def make_parser() -> argparse.ArgumentParser:
         "QND measurement records.",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
-    parser.add_argument("--config", help="YAML config file (flags override it)")
     parser.add_argument("--preset", dest="model", help="model preset name")
     parser.add_argument("--seed", dest="seed", help="master seed")
     parser.add_argument("--out", dest="output_dir", help="output directory")
@@ -263,21 +232,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    """The config file's fields, overridden by every flag given."""
-    data: dict = {"model": "toy_haroche"}
-    if args.config:
-        data.update(load_config(args.config))
-    data.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
-    return RunConfig(**data)
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the flags given; a flag not given leaves its field's
+    default."""
+    return RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge(args)
-        return run(config)
+        return run(_run_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1081,10 +1081,14 @@ def _qubit_record(length, bad_steps=()):
     ([(100, ()), (200, (10,))], [50, 150], "prefix length 150 exceeds trajectory length 100"),
     ([(200, ()), (100, (10,))], [50, 150], "outcome index 2 at step 10 outside 0..1"),
     ([(200, (180,)), (100, ())], [50, 150, 200], "outcome index 2 at step 180 outside 0..1"),
+    # Nothing to fit is refused before any record is read.
+    ([], [10], "no trajectories to fit"),
+    ([(100, (30,))], [], "no prefix lengths to fit"),
 ])
 def test_mle_path_refusal_precedence(qubit, records, points, message):
-    """Each record in turn: the outcomes of its longest fitting prefix, then
-    its smallest prefix longer than the record."""
+    """No records, or no prefix lengths, first; then each record in turn:
+    the outcomes of its longest fitting prefix, then its smallest prefix
+    longer than the record."""
     plan = small_plan(qubit, h=np.array([0.0]))
     trajs = [_qubit_record(length, bad) for length, bad in records]
     with pytest.raises(DomainError, match=f"^{message}$"):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,6 @@ from qndmix.cli import (
     EXPERIMENTS,
     RunConfig,
     build_plan,
-    load_config,
     main,
     parse_weights,
 )
@@ -127,11 +127,9 @@ def test_theta_star_outside_box_is_config_error(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("collapse", "--n-grid", "500,500"),
     ("purify", "--preset", "qubit_rotation", "--theta-star", "9.0"),
-    ("purify", "--config", "."),
 ])
 def test_config_error_creates_no_output_directory(argv, tmp_path, monkeypatch):
-    """The plan is built and checked before the output directory is made;
-    a config file that cannot be read (here a directory) is refused first."""
+    """The plan is built and checked before the output directory is made."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert run_cli(*argv, "--n-reps", "4", "--out", str(out)) == EXIT_CONFIG
@@ -211,86 +209,29 @@ def test_out_of_memory_is_a_package_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_config_file_schema_version(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("model: qubit_rotation\n")
-    with pytest.raises(ConfigError, match="schema_version"):
-        load_config(cfg)
-    cfg.write_text("schema_version: 99\nmodel: qubit_rotation\n")
-    with pytest.raises(ConfigError, match="schema_version"):
-        load_config(cfg)
-    with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "missing.yaml")
-    cfg.write_text("schema_version: [1\n")
-    with pytest.raises(ConfigError, match=r"run\.yaml: while parsing"):
-        load_config(cfg)
-    cfg.write_text("- schema_version: 1\n")
-    with pytest.raises(ConfigError, match="top level must be a mapping"):
-        load_config(cfg)
-    # A file that cannot be read: a directory, or bytes that are not UTF-8.
-    with pytest.raises(ConfigError, match="Is a directory"):
-        load_config(tmp_path)
-    cfg.write_bytes(b"\xff\xfe")
-    with pytest.raises(ConfigError, match=r"run\.yaml: 'utf-8' codec can't decode"):
-        load_config(cfg)
-
-
-def test_config_file_unknown_field(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nbogus: 1\n")
-    with pytest.raises(ConfigError, match="unknown fields"):
-        load_config(cfg)
-    # Worker threads are gone; a config that still sets them is rejected.
-    cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nworkers: 4\n")
-    assert run_cli("purify", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
-
-
-def test_config_file_drives_run_and_flags_override(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text(
-        "schema_version: 1\n"
-        "model: qubit_rotation\n"
-        "n_reps: 40\n"
-        "n_grid: [50, 150]\n"
-        "seed: 5\n"
-        f"output_dir: {tmp_path / 'a'}\n"
-    )
-    # Few replications may legitimately fail the statistical check (exit 1);
-    # both codes mean the experiment ran and wrote its report.
-    assert run_cli("purify", "--config", str(cfg)) in (EXIT_OK, EXIT_CHECK_FAILED)
-    report = json.loads((tmp_path / "a" / "report.json").read_text())
-    assert report["n_reps"] == 40
-    assert report["master_seed"] == 5
-    # A flag wins over the file.
-    assert run_cli("purify", "--config", str(cfg), "--n-reps", "25",
-                   "--out", str(tmp_path / "b")) in (EXIT_OK, EXIT_CHECK_FAILED)
-    report_b = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert report_b["n_reps"] == 25
-
-
 def test_parse_weights():
     q = parse_weights("poissonlike(3.46)", 8)
     assert q.size == 8
-    q2 = parse_weights([1, 1, 2], 3)
+    q2 = parse_weights("1,1,2", 3)
     assert q2.q[2] == pytest.approx(0.5)
     assert parse_weights("1, 1,2", 3).q.tolist() == q2.q.tolist()
     with pytest.raises(ConfigError):
         parse_weights("dirichlet(1)", 8)
     with pytest.raises(ConfigError):
-        parse_weights([1.0, -1.0], 2)
+        parse_weights("1.0,-1.0", 2)
 
 
 def test_run_config_validation():
-    """A field that does not convert raises at RunConfig; a range that the
-    plan refuses, at build_plan."""
+    """A field that does not convert, such as an empty flag value, raises at
+    RunConfig; a range that the plan refuses, at build_plan."""
     with pytest.raises(ConfigError):
         RunConfig(model="x", experiment="purify")
     with pytest.raises(ConfigError):
         RunConfig(model="qubit_rotation", experiment="juggle")
     with pytest.raises(ConfigError, match="n_reps 0 must be at least 2"):
-        build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_reps=0))
-    with pytest.raises(ConfigError, match="n_grid must not be empty"):
-        build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_grid=[]))
+        build_plan(RunConfig(model="qubit_rotation", experiment="purify", n_reps="0"))
+    with pytest.raises(ConfigError, match="field 'n_grid': cannot parse ''"):
+        RunConfig(model="qubit_rotation", experiment="purify", n_grid="")
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -351,78 +292,75 @@ def test_default_shift_of_each_subcommand(experiment, h):
     0, and none (the plan's zero) where the experiment never reads it, even
     when a shift is given."""
     plain = build_plan(RunConfig(model="qubit_rotation", experiment=experiment))
-    shifted = build_plan(RunConfig(model="qubit_rotation", experiment=experiment, h=[0.3]))
+    shifted = build_plan(RunConfig(model="qubit_rotation", experiment=experiment, h="0.3"))
     assert plain.h.tolist() == ([0.0] if h is None else h)
     assert shifted.h.tolist() == ([0.0] if h is None else [0.3])
 
 
 def test_every_flag_sets_the_run_config_field_of_its_name():
-    """The parser's dests, --config aside, are exactly the RunConfig fields:
-    one table of names, which _merge passes on unrenamed."""
-    dests = set(vars(cli.make_parser().parse_args(["purify"]))) - {"config"}
+    """The parser's dests are exactly the RunConfig fields: one table of
+    names, which _run_config passes on unrenamed."""
+    dests = set(vars(cli.make_parser().parse_args(["purify"])))
     assert dests == {field.name for field in dataclasses.fields(RunConfig)}
 
 
-def test_a_flag_and_a_config_field_convert_alike(tmp_path):
-    """A config file's scalars and lists, and the flags' strings, of the same
-    values give the same RunConfig."""
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("schema_version: 1\nmodel: qubit_rotation\nn_grid: 500\nh: [1, 0.5]\n"
-                   "theta_star: 0.7\nn_reps: 40\nseed: 3\nq: 1,3\n")
+def test_flags_convert_to_the_typed_run_config():
+    """The flags' strings give RunConfig's typed fields; --q stays text until
+    build_plan knows the number of components."""
     parse = cli.make_parser().parse_args
-    by_file = cli._merge(parse(["lamn", "--config", str(cfg)]))
-    by_flags = cli._merge(parse(["lamn", "--preset", "qubit_rotation", "--n-grid", "500",
-                                 "--h", "1,0.5", "--theta-star", "0.7", "--n-reps", "40",
-                                 "--seed", "3", "--q", "1,3"]))
-    assert by_file == by_flags == RunConfig(
-        model="qubit_rotation", experiment="lamn", theta_star=[0.7], q="1,3", h=[1.0, 0.5],
-        n_grid=[500], n_reps=40, seed=3)
+    by_flags = cli._run_config(parse(["lamn", "--preset", "qubit_rotation", "--n-grid", "500",
+                                      "--h", "1,0.5", "--theta-star", "0.7", "--n-reps", "40",
+                                      "--seed", "3", "--q", "1,3"]))
+    assert dataclasses.asdict(by_flags) == dict(
+        experiment="lamn", model="qubit_rotation", theta_star=[0.7], q="1,3", h=[1.0, 0.5],
+        n_grid=[500], n_reps=40, seed=3, output_dir="qndmix_out")
 
 
-# (field, its value in a config file, its value as a flag); None where the
-# value has no such form.
+# (field, a value of its flag that does not convert or is out of range)
 MALFORMED = [
-    ("n_reps", "abc", "abc"),
-    ("n_reps", "2.5", "2.5"),
-    ("seed", "1.5", "1.5"),
-    ("seed", "-3", "-3"),
-    ("seed", "true", "true"),
-    ("seed", None, "-1"),
-    ("n_grid", "[abc]", "abc"),
-    ("n_grid", "[100, 250.5]", "100,250.5"),
-    ("n_grid", None, ""),
-    ("theta_star", "abc", "abc"),
-    ("theta_star", None, ""),
-    ("h", "abc", "abc"),
-    ("q", None, ""),
-    ("q", "[true, 1, 1, 1, 1, 1, 1, 1]", "true,1,1,1,1,1,1,1"),
-    ("model", "[a]", None),
-    ("output_dir", "5", None),
+    ("n_reps", "abc"),
+    ("n_reps", "2.5"),
+    ("seed", "1.5"),
+    ("seed", "-3"),
+    ("seed", "true"),
+    ("seed", "-1"),
+    ("n_grid", "abc"),
+    ("n_grid", "100,250.5"),
+    ("n_grid", ""),
+    ("theta_star", "abc"),
+    ("theta_star", ""),
+    ("h", "abc"),
+    ("q", ""),
+    ("q", "true,1,1,1,1,1,1,1"),
+    ("model", "[a]"),
+    ("output_dir", ""),
 ]
 FLAG = {"n_reps": "--n-reps", "seed": "--seed", "n_grid": "--n-grid",
-        "theta_star": "--theta-star", "h": "--h", "q": "--q"}
+        "theta_star": "--theta-star", "h": "--h", "q": "--q", "model": "--preset",
+        "output_dir": "--out"}
 
 
-@pytest.mark.parametrize("source,field,value", [
-    *(("file", field, value) for field, value, _ in MALFORMED if value is not None),
-    *(("flag", field, value) for field, _, value in MALFORMED if value is not None),
-])
-def test_malformed_value_is_config_error(source, field, value, tmp_path, monkeypatch, capsys):
-    """A value that does not convert, or is out of range, exits 2 with a
-    message naming its field, from a config file and from a flag alike, and
-    leaves no output directory."""
+@pytest.mark.parametrize("field,value", MALFORMED)
+def test_malformed_value_is_config_error(field, value, tmp_path, monkeypatch, capsys):
+    """A flag value that does not convert, or is out of range, exits 2 with a
+    message naming its field, and leaves no output directory."""
     monkeypatch.chdir(tmp_path)
-    if source == "file":
-        fields = {"n_reps": "4", "output_dir": "out", field: value}
-        Path("run.yaml").write_text(
-            "schema_version: 1\n" + "".join(f"{k}: {v}\n" for k, v in fields.items()))
-        argv = ["purify", "--config", "run.yaml"]
-    else:
-        argv = ["purify", "--n-reps", "4", "--out", "out", FLAG[field], value]
-    assert run_cli(*argv) == EXIT_CONFIG
+    assert run_cli("purify", "--n-reps", "4", "--out", "out", FLAG[field], value) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err, err
-    assert [p.name for p in tmp_path.iterdir()] == (["run.yaml"] if source == "file" else [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_commands_parse_and_plan():
+    """Every `qndmix ...` line of README's sh blocks parses, and builds its
+    plan, without running the experiment: a doc line with a renamed or
+    removed flag fails."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("qndmix ")]
+    assert commands
+    for argv in commands:
+        build_plan(cli._run_config(cli.make_parser().parse_args(argv)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +437,27 @@ def _run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def test_import_leaves_out_scipy():
-    proc = _run_python(
-        "import sys, qndmix; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+NUMPY_ONLY = """
+import json, sys
+import numpy, numpy.random
+before = set(sys.modules)
+import qndmix, qndmix.cli
+codes = [qndmix.cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}"])
+         for argv in (["estimate", "--n-grid", "2000"], ["lamn", "--n-reps", "20"])]
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "qndmix"})]))
+"""
 
 
-def test_cli_import_leaves_out_yaml():
-    """Only a --config run reads YAML, so importing the CLI loads no PyYAML."""
-    proc = _run_python("import sys, qndmix.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))")
+def test_numpy_is_the_one_third_party_runtime_dependency(tmp_path):
+    """Importing the package and its CLI, and running two subcommands, loads
+    no top-level module besides numpy's, the package's and the standard
+    library's: no scipy, no PyYAML."""
+    proc = _run_python(NUMPY_ONLY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    codes, third_party = json.loads(proc.stdout.splitlines()[-1])
+    assert set(codes) <= {EXIT_OK, EXIT_CHECK_FAILED}, proc.stderr
+    assert third_party == []
 
 
 def _package_modules() -> list:
@@ -724,7 +670,7 @@ def test_each_experiment_evaluates_the_family_once_at_theta_star(
 
 def test_h_takes_a_comma_list(tmp_path, capsys):
     args = cli.make_parser().parse_args(["lamn", "--h", "1,0.5"])
-    assert cli._merge(args).h == [1.0, 0.5]
+    assert cli._run_config(args).h == [1.0, 0.5]
     code = run_cli("lamn", "--preset", "qubit_rotation", "--h", "1,0.5",
                    "--n-reps", "4", "--n-grid", "50", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
