@@ -320,16 +320,22 @@ def test_flags_convert_to_the_typed_run_config():
 MALFORMED = [
     ("n_reps", "abc"),
     ("n_reps", "2.5"),
+    ("n_reps", "true"),
+    ("n_reps", ""),
     ("seed", "1.5"),
     ("seed", "-3"),
     ("seed", "true"),
     ("seed", "-1"),
+    ("seed", "abc"),
+    ("seed", ""),
     ("n_grid", "abc"),
     ("n_grid", "100,250.5"),
     ("n_grid", ""),
+    ("n_grid", "500,"),
     ("theta_star", "abc"),
     ("theta_star", ""),
     ("h", "abc"),
+    ("h", ""),
     ("q", ""),
     ("q", "true,1,1,1,1,1,1,1"),
     ("model", "[a]"),
@@ -351,16 +357,35 @@ def test_malformed_value_is_config_error(field, value, tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
-def test_readme_commands_parse_and_plan():
-    """Every `qndmix ...` line of README's sh blocks parses, and builds its
-    plan, without running the experiment: a doc line with a renamed or
-    removed flag fails."""
+def test_config_flag_is_refused(tmp_path, monkeypatch, capsys):
+    """Flags alone set a run: --config is an unknown argument, refused by the
+    parser with exit 2 before any output directory is made."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["purify", "--config", "run.yaml", "--out", "out"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --config run.yaml" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands() -> list:
+    """The argv of each `qndmix ...` line of README's sh blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    commands = [shlex.split(line, comments=True)[1:] for block in blocks
-                for line in block.splitlines() if line.startswith("qndmix ")]
-    assert commands
-    for argv in commands:
-        build_plan(cli._run_config(cli.make_parser().parse_args(argv)))
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("qndmix ")]
+
+
+def test_readme_shows_every_subcommand():
+    """README's command lines run each subcommand at least once."""
+    assert {argv[0] for argv in _readme_commands()} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse_and_plan(argv):
+    """A `qndmix ...` line of README's sh blocks parses, and builds its plan,
+    without running the experiment: a doc line with a renamed or removed
+    flag, or a value that does not convert, fails."""
+    build_plan(cli._run_config(cli.make_parser().parse_args(argv)))
 
 
 # ---------------------------------------------------------------------------
